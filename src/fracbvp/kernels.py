@@ -30,20 +30,25 @@ integrability; h alone is never integrated.
 
 G is evaluated through the equivalent split
 
-    G(s) = [Lambda - integral_0^inf h(s+x) x^(alpha-1) dx] / Gamma(alpha)
+    G(s) = [Lambda - D(s)] / Gamma(alpha),
+    D(s) = integral_0^inf h(s+x) x^(alpha-1) dx
 
 (substituting tau = s + x in the part of K1 with tau >= s), which removes
-the interior kink at tau = s and is cheap to evaluate accurately.  Values
-are memoized per s, so solver grids and dump grids pay for each distinct
-s once.
+the interior kink at tau = s.  The deficits D of all new points in a
+g_many call come from one vector-valued adaptive quadrature (scipy's
+quad_vec), and the memo keeps them per s: solver grids and dump grids pay
+for each distinct s once, and G(s) keeps its first value within a
+KernelSet; any other batch agrees with it to within tol.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.integrate import quad_vec
 
 from .fracops import FracOrder, gamma
 from .quad import (DEFAULT_TOL, Integrand, QuadResult, integrate_finite,
@@ -51,6 +56,8 @@ from .quad import (DEFAULT_TOL, Integrand, QuadResult, integrate_finite,
 
 __all__ = ["KernelSet", "compute_lambda", "kernel_representation",
            "derivative_representation"]
+
+_LOG_X_CAP = 60.0 * math.log(2.0)
 
 
 def compute_lambda(h: Integrand, alpha: FracOrder,
@@ -78,9 +85,10 @@ class KernelSet:
     """Kernels of one equation, with the boundary integral memoized.
 
     Build with KernelSet.build; the constructor takes precomputed
-    constants.  The memo table is filled on demand and is idempotent
-    (same s always maps to the same value), so concurrent fills are
-    harmless.
+    constants.  The memo table is filled once per g_many batch with the
+    points it had not seen, and an entry is never overwritten: G(s)
+    keeps its first value, and any other batch agrees with it to within
+    tol.
     """
 
     alpha: FracOrder
@@ -108,10 +116,7 @@ class KernelSet:
     # -- base kernel -------------------------------------------------
 
     def k1(self, t: float, s: float) -> float:
-        a = self.alpha.q
-        if s >= t:
-            return t ** (a - 1.0) / self.gamma_alpha
-        return (t ** (a - 1.0) - (t - s) ** (a - 1.0)) / self.gamma_alpha
+        return float(self.k1_grid(t, s))
 
     def k1_grid(self, t: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Vectorized K1 on broadcastable t, s arrays."""
@@ -126,72 +131,66 @@ class KernelSet:
 
     def g_of(self, s: float) -> float:
         """G(s) = int_0^inf h(tau) K1(tau, s) dtau, memoized."""
-        if self.h is None:
-            return 0.0
-        s = float(s)
-        if s == 0.0:
-            return 0.0  # K1(tau, 0) == 0 identically
-        hit = self._g_memo.get(s)
-        if hit is not None:
-            return hit
-        a = self.alpha.q
-        h = self.h
-
-        def deficit_fn(x: np.ndarray) -> np.ndarray:
-            return np.asarray(h.fn(s + x)) * x ** (a - 1.0)
-
-        # Panel boundary at x = s: when h diverges at 0 the integrand
-        # turns over on that scale, and for small s the transition layer
-        # starves a cut-free adaptive pass.
-        cuts = sorted({s} | {k - s for k in h.kinks if k > s})
-        res = integrate_halfline(
-            Integrand(deficit_fn, kinks=tuple(cuts),
-                      endpoint_exponent=a - 1.0, decay_hint=h.decay_hint),
-            self.tol)
-        require_converged(res, f"boundary integral G({s})")
-        val = (self.lam - res.value) / self.gamma_alpha
-        # G is nonnegative by construction; clip quadrature dust at 0.
-        if val < 0 and val > -10 * self.tol:
-            val = 0.0
-        self._g_memo[s] = val
-        return val
+        return float(self.g_many(np.array([s], dtype=float))[0])
 
     def g_many(self, s: np.ndarray) -> np.ndarray:
-        return np.array([self.g_of(si) for si in np.asarray(s, dtype=float).ravel()]
-                        ).reshape(np.shape(s))
+        """G at every entry of s.  Points not in the memo yet get their
+        deficits D from one quad_vec pass on x = c e^u, c = min(s, 1):
+        there x^(alpha-1) dx = x^alpha du decays exponentially as
+        u -> -inf, and the layers at x ~ s and x ~ 1 are O(1) wide in u
+        at every scale of s.  x is cut at 2^60, the reach of
+        integrate_halfline's doubling; for h >= 0 the rest is at most
+        Lambda's tail there."""
+        s = np.asarray(s, dtype=float)
+        if self.h is None:
+            return np.zeros(s.shape)
+        uniq, inv = np.unique(s, return_inverse=True)
+        memo = self._g_memo
+        # K1(tau, 0) == 0 identically, so G(0) = 0 needs no quadrature.
+        new = np.array([x for x in uniq.tolist() if x and x not in memo])
+        if new.size:
+            a, h, log_c = self.alpha.q, self.h, np.log(np.minimum(new, 1.0))
+
+            def weighted(u: float) -> np.ndarray:
+                x = np.exp(np.minimum(log_c + u, _LOG_X_CAP))
+                return np.where(log_c + u <= _LOG_X_CAP,
+                                np.asarray(h.fn(new + x)) * x ** a, 0.0)
+
+            d, err, info = quad_vec(weighted, -np.inf, np.inf,
+                                    epsabs=self.tol / 10, epsrel=0.0,
+                                    norm="max", full_output=True)
+            # The value reported is the batch's max norm, as is err.
+            require_converged(QuadResult(
+                float(np.max(np.abs(d))), float(err), math.inf, info.neval,
+                bool(err <= self.tol and np.all(np.isfinite(d)))),
+                f"boundary integral G at {new.size} points")
+            g = (self.lam - d) / self.gamma_alpha
+            # G is nonnegative by construction; clip quadrature dust at 0.
+            g[(g < 0) & (g > -10 * self.tol)] = 0.0
+            memo.update(zip(new.tolist(), g.tolist()))
+        vals = np.array([memo.get(x, 0.0) for x in uniq.tolist()])
+        return vals[inv].reshape(s.shape)
 
     # -- assembled kernels ---------------------------------------------
 
     def k2(self, t: float, s: float) -> float:
-        if self.h is None:
-            return 0.0
         return t ** (self.alpha.q - 1.0) / self.denom * self.g_of(s)
 
     def k(self, t: float, s: float) -> float:
-        return self.k1(t, s) + self.k2(t, s)
+        return float(self.k_grid(t, s))
 
     def kstar(self, t: float, s: float) -> float:
-        step = 1.0 if t <= s else 0.0
-        if self.h is None:
-            return step
-        return step + self.gamma_alpha / self.denom * self.g_of(s)
+        return float(self.kstar_grid(t, s))
 
     def k_grid(self, t: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Vectorized K = K1 + K2 on broadcastable t, s arrays."""
-        out = self.k1_grid(t, s)
-        if self.h is None:
-            return out
         t = np.asarray(t, dtype=float)
-        s = np.asarray(s, dtype=float)
-        return out + t ** (self.alpha.q - 1.0) / self.denom * self.g_many(s)
+        return self.k1_grid(t, s) \
+            + t ** (self.alpha.q - 1.0) / self.denom * self.g_many(s)
 
     def kstar_grid(self, t: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Vectorized Kstar on broadcastable t, s arrays."""
-        t = np.asarray(t, dtype=float)
-        s = np.asarray(s, dtype=float)
-        step = np.where(t <= s, 1.0, 0.0)
-        if self.h is None:
-            return step
+        step = np.where(np.asarray(t, dtype=float) <= s, 1.0, 0.0)
         return step + self.gamma_alpha / self.denom * self.g_many(s)
 
     # -- bounds (used by tests and the kernel-dump bound columns) ------

@@ -346,9 +346,10 @@ class IntegralOperator:
 
     Building one precomputes the panel layout, the product-quadrature
     matrices, and the boundary integrals G at every quadrature point
-    (the expensive part); each apply() is then a few vectorized
-    evaluations.  The map is deterministic: same input pair, same
-    output, bit for bit.
+    (one batched quadrature per equation, the larger part of a first
+    build; a rebuild on the same kernel sets reads G from their memo);
+    each apply() is then a few vectorized evaluations.  The map is
+    deterministic: same input pair, same output, bit for bit.
     """
 
     def __init__(self, p: ProblemSpec, ks1: KernelSet, ks2: KernelSet,

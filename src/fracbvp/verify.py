@@ -139,8 +139,11 @@ def fixed_point_residual(op: IntegralOperator, sp: SolutionPair) -> float:
     return diff_norm(sp, op.apply(sp))
 
 
-def _bc_one(h: Integrand, alpha: FracOrder, grid_nodes: np.ndarray,
+def _bc_one(h: Integrand | None, alpha: FracOrder, grid_nodes: np.ndarray,
             row_w: np.ndarray, row_d: np.ndarray, tol: float) -> float:
+    if h is None:
+        # No weight: the condition is D^(alpha-1)u(inf) = 0.
+        return abs(float(row_d[-1]))
     u_fn = _psi_interpolant(grid_nodes, row_w, row_d, alpha)
 
     def fn(s: np.ndarray) -> np.ndarray:
@@ -164,7 +167,9 @@ def boundary_residual(p: ProblemSpec, sp: SolutionPair, *,
     The derivative rows carry the boundary constant through the kernel
     route; the integral here recomputes it from the solution values and
     the weight h directly, so agreement checks the two routes against
-    each other.  Returns the pair of absolute residuals.
+    each other.  An equation without a weight h has the condition
+    D^(alpha-1)u(inf) = 0, and its residual is |D^(alpha-1)u(t_N)|.
+    Returns the pair of absolute residuals.
     """
     t = sp.grid.nodes
     r1 = _bc_one(p.h1, sp.alpha1, t, sp.u_w, sp.du, tol)

@@ -1,9 +1,9 @@
 """Shared fixtures: the two packaged problems, their kernel sets, and the
 expensive solver runs that several test modules inspect.
 
-Everything here is session-scoped because kernel construction precomputes
-the boundary deficit integral at a few thousand quadrature nodes (seconds)
-and the iteration fixtures are reused by the verification, solver, and
+Everything here is session-scoped because operator construction
+tabulates the boundary integral G at a few thousand quadrature nodes and
+the iteration fixtures are reused by the verification, solver, and
 acceptance tests.  Both packaged problems share the same orders and
 boundary weights, so one kernel pair serves both.
 """

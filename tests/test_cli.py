@@ -292,6 +292,21 @@ def test_solve_monotone_writes_outputs(tmp_path, capsys):
     assert "sandwich gap" in summary
 
 
+def test_solve_without_boundary_section(tmp_path, capsys):
+    # Omitting [boundary] is legal: the conditions become
+    # D^(alpha-1)u(inf) = 0, and their residuals must still be reported.
+    p = tmp_path / "free.prob"
+    # Scaled Lipschitz bounds put the contraction modulus below 1.
+    p.write_text(MINIMAL.replace(_LIPS, _LIPS.replace("= exp", "= 0.1*exp")))
+    code = main(["solve", str(p), "--json", "--grid-n", "32",
+                 "--tol", "1e-3"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    ver = doc["verification"]
+    assert math.isfinite(ver["bc_residual_1"])
+    assert math.isfinite(ver["bc_residual_2"])
+
+
 def test_solve_iteration_budget_exit(capsys):
     code = main(["solve", "lipschitz", "--grid-n", "32",
                  "--tol", "1e-9", "--max-iter", "2"])

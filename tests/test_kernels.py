@@ -1,12 +1,16 @@
 """Green's kernel layer: the boundary coupling constant, the memoized
-boundary integral G, the assembled kernels, and their sharp bounds."""
+boundary integral G (batched, checked against per-point quadrature), the
+assembled kernels, and their sharp bounds."""
 
 import math
 
 import numpy as np
 import pytest
 
-from fracbvp import FracOrder, Integrand, KernelSet, compute_lambda, gamma
+import fracbvp.kernels as kernels_mod
+from fracbvp import (FracOrder, Integrand, IntegralOperator, KernelSet,
+                     QuadratureError, compute_lambda, gamma,
+                     integrate_halfline)
 
 
 def test_lambda_closed_forms(sublinear):
@@ -87,10 +91,98 @@ def test_g_is_a_saturating_ramp(kernels):
         assert g[-1] == pytest.approx(cap, abs=1e-10)
 
 
-def test_g_memo_is_stable(kernels):
-    ks1, _ = kernels
-    first = ks1.g_of(1.2345)
-    assert ks1.g_of(1.2345) == first
+def _fresh(ks, **kw):
+    """Same constants as ks, empty memo."""
+    return KernelSet(alpha=ks.alpha, h=ks.h, lam=ks.lam,
+                     gamma_alpha=ks.gamma_alpha, **kw)
+
+
+def _deficit_per_point(ks, s):
+    """D(s) = int_0^inf h(s+x) x^(alpha-1) dx by one adaptive half-line
+    quadrature, with a panel cut at x = s."""
+    a, h = ks.alpha.q, ks.h
+    res = integrate_halfline(
+        Integrand(lambda x: h.fn(s + x) * x ** (a - 1.0), kinks=(s,),
+                  endpoint_exponent=a - 1.0, decay_hint=h.decay_hint),
+        ks.tol)
+    assert res.converged
+    return res.value
+
+
+def _g_points(rng):
+    """40 points: 0, duplicates, and s from 1e-9 to the plan's 1.6e16."""
+    return np.concatenate(([0.0, 0.0, 1e-9, 1.6e16, 1.0, 1.0],
+                           np.geomspace(1e-9, 1.6e16, 24),
+                           rng.uniform(0.0, 40.0, size=8), [2.5, 2.5]))
+
+
+def test_g_batch_matches_per_point_quadrature(kernels, rng):
+    pts = _g_points(rng)
+    for ks in kernels:
+        ks = _fresh(ks)
+        got = ks.g_many(pts)
+        want = np.array([0.0 if s == 0.0 else
+                         (ks.lam - _deficit_per_point(ks, s)) / ks.gamma_alpha
+                         for s in pts])
+        assert np.max(np.abs(got - want)) <= 1e-10
+
+
+def test_g_memo_is_stable(kernels, rng):
+    """After the first batch, G is served by the memo: bit for bit, in
+    any order and shape."""
+    pts = _g_points(rng)
+    for ks in kernels:
+        ks = _fresh(ks)
+        got = ks.g_many(pts)
+        assert np.array_equal(ks.g_many(pts), got)
+        perm = rng.permutation(pts.size)
+        assert np.array_equal(ks.g_many(pts[perm]), got[perm])
+        assert np.array_equal(ks.g_many(pts.reshape(4, 10)),
+                              got.reshape(4, 10))
+        # One-point batches land elsewhere within tol (at s = 1e-9, for
+        # one); the memo returns the first values.
+        assert [ks.g_of(s) for s in pts] == got.tolist()
+
+
+def test_g_batch_raises_when_tol_is_not_met(kernels):
+    ks = _fresh(kernels[0], tol=1e-16)  # below quad_vec's roundoff floor
+    with pytest.raises(QuadratureError, match="boundary integral G") as exc:
+        ks.g_many(np.array([0.5, 2.0, 7.0]))
+    res = exc.value.result
+    assert not res.converged
+    assert res.error_estimate > ks.tol
+    assert res.evaluations > 0
+    assert ks._g_memo == {}
+
+
+def test_g_batch_raises_on_non_finite_values():
+    h = Integrand(lambda t: np.where(t < 3.0, np.exp(-t), np.nan))
+    ks = KernelSet(alpha=FracOrder(2.5), h=h, lam=1.0,
+                   gamma_alpha=gamma(2.5))
+    with pytest.raises(QuadratureError):
+        ks.g_many(np.array([0.5, 2.0]))
+    assert ks._g_memo == {}
+
+
+def test_operator_build_tabulates_g_once_per_equation(
+        sublinear, kernels, grid64, monkeypatch):
+    calls = {"halfline": 0, "quad_vec": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(kernels_mod, "integrate_halfline",
+                        counting("halfline", kernels_mod.integrate_halfline))
+    monkeypatch.setattr(kernels_mod, "quad_vec",
+                        counting("quad_vec", kernels_mod.quad_vec))
+    ks1, ks2 = (_fresh(ks) for ks in kernels)
+    IntegralOperator(sublinear, ks1, ks2, grid64)
+    assert calls == {"halfline": 0, "quad_vec": 2}
+    IntegralOperator(sublinear, ks1, ks2, grid64)
+    assert calls == {"halfline": 0, "quad_vec": 2}
 
 
 def test_bounds_are_sharp_but_never_crossed(kernels):
