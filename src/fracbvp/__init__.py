@@ -21,8 +21,7 @@ from .quad import (Integrand, QuadratureError, QuadResult, integrate_finite,
                    integrate_halfline)
 from .solver import (ContractionRatioWarning, Grid, IntegralOperator,
                      IterationTrace, MonotonicityError, SolutionPair,
-                     apply_T, contract_solve, diff_norm, monotone_solve,
-                     norm_pair)
+                     contract_solve, diff_norm, monotone_solve, norm_pair)
 from .verify import (AuditResult, VerificationReport, boundary_residual,
                      error_bound_audit, fixed_point_residual,
                      ode_residual_spotcheck, ordering_audit, verify_pair)
@@ -37,7 +36,7 @@ __all__ = [
     "IntegralOperator", "IterationTrace", "KernelSet", "LipschitzData",
     "LoadedProblem", "MonotonicityError", "ProblemFileError", "ProblemSpec",
     "QuadResult", "QuadratureError", "SolutionPair",
-    "UnsupportedRegimeError", "VerificationReport", "apply_T",
+    "UnsupportedRegimeError", "VerificationReport",
     "boundary_residual", "build_report", "check_h1", "check_h4",
     "compile_expr", "compute_lambda", "contract_solve",
     "contraction_modulus", "derivative_representation", "diff_norm",

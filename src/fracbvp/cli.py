@@ -37,8 +37,9 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -50,7 +51,7 @@ from .fracops import FracOrder
 from .kernels import KernelSet
 from .problem import (GrowthData, HypothesisReport, LipschitzData,
                       ProblemSpec, build_report)
-from .quad import Integrand, QuadratureError
+from .quad import DEFAULT_TOL, Integrand, QuadratureError
 from .solver import (Grid, IntegralOperator, IterationTrace,
                      MonotonicityError, SolutionPair, contract_solve,
                      diff_norm, monotone_solve)
@@ -76,24 +77,9 @@ class ProblemFileError(ValueError):
 
 _GROWTH_KEYS = tuple(f"a{i}{k}" for i in (1, 2) for k in range(5))
 _LIPSCHITZ_KEYS = tuple(f"b{i}{k}" for i in (1, 2) for k in range(1, 5))
-_EXPECTED_KEYS = frozenset(
-    ("lambda1", "lambda2", "gamma_alpha1", "gamma_alpha2",
-     "L1", "L2", "L", "m", "R", "r", "tau1", "tau2")
-    + _GROWTH_KEYS + _LIPSCHITZ_KEYS)
 
-_SECTION_KEYS: dict[str, frozenset[str]] = {
-    "orders": frozenset(("alpha1", "alpha2")),
-    "boundary": frozenset(("h1", "h1_exponent", "h1_decay",
-                           "h2", "h2_exponent", "h2_decay")),
-    "rhs": frozenset(("f1", "f2", "monotone")),
-    "growth": frozenset(_GROWTH_KEYS + ("lambda1", "lambda2")),
-    "lipschitz": frozenset(_LIPSCHITZ_KEYS),
-    "solver": frozenset(("n", "theta", "tol", "max_iter", "scheme",
-                         "interp")),
-    "expected": _EXPECTED_KEYS,
-}
-
-_KEY_ORDER: dict[str, tuple[str, ...]] = {
+# Every section with its keys, both in the order format_problem writes.
+_SECTIONS: dict[str, tuple[str, ...]] = {
     "orders": ("alpha1", "alpha2"),
     "boundary": ("h1", "h1_exponent", "h1_decay",
                  "h2", "h2_exponent", "h2_decay"),
@@ -101,15 +87,20 @@ _KEY_ORDER: dict[str, tuple[str, ...]] = {
     "growth": _GROWTH_KEYS + ("lambda1", "lambda2"),
     "lipschitz": _LIPSCHITZ_KEYS,
     "solver": ("n", "theta", "tol", "max_iter", "scheme", "interp"),
+    "expected": tuple(sorted(
+        ("lambda1", "lambda2", "gamma_alpha1", "gamma_alpha2",
+         "L1", "L2", "L", "m", "R", "r", "tau1", "tau2")
+        + _GROWTH_KEYS + _LIPSCHITZ_KEYS)),
 }
-
-_SECTION_ORDER = ("orders", "boundary", "rhs", "growth", "lipschitz",
-                  "solver", "expected")
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Resolved [solver] section; tol and max_iter default per scheme."""
+    """Resolved [solver] section; tol and max_iter default per scheme.
+
+    The range checks run on every construction, so [solver] keys and
+    command-line overrides (applied with dataclasses.replace) share them.
+    """
 
     n: int = 64
     theta: float = 5.0
@@ -117,6 +108,24 @@ class SolverConfig:
     max_iter: int | None = None
     scheme: str = "auto"
     interp: str = "linear"
+
+    def __post_init__(self) -> None:
+        if self.n < 16:
+            raise _fail("solver", "n", f"needs at least 16, got {self.n}")
+        if not 0.0 < self.theta < math.inf:
+            raise _fail("solver", "theta",
+                        f"must be positive and finite, got {self.theta}")
+        if self.tol is not None and not self.tol > 0:
+            raise _fail("solver", "tol", f"must be positive, got {self.tol}")
+        if self.max_iter is not None and self.max_iter < 1:
+            raise _fail("solver", "max_iter",
+                        f"must be at least 1, got {self.max_iter}")
+        if self.scheme not in ("auto", "monotone", "contraction"):
+            raise _fail("solver", "scheme", f"must be auto, monotone or "
+                        f"contraction, got {self.scheme!r}")
+        if self.interp not in ("linear", "pchip"):
+            raise _fail("solver", "interp",
+                        f"must be linear or pchip, got {self.interp!r}")
 
 
 @dataclass(frozen=True)
@@ -238,12 +247,11 @@ def load_problem(text: str, origin: str = "") -> LoadedProblem:
 
     raw: dict[str, dict[str, str]] = {}
     for section in cp.sections():
-        if section not in _SECTION_KEYS:
+        if section not in _SECTIONS:
             raise ProblemFileError(
                 f"unknown section [{section}]; known sections: "
-                f"{', '.join(_SECTION_ORDER)}")
-        keys = set(cp[section])
-        unknown = keys - _SECTION_KEYS[section]
+                f"{', '.join(_SECTIONS)}")
+        unknown = set(cp[section]) - set(_SECTIONS[section])
         if unknown:
             raise ProblemFileError(
                 f"unknown key(s) in [{section}]: {sorted(unknown)}")
@@ -285,7 +293,7 @@ def load_problem(text: str, origin: str = "") -> LoadedProblem:
     growth = None
     if "growth" in raw:
         sec = raw["growth"]
-        missing = [k for k in _SECTION_KEYS["growth"] if k not in sec]
+        missing = [k for k in _SECTIONS["growth"] if k not in sec]
         if missing:
             raise ProblemFileError(
                 f"[growth] is missing key(s): {sorted(missing)}")
@@ -308,7 +316,7 @@ def load_problem(text: str, origin: str = "") -> LoadedProblem:
     lipschitz = None
     if "lipschitz" in raw:
         sec = raw["lipschitz"]
-        missing = [k for k in _SECTION_KEYS["lipschitz"] if k not in sec]
+        missing = [k for k in _SECTIONS["lipschitz"] if k not in sec]
         if missing:
             raise ProblemFileError(
                 f"[lipschitz] is missing key(s): {sorted(missing)}")
@@ -322,44 +330,13 @@ def load_problem(text: str, origin: str = "") -> LoadedProblem:
 
     solver = SolverConfig()
     if "solver" in raw:
-        sec = raw["solver"]
-        out = {}
-        kw: dict = {}
-        if "n" in sec:
-            kw["n"] = _parse_int("solver", "n", sec["n"])
-            if kw["n"] < 16:
-                raise _fail("solver", "n", f"needs at least 16, got {kw['n']}")
-            out["n"] = repr(kw["n"])
-        if "theta" in sec:
-            kw["theta"] = _parse_number("solver", "theta", sec["theta"])
-            if not kw["theta"] > 0:
-                raise _fail("solver", "theta", "must be positive")
-            out["theta"] = repr(kw["theta"])
-        if "tol" in sec:
-            kw["tol"] = _parse_number("solver", "tol", sec["tol"])
-            if not kw["tol"] > 0:
-                raise _fail("solver", "tol", "must be positive")
-            out["tol"] = repr(kw["tol"])
-        if "max_iter" in sec:
-            kw["max_iter"] = _parse_int("solver", "max_iter", sec["max_iter"])
-            if kw["max_iter"] < 1:
-                raise _fail("solver", "max_iter", "must be at least 1")
-            out["max_iter"] = repr(kw["max_iter"])
-        if "scheme" in sec:
-            kw["scheme"] = sec["scheme"].strip().lower()
-            if kw["scheme"] not in ("auto", "monotone", "contraction"):
-                raise _fail("solver", "scheme",
-                            f"must be auto, monotone or contraction, "
-                            f"got {sec['scheme']!r}")
-            out["scheme"] = kw["scheme"]
-        if "interp" in sec:
-            kw["interp"] = sec["interp"].strip().lower()
-            if kw["interp"] not in ("linear", "pchip"):
-                raise _fail("solver", "interp",
-                            f"must be linear or pchip, got {sec['interp']!r}")
-            out["interp"] = kw["interp"]
+        parsers = {"n": _parse_int, "max_iter": _parse_int,
+                   "theta": _parse_number, "tol": _parse_number}
+        kw = {k: parsers[k]("solver", k, v) if k in parsers
+              else v.strip().lower() for k, v in raw["solver"].items()}
         solver = SolverConfig(**kw)
-        norm["solver"] = out
+        norm["solver"] = {k: v if isinstance(v, str) else repr(v)
+                          for k, v in kw.items()}
 
     expected: dict[str, float] = {}
     if "expected" in raw:
@@ -387,15 +364,12 @@ def format_problem(lp: LoadedProblem) -> str:
     format(load(format(load(text)))) == format(load(text)).
     """
     lines: list[str] = []
-    for section in _SECTION_ORDER:
+    for section, keys in _SECTIONS.items():
         data = lp.sections.get(section)
         if not data:
             continue
         lines.append(f"[{section}]")
-        ordered = [k for k in _KEY_ORDER.get(section, ()) if k in data]
-        ordered += sorted(k for k in data if k not in ordered)
-        for key in ordered:
-            lines.append(f"{key} = {data[key]}")
+        lines += [f"{key} = {data[key]}" for key in keys if key in data]
         lines.append("")
     return "\n".join(lines)
 
@@ -474,6 +448,15 @@ def _print_report(report: HypothesisReport, name: str,
                             if not v.passed)))
 
 
+def _quad_tol(args: argparse.Namespace) -> float:
+    """The quadrature tolerance of check and kernel-dump: --tol or 1e-10."""
+    if args.tol is None:
+        return DEFAULT_TOL
+    if not args.tol > 0:
+        raise ProblemFileError(f"--tol must be positive, got {args.tol}")
+    return args.tol
+
+
 def _pick_scheme(cfg: SolverConfig, spec: ProblemSpec,
                  report: HypothesisReport) -> tuple[str | None, list[str]]:
     """Choose the iteration scheme the hypotheses actually license."""
@@ -522,8 +505,7 @@ def _pick_scheme(cfg: SolverConfig, spec: ProblemSpec,
 def cmd_check(args: argparse.Namespace) -> int:
     lp = resolve_problem(args.problem)
     report = build_report(lp.spec, seed=args.seed, samples=args.samples,
-                          tol=args.tol if args.tol else 1e-10,
-                          expected=lp.expected)
+                          tol=_quad_tol(args), expected=lp.expected)
     if args.json:
         print(report.to_json())
     else:
@@ -577,8 +559,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         cfg = replace(cfg, scheme=args.scheme)
     if args.interp is not None:
         cfg = replace(cfg, interp=args.interp)
-    if cfg.n < 16:
-        raise ProblemFileError(f"grid needs at least 16 nodes, got {cfg.n}")
 
     spec = lp.spec
     name = spec.name or args.problem
@@ -687,17 +667,19 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_kernel_dump(args: argparse.Namespace) -> int:
     lp = resolve_problem(args.problem)
     spec = lp.spec
-    try:
-        ks1 = KernelSet.build(spec.alpha1, spec.h1,
-                              tol=args.tol if args.tol else 1e-10)
-        ks2 = KernelSet.build(spec.alpha2, spec.h2,
-                              tol=args.tol if args.tol else 1e-10)
-    except ValueError as exc:
-        print(f"kernels do not exist: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
     if not args.t_min > 0 or not args.t_max > args.t_min:
         raise ProblemFileError(
             f"need 0 < t-min < t-max, got {args.t_min}, {args.t_max}")
+    if args.points < 1:
+        raise ProblemFileError(f"--points must be at least 1, got "
+                               f"{args.points}")
+    tol = _quad_tol(args)
+    try:
+        ks1 = KernelSet.build(spec.alpha1, spec.h1, tol=tol)
+        ks2 = KernelSet.build(spec.alpha2, spec.h2, tol=tol)
+    except ValueError as exc:
+        print(f"kernels do not exist: {exc}", file=sys.stderr)
+        return EXIT_HYPOTHESIS
     ts = np.geomspace(args.t_min, args.t_max, args.points)
 
     name = spec.name or args.problem
@@ -819,7 +801,8 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
     try:
         return args.fn(args)
-    except ProblemFileError as exc:
+    except (ProblemFileError, ExprError) as exc:
+        # ExprError: an expression evaluated to a non-finite value.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except MonotonicityError as exc:

@@ -30,8 +30,7 @@ import numpy as np
 __all__ = [
     "Expr", "Num", "Var", "Const", "Unary", "Binary", "Call",
     "ExprError", "ExprSyntaxError", "ExprNameError", "ExprEvalError",
-    "parse", "eval_expr", "compile_expr", "to_source", "fold_constants",
-    "free_variables",
+    "parse", "eval_expr", "compile_expr", "to_source", "free_variables",
 ]
 
 VARIABLES = ("t", "u1", "u2", "u3", "u4")
@@ -377,7 +376,7 @@ def compile_expr(e: Expr, variables: tuple[str, ...] = VARIABLES
     return fn
 
 
-# --- Pretty printing and folding -----------------------------------------
+# --- Pretty printing -----------------------------------------------------
 
 _PREC = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30, "neg": 25}
 
@@ -415,35 +414,6 @@ def to_source(e: Expr) -> str:
         return f"{lhs}{e.op}{rhs}" if e.op == "^" else f"{lhs} {e.op} {rhs}"
     if isinstance(e, Call):
         return f"{e.fn}({', '.join(to_source(a) for a in e.args)})"
-    raise TypeError(f"not an Expr node: {e!r}")
-
-
-def fold_constants(e: Expr) -> Expr:
-    """Collapse literal-only subtrees; named constants are left symbolic."""
-    if isinstance(e, (Num, Var, Const)):
-        return e
-    if isinstance(e, Unary):
-        inner = fold_constants(e.operand)
-        if isinstance(inner, Num):
-            return Num(-inner.value)
-        return Unary(e.op, inner)
-    if isinstance(e, Binary):
-        left = fold_constants(e.left)
-        right = fold_constants(e.right)
-        if isinstance(left, Num) and isinstance(right, Num):
-            try:
-                return Num(eval_expr(Binary(e.op, left, right), {}))
-            except ExprEvalError:
-                pass  # keep the node; evaluation will raise with context
-        return Binary(e.op, left, right)
-    if isinstance(e, Call):
-        args = tuple(fold_constants(a) for a in e.args)
-        if all(isinstance(a, Num) for a in args):
-            try:
-                return Num(eval_expr(Call(e.fn, args), {}))
-            except ExprEvalError:
-                pass
-        return Call(e.fn, args)
     raise TypeError(f"not an Expr node: {e!r}")
 
 

@@ -64,38 +64,12 @@ def _order(q: OrderLike) -> float:
     return val
 
 
-# Lanczos approximation, g = 7, 9 coefficients.  This particular table is
-# the widely reproduced double-precision set (Numerical Recipes lineage);
-# it delivers ~1e-13 relative error on the real axis, comfortably inside
-# the 1e-12 contract.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_SQRT_TWO_PI = 2.5066282746310002
-
-
 def gamma(x: float) -> float:
-    """Gamma function for real x > 0 via the Lanczos series."""
+    """Gamma function for real x > 0; raises where math.gamma would
+    return a value for a negative non-integer x."""
     if not x > 0:
         raise ValueError(f"gamma requires a positive argument, got {x}")
-    if x < 0.5:
-        # Reflection keeps the series argument in its accurate range.
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    x = x - 1.0
-    acc = _LANCZOS[0]
-    for i, c in enumerate(_LANCZOS[1:], start=1):
-        acc += c / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return _SQRT_TWO_PI * t ** (x + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 def rl_integral(g: Callable[[np.ndarray], np.ndarray], q: OrderLike, t: float,

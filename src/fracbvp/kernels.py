@@ -45,8 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
-
 import numpy as np
 from scipy.integrate import quad_vec
 
@@ -115,9 +113,6 @@ class KernelSet:
 
     # -- base kernel -------------------------------------------------
 
-    def k1(self, t: float, s: float) -> float:
-        return float(self.k1_grid(t, s))
-
     def k1_grid(self, t: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Vectorized K1 on broadcastable t, s arrays."""
         a = self.alpha.q
@@ -128,10 +123,6 @@ class KernelSet:
         return np.where(s >= t, tpow, tpow - gap ** (a - 1.0)) / self.gamma_alpha
 
     # -- boundary integral --------------------------------------------
-
-    def g_of(self, s: float) -> float:
-        """G(s) = int_0^inf h(tau) K1(tau, s) dtau, memoized."""
-        return float(self.g_many(np.array([s], dtype=float))[0])
 
     def g_many(self, s: np.ndarray) -> np.ndarray:
         """G at every entry of s.  Points not in the memo yet get their
@@ -173,14 +164,8 @@ class KernelSet:
 
     # -- assembled kernels ---------------------------------------------
 
-    def k2(self, t: float, s: float) -> float:
-        return t ** (self.alpha.q - 1.0) / self.denom * self.g_of(s)
-
     def k(self, t: float, s: float) -> float:
         return float(self.k_grid(t, s))
-
-    def kstar(self, t: float, s: float) -> float:
-        return float(self.kstar_grid(t, s))
 
     def k_grid(self, t: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Vectorized K = K1 + K2 on broadcastable t, s arrays."""
@@ -204,10 +189,6 @@ class KernelSet:
         return self.gamma_alpha / self.denom
 
 
-def _as_callable(y: Integrand | Callable[[np.ndarray], np.ndarray]):
-    return y.fn if isinstance(y, Integrand) else y
-
-
 def kernel_representation(ks: KernelSet, y: Integrand, t: float,
                           tol: float = DEFAULT_TOL) -> float:
     """u(t) = int_0^inf K(t, s) y(s) ds by direct (adaptive) quadrature.
@@ -216,13 +197,12 @@ def kernel_representation(ks: KernelSet, y: Integrand, t: float,
     solver, so agreement between the two is meaningful evidence.
     """
     a = ks.alpha.q
-    yf = _as_callable(y)
 
     res_a = integrate_halfline(y, tol)
     require_converged(res_a, "kernel representation: total integral")
 
     def flipped(x: np.ndarray) -> np.ndarray:
-        return np.asarray(yf(t - x)) * x ** (a - 1.0)
+        return np.asarray(y.fn(t - x)) * x ** (a - 1.0)
 
     res_b = integrate_finite(
         Integrand(flipped, endpoint_exponent=a - 1.0), 0.0, t, tol) \
@@ -241,10 +221,9 @@ def derivative_representation(ks: KernelSet, y: Integrand, t: float,
     """int_0^inf Kstar(t, s) y(s) ds: the derivative row of the
     representation, i.e. the order alpha-1 fractional derivative of
     kernel_representation as a function of t."""
-    yf = _as_callable(y)
 
     def shifted(x: np.ndarray) -> np.ndarray:
-        return np.asarray(yf(t + x))
+        return np.asarray(y.fn(t + x))
 
     res_tail = integrate_halfline(
         Integrand(shifted, kinks=tuple(k - t for k in y.kinks if k > t),
@@ -259,10 +238,9 @@ def derivative_representation(ks: KernelSet, y: Integrand, t: float,
 def _boundary_weighted_integral(ks: KernelSet, y: Integrand,
                                 tol: float) -> float:
     """C = int_0^inf G(s) y(s) ds with G evaluated through the memo."""
-    yf = _as_callable(y)
 
     def fn(s: np.ndarray) -> np.ndarray:
-        return ks.g_many(s) * np.asarray(yf(s))
+        return ks.g_many(s) * np.asarray(y.fn(s))
 
     res = integrate_halfline(
         Integrand(fn, kinks=y.kinks, endpoint_exponent=y.endpoint_exponent,

@@ -30,7 +30,7 @@ ball radius r = L * max{tau_1, tau_2} / (1 - m).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import inf, isfinite
 from typing import Mapping
 
@@ -476,13 +476,13 @@ def _coefficients_nonneg(label: str, coeffs) -> list[str]:
 
 def build_report(p: ProblemSpec, *, seed: int = 0, samples: int = 10_000,
                  tol: float = DEFAULT_TOL,
-                 expected: Mapping[str, float] | None = None,
-                 flag_tol: float = 5e-5) -> HypothesisReport:
+                 expected: Mapping[str, float] | None = None
+                 ) -> HypothesisReport:
     """Run every applicable check and assemble the full report.
 
     `expected` maps constant names (as in HypothesisReport.constants)
     to externally stated values; entries differing from the computed
-    value by more than flag_tol * (1 + |expected|) are recorded as
+    value by more than 5e-5 * (1 + |expected|) are recorded as
     discrepancies.  Discrepancies are informational: the computed value
     stands, the disagreement is surfaced.
     """
@@ -559,12 +559,8 @@ def build_report(p: ProblemSpec, *, seed: int = 0, samples: int = 10_000,
                 notes.append(f"expected {key}={want!r} was declared but "
                              f"the constant was not computed")
                 continue
-            if abs(got - want) > flag_tol * (1.0 + abs(want)):
+            if abs(got - want) > 5e-5 * (1.0 + abs(want)):
                 found.append(Discrepancy(key, got, want))
-        report = HypothesisReport(
-            lam=report.lam, gamma_alpha=report.gamma_alpha,
-            L_pair=report.L_pair, L=report.L, a_star=report.a_star,
-            b_star=report.b_star, tau=report.tau, m=report.m, R=report.R,
-            r=report.r, verdicts=report.verdicts, notes=tuple(notes),
-            discrepancies=tuple(found), seed=seed, samples=samples)
+        report = replace(report, notes=tuple(notes),
+                         discrepancies=tuple(found))
     return report

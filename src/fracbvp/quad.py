@@ -18,6 +18,7 @@ sum), so results are deterministic for a given integrand and tolerance.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -41,14 +42,11 @@ LOOP_TOL = 1e-8
 _MAX_PANELS = 4096
 _MAX_DOUBLINGS = 60
 
-_gl_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-
+@functools.cache
 def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [-1, 1], cached."""
-    if n not in _gl_cache:
-        _gl_cache[n] = np.polynomial.legendre.leggauss(n)
-    return _gl_cache[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 @dataclass(frozen=True)
@@ -125,8 +123,8 @@ def _panel(fn, lo: float, hi: float) -> tuple[float, float, int]:
     return fine, abs(fine - coarse), 36
 
 
-def _adapt(fn, lo: float, hi: float, tol: float,
-           max_panels: int = _MAX_PANELS) -> tuple[float, float, int, bool]:
+def _adapt(fn, lo: float, hi: float,
+           tol: float) -> tuple[float, float, int, bool]:
     """Adaptive bisection on [lo, hi] for a smooth (post-transform) fn.
 
     Returns (value, error_estimate, evaluations, converged).  The heap is
@@ -144,7 +142,7 @@ def _adapt(fn, lo: float, hi: float, tol: float,
     width_floor = 1e-15 * max(abs(lo), abs(hi), 1.0)
     converged = True
     while total_err > tol:
-        if count >= max_panels or not heap:
+        if count >= _MAX_PANELS or not heap:
             converged = False
             break
         neg_err, a, b, v = heapq.heappop(heap)

@@ -68,10 +68,17 @@ from .quad import LOOP_TOL, _gl
 __all__ = [
     "Grid", "SolutionPair", "IterationTrace", "IntegralOperator",
     "MonotonicityError", "ContractionRatioWarning", "norm_pair",
-    "diff_norm", "apply_T", "monotone_solve", "contract_solve",
+    "diff_norm", "monotone_solve", "contract_solve",
 ]
 
 _ROW_NAMES = ("u_w", "du", "v_w", "dv")
+
+# The fixed quadrature plan: a bundle of _GEO_PANELS panels on [0, t_1]
+# shrinking by _GEO_RATIO towards 0, and _TAIL_DOUBLINGS doubling panels
+# past t_N (to t_N 2^40).
+_GEO_PANELS = 8
+_GEO_RATIO = 0.25
+_TAIL_DOUBLINGS = 40
 
 
 class MonotonicityError(RuntimeError):
@@ -264,21 +271,38 @@ class IterationTrace:
 # -- the discretized operator ------------------------------------------
 
 
+def _flat_pchip(xp: np.ndarray, fp: np.ndarray):
+    """Monotone cubic through (xp, fp), extended flat on both ends.
+
+    Where a row decays to subnormal values, scipy's slope weights
+    overflow to inf and the slope becomes 0, which is the right limit;
+    the overflow itself is not worth a warning.
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        pch = PchipInterpolator(xp, fp, extrapolate=False)
+
+    def fn(s: np.ndarray) -> np.ndarray:
+        s = np.asarray(s, dtype=float)
+        out = np.where(s <= xp[0], fp[0], pch(s))
+        return np.where(s >= xp[-1], fp[-1], out)
+
+    return fn
+
+
 class _EquationPlan:
     """Fixed quadrature data for one equation on one grid."""
 
-    def __init__(self, ks: KernelSet, grid: Grid, geo_panels: int,
-                 geo_ratio: float, tail_doublings: int):
+    def __init__(self, ks: KernelSet, grid: Grid):
         self.ks = ks
         a = ks.alpha.q
         t = grid.nodes
         n = t.size
-        k = geo_panels
+        k = _GEO_PANELS
 
         # Panel boundaries: graded bundle on [0, t_1] ending exactly at
         # t_1, one panel per internode gap, doubling panels past t_N.
-        geo = t[0] * geo_ratio ** np.arange(k - 1, -1, -1, dtype=float)
-        tail = t[-1] * 2.0 ** np.arange(1, tail_doublings + 1, dtype=float)
+        geo = t[0] * _GEO_RATIO ** np.arange(k - 1, -1, -1, dtype=float)
+        tail = t[-1] * 2.0 ** np.arange(1, _TAIL_DOUBLINGS + 1, dtype=float)
         bounds = np.concatenate(([0.0], geo, t[1:], tail))
         los, his = bounds[:-1], bounds[1:]
         x12, w12 = _gl(12)
@@ -353,21 +377,17 @@ class IntegralOperator:
     """
 
     def __init__(self, p: ProblemSpec, ks1: KernelSet, ks2: KernelSet,
-                 grid: Grid, *, quad_tol: float = LOOP_TOL,
-                 interp: str = "linear", geo_panels: int = 8,
-                 geo_ratio: float = 0.25, tail_doublings: int = 40):
+                 grid: Grid, *, interp: str = "linear"):
         if interp not in ("linear", "pchip"):
             raise ValueError(f"unknown interpolation mode {interp!r}")
         self.problem = p
         self.grid = grid
-        self.quad_tol = float(quad_tol)
+        self.quad_tol = LOOP_TOL
         self.interp = interp
         self.f1 = compile_expr(p.f1)
         self.f2 = compile_expr(p.f2)
-        self.plan1 = _EquationPlan(ks1, grid, geo_panels, geo_ratio,
-                                   tail_doublings)
-        self.plan2 = _EquationPlan(ks2, grid, geo_panels, geo_ratio,
-                                   tail_doublings)
+        self.plan1 = _EquationPlan(ks1, grid)
+        self.plan2 = _EquationPlan(ks2, grid)
         self.alpha1 = ks1.alpha
         self.alpha2 = ks2.alpha
 
@@ -388,9 +408,7 @@ class IntegralOperator:
             xp, fp = t, values
         if self.interp == "linear":
             return np.interp(s, xp, fp)
-        out = PchipInterpolator(xp, fp, extrapolate=False)(s)
-        out = np.where(s <= xp[0], fp[0], out)
-        return np.where(s >= xp[-1], fp[-1], out)
+        return _flat_pchip(xp, fp)(s)
 
     def _states(self, sp: SolutionPair, s: np.ndarray) -> tuple[np.ndarray, ...]:
         w1 = 1.0 + s ** (self.alpha1.q - 1.0)
@@ -419,16 +437,6 @@ class IntegralOperator:
             u_w=u / (1.0 + self.plan1.t_pow),
             v_w=v / (1.0 + self.plan2.t_pow),
             du=du, dv=dv)
-
-
-def apply_T(p: ProblemSpec, ks1: KernelSet, ks2: KernelSet,
-            sp: SolutionPair) -> SolutionPair:
-    """One application of the operator.
-
-    Convenience wrapper that builds a fresh discretization; hold an
-    IntegralOperator instead when applying repeatedly.
-    """
-    return IntegralOperator(p, ks1, ks2, sp.grid).apply(sp)
 
 
 # -- iteration schemes -------------------------------------------------

@@ -30,7 +30,7 @@ from .fracops import FracOrder, gamma, rl_derivative
 from .problem import ProblemSpec
 from .quad import Integrand, QuadratureError, integrate_halfline, require_converged
 from .solver import (IntegralOperator, IterationTrace, SolutionPair,
-                     _ROW_NAMES, diff_norm)
+                     _ROW_NAMES, _flat_pchip, diff_norm)
 
 __all__ = [
     "AuditResult", "VerificationReport", "fixed_point_residual",
@@ -117,21 +117,9 @@ def _psi_interpolant(grid_nodes: np.ndarray, row_w: np.ndarray,
     return u_fn
 
 
-def _flat_interpolant(grid_nodes: np.ndarray, row: np.ndarray):
-    """Callable for a derivative row: cubic inside, flat on both ends."""
-    pch = PchipInterpolator(grid_nodes, row, extrapolate=False)
-    lo, hi = grid_nodes[0], grid_nodes[-1]
-
-    def fn(s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        out = pch(np.clip(s, lo, hi))
-        out = np.where(s <= lo, row[0], out)
-        return np.where(s >= hi, row[-1], out)
-
-    return fn
-
-
 # -- residual measurements ----------------------------------------------
+
+_SPOT_POINTS = (0.5, 1.0, 2.0)
 
 
 def fixed_point_residual(op: IntegralOperator, sp: SolutionPair) -> float:
@@ -178,7 +166,7 @@ def boundary_residual(p: ProblemSpec, sp: SolutionPair, *,
 
 
 def ode_residual_spotcheck(p: ProblemSpec, sp: SolutionPair,
-                           points: tuple[float, ...] = (0.5, 1.0, 2.0), *,
+                           points: tuple[float, ...] = _SPOT_POINTS, *,
                            tol: float = 1e-5,
                            quad_tol: float = 1e-9) -> list[dict]:
     """Residual |D^alpha u + f(t, states)| at a few interior points.
@@ -193,8 +181,8 @@ def ode_residual_spotcheck(p: ProblemSpec, sp: SolutionPair,
     t_nodes = sp.grid.nodes
     u_fn = _psi_interpolant(t_nodes, sp.u_w, sp.du, sp.alpha1)
     v_fn = _psi_interpolant(t_nodes, sp.v_w, sp.dv, sp.alpha2)
-    du_fn = _flat_interpolant(t_nodes, sp.du)
-    dv_fn = _flat_interpolant(t_nodes, sp.dv)
+    du_fn = _flat_pchip(t_nodes, sp.du)
+    dv_fn = _flat_pchip(t_nodes, sp.dv)
     rows = (
         (1, u_fn, compile_expr(p.f1), sp.alpha1),
         (2, v_fn, compile_expr(p.f2), sp.alpha2),
@@ -340,22 +328,18 @@ def error_bound_audit(trace: IterationTrace, *, m: float | None = None,
 
 
 def verify_pair(p: ProblemSpec, sp: SolutionPair,
-                operator: IntegralOperator, *,
-                spot_points: tuple[float, ...] = (0.5, 1.0, 2.0),
-                bc_tol: float = 1e-7,
-                ode_tol: float = 1e-5) -> VerificationReport:
+                operator: IntegralOperator) -> VerificationReport:
     """Run the scheme-independent measurements on one returned pair.
 
     The scheme audits need iteration traces and are attached by the
     caller afterwards (see ordering_audit and error_bound_audit).
     """
-    r1, r2 = boundary_residual(p, sp, tol=bc_tol)
+    r1, r2 = boundary_residual(p, sp)
     return VerificationReport(
         fixed_point_residual=fixed_point_residual(operator, sp),
         bc_residual_1=r1,
         bc_residual_2=r2,
-        ode_residuals=ode_residual_spotcheck(p, sp, spot_points,
-                                             tol=ode_tol),
+        ode_residuals=ode_residual_spotcheck(p, sp),
         details={"grid_n": sp.grid.n, "t_max": sp.grid.t_max,
-                 "spot_points": list(spot_points)},
+                 "spot_points": list(_SPOT_POINTS)},
     )

@@ -9,10 +9,12 @@ point with its exit-code contract:
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracbvp
 from fracbvp import (
     ProblemFileError,
     format_problem,
@@ -292,6 +294,9 @@ def test_solve_monotone_writes_outputs(tmp_path, capsys):
     assert "sandwich gap" in summary
 
 
+# The rows of this problem decay to subnormal values, where scipy's PCHIP
+# slope weights overflow; the reconstruction must keep that quiet.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_solve_without_boundary_section(tmp_path, capsys):
     # Omitting [boundary] is legal: the conditions become
     # D^(alpha-1)u(inf) = 0, and their residuals must still be reported.
@@ -305,6 +310,43 @@ def test_solve_without_boundary_section(tmp_path, capsys):
     ver = doc["verification"]
     assert math.isfinite(ver["bc_residual_1"])
     assert math.isfinite(ver["bc_residual_2"])
+
+
+@pytest.mark.parametrize("old, new", [
+    ("f1 = 2/", "f1 = log(t-1) + 2/"),
+    ("h1 = t", "h1 = log(t-1)*t"),
+    ("a10 = 2/(10+t)^2", "a10 = log(t-1)"),
+    ("f2 = 1/", "f2 = sqrt(1-u1) + 1/"),
+], ids=["forcing", "weight", "envelope", "forcing-state"])
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_non_finite_expression_exits_four(tmp_path, capsys, command, old,
+                                          new):
+    text = (Path(fracbvp.__file__).parent / "problems"
+            / "sublinear.prob").read_text()
+    assert old in text
+    p = tmp_path / "bad.prob"
+    p.write_text(text.replace(old, new, 1))
+    assert main([command, str(p), "--grid-n", "32"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-finite value" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "lipschitz", "--max-iter", "0"],
+    ["solve", "lipschitz", "--theta", "0"],
+    ["solve", "lipschitz", "--theta", "-1"],
+    ["solve", "lipschitz", "--theta", "inf"],
+    ["solve", "lipschitz", "--tol", "-1"],
+    ["solve", "lipschitz", "--tol", "nan"],
+    ["solve", "lipschitz", "--grid-n", "8"],
+    ["check", "sublinear", "--tol", "-1"],
+    ["kernel-dump", "sublinear", "--points", "-3"],
+    ["kernel-dump", "sublinear", "--points", "0"],
+    ["kernel-dump", "sublinear", "--tol", "0"],
+], ids=" ".join)
+def test_bad_flag_values_exit_four(capsys, argv):
+    assert main(argv) == 4
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_solve_iteration_budget_exit(capsys):

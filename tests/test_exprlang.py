@@ -1,5 +1,5 @@
 """Expression language: parsing, the strict scalar evaluator, the
-vectorized compiler, printing, folding, and variable discovery."""
+vectorized compiler, printing, and variable discovery."""
 
 import math
 
@@ -11,8 +11,6 @@ from fracbvp.exprlang import (
     ExprEvalError,
     ExprNameError,
     ExprSyntaxError,
-    Num,
-    fold_constants,
     free_variables,
 )
 
@@ -135,18 +133,6 @@ def test_to_source_round_trip(rng):
         again = parse(printed)
         assert eval_expr(tree, env) == eval_expr(again, env), printed
         assert to_source(again) == printed  # canonical after one pass
-
-
-def test_fold_constants():
-    folded = fold_constants(parse("3*4 + t"))
-    assert isinstance(folded.left, Num) and folded.left.value == 12.0
-    # Named constants stay symbolic so printing keeps "pi" readable.
-    kept = fold_constants(parse("pi/2"))
-    assert not isinstance(kept, Num)
-    assert eval_expr(kept, {}) == math.pi / 2
-    # Folding never changes the value.
-    src = "2^(1/2) * exp(0) + abs(-(3 - 5))"
-    assert eval_expr(fold_constants(parse(src)), {}) == eval_expr(parse(src), {})
 
 
 def test_free_variables():

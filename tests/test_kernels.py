@@ -39,10 +39,10 @@ def test_build_rejects_strong_coupling():
 def test_no_boundary_degenerates_cleanly():
     ks = KernelSet.build(FracOrder(2.5), None)
     assert ks.lam == 0.0
-    assert ks.g_of(3.0) == 0.0
-    assert ks.k(1.0, 0.5) == ks.k1(1.0, 0.5)
-    assert ks.kstar(0.5, 1.0) == 1.0
-    assert ks.kstar(1.0, 0.5) == 0.0
+    assert ks.g_many(np.array([3.0]))[0] == 0.0
+    assert ks.k(1.0, 0.5) == ks.k1_grid(1.0, 0.5)
+    assert ks.kstar_grid(0.5, 1.0) == 1.0
+    assert ks.kstar_grid(1.0, 0.5) == 0.0
 
 
 def test_k1_closed_form(kernels):
@@ -50,30 +50,26 @@ def test_k1_closed_form(kernels):
     a = ks1.alpha.q
     ga = ks1.gamma_alpha
     # s >= t: the reduced kernel is t^(a-1)/Gamma(a), constant in s.
-    assert ks1.k1(2.0, 5.0) == pytest.approx(2.0 ** (a - 1) / ga, rel=1e-14)
-    assert ks1.k1(2.0, 2.0) == pytest.approx(2.0 ** (a - 1) / ga, rel=1e-14)
+    for s in (5.0, 2.0):
+        assert ks1.k1_grid(2.0, s) == pytest.approx(2.0 ** (a - 1) / ga,
+                                                    rel=1e-14)
     # s < t subtracts the translated power.
     want = (2.0 ** (a - 1) - 1.0 ** (a - 1)) / ga
-    assert ks1.k1(2.0, 1.0) == pytest.approx(want, rel=1e-14)
-    assert ks1.k1(2.0, 0.0) == 0.0
+    assert ks1.k1_grid(2.0, 1.0) == pytest.approx(want, rel=1e-14)
+    assert ks1.k1_grid(2.0, 0.0) == 0.0
 
 
 def test_scalar_and_grid_paths_agree(kernels, rng):
+    """k, the one-point view the acceptance tests call, matches k_grid."""
     ts = rng.uniform(0.05, 20.0, size=12)
     ss = rng.uniform(0.0, 30.0, size=12)
     T, S = np.meshgrid(ts, ss, indexing="ij")
     for ks in kernels:
         K = ks.k_grid(T, S)
-        Kst = ks.kstar_grid(T, S)
-        K1 = ks.k1_grid(T, S)
         for i in range(ts.size):
             for j in range(ss.size):
                 assert K[i, j] == pytest.approx(
                     ks.k(ts[i], ss[j]), rel=1e-13, abs=1e-15)
-                assert Kst[i, j] == pytest.approx(
-                    ks.kstar(ts[i], ss[j]), rel=1e-13, abs=1e-15)
-                assert K1[i, j] == pytest.approx(
-                    ks.k1(ts[i], ss[j]), rel=1e-13, abs=1e-15)
 
 
 def test_g_is_a_saturating_ramp(kernels):
@@ -141,7 +137,7 @@ def test_g_memo_is_stable(kernels, rng):
                               got.reshape(4, 10))
         # One-point batches land elsewhere within tol (at s = 1e-9, for
         # one); the memo returns the first values.
-        assert [ks.g_of(s) for s in pts] == got.tolist()
+        assert [ks.g_many(np.array([s]))[0] for s in pts] == got.tolist()
 
 
 def test_g_batch_raises_when_tol_is_not_met(kernels):

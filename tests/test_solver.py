@@ -22,7 +22,6 @@ from fracbvp import (
     MonotonicityError,
     ProblemSpec,
     SolutionPair,
-    apply_T,
     contract_solve,
     derivative_representation,
     diff_norm,
@@ -153,13 +152,6 @@ def test_apply_is_deterministic(forcing_only, grid64, kernels):
     a = op.apply(z)
     b = op.apply(z)
     assert diff_norm(a, b) == 0.0
-
-
-def test_apply_T_builds_equivalent_operator(forcing_only, kernels, grid64):
-    p, op, image = forcing_only
-    ks1, ks2 = kernels
-    z = SolutionPair.zeros(grid64, ks1.alpha, ks2.alpha)
-    assert diff_norm(apply_T(p, ks1, ks2, z), image) == 0.0
 
 
 def test_pchip_interpolation_close_to_linear(forcing_only, lipschitz,
