@@ -14,9 +14,8 @@ from .fracops import FracOrder, gamma, rl_derivative, rl_integral
 from .kernels import (KernelSet, compute_lambda, derivative_representation,
                       kernel_representation)
 from .problem import (GrowthData, HypothesisReport, InapplicableError,
-                      LipschitzData, ProblemSpec, UnsupportedRegimeError,
-                      build_report, check_h1, check_h4, contraction_modulus,
-                      radius_R, radius_r)
+                      LipschitzData, ProblemSpec, build_report, check_h1,
+                      check_h4)
 from .quad import (Integrand, QuadratureError, QuadResult, integrate_finite,
                    integrate_halfline)
 from .solver import (ContractionRatioWarning, Grid, IntegralOperator,
@@ -34,16 +33,15 @@ __all__ = [
     "AuditResult", "ContractionRatioWarning", "FracOrder", "Grid",
     "GrowthData", "HypothesisReport", "InapplicableError", "Integrand",
     "IntegralOperator", "IterationTrace", "KernelSet", "LipschitzData",
-    "LoadedProblem", "MonotonicityError", "ProblemFileError", "ProblemSpec",
-    "QuadResult", "QuadratureError", "SolutionPair",
-    "UnsupportedRegimeError", "VerificationReport",
-    "boundary_residual", "build_report", "check_h1", "check_h4",
-    "compile_expr", "compute_lambda", "contract_solve",
-    "contraction_modulus", "derivative_representation", "diff_norm",
-    "error_bound_audit", "eval_expr", "fixed_point_residual",
-    "format_problem", "gamma", "integrate_finite", "integrate_halfline",
-    "kernel_representation", "load_problem", "monotone_solve", "norm_pair",
+    "LoadedProblem", "MonotonicityError", "ProblemFileError",
+    "ProblemSpec", "QuadResult", "QuadratureError", "SolutionPair",
+    "VerificationReport", "boundary_residual", "build_report", "check_h1",
+    "check_h4", "compile_expr", "compute_lambda", "contract_solve",
+    "derivative_representation", "diff_norm", "error_bound_audit",
+    "eval_expr", "fixed_point_residual", "format_problem", "gamma",
+    "integrate_finite", "integrate_halfline", "kernel_representation",
+    "load_problem", "monotone_solve", "norm_pair",
     "ode_residual_spotcheck", "ordering_audit", "packaged_problem_names",
-    "parse", "radius_R", "radius_r", "resolve_problem", "rl_derivative",
-    "rl_integral", "to_source", "verify_pair",
+    "parse", "resolve_problem", "rl_derivative", "rl_integral",
+    "to_source", "verify_pair",
 ]

@@ -52,9 +52,8 @@ from .kernels import KernelSet
 from .problem import (GrowthData, HypothesisReport, LipschitzData,
                       ProblemSpec, build_report)
 from .quad import DEFAULT_TOL, Integrand, QuadratureError
-from .solver import (Grid, IntegralOperator, IterationTrace,
-                     MonotonicityError, SolutionPair, contract_solve,
-                     diff_norm, monotone_solve)
+from .solver import (Grid, IntegralOperator, MonotonicityError,
+                     SolutionPair, contract_solve, diff_norm, monotone_solve)
 from .verify import error_bound_audit, ordering_audit, verify_pair
 
 __all__ = [
@@ -401,10 +400,6 @@ def _header_lines(pairs) -> str:
     return "".join(f"# {k}: {v}\n" for k, v in pairs)
 
 
-def _trace_doc(tr: IterationTrace) -> dict:
-    return json.loads(tr.to_json())
-
-
 def _solution_doc(sp: SolutionPair) -> dict:
     return {
         "t": sp.grid.nodes.tolist(),
@@ -457,6 +452,12 @@ def _quad_tol(args: argparse.Namespace) -> float:
     return args.tol
 
 
+def _check_seed(args: argparse.Namespace) -> None:
+    """--seed feeds numpy's generator, which takes no negative seed."""
+    if args.seed < 0:
+        raise ProblemFileError(f"--seed must be nonnegative, got {args.seed}")
+
+
 def _pick_scheme(cfg: SolverConfig, spec: ProblemSpec,
                  report: HypothesisReport) -> tuple[str | None, list[str]]:
     """Choose the iteration scheme the hypotheses actually license."""
@@ -503,6 +504,10 @@ def _pick_scheme(cfg: SolverConfig, spec: ProblemSpec,
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    _check_seed(args)
+    if args.samples < 1:
+        raise ProblemFileError(
+            f"--samples must be at least 1, got {args.samples}")
     lp = resolve_problem(args.problem)
     report = build_report(lp.spec, seed=args.seed, samples=args.samples,
                           tol=_quad_tol(args), expected=lp.expected)
@@ -513,52 +518,18 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_HYPOTHESIS
 
 
-def _run_monotone(lp: LoadedProblem, op: IntegralOperator,
-                  ks1: KernelSet, ks2: KernelSet, grid: Grid,
-                  report: HypothesisReport, tol: float, max_iter: int):
-    spec = lp.spec
-    low_sp, low_tr = monotone_solve(spec, ks1, ks2, grid, "lower", tol=tol,
-                                    max_iter=max_iter, radius=report.R,
-                                    operator=op)
-    up_sp, up_tr = monotone_solve(spec, ks1, ks2, grid, "upper", tol=tol,
-                                  max_iter=max_iter, radius=report.R,
-                                  operator=op)
-    ver = verify_pair(spec, low_sp, op)
-    ver.ordering = ordering_audit(low_tr, up_tr)
-    ver.details["sandwich_gap"] = diff_norm(up_sp, low_sp)
-    ver.details["radius_R"] = report.R
-    return (low_sp, low_tr), (up_sp, up_tr), ver
-
-
-def _run_contraction(lp: LoadedProblem, op: IntegralOperator,
-                     ks1: KernelSet, ks2: KernelSet, grid: Grid,
-                     report: HypothesisReport, tol: float, max_iter: int):
-    spec = lp.spec
-    sp, tr = contract_solve(spec, ks1, ks2, grid, tol=tol,
-                            max_iter=max_iter, m=report.m, operator=op)
-    ver = verify_pair(spec, sp, op)
-    if tr.n_steps >= 1:
-        ver.error_bound = error_bound_audit(tr)
-    ver.details["modulus_m"] = report.m
-    ver.details["radius_r"] = report.r
-    return (sp, tr), ver
+# solve flag (argparse dest) -> the SolverConfig field it overrides.
+_SOLVER_FLAGS = {"grid_n": "n", "theta": "theta", "tol": "tol",
+                 "max_iter": "max_iter", "scheme": "scheme",
+                 "interp": "interp"}
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    _check_seed(args)
     lp = resolve_problem(args.problem)
-    cfg = lp.solver
-    if args.grid_n is not None:
-        cfg = replace(cfg, n=args.grid_n)
-    if args.theta is not None:
-        cfg = replace(cfg, theta=args.theta)
-    if args.tol is not None:
-        cfg = replace(cfg, tol=args.tol)
-    if args.max_iter is not None:
-        cfg = replace(cfg, max_iter=args.max_iter)
-    if args.scheme is not None:
-        cfg = replace(cfg, scheme=args.scheme)
-    if args.interp is not None:
-        cfg = replace(cfg, interp=args.interp)
+    cfg = replace(lp.solver, **{
+        field: getattr(args, flag) for flag, field in _SOLVER_FLAGS.items()
+        if getattr(args, flag) is not None})
 
     spec = lp.spec
     name = spec.name or args.problem
@@ -589,29 +560,21 @@ def cmd_solve(args: argparse.Namespace) -> int:
                   "theta": cfg.theta, "t_max": grid.t_max, "tol": tol,
                   "max_iter": max_iter, "interp": cfg.interp,
                   "seed": args.seed}
-    header = [(k, repr(v) if isinstance(v, float) else v)
-              for k, v in config_doc.items()]
+    header = _header_lines((k, repr(v) if isinstance(v, float) else v)
+                           for k, v in config_doc.items())
 
+    # Chain key -> (solution, trace); the key names the output files and
+    # the JSON section, and the contraction scheme's single run has none.
     if scheme == "monotone":
-        (low_sp, low_tr), (up_sp, up_tr), ver = _run_monotone(
-            lp, op, ks1, ks2, grid, report, tol, max_iter)
-        converged = low_tr.converged and up_tr.converged
-        outputs = {
-            "solution-lower.csv": _header_lines(header) + low_sp.to_csv(),
-            "solution-upper.csv": _header_lines(header) + up_sp.to_csv(),
-            "trace-lower.csv": _header_lines(header) + low_tr.to_csv(),
-            "trace-upper.csv": _header_lines(header) + up_tr.to_csv(),
-        }
-        doc = {
-            "problem": name, "scheme": scheme, "config": config_doc,
-            "converged": converged,
-            "hypothesis": _report_doc(report),
-            "lower": {"trace": _trace_doc(low_tr),
-                      "solution": _solution_doc(low_sp)},
-            "upper": {"trace": _trace_doc(up_tr),
-                      "solution": _solution_doc(up_sp)},
-            "verification": json.loads(ver.to_json()),
-        }
+        chains = {d: monotone_solve(spec, ks1, ks2, grid, d, tol=tol,
+                                    max_iter=max_iter, radius=report.R,
+                                    operator=op)
+                  for d in ("lower", "upper")}
+        (low_sp, low_tr), (up_sp, up_tr) = chains.values()
+        ver = verify_pair(spec, low_sp, op)
+        ver.ordering = ordering_audit(low_tr, up_tr)
+        ver.details["sandwich_gap"] = diff_norm(up_sp, low_sp)
+        ver.details["radius_R"] = report.R
         summary = [
             f"problem {name!r}: monotone scheme, n={cfg.n}, tol={tol!r}",
             f"lower chain: {low_tr.message}",
@@ -621,33 +584,40 @@ def cmd_solve(args: argparse.Namespace) -> int:
             f"ordering audit: {ver.ordering.message}",
         ]
     else:
-        (sp, tr), ver = _run_contraction(lp, op, ks1, ks2, grid, report,
-                                         tol, max_iter)
-        converged = tr.converged
-        outputs = {
-            "solution.csv": _header_lines(header) + sp.to_csv(),
-            "trace.csv": _header_lines(header) + tr.to_csv(),
-        }
-        doc = {
-            "problem": name, "scheme": scheme, "config": config_doc,
-            "converged": converged,
-            "hypothesis": _report_doc(report),
-            "trace": _trace_doc(tr),
-            "solution": _solution_doc(sp),
-            "verification": json.loads(ver.to_json()),
-        }
+        sp, tr = contract_solve(spec, ks1, ks2, grid, tol=tol,
+                                max_iter=max_iter, m=report.m, operator=op)
+        chains = {"": (sp, tr)}
+        ver = verify_pair(spec, sp, op)
+        ver.error_bound = error_bound_audit(tr)
+        ver.details["modulus_m"] = report.m
+        ver.details["radius_r"] = report.r
         summary = [
             f"problem {name!r}: contraction scheme, n={cfg.n}, tol={tol!r}, "
             f"m={report.m!r}",
             f"iteration: {tr.message}",
             f"error-bound audit: {ver.error_bound.message}",
         ]
-    summary += [
+    summary.append(
         f"fixed-point residual {ver.fixed_point_residual:.3e}; boundary "
-        f"residuals {ver.bc_residual_1:.3e}, {ver.bc_residual_2:.3e}",
-    ]
-    outputs["verification.json"] = json.dumps(
-        {"config": config_doc, **json.loads(ver.to_json())}, indent=2) + "\n"
+        f"residuals {ver.bc_residual_1:.3e}, {ver.bc_residual_2:.3e}")
+
+    ver_doc = json.loads(ver.to_json())
+    doc = {"problem": name, "scheme": scheme, "config": config_doc,
+           "converged": all(tr.converged for _, tr in chains.values()),
+           "hypothesis": _report_doc(report)}
+    outputs = {"verification.json": json.dumps(
+        {"config": config_doc, **ver_doc}, indent=2) + "\n"}
+    for key, (sp, tr) in chains.items():
+        suffix = f"-{key}" if key else ""
+        outputs[f"solution{suffix}.csv"] = header + sp.to_csv()
+        outputs[f"trace{suffix}.csv"] = header + tr.to_csv()
+        part = {"trace": json.loads(tr.to_json()),
+                "solution": _solution_doc(sp)}
+        if key:
+            doc[key] = part
+        else:
+            doc.update(part)
+    doc["verification"] = ver_doc
 
     if args.out:
         out_dir = Path(args.out)
@@ -661,7 +631,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     else:
         for line in summary:
             print(line)
-    return EXIT_OK if converged else EXIT_NO_CONVERGENCE
+    return EXIT_OK if doc["converged"] else EXIT_NO_CONVERGENCE
 
 
 def cmd_kernel_dump(args: argparse.Namespace) -> int:
@@ -747,12 +717,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, default=None,
                         help="tolerance override (iteration tolerance for "
                              "solve, quadrature tolerance elsewhere)")
-    common.add_argument("--grid-n", type=int, default=None, dest="grid_n",
-                        help="number of grid nodes (solve only)")
-    common.add_argument("--seed", type=int, default=0,
+
+    seeded = _ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0,
                         help="seed for the monotonicity sampling check")
-    common.add_argument("--max-iter", type=int, default=None,
-                        help="iteration cap (solve only)")
 
     top = _ArgumentParser(
         prog="fracbvp",
@@ -761,15 +729,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True,
                              parser_class=_ArgumentParser)
 
-    pc = sub.add_parser("check", parents=[common],
+    pc = sub.add_parser("check", parents=[common, seeded],
                         help="verify the solvability hypotheses and derive "
                              "the scheme constants")
     pc.add_argument("--samples", type=int, default=10_000,
                     help="sample count for the monotonicity check")
     pc.set_defaults(fn=cmd_check)
 
-    ps = sub.add_parser("solve", parents=[common],
+    ps = sub.add_parser("solve", parents=[common, seeded],
                         help="run the licensed iteration scheme")
+    ps.add_argument("--grid-n", type=int, default=None, dest="grid_n",
+                    help="number of grid nodes")
+    ps.add_argument("--max-iter", type=int, default=None,
+                    help="iteration cap")
     ps.add_argument("--scheme", choices=("auto", "monotone", "contraction"),
                     default=None, help="override the scheme choice")
     ps.add_argument("--theta", type=float, default=None,

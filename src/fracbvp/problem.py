@@ -44,21 +44,16 @@ from .quad import (DEFAULT_TOL, Integrand, QuadratureError,
 
 __all__ = [
     "GrowthData", "LipschitzData", "ProblemSpec", "Verdict", "Discrepancy",
-    "HypothesisReport", "UnsupportedRegimeError", "InapplicableError",
-    "check_h1", "check_h4", "compute_growth_constants",
-    "compute_lipschitz_constants", "contraction_modulus", "radius_R",
-    "radius_r", "build_report",
+    "HypothesisReport", "InapplicableError", "check_h1", "check_h4",
+    "compute_growth_constants", "compute_lipschitz_constants",
+    "build_report",
 ]
 
 
-class UnsupportedRegimeError(ValueError):
-    """Problem data leaves the regime the schemes cover (a growth
-    exponent is >= 1)."""
-
-
 class InapplicableError(ValueError):
-    """A derived quantity is undefined because the hypothesis behind it
-    fails or its data is missing (for example r when m >= 1)."""
+    """A derived quantity or scheme is unavailable because the hypothesis
+    behind it fails or its data is missing (for example a contraction
+    run with m >= 1)."""
 
 
 def _sized(name: str, items, n: int) -> tuple:
@@ -231,25 +226,6 @@ def _forcing(f: Expr):
     return at_zero_state
 
 
-def _lambdas(p: ProblemSpec, tol: float) -> tuple[float, float]:
-    lam1 = 0.0 if p.h1 is None else compute_lambda(p.h1, p.alpha1, tol)
-    lam2 = 0.0 if p.h2 is None else compute_lambda(p.h2, p.alpha2, tol)
-    return lam1, lam2
-
-
-def _sup_constants(p: ProblemSpec,
-                   lam: tuple[float, float]) -> tuple[float, float, float]:
-    """L_1, L_2 and L = max{L_1, L_2, Gamma(alpha_1)L_1, Gamma(alpha_2)L_2}.
-
-    Infinite when a coupling reaches Gamma(alpha): the kernels do not
-    exist there and no finite operator bound holds.
-    """
-    ga1, ga2 = gamma(p.alpha1.q), gamma(p.alpha2.q)
-    l1 = 1.0 / (ga1 - lam[0]) if lam[0] < ga1 else inf
-    l2 = 1.0 / (ga2 - lam[1]) if lam[1] < ga2 else inf
-    return l1, l2, max(l1, l2, ga1 * l1, ga2 * l2)
-
-
 def check_h1(p: ProblemSpec,
              tol: float = DEFAULT_TOL) -> tuple[Verdict, tuple[float, float]]:
     """Boundary couplings below Gamma(alpha) and nondegenerate forcing.
@@ -354,9 +330,13 @@ def compute_lipschitz_constants(
     return (rows[0], rows[1]), (taus[0], taus[1])
 
 
-def check_h4(p: ProblemSpec, samples: int = 10_000, seed: int = 0,
-             box: float = 10.0) -> Verdict:
-    """Randomized monotonicity falsification on [0, box]^5.
+# Side of the cube [0, _H4_BOX]^5 that check_h4 samples (t and the state).
+_H4_BOX = 10.0
+
+
+def check_h4(p: ProblemSpec, samples: int = 10_000,
+             seed: int = 0) -> Verdict:
+    """Randomized monotonicity falsification on [0, _H4_BOX]^5.
 
     Draws componentwise-ordered state pairs by taking min/max of two
     uniform draws and requires f_i(t, lo) <= f_i(t, hi) up to rounding.
@@ -364,9 +344,9 @@ def check_h4(p: ProblemSpec, samples: int = 10_000, seed: int = 0,
     since positivity of the iterates relies on it.
     """
     rng = np.random.default_rng(seed)
-    t = rng.uniform(0.0, box, samples)
-    draw_a = rng.uniform(0.0, box, (4, samples))
-    draw_b = rng.uniform(0.0, box, (4, samples))
+    t = rng.uniform(0.0, _H4_BOX, samples)
+    draw_a = rng.uniform(0.0, _H4_BOX, (4, samples))
+    draw_b = rng.uniform(0.0, _H4_BOX, (4, samples))
     lo = np.minimum(draw_a, draw_b)
     hi = np.maximum(draw_a, draw_b)
     issues = []
@@ -392,73 +372,6 @@ def check_h4(p: ProblemSpec, samples: int = 10_000, seed: int = 0,
         return Verdict(False, "; ".join(issues))
     return Verdict(
         True, f"no counterexample in {samples} ordered samples (seed {seed})")
-
-
-# -- derived scheme constants ------------------------------------------
-
-def contraction_modulus(p: ProblemSpec, tol: float = DEFAULT_TOL, *,
-                        lam: tuple[float, float] | None = None,
-                        b_star=None) -> float:
-    """m = L * max{sum_k b*_1k, sum_k b*_2k}.
-
-    m >= 1 is a legal return value; it just means the contraction
-    scheme gives no guarantee.  Precomputed lam / b_star tables can be
-    passed to skip requadrature.
-    """
-    if p.lipschitz is None:
-        raise InapplicableError("contraction modulus needs Lipschitz data")
-    if lam is None:
-        lam = _lambdas(p, tol)
-    if b_star is None:
-        b_star, _ = compute_lipschitz_constants(p, tol)
-    _, _, big_l = _sup_constants(p, lam)
-    return big_l * max(sum(b_star[0]), sum(b_star[1]))
-
-
-def radius_R(p: ProblemSpec, tol: float = DEFAULT_TOL, *,
-             lam: tuple[float, float] | None = None, a_star=None) -> float:
-    """Invariant-ball radius for the monotone scheme.
-
-    R = max of {5 a*_10, 5 a*_20} and {(5 L a*_ik)^(1/(1-lam_ik))} over
-    the eight weighted slots; only exponents lam_ik < 1 are covered.
-    """
-    if p.growth is None:
-        raise InapplicableError("radius R needs growth data")
-    for e in (*p.growth.lam1, *p.growth.lam2):
-        if e >= 1.0:
-            raise UnsupportedRegimeError(
-                f"growth exponent {e} >= 1 is outside the supported "
-                f"sublinear regime")
-    if lam is None:
-        lam = _lambdas(p, tol)
-    if a_star is None:
-        a_star = compute_growth_constants(p, tol)
-    _, _, big_l = _sup_constants(p, lam)
-    cands = [5.0 * a_star[0][0], 5.0 * a_star[1][0]]
-    for i, exps in enumerate((p.growth.lam1, p.growth.lam2)):
-        for k in (1, 2, 3, 4):
-            cands.append(
-                (5.0 * big_l * a_star[i][k]) ** (1.0 / (1.0 - exps[k - 1])))
-    return max(cands)
-
-
-def radius_r(p: ProblemSpec, tol: float = DEFAULT_TOL, *,
-             lam: tuple[float, float] | None = None,
-             tau: tuple[float, float] | None = None,
-             m: float | None = None) -> float:
-    """Ball radius r = L max{tau_1, tau_2} / (1 - m) for the contraction
-    scheme; requires m < 1."""
-    if lam is None:
-        lam = _lambdas(p, tol)
-    if tau is None:
-        _, tau = compute_lipschitz_constants(p, tol)
-    if m is None:
-        m = contraction_modulus(p, tol, lam=lam)
-    if not m < 1.0:
-        raise InapplicableError(
-            f"contraction modulus m={m:.6g} is not below 1")
-    _, _, big_l = _sup_constants(p, lam)
-    return big_l * max(tau) / (1.0 - m)
 
 
 # -- report assembly ---------------------------------------------------
@@ -491,8 +404,12 @@ def build_report(p: ProblemSpec, *, seed: int = 0, samples: int = 10_000,
 
     v1, lam = check_h1(p, tol)
     verdicts["H1"] = v1
+    # L_i = 1/(Gamma(alpha_i) - Lambda_i) is infinite when a coupling
+    # reaches Gamma(alpha): the kernels do not exist there and no finite
+    # operator bound holds.
     ga = (gamma(p.alpha1.q), gamma(p.alpha2.q))
-    l1, l2, big_l = _sup_constants(p, lam)
+    l1, l2 = (1.0 / (g - x) if x < g else inf for g, x in zip(ga, lam))
+    big_l = max(l1, l2, ga[0] * l1, ga[1] * l2)
     if not isfinite(big_l):
         notes.append("operator sup constants are infinite because a "
                      "boundary coupling reaches Gamma(alpha)")
@@ -524,22 +441,27 @@ def build_report(p: ProblemSpec, *, seed: int = 0, samples: int = 10_000,
         notes.append("monotonicity not claimed; the monotone scheme "
                      "is unavailable for this problem")
 
-    m = None
+    m = R = r = None
     if b_star is not None and isfinite(big_l):
-        m = contraction_modulus(p, tol, lam=lam, b_star=b_star)
-        if not m < 1.0:
+        m = big_l * max(sum(b_star[0]), sum(b_star[1]))
+        if m < 1.0:
+            r = big_l * max(tau) / (1.0 - m)
+        else:
             notes.append(f"m={m:.6g} >= 1: no contraction guarantee")
 
-    R = None
+    # R = max of {5 a*_10, 5 a*_20} and {(5 L a*_ik)^(1/(1-lam_ik))} over
+    # the eight weighted slots; only exponents lam_ik < 1 are covered.
     if a_star is not None and isfinite(big_l):
-        try:
-            R = radius_R(p, tol, lam=lam, a_star=a_star)
-        except UnsupportedRegimeError as exc:
-            notes.append(str(exc))
-
-    r = None
-    if m is not None and m < 1.0 and tau is not None:
-        r = radius_r(p, tol, lam=lam, tau=tau, m=m)
+        exps = (p.growth.lam1, p.growth.lam2)
+        over = [e for row in exps for e in row if e >= 1.0]
+        if over:
+            notes.append(f"growth exponent {over[0]} >= 1 is outside the "
+                         f"supported sublinear regime")
+        else:
+            R = max([5.0 * a_star[0][0], 5.0 * a_star[1][0]]
+                    + [(5.0 * big_l * a_star[i][k])
+                       ** (1.0 / (1.0 - exps[i][k - 1]))
+                       for i in (0, 1) for k in (1, 2, 3, 4)])
 
     report = HypothesisReport(
         lam=lam, gamma_alpha=ga, L_pair=(l1, l2), L=big_l,

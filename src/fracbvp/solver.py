@@ -61,8 +61,7 @@ from scipy.special import roots_jacobi
 from .exprlang import compile_expr
 from .fracops import FracOrder
 from .kernels import KernelSet
-from .problem import (InapplicableError, ProblemSpec, contraction_modulus,
-                      radius_R)
+from .problem import InapplicableError, ProblemSpec
 from .quad import LOOP_TOL, _gl
 
 __all__ = [
@@ -479,22 +478,22 @@ def monotone_solve(p: ProblemSpec, ks1: KernelSet, ks2: KernelSet,
 
     direction "lower" starts at (0,0) and must climb; "upper" starts at
     u_0 = R t^(alpha_1-1), v_0 = R t^(alpha_2-1) (derivative rows
-    Gamma(alpha_i) R) and must descend.  Each step is one operator
-    application followed by an ordering projection: violations within
-    10x the quadrature tolerance are treated as integration dust,
-    larger ones abort.  Stops when the successive-difference norm
-    drops to tol.
+    Gamma(alpha_i) R; R is `radius`, the build_report(p).R value) and
+    must descend.  Each step is one operator application followed by an
+    ordering projection: violations within 10x the quadrature tolerance
+    are treated as integration dust, larger ones abort.  Stops when the
+    successive-difference norm drops to tol.
     """
     if direction not in ("lower", "upper"):
         raise ValueError(f"direction must be 'lower' or 'upper', "
                          f"got {direction!r}")
+    if direction == "upper" and radius is None:
+        raise ValueError("the upper chain needs radius=build_report(p).R")
     op = operator or IntegralOperator(p, ks1, ks2, grid)
     if direction == "lower":
         sp = SolutionPair.zeros(grid, ks1.alpha, ks2.alpha)
         sign = 1.0
     else:
-        if radius is None:
-            radius = radius_R(p)
         sp = SolutionPair.upper_start(grid, ks1.alpha, ks2.alpha, radius,
                                       ks1.gamma_alpha, ks2.gamma_alpha)
         sign = -1.0
@@ -526,10 +525,10 @@ def monotone_solve(p: ProblemSpec, ks1: KernelSet, ks2: KernelSet,
 def contract_solve(p: ProblemSpec, ks1: KernelSet, ks2: KernelSet,
                    grid: Grid, initial: SolutionPair | None = None,
                    tol: float = 1e-4, max_iter: int = 5000, *,
-                   m: float | None = None,
-                   operator: IntegralOperator | None = None,
+                   m: float, operator: IntegralOperator | None = None,
                    ) -> tuple[SolutionPair, IterationTrace]:
-    """Picard iteration under the contraction guarantee.
+    """Picard iteration under the contraction guarantee, with the
+    modulus m that build_report derives.
 
     Stops when the a-posteriori bound d_n m/(1-m) for the distance to
     the fixed point falls to tol, so the returned pair is within tol of
@@ -539,8 +538,6 @@ def contract_solve(p: ProblemSpec, ks1: KernelSet, ks2: KernelSet,
     wrong m or quadrature noise, both worth surfacing, neither provably
     fatal.
     """
-    if m is None:
-        m = contraction_modulus(p)
     if not m < 1.0:
         raise InapplicableError(
             f"contraction modulus m={m:.6g} is not below 1")

@@ -120,6 +120,11 @@ def _psi_interpolant(grid_nodes: np.ndarray, row_w: np.ndarray,
 # -- residual measurements ----------------------------------------------
 
 _SPOT_POINTS = (0.5, 1.0, 2.0)
+# Refinement tolerance of the spot-check derivative and the quadrature
+# tolerance inside it; quadrature tolerance of the boundary integrals.
+_SPOT_TOL = 1e-5
+_SPOT_QUAD_TOL = 1e-9
+_BC_TOL = 1e-7
 
 
 def fixed_point_residual(op: IntegralOperator, sp: SolutionPair) -> float:
@@ -147,8 +152,8 @@ def _bc_one(h: Integrand | None, alpha: FracOrder, grid_nodes: np.ndarray,
     return abs(float(row_d[-1]) - res.value)
 
 
-def boundary_residual(p: ProblemSpec, sp: SolutionPair, *,
-                      tol: float = 1e-7) -> tuple[float, float]:
+def boundary_residual(p: ProblemSpec,
+                      sp: SolutionPair) -> tuple[float, float]:
     """How far each derivative row's value at t_N sits from the boundary
     integral of the reconstructed solution.
 
@@ -160,15 +165,14 @@ def boundary_residual(p: ProblemSpec, sp: SolutionPair, *,
     Returns the pair of absolute residuals.
     """
     t = sp.grid.nodes
-    r1 = _bc_one(p.h1, sp.alpha1, t, sp.u_w, sp.du, tol)
-    r2 = _bc_one(p.h2, sp.alpha2, t, sp.v_w, sp.dv, tol)
+    r1 = _bc_one(p.h1, sp.alpha1, t, sp.u_w, sp.du, _BC_TOL)
+    r2 = _bc_one(p.h2, sp.alpha2, t, sp.v_w, sp.dv, _BC_TOL)
     return r1, r2
 
 
 def ode_residual_spotcheck(p: ProblemSpec, sp: SolutionPair,
-                           points: tuple[float, ...] = _SPOT_POINTS, *,
-                           tol: float = 1e-5,
-                           quad_tol: float = 1e-9) -> list[dict]:
+                           points: tuple[float, ...] = _SPOT_POINTS,
+                           ) -> list[dict]:
     """Residual |D^alpha u + f(t, states)| at a few interior points.
 
     The fractional derivative is taken numerically from the
@@ -201,8 +205,8 @@ def ode_residual_spotcheck(p: ProblemSpec, sp: SolutionPair,
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     val, est = rl_derivative(
-                        row_fn, alpha, t_star, tol=tol,
-                        g_exponent=alpha.q - 1.0, quad_tol=quad_tol)
+                        row_fn, alpha, t_star, tol=_SPOT_TOL,
+                        g_exponent=alpha.q - 1.0, quad_tol=_SPOT_QUAD_TOL)
             except QuadratureError as exc:
                 entry.update(derivative=math.nan, residual=math.nan,
                              error_estimate=math.inf, low_confidence=True,
@@ -213,7 +217,7 @@ def ode_residual_spotcheck(p: ProblemSpec, sp: SolutionPair,
                 derivative=val,
                 residual=abs(val + forcing),
                 error_estimate=est,
-                low_confidence=bool(est > tol * (1.0 + abs(val))),
+                low_confidence=bool(est > _SPOT_TOL * (1.0 + abs(val))),
             )
             out.append(entry)
     return out
@@ -232,23 +236,22 @@ def _locate(arr: np.ndarray, trace: IterationTrace) -> tuple:
     return int(k), _ROW_NAMES[r], int(j), t
 
 
-def ordering_audit(lower: IterationTrace, upper: IterationTrace, *,
-                   slack: float | None = None) -> AuditResult:
+def ordering_audit(lower: IterationTrace,
+                   upper: IterationTrace) -> AuditResult:
     """Re-check the full interleaved chain from the stored iterates.
 
     Three families of comparisons, every iteration, node and row: the
     lower chain never descends, the upper chain never ascends, and no
     lower iterate ever exceeds any upper iterate.  The cross-chain
     family covers all pairs at once through a per-node max/min.  The
-    default slack is 10x the larger quadrature tolerance, the same dust
+    slack is 10x the larger quadrature tolerance, the same dust
     allowance the schemes themselves use.
     """
     if lower.direction != "lower" or upper.direction != "upper":
         raise ValueError(
             f"need one lower and one upper trace, got directions "
             f"{lower.direction!r} and {upper.direction!r}")
-    if slack is None:
-        slack = 10.0 * max(lower.quad_tol, upper.quad_tol)
+    slack = 10.0 * max(lower.quad_tol, upper.quad_tol)
     lo = _stack(lower)
     up = _stack(upper)
     climbs = lo[:-1] - lo[1:]       # positive entry = lower chain dropped
@@ -275,7 +278,7 @@ def ordering_audit(lower: IterationTrace, upper: IterationTrace, *,
 
 def error_bound_audit(trace: IterationTrace, *, m: float | None = None,
                       reference: SolutionPair | None = None,
-                      slack: float | None = None) -> AuditResult:
+                      ) -> AuditResult:
     """Check every iterate against the geometric error bound.
 
     With d_1 the first difference norm, iterate n must sit within
@@ -283,6 +286,8 @@ def error_bound_audit(trace: IterationTrace, *, m: float | None = None,
     m^n (1 - m^(j-n))/(1-m) d_1 of each other.  When no external
     reference is given the final iterate stands in for the fixed point
     and its own a-posteriori distance bound is added to the allowance.
+    Every comparison also allows 10x the quadrature tolerance, scaled by
+    the largest iterate norm.
     """
     if trace.scheme != "contraction":
         raise ValueError(f"error_bound_audit needs a contraction trace, "
@@ -293,8 +298,7 @@ def error_bound_audit(trace: IterationTrace, *, m: float | None = None,
         raise ValueError(f"need a contraction modulus in (0, 1), got {m}")
     if trace.n_steps == 0:
         raise ValueError("trace records no iterations")
-    if slack is None:
-        slack = 10.0 * trace.quad_tol * (1.0 + max(trace.norms))
+    slack = 10.0 * trace.quad_tol * (1.0 + max(trace.norms))
     its = trace.iterates
     d1 = trace.diffs[0]
     gain = 1.0 / (1.0 - m)
@@ -332,14 +336,16 @@ def verify_pair(p: ProblemSpec, sp: SolutionPair,
     """Run the scheme-independent measurements on one returned pair.
 
     The scheme audits need iteration traces and are attached by the
-    caller afterwards (see ordering_audit and error_bound_audit).
+    caller afterwards (see ordering_audit and error_bound_audit).  The
+    ODE spot check runs at those of its points that lie below t_N.
     """
     r1, r2 = boundary_residual(p, sp)
+    points = tuple(t for t in _SPOT_POINTS if t < sp.grid.t_max)
     return VerificationReport(
         fixed_point_residual=fixed_point_residual(operator, sp),
         bc_residual_1=r1,
         bc_residual_2=r2,
-        ode_residuals=ode_residual_spotcheck(p, sp),
+        ode_residuals=ode_residual_spotcheck(p, sp, points),
         details={"grid_n": sp.grid.n, "t_max": sp.grid.t_max,
-                 "spot_points": list(_SPOT_POINTS)},
+                 "spot_points": list(points)},
     )

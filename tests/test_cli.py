@@ -201,6 +201,8 @@ def test_help_exits_zero(capsys):
 
 def test_usage_errors_exit_four(capsys):
     assert main(["check", "sublinear", "--wat"]) == 4
+    assert main(["check", "sublinear", "--grid-n", "32"]) == 4
+    assert main(["kernel-dump", "sublinear", "--seed", "1"]) == 4
     assert main(["frobnicate"]) == 4
     assert main([]) == 4
 
@@ -294,12 +296,12 @@ def test_solve_monotone_writes_outputs(tmp_path, capsys):
     assert "sandwich gap" in summary
 
 
-# The rows of this problem decay to subnormal values, where scipy's PCHIP
-# slope weights overflow; the reconstruction must keep that quiet.
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_solve_without_boundary_section(tmp_path, capsys):
     # Omitting [boundary] is legal: the conditions become
     # D^(alpha-1)u(inf) = 0, and their residuals must still be reported.
+    # The rows decay to subnormal values, where scipy's PCHIP slope
+    # weights overflow; the reconstruction must keep that quiet (the
+    # suite turns RuntimeWarning into an error).
     p = tmp_path / "free.prob"
     # Scaled Lipschitz bounds put the contraction modulus below 1.
     p.write_text(MINIMAL.replace(_LIPS, _LIPS.replace("= exp", "= 0.1*exp")))
@@ -326,7 +328,8 @@ def test_non_finite_expression_exits_four(tmp_path, capsys, command, old,
     assert old in text
     p = tmp_path / "bad.prob"
     p.write_text(text.replace(old, new, 1))
-    assert main([command, str(p), "--grid-n", "32"]) == 4
+    size = ["--grid-n", "32"] if command == "solve" else []
+    assert main([command, str(p), *size]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "non-finite value" in err
 
@@ -340,6 +343,10 @@ def test_non_finite_expression_exits_four(tmp_path, capsys, command, old,
     ["solve", "lipschitz", "--tol", "nan"],
     ["solve", "lipschitz", "--grid-n", "8"],
     ["check", "sublinear", "--tol", "-1"],
+    ["check", "sublinear", "--samples", "-1"],
+    ["check", "sublinear", "--samples", "0"],
+    ["check", "sublinear", "--seed", "-1"],
+    ["solve", "sublinear", "--seed", "-1"],
     ["kernel-dump", "sublinear", "--points", "-3"],
     ["kernel-dump", "sublinear", "--points", "0"],
     ["kernel-dump", "sublinear", "--tol", "0"],
@@ -354,6 +361,17 @@ def test_solve_iteration_budget_exit(capsys):
                  "--tol", "1e-9", "--max-iter", "2"])
     assert code == 3
     assert "not converged in 2 steps" in capsys.readouterr().out
+
+
+def test_solve_spotchecks_only_points_inside_the_grid(capsys):
+    # theta 0.01 puts t_N at 1.877, below the spot-check point 2.0.
+    code = main(["solve", "lipschitz", "--json", "--grid-n", "16",
+                 "--theta", "0.01"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["converged"] is True
+    ver = doc["verification"]
+    assert ver["details"]["spot_points"] == [0.5, 1.0]
+    assert sorted({e["t"] for e in ver["ode_residuals"]}) == [0.5, 1.0]
 
 
 def test_kernel_dump_csv(capsys):

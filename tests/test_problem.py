@@ -16,17 +16,12 @@ from fracbvp import (
     FracOrder,
     GrowthData,
     Integrand,
-    InapplicableError,
     LipschitzData,
     ProblemSpec,
-    UnsupportedRegimeError,
     build_report,
     check_h1,
     check_h4,
-    contraction_modulus,
     gamma,
-    radius_R,
-    radius_r,
 )
 from fracbvp.exprlang import parse
 
@@ -176,17 +171,16 @@ def test_radius_R_needs_sublinear_exponents():
     p = ProblemSpec(alpha1=FracOrder(2.5), alpha2=FracOrder(1.5),
                     h1=None, h2=None, f1=parse("exp(-t)"),
                     f2=parse("exp(-t)"), growth=growth, monotone=True)
-    with pytest.raises(UnsupportedRegimeError, match=">= 1"):
-        radius_R(p)
+    rep = build_report(p, samples=100)
+    assert rep.R is None
+    assert "growth exponent 1.0 >= 1 is outside the supported sublinear " \
+           "regime" in rep.notes
 
 
-def test_scheme_constants_need_their_data(sublinear, lipschitz):
-    with pytest.raises(InapplicableError):
-        contraction_modulus(sublinear)
-    with pytest.raises(InapplicableError):
-        radius_R(lipschitz)
-    with pytest.raises(InapplicableError, match="not below 1"):
-        radius_r(lipschitz, lam=(1.0, 0.5), tau=(0.2, 0.00125), m=1.0)
+def test_scheme_constants_need_their_data(report_sublinear,
+                                          report_lipschitz):
+    assert report_sublinear.m is None and report_sublinear.r is None
+    assert report_lipschitz.R is None
 
 
 def test_growth_data_validation():

@@ -180,6 +180,9 @@ def test_monotone_direction_validated(sublinear, kernels, grid64,
     with pytest.raises(ValueError, match="direction"):
         monotone_solve(sublinear, ks1, ks2, grid64, "sideways",
                        operator=op_sublinear)
+    with pytest.raises(ValueError, match=r"build_report\(p\)\.R"):
+        monotone_solve(sublinear, ks1, ks2, grid64, "upper",
+                       operator=op_sublinear)
 
 
 def test_monotone_nonconvergence_reported(sublinear, kernels, grid64,
