@@ -114,8 +114,9 @@ class SolverConfig:
         if not 0.0 < self.theta < math.inf:
             raise _fail("solver", "theta",
                         f"must be positive and finite, got {self.theta}")
-        if self.tol is not None and not self.tol > 0:
-            raise _fail("solver", "tol", f"must be positive, got {self.tol}")
+        if self.tol is not None and not 0.0 < self.tol < math.inf:
+            raise _fail("solver", "tol",
+                        f"must be positive and finite, got {self.tol}")
         if self.max_iter is not None and self.max_iter < 1:
             raise _fail("solver", "max_iter",
                         f"must be at least 1, got {self.max_iter}")
@@ -447,8 +448,9 @@ def _quad_tol(args: argparse.Namespace) -> float:
     """The quadrature tolerance of check and kernel-dump: --tol or 1e-10."""
     if args.tol is None:
         return DEFAULT_TOL
-    if not args.tol > 0:
-        raise ProblemFileError(f"--tol must be positive, got {args.tol}")
+    if not 0.0 < args.tol < math.inf:
+        raise ProblemFileError(
+            f"--tol must be positive and finite, got {args.tol}")
     return args.tol
 
 
@@ -637,9 +639,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_kernel_dump(args: argparse.Namespace) -> int:
     lp = resolve_problem(args.problem)
     spec = lp.spec
-    if not args.t_min > 0 or not args.t_max > args.t_min:
+    if not 0.0 < args.t_min < args.t_max < math.inf:
         raise ProblemFileError(
-            f"need 0 < t-min < t-max, got {args.t_min}, {args.t_max}")
+            f"need 0 < t-min < t-max < inf, got {args.t_min}, {args.t_max}")
     if args.points < 1:
         raise ProblemFileError(f"--points must be at least 1, got "
                                f"{args.points}")

@@ -237,7 +237,17 @@ def derivative_representation(ks: KernelSet, y: Integrand, t: float,
 
 def _boundary_weighted_integral(ks: KernelSet, y: Integrand,
                                 tol: float) -> float:
-    """C = int_0^inf G(s) y(s) ds with G evaluated through the memo."""
+    """C = int_0^inf G(s) y(s) ds with G evaluated through the memo.
+
+    This is the package's one integrand that is not pointwise: g_many
+    tabulates the points it has not seen in one quad_vec pass whose
+    subdivision depends on the whole batch, so G at a point depends,
+    within that pass's tolerance (tol/10, 1e-11 by default), on the
+    batch that first reached it; the engine's 36- and 72-point calls
+    make such batches.  The value is deterministic for a given
+    KernelSet history; only kernel_representation and
+    derivative_representation use it, and no CLI output does.
+    """
 
     def fn(s: np.ndarray) -> np.ndarray:
         return ks.g_many(s) * np.asarray(y.fn(s))

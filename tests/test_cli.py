@@ -154,6 +154,7 @@ def test_solver_section_validation():
             ("scheme = downhill", "monotone or contraction"),
             ("interp = spline", "linear or pchip"),
             ("tol = -1e-4", "must be positive"),
+            ("tol = inf", "must be positive and finite"),
             ("max_iter = 0", "at least 1")):
         with pytest.raises(ProblemFileError, match=msg):
             load_problem(_with(f"[solver]\n{bad}\n"))
@@ -350,6 +351,10 @@ def test_non_finite_expression_exits_four(tmp_path, capsys, command, old,
     ["kernel-dump", "sublinear", "--points", "-3"],
     ["kernel-dump", "sublinear", "--points", "0"],
     ["kernel-dump", "sublinear", "--tol", "0"],
+    ["check", "sublinear", "--tol", "inf"],
+    ["kernel-dump", "sublinear", "--tol", "inf"],
+    ["solve", "lipschitz", "--tol", "inf", "--grid-n", "16"],
+    ["kernel-dump", "sublinear", "--t-max", "inf", "--points", "3"],
 ], ids=" ".join)
 def test_bad_flag_values_exit_four(capsys, argv):
     assert main(argv) == 4

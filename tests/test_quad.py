@@ -1,12 +1,14 @@
 """Quadrature layer: finite panels, kink handling, endpoint power
 substitution, and the doubling half-line driver."""
 
+import heapq
 import math
 
 import numpy as np
 import pytest
 
 from fracbvp import Integrand, QuadratureError, integrate_finite, integrate_halfline
+from fracbvp import quad
 from fracbvp.quad import require_converged
 
 
@@ -114,3 +116,117 @@ def test_truncation_point_respects_decay_hint():
     assert slow.converged
     assert abs(slow.value - 10.0) < 1e-9
     assert slow.truncation_point >= 450.0  # 45 e-foldings of the hint
+
+
+# -- the batched panel engine ---------------------------------------------
+
+def _reference_panel(fn, lo, hi):
+    """One panel estimated with three integrand calls: the engine's
+    unbatched form, kept here as the bit-for-bit reference."""
+    x, w = quad._gl(12)
+    mid = 0.5 * (lo + hi)
+    h1 = 0.5 * (hi - lo)
+    coarse = h1 * float(w @ fn(mid + h1 * x))
+    fine = 0.0
+    for a, b in ((lo, mid), (mid, hi)):
+        c = 0.5 * (a + b)
+        h = 0.5 * (b - a)
+        fine += h * float(w @ fn(c + h * x))
+    return fine, abs(fine - coarse), 36
+
+
+def _reference_adapt(fn, lo, hi, tol):
+    if hi <= lo:
+        return 0.0, 0.0, 0, True
+    val, err, n_eval = _reference_panel(fn, lo, hi)
+    heap = [(-err, lo, hi, val)]
+    frozen = []
+    total_err = err
+    count = 1
+    width_floor = 1e-15 * max(abs(lo), abs(hi), 1.0)
+    converged = True
+    while total_err > tol:
+        if count >= quad._MAX_PANELS or not heap:
+            converged = False
+            break
+        neg_err, a, b, v = heapq.heappop(heap)
+        if b - a <= width_floor:
+            frozen.append((neg_err, a, b, v))
+            if not heap:
+                converged = False
+                break
+            continue
+        total_err += neg_err
+        m = 0.5 * (a + b)
+        for c, d in ((a, m), (m, b)):
+            pv, pe, pn = _reference_panel(fn, c, d)
+            n_eval += pn
+            heapq.heappush(heap, (-pe, c, d, pv))
+            total_err += pe
+        count += 1
+    panels = sorted(heap + frozen, key=lambda item: item[1])
+    value = math.fsum(p[3] for p in panels)
+    error = math.fsum(-p[0] for p in panels)
+    return value, error, n_eval, converged
+
+
+# (driver, integrand, tol, converges): kinks, endpoint exponents, decay
+# hints, an undeclared oscillation that exhausts the panel budget, and a
+# divergent tail.
+_ENGINE_CASES = [
+    ("finite", Integrand(lambda t: np.abs(np.sin(7.0 * t) - 0.3),
+                         kinks=(math.asin(0.3) / 7.0,)), 1e-13, True),
+    ("finite", Integrand(lambda t: t**-0.7 * np.cos(3.0 * t) * np.log1p(t),
+                         endpoint_exponent=0.3), 1e-12, True),
+    ("finite", Integrand(lambda t: np.sin(1.0 / t) * t**0.25), 1e-14, False),
+    ("halfline", Integrand(lambda t: np.exp(-0.7 * t) * np.sin(t) ** 2
+                           * t**-0.5, endpoint_exponent=0.5,
+                           decay_hint=0.7), 1e-11, True),
+    ("halfline", Integrand(lambda t: np.abs(t - 2.0) / (1.0 + t**3),
+                           kinks=(0.5, 2.0)), 1e-10, True),
+    ("halfline", Integrand(lambda t: 1.0 / (1.0 + t)), 1e-8, False),
+]
+
+
+@pytest.mark.parametrize("kind, f, tol, converges", _ENGINE_CASES,
+                         ids=[f"{c[0]}{i}" for i, c in
+                              enumerate(_ENGINE_CASES)])
+def test_batched_engine_matches_three_call_reference(monkeypatch, kind, f,
+                                                     tol, converges):
+    """One call per refinement step changes no bit of any result: the same
+    panels, the same nodes and the same per-panel sums."""
+    run = ((lambda: integrate_finite(f, 0.0, math.pi, tol)) if kind == "finite"
+           else (lambda: integrate_halfline(f, tol)))
+    got = run()
+    monkeypatch.setattr(quad, "_adapt", _reference_adapt)
+    want = run()
+    assert want.converged is converges
+    assert (got.value, got.error_estimate, got.evaluations, got.converged,
+            got.truncation_point) == (want.value, want.error_estimate,
+                                      want.evaluations, want.converged,
+                                      want.truncation_point)
+
+
+def test_batched_panels_match_reference_on_arbitrary_bounds():
+    # Bisection trees from dyadic-friendly endpoints rarely expose a
+    # changed node formula; unrelated random bounds do.
+    rng = np.random.default_rng(5)
+    lo = rng.uniform(0.0, 3.0, 40)
+    bounds = list(zip(lo.tolist(), (lo + rng.uniform(1e-6, 2.0, 40)).tolist()))
+    fn = lambda t: np.exp(np.sin(5.0 * t)) / (1.0 + t * t)  # noqa: E731
+    want = [_reference_panel(fn, a, b)[:2] for a, b in bounds]
+    assert quad._panels(fn, bounds) == want
+
+
+def test_one_integrand_call_per_refinement_step():
+    sizes = []
+
+    def counted(t):
+        sizes.append(t.size)
+        return np.exp(-t) * np.cos(40.0 * t)
+
+    res = integrate_finite(Integrand(counted), 0.0, 2.0, tol=1e-12)
+    assert res.converged and res.evaluations > 36
+    splits = (res.evaluations // 36 - 1) // 2
+    assert len(sizes) == 1 + splits
+    assert sizes == [36] + [72] * splits
