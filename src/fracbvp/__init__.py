@@ -9,7 +9,7 @@ operator and the two iteration schemes), verify (after-the-fact
 residuals and audits), cli (problem files and the command line).
 """
 
-from .exprlang import compile_expr, eval_expr, parse, to_source
+from .exprlang import compile_expr, parse, to_source
 from .fracops import FracOrder, gamma, rl_derivative, rl_integral
 from .kernels import (KernelSet, compute_lambda, derivative_representation,
                       kernel_representation)
@@ -38,7 +38,7 @@ __all__ = [
     "VerificationReport", "boundary_residual", "build_report", "check_h1",
     "check_h4", "compile_expr", "compute_lambda", "contract_solve",
     "derivative_representation", "diff_norm", "error_bound_audit",
-    "eval_expr", "fixed_point_residual", "format_problem", "gamma",
+    "fixed_point_residual", "format_problem", "gamma",
     "integrate_finite", "integrate_halfline", "kernel_representation",
     "load_problem", "monotone_solve", "norm_pair",
     "ode_residual_spotcheck", "ordering_audit", "packaged_problem_names",

@@ -45,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exprlang import (VARIABLES, Expr, ExprError, compile_expr, eval_expr,
+from .exprlang import (VARIABLES, Expr, ExprError, compile_expr,
                        free_variables, parse, to_source)
 from .fracops import FracOrder
 from .kernels import KernelSet
@@ -169,7 +169,7 @@ def _parse_number(section: str, key: str, text: str) -> float:
         pass
     ast = _parse_expr(section, key, text, ())
     try:
-        return eval_expr(ast, {})
+        return float(compile_expr(ast, ())())
     except ExprError as exc:
         raise _fail(section, key, f"not a constant: {exc}") from exc
 
@@ -198,11 +198,25 @@ def _parse_exponents(section: str, key: str, text: str) -> tuple[float, ...]:
     return tuple(_parse_number(section, key, p) for p in parts)
 
 
-def _coef_integrand(section: str, key: str, text: str,
-                    out: dict[str, str]) -> Integrand:
-    ast = _parse_expr(section, key, text, ("t",))
-    out[key] = to_source(ast)
-    return Integrand(compile_expr(ast, ("t",)))
+def _coefficients(sec: dict[str, str], section: str, letter: str,
+                  ks: range, out: dict[str, str]
+                  ) -> tuple[tuple[Integrand, ...], ...]:
+    """Both equations' coefficient rows letter{i}{k} (k in ks) of a
+    [growth] or [lipschitz] section, after checking it has every key."""
+    missing = [k for k in _SECTIONS[section] if k not in sec]
+    if missing:
+        raise ProblemFileError(
+            f"[{section}] is missing key(s): {sorted(missing)}")
+    rows = []
+    for i in (1, 2):
+        row = []
+        for k in ks:
+            key = f"{letter}{i}{k}"
+            ast = _parse_expr(section, key, sec[key], ("t",))
+            out[key] = to_source(ast)
+            row.append(Integrand(compile_expr(ast, ("t",))))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _boundary_weight(sec: dict[str, str], which: str,
@@ -293,39 +307,24 @@ def load_problem(text: str, origin: str = "") -> LoadedProblem:
     growth = None
     if "growth" in raw:
         sec = raw["growth"]
-        missing = [k for k in _SECTIONS["growth"] if k not in sec]
-        if missing:
-            raise ProblemFileError(
-                f"[growth] is missing key(s): {sorted(missing)}")
         out = {}
-        coef = {k: _coef_integrand("growth", k, sec[k], out)
-                for k in _GROWTH_KEYS}
+        a1, a2 = _coefficients(sec, "growth", "a", range(5), out)
         lam1 = _parse_exponents("growth", "lambda1", sec["lambda1"])
         lam2 = _parse_exponents("growth", "lambda2", sec["lambda2"])
         out["lambda1"] = ", ".join(repr(x) for x in lam1)
         out["lambda2"] = ", ".join(repr(x) for x in lam2)
         try:
-            growth = GrowthData(
-                a1=tuple(coef[f"a1{k}"] for k in range(5)),
-                a2=tuple(coef[f"a2{k}"] for k in range(5)),
-                lam1=lam1, lam2=lam2)
+            growth = GrowthData(a1=a1, a2=a2, lam1=lam1, lam2=lam2)
         except ValueError as exc:
             raise ProblemFileError(f"[growth]: {exc}") from exc
         norm["growth"] = out
 
     lipschitz = None
     if "lipschitz" in raw:
-        sec = raw["lipschitz"]
-        missing = [k for k in _SECTIONS["lipschitz"] if k not in sec]
-        if missing:
-            raise ProblemFileError(
-                f"[lipschitz] is missing key(s): {sorted(missing)}")
         out = {}
-        coef = {k: _coef_integrand("lipschitz", k, sec[k], out)
-                for k in _LIPSCHITZ_KEYS}
-        lipschitz = LipschitzData(
-            b1=tuple(coef[f"b1{k}"] for k in range(1, 5)),
-            b2=tuple(coef[f"b2{k}"] for k in range(1, 5)))
+        b1, b2 = _coefficients(raw["lipschitz"], "lipschitz", "b",
+                               range(1, 5), out)
+        lipschitz = LipschitzData(b1=b1, b2=b2)
         norm["lipschitz"] = out
 
     solver = SolverConfig()
@@ -407,10 +406,6 @@ def _solution_doc(sp: SolutionPair) -> dict:
         "u": sp.u().tolist(), "v": sp.v().tolist(),
         "du": sp.du.tolist(), "dv": sp.dv.tolist(),
     }
-
-
-def _report_doc(report: HypothesisReport) -> dict:
-    return json.loads(report.to_json())
 
 
 def _print_report(report: HypothesisReport, name: str,
@@ -514,7 +509,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     report = build_report(lp.spec, seed=args.seed, samples=args.samples,
                           tol=_quad_tol(args), expected=lp.expected)
     if args.json:
-        print(report.to_json())
+        print(json.dumps(report.to_dict(), indent=2))
     else:
         _print_report(report, lp.spec.name or args.problem, lp.spec)
     return EXIT_OK if report.passed else EXIT_HYPOTHESIS
@@ -539,7 +534,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     scheme, reasons = _pick_scheme(cfg, spec, report)
     if scheme is None:
         doc = {"problem": name, "refused": reasons,
-               "hypothesis": _report_doc(report)}
+               "hypothesis": report.to_dict()}
         if args.json:
             print(json.dumps(doc, indent=2))
         else:
@@ -603,17 +598,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
         f"fixed-point residual {ver.fixed_point_residual:.3e}; boundary "
         f"residuals {ver.bc_residual_1:.3e}, {ver.bc_residual_2:.3e}")
 
-    ver_doc = json.loads(ver.to_json())
+    ver_doc = ver.to_dict()
     doc = {"problem": name, "scheme": scheme, "config": config_doc,
            "converged": all(tr.converged for _, tr in chains.values()),
-           "hypothesis": _report_doc(report)}
+           "hypothesis": report.to_dict()}
     outputs = {"verification.json": json.dumps(
         {"config": config_doc, **ver_doc}, indent=2) + "\n"}
     for key, (sp, tr) in chains.items():
         suffix = f"-{key}" if key else ""
         outputs[f"solution{suffix}.csv"] = header + sp.to_csv()
         outputs[f"trace{suffix}.csv"] = header + tr.to_csv()
-        part = {"trace": json.loads(tr.to_json()),
+        part = {"trace": tr.to_dict(),
                 "solution": _solution_doc(sp)}
         if key:
             doc[key] = part

@@ -13,14 +13,18 @@ Variables are t, u1..u4; builtins are exp, sqrt, abs, log, pow; named
 constants are pi and e.  Precedence is ^ above unary minus above * and /
 above + and -, so "-t^2" parses as -(t^2).
 
-Two evaluators are provided: a strict scalar tree-walker (every domain
-error raised with context, nothing silently NaN) and a compiler to a
-vectorized numpy closure for the solver hot path.
+One evaluator serves every use: compile_expr turns a tree into a
+vectorized numpy closure, called on sample arrays by the solver and the
+checks, and with no variables at all for the constant expressions of
+problem files.  Everything, constants included, follows numpy
+semantics: intermediate overflow to inf and underflow to 0 are allowed
+(so 1/exp(1000) is 0.0), and only a non-finite final result is an error.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -30,7 +34,7 @@ import numpy as np
 __all__ = [
     "Expr", "Num", "Var", "Const", "Unary", "Binary", "Call",
     "ExprError", "ExprSyntaxError", "ExprNameError", "ExprEvalError",
-    "parse", "eval_expr", "compile_expr", "to_source", "free_variables",
+    "parse", "compile_expr", "to_source", "free_variables",
 ]
 
 VARIABLES = ("t", "u1", "u2", "u3", "u4")
@@ -51,10 +55,13 @@ class ExprSyntaxError(ExprError):
 
 
 class ExprNameError(ExprError):
-    def __init__(self, name: str, offset: int):
+    def __init__(self, name: str, offset: int | None,
+                 variables: tuple[str, ...] = VARIABLES):
+        where = "" if offset is None else f" at offset {offset}"
         super().__init__(
-            f"unknown identifier {name!r} at offset {offset}; variables are "
-            f"{', '.join(VARIABLES)}, functions are {', '.join(sorted(BUILTINS))}, "
+            f"unknown identifier {name!r}{where}; variables are "
+            f"{', '.join(variables) or 'none'}, functions are "
+            f"{', '.join(sorted(BUILTINS))}, "
             f"constants are {', '.join(sorted(CONSTANTS))}")
         self.name = name
         self.offset = offset
@@ -232,77 +239,23 @@ def parse(source: str) -> Expr:
     return node
 
 
-# --- Scalar evaluation ---------------------------------------------------
-
-def _scalar_pow(base: float, exponent: float) -> float:
-    if base < 0 and exponent != int(exponent):
-        raise ExprEvalError(
-            f"negative base {base!r} with non-integer exponent {exponent!r}")
-    if base == 0 and exponent < 0:
-        raise ExprEvalError("zero base with negative exponent")
-    return base ** exponent
-
-
-def eval_expr(e: Expr, env: Mapping[str, float]) -> float:
-    """Strict scalar evaluation; every domain problem is raised."""
-    try:
-        return _eval(e, env)
-    except OverflowError as exc:
-        raise ExprEvalError(f"overflow while evaluating {to_source(e)}") from exc
-
-
-def _eval(e: Expr, env: Mapping[str, float]) -> float:
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Const):
-        return CONSTANTS[e.name]
-    if isinstance(e, Var):
-        try:
-            return float(env[e.name])
-        except KeyError:
-            raise ExprEvalError(f"unbound variable {e.name!r}") from None
-    if isinstance(e, Unary):
-        return -_eval(e.operand, env)
-    if isinstance(e, Binary):
-        a = _eval(e.left, env)
-        b = _eval(e.right, env)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if b == 0:
-                raise ExprEvalError(f"division by zero in {to_source(e)}")
-            return a / b
-        return _scalar_pow(a, b)
-    if isinstance(e, Call):
-        args = [_eval(a, env) for a in e.args]
-        if e.fn == "exp":
-            return math.exp(args[0])
-        if e.fn == "sqrt":
-            if args[0] < 0:
-                raise ExprEvalError(f"sqrt of negative value {args[0]!r}")
-            return math.sqrt(args[0])
-        if e.fn == "abs":
-            return abs(args[0])
-        if e.fn == "log":
-            if args[0] <= 0:
-                raise ExprEvalError(f"log of non-positive value {args[0]!r}")
-            return math.log(args[0])
-        return _scalar_pow(args[0], args[1])  # pow
-    raise TypeError(f"not an Expr node: {e!r}")
-
-
 # --- Vectorized compilation ----------------------------------------------
 
+# The binary operators and the builtins, by their names in the grammar.
+_OPERATIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv, "^": operator.pow, "exp": np.exp,
+               "sqrt": np.sqrt, "abs": np.abs, "log": np.log,
+               "pow": operator.pow}
+
+
 def _compile(e: Expr) -> Callable[[Mapping[str, np.ndarray]], np.ndarray]:
+    # Leaves are numpy scalars, so constant subtrees follow numpy
+    # semantics too (1/0 is inf, not a ZeroDivisionError).
     if isinstance(e, Num):
-        v = e.value
+        v = np.float64(e.value)
         return lambda env: v
     if isinstance(e, Const):
-        v = CONSTANTS[e.name]
+        v = np.float64(CONSTANTS[e.name])
         return lambda env: v
     if isinstance(e, Var):
         name = e.name
@@ -311,30 +264,15 @@ def _compile(e: Expr) -> Callable[[Mapping[str, np.ndarray]], np.ndarray]:
         f = _compile(e.operand)
         return lambda env: -f(env)
     if isinstance(e, Binary):
-        fl = _compile(e.left)
-        fr = _compile(e.right)
-        op = e.op
-        if op == "+":
-            return lambda env: fl(env) + fr(env)
-        if op == "-":
-            return lambda env: fl(env) - fr(env)
-        if op == "*":
-            return lambda env: fl(env) * fr(env)
-        if op == "/":
-            return lambda env: fl(env) / fr(env)
-        return lambda env: fl(env) ** fr(env)
+        op, fl, fr = _OPERATIONS[e.op], _compile(e.left), _compile(e.right)
+        return lambda env: op(fl(env), fr(env))
     if isinstance(e, Call):
-        parts = tuple(_compile(a) for a in e.args)
-        fn = e.fn
-        if fn == "exp":
-            return lambda env: np.exp(parts[0](env))
-        if fn == "sqrt":
-            return lambda env: np.sqrt(parts[0](env))
-        if fn == "abs":
-            return lambda env: np.abs(parts[0](env))
-        if fn == "log":
-            return lambda env: np.log(parts[0](env))
-        return lambda env: parts[0](env) ** parts[1](env)
+        fn, parts = _OPERATIONS[e.fn], [_compile(a) for a in e.args]
+        if len(parts) == 1:
+            f = parts[0]
+            return lambda env: fn(f(env))
+        fl, fr = parts
+        return lambda env: fn(fl(env), fr(env))
     raise TypeError(f"not an Expr node: {e!r}")
 
 
@@ -345,8 +283,13 @@ def compile_expr(e: Expr, variables: tuple[str, ...] = VARIABLES
     The compiled function evaluates with numpy semantics (intermediate
     overflow to inf / 0 underflow allowed) but checks the final result:
     non-finite output for finite input raises ExprEvalError, so domain
-    mistakes cannot leak NaN into a solver run.
+    mistakes cannot leak NaN into a solver run.  A variable of the tree
+    outside `variables` raises ExprNameError here; with no variables the
+    function takes no arguments and returns a 0-d array.
     """
+    unbound = free_variables(e) - set(variables)
+    if unbound:
+        raise ExprNameError(min(unbound), None, variables)
     body = _compile(e)
     src = to_source(e)
 
@@ -361,15 +304,16 @@ def compile_expr(e: Expr, variables: tuple[str, ...] = VARIABLES
             *(np.shape(a) for a in args))) if out.shape == () else out
         bad = ~np.isfinite(out)
         if np.any(bad):
-            idx = int(np.argmax(bad))
-            first = env[variables[0]]
-            try:
-                where = float(first.flat[idx] if first.ndim else first)
-            except (IndexError, TypeError):
-                where = float("nan")
-            raise ExprEvalError(
-                f"non-finite value from {src!r} at sample index {idx} "
-                f"({variables[0]}={where!r})")
+            where = ""
+            if variables:
+                idx = int(np.argmax(bad))
+                first = env[variables[0]]
+                try:
+                    x = float(first.flat[idx] if first.ndim else first)
+                except IndexError:
+                    x = float("nan")
+                where = f" at sample index {idx} ({variables[0]}={x!r})"
+            raise ExprEvalError(f"non-finite value from {src!r}{where}")
         return out
 
     fn.source = src  # type: ignore[attr-defined]
@@ -404,12 +348,13 @@ def to_source(e: Expr) -> str:
         lhs = to_source(e.left)
         rhs = to_source(e.right)
         p = _PREC[e.op]
-        # Left child needs parens when looser; equal precedence is fine on
-        # the left for left-associative ops but not for ^ (right-assoc).
+        # A child of equal precedence keeps its parentheses on the side
+        # the parser would not group it: the right of a left-associative
+        # operator (t + (u1 + u2) is not (t + u1) + u2 in floating point),
+        # the left of ^ (right-associative).
         if _prec(e.left) < p or (e.op == "^" and _prec(e.left) == p):
             lhs = f"({lhs})"
-        if _prec(e.right) < p or (e.op in ("-", "/") and _prec(e.right) == p) \
-                or (e.op == "*" and isinstance(e.right, Binary) and e.right.op == "/"):
+        if _prec(e.right) < p or (e.op != "^" and _prec(e.right) == p):
             rhs = f"({rhs})"
         return f"{lhs}{e.op}{rhs}" if e.op == "^" else f"{lhs} {e.op} {rhs}"
     if isinstance(e, Call):

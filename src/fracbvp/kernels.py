@@ -86,7 +86,8 @@ class KernelSet:
     constants.  The memo table is filled once per g_many batch with the
     points it had not seen, and an entry is never overwritten: G(s)
     keeps its first value, and any other batch agrees with it to within
-    tol.
+    tol.  A second memo keeps the t-free boundary-weighted integral C of
+    the representations per (y, tol), likewise never overwritten.
     """
 
     alpha: FracOrder
@@ -95,6 +96,8 @@ class KernelSet:
     gamma_alpha: float
     tol: float = DEFAULT_TOL
     _g_memo: dict[float, float] = field(default_factory=dict, repr=False)
+    _c_memo: dict[tuple[Integrand, float], float] = field(
+        default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, alpha: FracOrder, h: Integrand | None,
@@ -237,7 +240,8 @@ def derivative_representation(ks: KernelSet, y: Integrand, t: float,
 
 def _boundary_weighted_integral(ks: KernelSet, y: Integrand,
                                 tol: float) -> float:
-    """C = int_0^inf G(s) y(s) ds with G evaluated through the memo.
+    """C = int_0^inf G(s) y(s) ds with G evaluated through the memo,
+    computed once per (y, tol) on ks.
 
     This is the package's one integrand that is not pointwise: g_many
     tabulates the points it has not seen in one quad_vec pass whose
@@ -248,6 +252,8 @@ def _boundary_weighted_integral(ks: KernelSet, y: Integrand,
     KernelSet history; only kernel_representation and
     derivative_representation use it, and no CLI output does.
     """
+    if (y, tol) in ks._c_memo:
+        return ks._c_memo[y, tol]
 
     def fn(s: np.ndarray) -> np.ndarray:
         return ks.g_many(s) * np.asarray(y.fn(s))
@@ -256,4 +262,5 @@ def _boundary_weighted_integral(ks: KernelSet, y: Integrand,
         Integrand(fn, kinks=y.kinks, endpoint_exponent=y.endpoint_exponent,
                   decay_hint=y.decay_hint), tol)
     require_converged(res, "boundary-weighted integral of G")
+    ks._c_memo[y, tol] = res.value
     return res.value

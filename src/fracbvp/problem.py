@@ -29,7 +29,6 @@ ball radius r = L * max{tau_1, tau_2} / (1 - m).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from math import inf, isfinite
 from typing import Mapping
@@ -45,7 +44,6 @@ from .quad import (DEFAULT_TOL, Integrand, QuadratureError,
 __all__ = [
     "GrowthData", "LipschitzData", "ProblemSpec", "Verdict", "Discrepancy",
     "HypothesisReport", "InapplicableError", "check_h1", "check_h4",
-    "compute_growth_constants", "compute_lipschitz_constants",
     "build_report",
 ]
 
@@ -193,8 +191,8 @@ class HypothesisReport:
                 out[f"b{i}{k}"] = None if row is None else row[k - 1]
         return out
 
-    def to_json(self, indent: int | None = 2) -> str:
-        doc = dict(self.constants())
+    def to_dict(self) -> dict:
+        doc = self.constants()
         doc["verdicts"] = {
             k: {"passed": v.passed, "reason": v.reason}
             for k, v in self.verdicts.items()}
@@ -206,7 +204,7 @@ class HypothesisReport:
             for d in self.discrepancies]
         doc["seed"] = self.seed
         doc["samples"] = self.samples
-        return json.dumps(doc, indent=indent, allow_nan=True)
+        return doc
 
 
 # -- individual checks -----------------------------------------------
@@ -264,7 +262,8 @@ def check_h1(p: ProblemSpec,
 
 def _star_integral(coef: Integrand, weight_exponent: float | None,
                    power: float, tol: float, label: str) -> float:
-    """int_0^inf coef(t) (1 + t^weight_exponent)^power dt."""
+    """int_0^inf coef(t) (1 + t^weight_exponent)^power dt; label names
+    the integral in the non-convergence message."""
     if weight_exponent is None or power == 0.0:
         f = coef
     else:
@@ -276,58 +275,24 @@ def _star_integral(coef: Integrand, weight_exponent: float | None,
                       endpoint_exponent=coef.endpoint_exponent,
                       decay_hint=coef.decay_hint)
     res = integrate_halfline(f, tol)
-    require_converged(res, f"envelope integral {label}")
+    require_converged(res, label)
     return res.value
 
 
-def compute_growth_constants(
-        p: ProblemSpec, tol: float = DEFAULT_TOL,
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The ten a*_ik envelope integrals, weighted per slot (see module
-    docstring)."""
-    if p.growth is None:
-        raise InapplicableError("problem has no growth data")
-    w1, w2 = p.alpha1.q - 1.0, p.alpha2.q - 1.0
-    slot_weight = (w1, w2, None, None)
-    rows = []
-    for i, (coeffs, exps) in enumerate(
-            ((p.growth.a1, p.growth.lam1), (p.growth.a2, p.growth.lam2)),
-            start=1):
-        row = [_star_integral(coeffs[0], None, 0.0, tol, f"a{i}0")]
-        for k in (1, 2, 3, 4):
-            row.append(_star_integral(coeffs[k], slot_weight[k - 1],
-                                      exps[k - 1], tol, f"a{i}{k}"))
-        rows.append(tuple(row))
-    return rows[0], rows[1]
+def _star_row(p: ProblemSpec, name: str, coeffs: tuple[Integrand, ...],
+              powers: tuple[float, ...], tol: float) -> tuple[float, ...]:
+    """The envelope integrals of one equation's coefficients (a*_ik or
+    b*_ik), weighted per slot (see the module docstring).
 
-
-def compute_lipschitz_constants(
-        p: ProblemSpec, tol: float = DEFAULT_TOL,
-) -> tuple[tuple[tuple[float, ...], tuple[float, ...]], tuple[float, float]]:
-    """The eight b*_ik integrals plus tau_i = int |f_i(t,0,0,0,0)| dt."""
-    if p.lipschitz is None:
-        raise InapplicableError("problem has no Lipschitz data")
-    w1, w2 = p.alpha1.q - 1.0, p.alpha2.q - 1.0
-    slot_weight = (w1, w2, None, None)
-    rows = []
-    for i, coeffs in enumerate((p.lipschitz.b1, p.lipschitz.b2), start=1):
-        row = []
-        for k in (1, 2, 3, 4):
-            power = 1.0 if k <= 2 else 0.0
-            row.append(_star_integral(coeffs[k - 1], slot_weight[k - 1],
-                                      power, tol, f"b{i}{k}"))
-        rows.append(tuple(row))
-    taus = []
-    for i, f in enumerate((p.f1, p.f2), start=1):
-        forcing = _forcing(f)
-
-        def absf(t, _g=forcing):
-            return np.abs(_g(t))
-
-        res = integrate_halfline(Integrand(absf), tol)
-        require_converged(res, f"forcing integral tau{i}")
-        taus.append(res.value)
-    return (rows[0], rows[1]), (taus[0], taus[1])
+    coeffs[j] is the coefficient of slot k = 5 - len(coeffs) + j, with
+    powers[k] its exponent: slot 0 is the state-free a_i0, slots 1 and 2
+    the weighted u1, u2, and slots 3 and 4 the unweighted u3, u4.
+    """
+    weights = (None, p.alpha1.q - 1.0, p.alpha2.q - 1.0, None, None)
+    return tuple(
+        _star_integral(c, weights[k], powers[k], tol,
+                       f"envelope integral {name}{k}")
+        for k, c in enumerate(coeffs, start=5 - len(coeffs)))
 
 
 # Side of the cube [0, _H4_BOX]^5 that check_h4 samples (t and the state).
@@ -416,21 +381,30 @@ def build_report(p: ProblemSpec, *, seed: int = 0, samples: int = 10_000,
 
     a_star = None
     if p.growth is not None:
-        reasons = _coefficients_nonneg("a1", p.growth.a1)
-        reasons += _coefficients_nonneg("a2", p.growth.a2)
+        g = p.growth
+        reasons = _coefficients_nonneg("a1", g.a1)
+        reasons += _coefficients_nonneg("a2", g.a2)
         try:
-            a_star = compute_growth_constants(p, tol)
+            a_star = (_star_row(p, "a1", g.a1, (0.0, *g.lam1), tol),
+                      _star_row(p, "a2", g.a2, (0.0, *g.lam2), tol))
         except QuadratureError as exc:
             reasons.append(str(exc))
         verdicts["H2"] = Verdict(not reasons, "; ".join(reasons))
 
-    b_star = None
-    tau = None
+    b_star = tau = None
     if p.lipschitz is not None:
-        reasons = _coefficients_nonneg("b1", p.lipschitz.b1)
-        reasons += _coefficients_nonneg("b2", p.lipschitz.b2)
+        b = p.lipschitz
+        reasons = _coefficients_nonneg("b1", b.b1)
+        reasons += _coefficients_nonneg("b2", b.b2)
         try:
-            b_star, tau = compute_lipschitz_constants(p, tol)
+            # Power 1 in every slot; tau_i = int |f_i(t,0,0,0,0)| dt.
+            b_star, tau = (
+                (_star_row(p, "b1", b.b1, (1.0,) * 5, tol),
+                 _star_row(p, "b2", b.b2, (1.0,) * 5, tol)),
+                tuple(_star_integral(
+                    Integrand(lambda t, f0=_forcing(f): np.abs(f0(t))),
+                    None, 0.0, tol, f"forcing integral tau{i}")
+                    for i, f in enumerate((p.f1, p.f2), start=1)))
         except QuadratureError as exc:
             reasons.append(str(exc))
         verdicts["H3"] = Verdict(not reasons, "; ".join(reasons))

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -256,15 +255,14 @@ class IterationTrace:
                         self.violations[k], repr(self.seconds[k])])
         return buf.getvalue()
 
-    def to_json(self, indent: int | None = 2) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "scheme": self.scheme, "direction": self.direction,
             "tol": self.tol, "quad_tol": self.quad_tol, "m": self.m,
             "converged": self.converged, "message": self.message,
             "norms": self.norms, "diffs": self.diffs,
             "violations": self.violations, "seconds": self.seconds,
         }
-        return json.dumps(doc, indent=indent)
 
 
 # -- the discretized operator ------------------------------------------

@@ -17,10 +17,9 @@ asking a polynomial to chase it.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -55,13 +54,6 @@ class AuditResult:
     slack: float
     message: str
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name, "ok": self.ok,
-            "worst_excess": self.worst_excess, "checked": self.checked,
-            "slack": self.slack, "message": self.message,
-        }
-
 
 @dataclass
 class VerificationReport:
@@ -75,18 +67,9 @@ class VerificationReport:
     error_bound: AuditResult | None = None
     details: dict = field(default_factory=dict)
 
-    def to_json(self, indent: int | None = 2) -> str:
-        doc = {
-            "fixed_point_residual": self.fixed_point_residual,
-            "bc_residual_1": self.bc_residual_1,
-            "bc_residual_2": self.bc_residual_2,
-            "ode_residuals": self.ode_residuals,
-            "ordering": self.ordering.to_dict() if self.ordering else None,
-            "error_bound": (self.error_bound.to_dict()
-                            if self.error_bound else None),
-            "details": self.details,
-        }
-        return json.dumps(doc, indent=indent)
+    def to_dict(self) -> dict:
+        """Every field, the audits as nested dicts, in field order."""
+        return asdict(self)
 
 
 # -- row reconstruction -------------------------------------------------

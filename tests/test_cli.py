@@ -335,6 +335,25 @@ def test_non_finite_expression_exits_four(tmp_path, capsys, command, old,
     assert err.startswith("error: ") and "non-finite value" in err
 
 
+@pytest.mark.parametrize("old, new", [
+    ("alpha1 = 2.5", "alpha1 = 1/0"),
+    ("alpha1 = 2.5", "alpha1 = (-8)^(1/3)"),
+    ("h1_decay = 1\n", "h1_decay = log(0)\n"),
+    ("scheme = monotone", "scheme = monotone\ntheta = 10^400"),
+    ("a24 = pi", "a24 = pi\nm = sqrt(-1)"),
+], ids=["division", "complex-root", "log", "overflow", "sqrt"])
+def test_non_finite_constant_exits_four(tmp_path, capsys, old, new):
+    text = (Path(fracbvp.__file__).parent / "problems"
+            / "sublinear.prob").read_text()
+    assert old in text
+    p = tmp_path / "bad.prob"
+    p.write_text(text.replace(old, new, 1))
+    assert main(["check", str(p)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not a constant" in err
+    assert "non-finite value" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "lipschitz", "--max-iter", "0"],
     ["solve", "lipschitz", "--theta", "0"],

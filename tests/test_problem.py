@@ -203,7 +203,7 @@ def test_problem_needs_some_data():
 
 
 def test_report_json_round_trip(report_sublinear):
-    doc = json.loads(report_sublinear.to_json())
+    doc = json.loads(json.dumps(report_sublinear.to_dict()))
     assert doc["lambda1"] == pytest.approx(1.0, abs=1e-9)
     assert doc["verdicts"]["H1"]["passed"] is True
     assert isinstance(doc["notes"], list)

@@ -239,7 +239,7 @@ def test_trace_csv_and_json(monotone_runs):
     lines = trace.to_csv().strip().splitlines()
     assert lines[0] == "iteration,norm,diff,violations,seconds"
     assert len(lines) == trace.n_steps + 2  # header + start + steps
-    doc = json.loads(trace.to_json())
+    doc = json.loads(json.dumps(trace.to_dict()))
     assert doc["scheme"] == "monotone"
     assert doc["direction"] == "lower"
     assert doc["converged"] is True

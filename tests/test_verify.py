@@ -153,7 +153,7 @@ def test_verification_report_json(sublinear, op_sublinear, monotone_runs,
     rep = verify_pair(sublinear, final, op_sublinear)
     rep.ordering = ordering_audit(monotone_runs["lower"][1],
                                   monotone_runs["upper"][1])
-    doc = json.loads(rep.to_json())
+    doc = json.loads(json.dumps(rep.to_dict()))
     assert set(doc) == {"fixed_point_residual", "bc_residual_1",
                         "bc_residual_2", "ode_residuals", "ordering",
                         "error_bound", "details"}
