@@ -9,39 +9,44 @@ operator and the two iteration schemes), verify (after-the-fact
 residuals and audits), cli (problem files and the command line).
 """
 
-from .exprlang import compile_expr, parse, to_source
-from .fracops import FracOrder, gamma, rl_derivative, rl_integral
-from .kernels import (KernelSet, compute_lambda, derivative_representation,
-                      kernel_representation)
-from .problem import (GrowthData, HypothesisReport, InapplicableError,
-                      LipschitzData, ProblemSpec, build_report, check_h1,
-                      check_h4)
-from .quad import (Integrand, QuadratureError, QuadResult, integrate_finite,
-                   integrate_halfline)
-from .solver import (ContractionRatioWarning, Grid, IntegralOperator,
-                     IterationTrace, MonotonicityError, SolutionPair,
-                     contract_solve, diff_norm, monotone_solve, norm_pair)
-from .verify import (AuditResult, VerificationReport, boundary_residual,
-                     error_bound_audit, fixed_point_residual,
-                     ode_residual_spotcheck, ordering_audit, verify_pair)
-from .cli import (LoadedProblem, ProblemFileError, format_problem,
-                  load_problem, packaged_problem_names, resolve_problem)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuditResult", "ContractionRatioWarning", "FracOrder", "Grid",
-    "GrowthData", "HypothesisReport", "InapplicableError", "Integrand",
-    "IntegralOperator", "IterationTrace", "KernelSet", "LipschitzData",
-    "LoadedProblem", "MonotonicityError", "ProblemFileError",
-    "ProblemSpec", "QuadResult", "QuadratureError", "SolutionPair",
-    "VerificationReport", "boundary_residual", "build_report", "check_h1",
-    "check_h4", "compile_expr", "compute_lambda", "contract_solve",
-    "derivative_representation", "diff_norm", "error_bound_audit",
-    "fixed_point_residual", "format_problem", "gamma",
-    "integrate_finite", "integrate_halfline", "kernel_representation",
-    "load_problem", "monotone_solve", "norm_pair",
-    "ode_residual_spotcheck", "ordering_audit", "packaged_problem_names",
-    "parse", "resolve_problem", "rl_derivative", "rl_integral",
-    "to_source", "verify_pair",
-]
+# Home module -> the public names it exports.  A name or a submodule is
+# imported on first access (PEP 562), not with the package, so that a
+# command pays only for the modules it runs.
+_EXPORTS = {
+    "exprlang": "compile_expr parse to_source",
+    "fracops": "FracOrder gamma rl_derivative rl_integral",
+    "kernels": "KernelSet compute_lambda derivative_representation "
+               "kernel_representation",
+    "problem": "GrowthData HypothesisReport InapplicableError LipschitzData "
+               "ProblemSpec build_report check_h1 check_h4",
+    "quad": "Integrand QuadratureError QuadResult integrate_finite "
+            "integrate_halfline",
+    "solver": "ContractionRatioWarning Grid IntegralOperator IterationTrace "
+              "MonotonicityError SolutionPair contract_solve diff_norm "
+              "monotone_solve norm_pair",
+    "verify": "AuditResult VerificationReport boundary_residual "
+              "error_bound_audit fixed_point_residual ode_residual_spotcheck "
+              "ordering_audit verify_pair",
+    "cli": "LoadedProblem ProblemFileError format_problem load_problem "
+           "packaged_problem_names resolve_problem",
+}
+_HOME = {name: module for module, names in _EXPORTS.items()
+         for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(__getattr__(_HOME[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

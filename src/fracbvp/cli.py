@@ -45,16 +45,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .exprlang import (VARIABLES, Expr, ExprError, compile_expr,
+from .exprlang import (VARIABLES, Expr, ExprError, Num, compile_expr,
                        free_variables, parse, to_source)
 from .fracops import FracOrder
 from .kernels import KernelSet
 from .problem import (GrowthData, HypothesisReport, LipschitzData,
                       ProblemSpec, build_report)
 from .quad import DEFAULT_TOL, Integrand, QuadratureError
-from .solver import (Grid, IntegralOperator, MonotonicityError,
-                     SolutionPair, contract_solve, diff_norm, monotone_solve)
-from .verify import error_bound_audit, ordering_audit, verify_pair
 
 __all__ = [
     "ProblemFileError", "SolverConfig", "LoadedProblem", "load_problem",
@@ -163,11 +160,14 @@ def _parse_expr(section: str, key: str, text: str,
 
 
 def _parse_number(section: str, key: str, text: str) -> float:
+    # A literal goes through the evaluator too, which rejects nan and inf;
+    # [solver] passes them on to SolverConfig, whose range check names them.
     try:
-        return float(text)
+        ast: Expr = Num(float(text))
     except ValueError:
-        pass
-    ast = _parse_expr(section, key, text, ())
+        ast = _parse_expr(section, key, text, ())
+    if section == "solver" and isinstance(ast, Num):
+        return ast.value
     try:
         return float(compile_expr(ast, ())())
     except ExprError as exc:
@@ -400,14 +400,6 @@ def _header_lines(pairs) -> str:
     return "".join(f"# {k}: {v}\n" for k, v in pairs)
 
 
-def _solution_doc(sp: SolutionPair) -> dict:
-    return {
-        "t": sp.grid.nodes.tolist(),
-        "u": sp.u().tolist(), "v": sp.v().tolist(),
-        "du": sp.du.tolist(), "dv": sp.dv.tolist(),
-    }
-
-
 def _print_report(report: HypothesisReport, name: str,
                   spec: ProblemSpec) -> None:
     print(f"problem {name!r} (alpha1={spec.alpha1.q}, "
@@ -543,6 +535,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 print(f"  {reason}", file=sys.stderr)
         return EXIT_HYPOTHESIS
 
+    # Imported only now, so that check, kernel-dump and a refused solve
+    # never load them: with scipy.interpolate they take about 0.7 s.
+    from .solver import (Grid, IntegralOperator, MonotonicityError,
+                         contract_solve, diff_norm, monotone_solve)
+    from .verify import error_bound_audit, ordering_audit, verify_pair
+
     tol = cfg.tol if cfg.tol is not None \
         else (1e-5 if scheme == "monotone" else 1e-4)
     max_iter = cfg.max_iter if cfg.max_iter is not None \
@@ -563,10 +561,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
     # Chain key -> (solution, trace); the key names the output files and
     # the JSON section, and the contraction scheme's single run has none.
     if scheme == "monotone":
-        chains = {d: monotone_solve(spec, ks1, ks2, grid, d, tol=tol,
-                                    max_iter=max_iter, radius=report.R,
-                                    operator=op)
-                  for d in ("lower", "upper")}
+        try:
+            chains = {d: monotone_solve(spec, ks1, ks2, grid, d, tol=tol,
+                                        max_iter=max_iter, radius=report.R,
+                                        operator=op)
+                      for d in ("lower", "upper")}
+        except MonotonicityError as exc:
+            print(f"scheme guarantee broke mid-run: {exc}", file=sys.stderr)
+            return EXIT_HYPOTHESIS
         (low_sp, low_tr), (up_sp, up_tr) = chains.values()
         ver = verify_pair(spec, low_sp, op)
         ver.ordering = ordering_audit(low_tr, up_tr)
@@ -608,8 +610,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         suffix = f"-{key}" if key else ""
         outputs[f"solution{suffix}.csv"] = header + sp.to_csv()
         outputs[f"trace{suffix}.csv"] = header + tr.to_csv()
-        part = {"trace": tr.to_dict(),
-                "solution": _solution_doc(sp)}
+        part = {"trace": tr.to_dict(), "solution": sp.to_dict()}
         if key:
             doc[key] = part
         else:
@@ -774,9 +775,6 @@ def main(argv: list[str] | None = None) -> int:
         # ExprError: an expression evaluated to a non-finite value.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except MonotonicityError as exc:
-        print(f"scheme guarantee broke mid-run: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
     except QuadratureError as exc:
         print(f"quadrature did not converge: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

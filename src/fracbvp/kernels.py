@@ -46,7 +46,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 import numpy as np
-from scipy.integrate import quad_vec
 
 from .fracops import FracOrder, gamma
 from .quad import (DEFAULT_TOL, Integrand, QuadResult, integrate_finite,
@@ -56,6 +55,12 @@ __all__ = ["KernelSet", "compute_lambda", "kernel_representation",
            "derivative_representation"]
 
 _LOG_X_CAP = 60.0 * math.log(2.0)
+
+
+def quad_vec(*args, **kwargs):
+    """scipy's quad_vec, imported on first use: `check` never needs it."""
+    from scipy.integrate import quad_vec as scipy_quad_vec
+    return scipy_quad_vec(*args, **kwargs)
 
 
 def compute_lambda(h: Integrand, alpha: FracOrder,

@@ -207,6 +207,12 @@ class SolutionPair:
             w.writerow([repr(float(x)) for x in row])
         return buf.getvalue()
 
+    def to_dict(self) -> dict:
+        """The to_csv columns as lists."""
+        return {"t": self.grid.nodes.tolist(), "u": self.u().tolist(),
+                "v": self.v().tolist(), "du": self.du.tolist(),
+                "dv": self.dv.tolist()}
+
 
 def norm_pair(sp: SolutionPair) -> float:
     """Discrete product norm: the largest sup over the four rows."""

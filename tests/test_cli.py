@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 import fracbvp
+import fracbvp.solver as solver_mod
 from fracbvp import (
+    MonotonicityError,
     ProblemFileError,
     format_problem,
     load_problem,
@@ -341,7 +343,13 @@ def test_non_finite_expression_exits_four(tmp_path, capsys, command, old,
     ("h1_decay = 1\n", "h1_decay = log(0)\n"),
     ("scheme = monotone", "scheme = monotone\ntheta = 10^400"),
     ("a24 = pi", "a24 = pi\nm = sqrt(-1)"),
-], ids=["division", "complex-root", "log", "overflow", "sqrt"])
+    # Literals that float() reads must meet the same check.
+    ("L = 4.03638", "L = nan"),
+    ("gamma_alpha1 = 1.32934", "gamma_alpha1 = inf"),
+    ("h1_decay = 1\n", "h1_decay = inf\n"),
+    ("lambda1 = 0.1, 0.3", "lambda1 = nan, 0.3"),
+], ids=["division", "complex-root", "log", "overflow", "sqrt",
+        "literal-nan", "literal-inf", "literal-decay", "literal-exponent"])
 def test_non_finite_constant_exits_four(tmp_path, capsys, old, new):
     text = (Path(fracbvp.__file__).parent / "problems"
             / "sublinear.prob").read_text()
@@ -385,6 +393,18 @@ def test_solve_iteration_budget_exit(capsys):
                  "--tol", "1e-9", "--max-iter", "2"])
     assert code == 3
     assert "not converged in 2 steps" in capsys.readouterr().out
+
+
+def test_solve_reports_a_broken_chain_ordering(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise MonotonicityError("iteration 3: row u_w breaks the chain "
+                                "ordering")
+
+    monkeypatch.setattr(solver_mod, "monotone_solve", broken)
+    assert main(["solve", "sublinear", "--grid-n", "16"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("scheme guarantee broke mid-run: iteration 3: row u_w "
+                   "breaks the chain ordering\n")
 
 
 def test_solve_spotchecks_only_points_inside_the_grid(capsys):
