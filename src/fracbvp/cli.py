@@ -535,8 +535,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 print(f"  {reason}", file=sys.stderr)
         return EXIT_HYPOTHESIS
 
-    # Imported only now, so that check, kernel-dump and a refused solve
-    # never load them: with scipy.interpolate they take about 0.7 s.
+    # Imported only now: check, kernel-dump and a refused solve skip them.
     from .solver import (Grid, IntegralOperator, MonotonicityError,
                          contract_solve, diff_norm, monotone_solve)
     from .verify import error_bound_audit, ordering_audit, verify_pair

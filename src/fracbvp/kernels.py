@@ -35,8 +35,9 @@ G is evaluated through the equivalent split
 
 (substituting tau = s + x in the part of K1 with tau >= s), which removes
 the interior kink at tau = s.  The deficits D of all new points in a
-g_many call come from one vector-valued adaptive quadrature (scipy's
-quad_vec), and the memo keeps them per s: solver grids and dump grids pay
+g_many call come from one trapezoid rule in u = log(x/c), exponentially
+convergent for h analytic on (0, inf), whose error estimate fails on a
+kinked h; the memo keeps them per s: solver grids and dump grids pay
 for each distinct s once, and G(s) keeps its first value within a
 KernelSet; any other batch agrees with it to within tol.
 """
@@ -55,12 +56,37 @@ __all__ = ["KernelSet", "compute_lambda", "kernel_representation",
            "derivative_representation"]
 
 _LOG_X_CAP = 60.0 * math.log(2.0)
+_U_LO, _MAX_HALVINGS, _NODES_PER_CALL = -40.0, 6, 256
 
 
-def quad_vec(*args, **kwargs):
-    """scipy's quad_vec, imported on first use: `check` never needs it."""
-    from scipy.integrate import quad_vec as scipy_quad_vec
-    return scipy_quad_vec(*args, **kwargs)
+def halving_trapezoid(f, lo: float, hi: float, tol: float,
+                      rate: float) -> tuple[np.ndarray, QuadResult]:
+    """Trapezoid integrals over [lo, hi] of the columns of f, which maps
+    up to _NODES_PER_CALL nodes to an (m, P) array.  The step starts
+    near 1 and halves, at most _MAX_HALVINGS times, until two levels
+    agree to tol/10 in the max norm (a non-finite value never does).
+    The error estimate adds a rounding floor of 4 ulps of sum |f| * step
+    and the tail f(lo)/rate of an f decaying like exp(rate u) below lo.
+    The result holds max norms, and evaluations counts nodes."""
+    n = math.ceil(hi - lo)
+    n_max, step, prev = n << _MAX_HALVINGS, (hi - lo) / n, math.inf
+    ends = f(np.array([lo, hi]))
+    total, mass = 0.5 * ends.sum(axis=0), 0.5 * np.abs(ends).sum(axis=0)
+    new = lo + step * np.arange(1, n)
+    while True:
+        for i in range(0, new.size, _NODES_PER_CALL):
+            fv = f(new[i:i + _NODES_PER_CALL])
+            total, mass = total + fv.sum(axis=0), mass + np.abs(fv).sum(axis=0)
+        value = step * total
+        change = float(np.max(np.abs(value - prev)))
+        if not change > tol / 10 or n == n_max:
+            break
+        new, prev = lo + step * (np.arange(n) + 0.5), value
+        n, step = 2 * n, step / 2
+    err = change + 4 * np.finfo(float).eps * float(np.max(step * mass)) \
+        + float(np.max(np.abs(ends[0]))) / rate
+    return value, QuadResult(float(np.max(np.abs(value))), err, math.inf,
+                             n + 1, bool(err <= tol))
 
 
 def compute_lambda(h: Integrand, alpha: FracOrder,
@@ -134,12 +160,12 @@ class KernelSet:
 
     def g_many(self, s: np.ndarray) -> np.ndarray:
         """G at every entry of s.  Points not in the memo yet get their
-        deficits D from one quad_vec pass on x = c e^u, c = min(s, 1):
-        there x^(alpha-1) dx = x^alpha du decays exponentially as
-        u -> -inf, and the layers at x ~ s and x ~ 1 are O(1) wide in u
-        at every scale of s.  x is cut at 2^60, the reach of
-        integrate_halfline's doubling; for h >= 0 the rest is at most
-        Lambda's tail there."""
+        deficits D from one halving_trapezoid pass on x = c e^u,
+        c = min(s, 1): there x^(alpha-1) dx = x^alpha du decays
+        exponentially as u -> -inf, and the layers at x ~ s and x ~ 1
+        are O(1) wide in u at every scale of s.  x is cut at 2^60, the
+        reach of integrate_halfline's doubling; for h >= 0 the rest is
+        at most Lambda's tail there."""
         s = np.asarray(s, dtype=float)
         if self.h is None:
             return np.zeros(s.shape)
@@ -150,19 +176,15 @@ class KernelSet:
         if new.size:
             a, h, log_c = self.alpha.q, self.h, np.log(np.minimum(new, 1.0))
 
-            def weighted(u: float) -> np.ndarray:
-                x = np.exp(np.minimum(log_c + u, _LOG_X_CAP))
-                return np.where(log_c + u <= _LOG_X_CAP,
+            def weighted(u: np.ndarray) -> np.ndarray:
+                lx = log_c + u[:, None]
+                x = np.exp(np.minimum(lx, _LOG_X_CAP))
+                return np.where(lx <= _LOG_X_CAP,
                                 np.asarray(h.fn(new + x)) * x ** a, 0.0)
 
-            d, err, info = quad_vec(weighted, -np.inf, np.inf,
-                                    epsabs=self.tol / 10, epsrel=0.0,
-                                    norm="max", full_output=True)
-            # The value reported is the batch's max norm, as is err.
-            require_converged(QuadResult(
-                float(np.max(np.abs(d))), float(err), math.inf, info.neval,
-                bool(err <= self.tol and np.all(np.isfinite(d)))),
-                f"boundary integral G at {new.size} points")
+            d, res = halving_trapezoid(weighted, _U_LO, _LOG_X_CAP
+                                       - log_c.min(), self.tol, a)
+            require_converged(res, f"boundary integral G at {new.size} points")
             g = (self.lam - d) / self.gamma_alpha
             # G is nonnegative by construction; clip quadrature dust at 0.
             g[(g < 0) & (g > -10 * self.tol)] = 0.0
@@ -249,8 +271,8 @@ def _boundary_weighted_integral(ks: KernelSet, y: Integrand,
     computed once per (y, tol) on ks.
 
     This is the package's one integrand that is not pointwise: g_many
-    tabulates the points it has not seen in one quad_vec pass whose
-    subdivision depends on the whole batch, so G at a point depends,
+    tabulates the points it has not seen in one trapezoid pass whose
+    step and u range depend on the whole batch, so G at a point depends,
     within that pass's tolerance (tol/10, 1e-11 by default), on the
     batch that first reached it; the engine's 36- and 72-point calls
     make such batches.  The value is deterministic for a given

@@ -54,14 +54,12 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.special import roots_jacobi
 
 from .exprlang import compile_expr
-from .fracops import FracOrder
+from .fracops import FracOrder, gamma
 from .kernels import KernelSet
 from .problem import InapplicableError, ProblemSpec
-from .quad import LOOP_TOL, _gl
+from .quad import LOOP_TOL, QuadResult, _gl, require_converged
 
 __all__ = [
     "Grid", "SolutionPair", "IterationTrace", "IntegralOperator",
@@ -275,21 +273,52 @@ class IterationTrace:
 
 
 def _flat_pchip(xp: np.ndarray, fp: np.ndarray):
-    """Monotone cubic through (xp, fp), extended flat on both ends.
-
-    Where a row decays to subnormal values, scipy's slope weights
-    overflow to inf and the slope becomes 0, which is the right limit;
-    the overflow itself is not worth a warning.
-    """
-    with np.errstate(over="ignore", divide="ignore"):
-        pch = PchipInterpolator(xp, fp, extrapolate=False)
+    """Monotone cubic through three or more points (xp, fp), extended
+    flat on both ends by the first and last rows of its table: scipy's
+    PchipInterpolator bit for bit, slopes (Fritsch-Carlson), coefficients
+    and evaluation order c3 + c2 z + c1 z^2 + c0 z^3 alike.  A row that
+    decays to subnormal values overflows the slope weights to inf, and
+    the slope becomes 0, the right limit, without a warning."""
+    h, d, i, j = np.diff(xp), np.empty(fp.size), [0, -1], [1, -2]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        m = np.diff(fp) / h
+        sm, w1, w2 = np.sign(m), 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+        d[1:-1] = np.where(flat, 0.0,
+                           1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        e = ((2 * h[i] + h[j]) * m[i] - h[i] * m[j]) / (h[i] + h[j])
+        big = (sm[i] != sm[j]) & (abs(e) > 3 * abs(m[i]))
+        d[i] = np.where(np.sign(e) != sm[i], 0.0, np.where(big, 3 * m[i], e))
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        tab = np.zeros((5, fp.size + 1))
+        tab[:, 1:-1] = (t / h, (m - d[:-1]) / h - t, d[:-1], fp[:-1], xp[:-1])
+    tab[3:, i] = fp[i], xp[i]
 
     def fn(s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        out = np.where(s <= xp[0], fp[0], pch(s))
-        return np.where(s >= xp[-1], fp[-1], out)
+        k = np.searchsorted(xp, s, side="right")
+        c0, c1, c2, c3, x0 = (row[k] for row in tab)
+        z = s - x0
+        return c3 + c2 * z + c1 * (z * z) + c0 * (z * z * z)
 
     return fn
+
+
+def _gauss_jacobi(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rule for the weight (1-x)^a on [-1, 1], a > 0, by
+    Golub-Welsch (eigh of the Jacobi matrix's lower triangle).  Raises
+    QuadratureError unless it meets its highest exact moment, int
+    (1-x)^a (1+x)^(2n-1) dx = 2^(a+2n) B(a+1, 2n), to 1e-12 relative."""
+    k, m = np.arange(1.0, n), 2 * np.arange(n) + a
+    off = np.sqrt(4 * k ** 2 * (k + a) ** 2 / (m[1:] ** 2 * (m[1:] ** 2 - 1)))
+    x, v = np.linalg.eigh(np.diag(-a * a / (m * (m + 2))) + np.diag(off, -1))
+    w = 2 ** (a + 1) / (a + 1) * v[0] ** 2
+    exact = 2 ** (a + 2 * n) * gamma(a + 1) * gamma(2 * n) \
+        / gamma(a + 2 * n + 1)
+    got = float(w @ (1 + x) ** (2 * n - 1))
+    require_converged(QuadResult(got, abs(got - exact), 1.0, n,
+                                 abs(got - exact) <= 1e-12 * exact),
+                      f"Gauss-Jacobi rule (n={n}, a={a})")
+    return x, w
 
 
 class _EquationPlan:
@@ -335,7 +364,7 @@ class _EquationPlan:
         # Gauss-Jacobi rule for the singular panels [sing_lo_j, t_j]:
         # with s = mid + half*x the factor (t_j - s)^(a-1) becomes
         # half^(a-1) (1-x)^(a-1), absorbed by the rule's weight.
-        xj, wj = roots_jacobi(12, a - 1.0, 0.0)
+        xj, wj = _gauss_jacobi(12, a - 1.0)
         jhalf = 0.5 * (t - sing_lo)
         jmid = 0.5 * (t + sing_lo)
         self.s_jac = jmid[:, None] + jhalf[:, None] * xj[None, :]
@@ -462,7 +491,7 @@ def _enforce_ordering(prev: SolutionPair, new: SolutionPair, sign: float,
             j = int(np.argmax(deficit))
             raise MonotonicityError(
                 f"iteration {step}: row {name} breaks the chain ordering at "
-                f"node {j} (t={prev.grid.nodes[j]!r}) by {worst:.3e}, "
+                f"node {j} (t={float(prev.grid.nodes[j])!r}) by {worst:.3e}, "
                 f"beyond the quadrature slack {slack:.3e}")
         bad = deficit > 0.0
         count += int(np.count_nonzero(bad))

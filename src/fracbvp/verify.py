@@ -22,7 +22,6 @@ import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .exprlang import compile_expr
 from .fracops import FracOrder, gamma, rl_derivative
@@ -87,17 +86,9 @@ def _psi_interpolant(grid_nodes: np.ndarray, row_w: np.ndarray,
     a = alpha.q
     psi_nodes = row_w * (1.0 + grid_nodes ** (a - 1.0)) \
         / grid_nodes ** (a - 1.0)
-    xs = np.concatenate(([0.0], grid_nodes))
-    ys = np.concatenate(([row_d[0] / gamma(a)], psi_nodes))
-    pch = PchipInterpolator(xs, ys, extrapolate=False)
-    hi = xs[-1]
-
-    def u_fn(s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        psi = np.where(s >= hi, ys[-1], pch(np.minimum(s, hi)))
-        return s ** (a - 1.0) * psi
-
-    return u_fn
+    psi = _flat_pchip(np.concatenate(([0.0], grid_nodes)),
+                      np.concatenate(([row_d[0] / gamma(a)], psi_nodes)))
+    return lambda s: np.asarray(s, dtype=float) ** (a - 1.0) * psi(s)
 
 
 # -- residual measurements ----------------------------------------------
@@ -168,8 +159,7 @@ def ode_residual_spotcheck(p: ProblemSpec, sp: SolutionPair,
     t_nodes = sp.grid.nodes
     u_fn = _psi_interpolant(t_nodes, sp.u_w, sp.du, sp.alpha1)
     v_fn = _psi_interpolant(t_nodes, sp.v_w, sp.dv, sp.alpha2)
-    du_fn = _flat_pchip(t_nodes, sp.du)
-    dv_fn = _flat_pchip(t_nodes, sp.dv)
+    du_fn, dv_fn = _flat_pchip(t_nodes, sp.du), _flat_pchip(t_nodes, sp.dv)
     rows = (
         (1, u_fn, compile_expr(p.f1), sp.alpha1),
         (2, v_fn, compile_expr(p.f2), sp.alpha2),

@@ -302,7 +302,7 @@ def test_solve_monotone_writes_outputs(tmp_path, capsys):
 def test_solve_without_boundary_section(tmp_path, capsys):
     # Omitting [boundary] is legal: the conditions become
     # D^(alpha-1)u(inf) = 0, and their residuals must still be reported.
-    # The rows decay to subnormal values, where scipy's PCHIP slope
+    # The rows decay to subnormal values, where the PCHIP slope
     # weights overflow; the reconstruction must keep that quiet (the
     # suite turns RuntimeWarning into an error).
     p = tmp_path / "free.prob"
@@ -405,6 +405,22 @@ def test_solve_reports_a_broken_chain_ordering(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err == ("scheme guarantee broke mid-run: iteration 3: row u_w "
                    "breaks the chain ordering\n")
+
+
+def test_solve_with_a_kinked_weight_exits_three(tmp_path, capsys):
+    # The boundary integral G cannot reach its tolerance across the kink
+    # of |t-1|; the run must say so instead of exiting 0 with a G off by
+    # more than the tolerance it claims.  test_kernels bounds the work.
+    text = (Path(fracbvp.__file__).parent / "problems"
+            / "sublinear.prob").read_text()
+    kinked = text.replace("h2 = t^(-0.5)*exp(-2*t)\n",
+                          "h2 = t^(-0.5)*exp(-2*t)*abs(t-1)\n")
+    assert kinked != text
+    p = tmp_path / "kinked.prob"
+    p.write_text(kinked)
+    assert main(["solve", str(p), "--grid-n", "32"]) == 3
+    err = capsys.readouterr().err
+    assert "quadrature did not converge in boundary integral G" in err
 
 
 def test_solve_spotchecks_only_points_inside_the_grid(capsys):

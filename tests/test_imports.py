@@ -1,8 +1,8 @@
 """What each entry point imports, counted in a fresh interpreter.
 
 The package resolves its public names and submodules on first access,
-so a command imports only the modules it runs: `check` needs neither
-scipy.integrate nor the solver.  These tests count modules, not
+so a command imports only the modules it runs: `check` needs no
+solver, and no command needs scipy.  These tests count modules, not
 seconds, so they fail the same way on any machine.
 """
 
@@ -57,8 +57,19 @@ def test_check_and_refused_solve_skip_scipy_and_the_solver(argv, exit_code):
 
 def test_kernel_dump_imports_no_solver():
     loaded = _modules_after(["kernel-dump", "sublinear", "--points", "4"])
-    assert "scipy.integrate" in loaded  # G is tabulated with quad_vec
+    assert "fracbvp.kernels" in loaded
     assert not loaded & {"fracbvp.solver", "fracbvp.verify"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "sublinear", "--grid-n", "32", "--json"],
+    ["solve", "lipschitz", "--grid-n", "32", "--json"],
+    ["kernel-dump", "sublinear", "--points", "4"],
+], ids=["solve-monotone", "solve-contraction", "kernel-dump"])
+def test_solve_and_kernel_dump_load_no_scipy(argv):
+    loaded = _modules_after(argv)
+    assert "fracbvp.kernels" in loaded
+    assert not [m for m in loaded if m.startswith("scipy")]
 
 
 def test_bare_import_resolves_names_lazily():

@@ -141,13 +141,72 @@ def test_g_memo_is_stable(kernels, rng):
 
 
 def test_g_batch_raises_when_tol_is_not_met(kernels):
-    ks = _fresh(kernels[0], tol=1e-16)  # below quad_vec's roundoff floor
+    ks = _fresh(kernels[0], tol=1e-16)  # below the trapezoid's rounding floor
     with pytest.raises(QuadratureError, match="boundary integral G") as exc:
         ks.g_many(np.array([0.5, 2.0, 7.0]))
     res = exc.value.result
     assert not res.converged
     assert res.error_estimate > ks.tol
     assert res.evaluations > 0
+    assert ks._g_memo == {}
+
+
+# G of the sublinear kernels (h1 = t^-1.5 e^-t with alpha 2.5, h2 =
+# t^-0.5 e^-2t with alpha 1.5) to 30 digits, from mpmath:
+#
+#     from mpmath import mp, mpf, quad, exp, gamma, inf
+#     mp.dps = 40
+#     def G(s, a, h):
+#         s = mpf(s)
+#         lam = quad(lambda t: h(t) * t**(a - 1), [0, 1, inf])
+#         d = quad(lambda x: h(s + x) * x**(a - 1),
+#                  [0, s, 1, inf] if s < 1 else [0, 1, s, inf])
+#         return (lam - d) / gamma(a)
+#     h1 = lambda t: t**mpf(-1.5) * exp(-t)
+#     h2 = lambda t: t**mpf(-0.5) * exp(-2*t)
+#     for s in ("1e-9", "1e-3", "0.038", "1", "7", "40"):
+#         print(s, mp.nstr(G(s, mpf(2.5), h1), 30),
+#               mp.nstr(G(s, mpf(1.5), h2), 30))
+#
+# mp.dps = 60 prints the same digits.
+_G_MPMATH = {
+    1e-9: (2.31682698296299621222357261826e-8,
+           1.23214476533637006144958137665e-8),
+    1e-3: (0.00758201742938432130958356382586,
+           0.00452475920256793700392412063512),
+    0.038: (0.134706318820066486516107652734,
+            0.0924823784393118940928966137576),
+    1.0: (0.673038894196277667633950803888,
+          0.526646681999994444395339284535),
+    7.0: (0.752220208973401585985789796108,
+          0.564189477716679473801610316407),
+    40.0: (0.75225277806367504924873462422,
+           0.564189583547756286948079451561),
+}
+
+
+def test_g_matches_mpmath(kernels):
+    s = np.array(list(_G_MPMATH))
+    for i, ks in enumerate(kernels):
+        want = np.array([v[i] for v in _G_MPMATH.values()])
+        assert np.max(np.abs(_fresh(ks).g_many(s) - want)) <= 1e-15
+
+
+def test_kinked_weight_fails_within_bounded_work():
+    # The kink of |t-1| sits at a different u for every s, so the
+    # trapezoid rule falls to second order and cannot reach tol; it
+    # must say so after at most six halvings, with nothing memoized.
+    h = Integrand(lambda t: t ** -0.5 * np.exp(-2 * t) * np.abs(t - 1),
+                  endpoint_exponent=-0.5, decay_hint=2.0)
+    ks = KernelSet.build(FracOrder(1.5), h)
+    s = np.geomspace(1e-3, 40.0, 50)
+    with pytest.raises(QuadratureError, match="boundary integral G") as exc:
+        ks.g_many(s)
+    res = exc.value.result
+    assert not res.converged
+    assert res.error_estimate > 1e3 * ks.tol
+    # Step 1/64 over u in [-40, 60 log 2 - log 1e-3]: 89 * 64 + 1 nodes.
+    assert 0 < res.evaluations <= 89 * 64 + 1
     assert ks._g_memo == {}
 
 
@@ -162,7 +221,7 @@ def test_g_batch_raises_on_non_finite_values():
 
 def test_operator_build_tabulates_g_once_per_equation(
         sublinear, kernels, grid64, monkeypatch):
-    calls = {"halfline": 0, "quad_vec": 0}
+    calls = {"halfline": 0, "trapezoid": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -172,13 +231,13 @@ def test_operator_build_tabulates_g_once_per_equation(
 
     monkeypatch.setattr(kernels_mod, "integrate_halfline",
                         counting("halfline", kernels_mod.integrate_halfline))
-    monkeypatch.setattr(kernels_mod, "quad_vec",
-                        counting("quad_vec", kernels_mod.quad_vec))
+    monkeypatch.setattr(kernels_mod, "halving_trapezoid",
+                        counting("trapezoid", kernels_mod.halving_trapezoid))
     ks1, ks2 = (_fresh(ks) for ks in kernels)
     IntegralOperator(sublinear, ks1, ks2, grid64)
-    assert calls == {"halfline": 0, "quad_vec": 2}
+    assert calls == {"halfline": 0, "trapezoid": 2}
     IntegralOperator(sublinear, ks1, ks2, grid64)
-    assert calls == {"halfline": 0, "quad_vec": 2}
+    assert calls == {"halfline": 0, "trapezoid": 2}
 
 
 def test_bounds_are_sharp_but_never_crossed(kernels):

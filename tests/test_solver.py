@@ -30,7 +30,7 @@ from fracbvp import (
     norm_pair,
 )
 from fracbvp.exprlang import parse
-from fracbvp.solver import _enforce_ordering
+from fracbvp.solver import _enforce_ordering, _flat_pchip, _gauss_jacobi
 
 
 def test_grid_make():
@@ -168,6 +168,56 @@ def test_pchip_interpolation_close_to_linear(forcing_only, lipschitz,
     assert diff_norm(lin, pch) > 0.0
 
 
+def _scipy_flat_pchip(xp, fp):
+    """The reference: scipy's PchipInterpolator, extended flat."""
+    from scipy.interpolate import PchipInterpolator
+    with np.errstate(over="ignore", divide="ignore"):
+        pch = PchipInterpolator(xp, fp, extrapolate=False)
+
+    def fn(s):
+        out = np.where(s <= xp[0], fp[0], pch(s))
+        return np.where(s >= xp[-1], fp[-1], out)
+
+    return fn
+
+
+def _pchip_rows(rng):
+    """(xp, fp) pairs: decaying rows, sign changes, flat runs, and rows
+    that decay to subnormal values."""
+    for k in range(240):
+        xp = np.unique(np.concatenate(
+            ([0.0], rng.uniform(0.0, 30.0, rng.integers(2, 70)))))
+        if k % 4 == 0:
+            fp = rng.uniform(0.1, 3.0) * np.exp(-rng.uniform(0.1, 2.0) * xp)
+        elif k % 4 == 1:
+            fp = rng.normal(size=xp.size)
+        elif k % 4 == 2:
+            fp = np.repeat(rng.normal(size=xp.size),
+                           rng.integers(1, 5, xp.size))[:xp.size]
+        else:
+            fp = 1e-280 * np.exp(-rng.uniform(20.0, 40.0) * xp)
+        yield xp, fp
+
+
+def test_flat_pchip_is_scipy_pchip_bit_for_bit(rng):
+    n = 0
+    for xp, fp in _pchip_rows(rng):
+        s = np.concatenate((xp, rng.uniform(-1.0, 32.0, 100)))
+        assert np.array_equal(_flat_pchip(xp, fp)(s),
+                              _scipy_flat_pchip(xp, fp)(s))
+        n += 1
+    assert n >= 200
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 1.9])
+def test_gauss_jacobi_matches_scipy(a):
+    from scipy.special import roots_jacobi
+    x, w = _gauss_jacobi(12, a)
+    xs, ws = roots_jacobi(12, a, 0.0)
+    assert np.max(np.abs(x - xs)) <= 1e-15
+    assert np.max(np.abs(w / ws - 1.0)) <= 1e-13
+
+
 def test_operator_rejects_unknown_interp(lipschitz, kernels, grid64):
     ks1, ks2 = kernels
     with pytest.raises(ValueError, match="interp"):
@@ -226,8 +276,11 @@ def test_enforce_ordering_raises_on_real_breaks(grid64):
     a1, a2 = FracOrder(2.5), FracOrder(1.5)
     prev = SolutionPair.constant(grid64, a1, a2, 1.0)
     drop = SolutionPair.zeros(grid64, a1, a2)
-    with pytest.raises(MonotonicityError, match="breaks the chain ordering"):
+    with pytest.raises(MonotonicityError,
+                       match="breaks the chain ordering") as exc:
         _enforce_ordering(prev, drop, 1.0, slack=1e-7, step=3)
+    # t prints as a plain float, not as numpy's np.float64(...).
+    assert f"at node 0 (t={float(grid64.nodes[0])!r}) by" in str(exc.value)
     # The same pair is fine for the descending chain.
     clipped, count = _enforce_ordering(prev, drop, -1.0, slack=1e-7, step=3)
     assert count == 0
