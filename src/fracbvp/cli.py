@@ -405,7 +405,7 @@ def _print_report(report: HypothesisReport, name: str,
     print(f"problem {name!r} (alpha1={spec.alpha1.q}, "
           f"alpha2={spec.alpha2.q})")
     labels = {
-        "H1": "boundary couplings below Gamma(alpha)",
+        "H1": "boundary weights nonnegative, couplings below Gamma(alpha)",
         "H2": "growth envelopes usable (nonnegative, integrable)",
         "H3": "Lipschitz coefficients usable (nonnegative, integrable)",
         "H4": "forcing nondecreasing in the state",

@@ -73,15 +73,18 @@ def gamma(x: float) -> float:
 
 
 def rl_integral(g: Callable[[np.ndarray], np.ndarray], q: OrderLike, t: float,
-                *, tol: float = 1e-10, g_exponent: float = 0.0) -> float:
+                *, tol: float = 1e-10, g_exponent: float = 0.0,
+                kinks: tuple[float, ...] = ()) -> float:
     """Fractional integral (I^q g)(t) for vectorized g on [0, t].
 
     g_exponent declares algebraic behavior of g at 0 (g(s) ~ s^sigma),
-    so monomials with negative powers stay integrable.  The convolution
-    kernel's own endpoint singularity at s = t is handled by flipping the
-    variable on the upper half of the interval; both halves then have
-    their singularity at the left end, where the quadrature substitution
-    removes it.  Raises QuadratureError when the tolerance is not met.
+    so monomials with negative powers stay integrable; kinks declares
+    g's breakpoints, increasing, so that no panel straddles one.  The
+    convolution kernel's own endpoint singularity at s = t is handled by
+    flipping the variable on the upper half of the interval (a kink k
+    lands at t - k); both halves then have their singularity at the left
+    end, where the quadrature substitution removes it.  Raises
+    QuadratureError when the tolerance is not met.
     """
     qv = _order(q)
     if t < 0:
@@ -97,9 +100,12 @@ def rl_integral(g: Callable[[np.ndarray], np.ndarray], q: OrderLike, t: float,
         return np.asarray(g(t - x)) * x ** (qv - 1.0)
 
     res_lo = integrate_finite(
-        Integrand(lower, endpoint_exponent=g_exponent), 0.0, half, tol / 2)
+        Integrand(lower, kinks=tuple(k for k in kinks if 0.0 < k < half),
+                  endpoint_exponent=g_exponent), 0.0, half, tol / 2)
     res_hi = integrate_finite(
-        Integrand(upper, endpoint_exponent=qv - 1.0), 0.0, half, tol / 2)
+        Integrand(upper, kinks=tuple(t - k for k in reversed(kinks)
+                                     if half < k < t),
+                  endpoint_exponent=qv - 1.0), 0.0, half, tol / 2)
     require_converged(res_lo, f"rl_integral lower half (q={qv}, t={t})")
     require_converged(res_hi, f"rl_integral upper half (q={qv}, t={t})")
     return (res_lo.value + res_hi.value) / gamma(qv)
@@ -119,17 +125,17 @@ _STENCILS: dict[int, tuple[tuple[int, ...], tuple[float, ...]]] = {
 
 
 def rl_derivative(g: Callable[[np.ndarray], np.ndarray], q: OrderLike,
-                  t: float, *, tol: float = 1e-6,
-                  g_exponent: float = 0.0,
-                  quad_tol: float = 1e-12) -> tuple[float, float]:
+                  t: float, *, tol: float = 1e-6, g_exponent: float = 0.0,
+                  quad_tol: float = 1e-12,
+                  kinks: tuple[float, ...] = ()) -> tuple[float, float]:
     """Fractional derivative (D^q g)(t) = (d/dt)^n (I^(n-q) g)(t).
 
     Returns (value, error_estimate).  The n-th derivative is taken by
-    central differences on the numerically computed (n-q)-integral,
-    refined through a Richardson table until the diagonal stabilizes
-    below tol (relative to 1 + |value|).  When the refinement stalls
-    instead, a LossOfSignificanceWarning is issued and the best value is
-    returned with its achieved estimate.
+    central differences on the (n-q)-integral from rl_integral (given
+    g_exponent and kinks), refined through a Richardson table until the
+    diagonal stabilizes below tol (relative to 1 + |value|).  When the
+    refinement stalls instead, a LossOfSignificanceWarning is issued and
+    the best value is returned with its achieved estimate.
     """
     qv = _order(q)
     if not t > 0:
@@ -151,7 +157,7 @@ def rl_derivative(g: Callable[[np.ndarray], np.ndarray], q: OrderLike,
         def smooth(x: float) -> float:
             if x not in cache:
                 cache[x] = rl_integral(g, frac, x, tol=quad_tol,
-                                       g_exponent=g_exponent)
+                                       g_exponent=g_exponent, kinks=kinks)
             return cache[x]
 
     offsets, coeffs = _STENCILS[n]

@@ -40,6 +40,9 @@ convergent for h analytic on (0, inf), whose error estimate fails on a
 kinked h; the memo keeps them per s: solver grids and dump grids pay
 for each distinct s once, and G(s) keeps its first value within a
 KernelSet; any other batch agrees with it to within tol.
+For h >= 0 and alpha >= 1, D(s) beyond x = R is at most Lambda's tail
+beyond R, so KernelSet.build cuts x at the point R where Lambda's
+quadrature stopped, and G(s >= R) = Lambda/Gamma(alpha).
 """
 
 from __future__ import annotations
@@ -55,19 +58,18 @@ from .quad import (DEFAULT_TOL, Integrand, QuadResult, integrate_finite,
 __all__ = ["KernelSet", "compute_lambda", "kernel_representation",
            "derivative_representation"]
 
-_LOG_X_CAP = 60.0 * math.log(2.0)
 _U_LO, _MAX_HALVINGS, _NODES_PER_CALL = -40.0, 6, 256
 
 
-def halving_trapezoid(f, lo: float, hi: float, tol: float,
-                      rate: float) -> tuple[np.ndarray, QuadResult]:
+def halving_trapezoid(f, lo: float, hi: float, tol: float, rate: float,
+                      tail_hi: float = 0.0) -> tuple[np.ndarray, QuadResult]:
     """Trapezoid integrals over [lo, hi] of the columns of f, which maps
     up to _NODES_PER_CALL nodes to an (m, P) array.  The step starts
     near 1 and halves, at most _MAX_HALVINGS times, until two levels
     agree to tol/10 in the max norm (a non-finite value never does).
-    The error estimate adds a rounding floor of 4 ulps of sum |f| * step
-    and the tail f(lo)/rate of an f decaying like exp(rate u) below lo.
-    The result holds max norms, and evaluations counts nodes."""
+    The error estimate adds a rounding floor of 4 ulps of sum |f| * step,
+    the tail f(lo)/rate of an f decaying like exp(rate u) below lo, and
+    tail_hi beyond hi.  The result holds max norms, evaluations nodes."""
     n = math.ceil(hi - lo)
     n_max, step, prev = n << _MAX_HALVINGS, (hi - lo) / n, math.inf
     ends = f(np.array([lo, hi]))
@@ -84,14 +86,15 @@ def halving_trapezoid(f, lo: float, hi: float, tol: float,
         new, prev = lo + step * (np.arange(n) + 0.5), value
         n, step = 2 * n, step / 2
     err = change + 4 * np.finfo(float).eps * float(np.max(step * mass)) \
-        + float(np.max(np.abs(ends[0]))) / rate
+        + float(np.max(np.abs(ends[0]))) / rate + tail_hi
     return value, QuadResult(float(np.max(np.abs(value))), err, math.inf,
                              n + 1, bool(err <= tol))
 
 
 def compute_lambda(h: Integrand, alpha: FracOrder,
-                   tol: float = DEFAULT_TOL) -> float:
-    """Boundary coupling constant Lambda = int_0^inf h(t) t^(alpha-1) dt.
+                   tol: float = DEFAULT_TOL) -> QuadResult:
+    """QuadResult of Lambda = int_0^inf h(t) t^(alpha-1) dt; raises
+    QuadratureError when it does not converge.
 
     The combined endpoint exponent (h's own plus alpha-1) keeps the
     integrand admissible even when h alone diverges at 0.
@@ -105,8 +108,7 @@ def compute_lambda(h: Integrand, alpha: FracOrder,
                   endpoint_exponent=h.endpoint_exponent + a - 1.0,
                   decay_hint=h.decay_hint)
     res = integrate_halfline(f, tol)
-    require_converged(res, f"Lambda integral (alpha={a})")
-    return res.value
+    return require_converged(res, f"Lambda integral (alpha={a})")
 
 
 @dataclass
@@ -126,6 +128,9 @@ class KernelSet:
     lam: float
     gamma_alpha: float
     tol: float = DEFAULT_TOL
+    # Where Lambda's quadrature stopped, and its error estimate (g_many).
+    reach: float = math.inf
+    reach_err: float = 0.0
     _g_memo: dict[float, float] = field(default_factory=dict, repr=False)
     _c_memo: dict[tuple[Integrand, float], float] = field(
         default_factory=dict, repr=False)
@@ -133,13 +138,17 @@ class KernelSet:
     @classmethod
     def build(cls, alpha: FracOrder, h: Integrand | None,
               tol: float = DEFAULT_TOL) -> "KernelSet":
-        lam = 0.0 if h is None else compute_lambda(h, alpha, tol)
-        ga = gamma(alpha.q)
+        res = QuadResult(0.0, 0.0, math.inf, 0) if h is None \
+            else compute_lambda(h, alpha, tol)
+        lam, ga = res.value, gamma(alpha.q)
         if not lam < ga:
             raise ValueError(
                 f"boundary coupling too strong: Lambda={lam!r} must be "
                 f"below Gamma(alpha)={ga!r} for the kernels to exist")
-        return cls(alpha=alpha, h=h, lam=lam, gamma_alpha=ga, tol=tol)
+        # The cut at Lambda's reach needs x^(alpha-1) <= (s+x)^(alpha-1).
+        reach = res.truncation_point if alpha.q >= 1.0 else math.inf
+        return cls(alpha=alpha, h=h, lam=lam, gamma_alpha=ga, tol=tol,
+                   reach=reach, reach_err=res.error_estimate)
 
     @property
     def denom(self) -> float:
@@ -159,13 +168,13 @@ class KernelSet:
     # -- boundary integral --------------------------------------------
 
     def g_many(self, s: np.ndarray) -> np.ndarray:
-        """G at every entry of s.  Points not in the memo yet get their
-        deficits D from one halving_trapezoid pass on x = c e^u,
+        """G at every entry of s.  Points s < reach not in the memo yet
+        get their deficits D from one halving_trapezoid pass on x = c e^u,
         c = min(s, 1): there x^(alpha-1) dx = x^alpha du decays
         exponentially as u -> -inf, and the layers at x ~ s and x ~ 1
-        are O(1) wide in u at every scale of s.  x is cut at 2^60, the
-        reach of integrate_halfline's doubling; for h >= 0 the rest is
-        at most Lambda's tail there."""
+        are O(1) wide in u at every scale of s.  h is evaluated only
+        below x = min(reach, 2^60), and reach_err bounds the rest in the
+        estimate; points s >= reach get D = 0."""
         s = np.asarray(s, dtype=float)
         if self.h is None:
             return np.zeros(s.shape)
@@ -173,22 +182,28 @@ class KernelSet:
         memo = self._g_memo
         # K1(tau, 0) == 0 identically, so G(0) = 0 needs no quadrature.
         new = np.array([x for x in uniq.tolist() if x and x not in memo])
-        if new.size:
-            a, h, log_c = self.alpha.q, self.h, np.log(np.minimum(new, 1.0))
+        d, near = np.zeros(new.size), new[new < self.reach]
+        if near.size:
+            a, h, log_c = self.alpha.q, self.h, np.log(np.minimum(near, 1.0))
+            log_cap = math.log(min(self.reach, 2.0 ** 60))
 
             def weighted(u: np.ndarray) -> np.ndarray:
                 lx = log_c + u[:, None]
-                x = np.exp(np.minimum(lx, _LOG_X_CAP))
-                return np.where(lx <= _LOG_X_CAP,
-                                np.asarray(h.fn(new + x)) * x ** a, 0.0)
+                inside, out = lx <= log_cap, np.zeros(lx.shape)
+                x = np.exp(lx[inside])
+                out[inside] = np.asarray(h.fn(
+                    np.broadcast_to(near, lx.shape)[inside] + x)) * x ** a
+                return out
 
-            d, res = halving_trapezoid(weighted, _U_LO, _LOG_X_CAP
-                                       - log_c.min(), self.tol, a)
-            require_converged(res, f"boundary integral G at {new.size} points")
-            g = (self.lam - d) / self.gamma_alpha
-            # G is nonnegative by construction; clip quadrature dust at 0.
-            g[(g < 0) & (g > -10 * self.tol)] = 0.0
-            memo.update(zip(new.tolist(), g.tolist()))
+            d[:near.size], res = halving_trapezoid(
+                weighted, _U_LO, log_cap - log_c.min(), self.tol, a,
+                self.reach_err)
+            require_converged(res,
+                              f"boundary integral G at {near.size} points")
+        g = (self.lam - d) / self.gamma_alpha
+        # G is nonnegative by construction; clip quadrature dust at 0.
+        g[(g < 0) & (g > -10 * self.tol)] = 0.0
+        memo.update(zip(new.tolist(), g.tolist()))
         vals = np.array([memo.get(x, 0.0) for x in uniq.tolist()])
         return vals[inv].reshape(s.shape)
 

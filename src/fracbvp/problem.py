@@ -5,9 +5,9 @@ on four standing hypotheses.  This module holds the problem description
 and computes every constant those hypotheses mention, so a run can state
 up front which guarantees apply:
 
-  H1  boundary coupling: Lambda_i = int_0^inf h_i(t) t^(alpha_i-1) dt
-      exists and stays strictly below Gamma(alpha_i), and the forcing
-      f_i(t,0,0,0,0) is not identically zero.
+  H1  boundary coupling: h_i >= 0 (sampled) with Lambda_i = int_0^inf
+      h_i(t) t^(alpha_i-1) dt finite and strictly below Gamma(alpha_i),
+      and the forcing f_i(t,0,0,0,0) is not identically zero.
   H2  growth envelopes: |f_i(t,u1..u4)| <= a_i0(t) + sum_k a_ik(t) |u_k|^lam_ik
       with every envelope integral a*_ik finite.  The u1 and u2 slots
       are measured in weighted sup norms, so their envelopes integrate
@@ -226,7 +226,7 @@ def _forcing(f: Expr):
 
 def check_h1(p: ProblemSpec,
              tol: float = DEFAULT_TOL) -> tuple[Verdict, tuple[float, float]]:
-    """Boundary couplings below Gamma(alpha) and nondegenerate forcing.
+    """Weights h_i >= 0, couplings below Gamma(alpha), nondegenerate forcing.
 
     Returns the verdict together with (Lambda_1, Lambda_2); on a
     quadrature failure the best available value is kept so the report
@@ -239,8 +239,13 @@ def check_h1(p: ProblemSpec,
         ga = gamma(alpha.q)
         lam = 0.0
         if h is not None:
+            neg = np.asarray(h.fn(_SAMPLE_TS)) < 0.0
+            if np.any(neg):
+                ok = False
+                reasons.append(f"h{i + 1} is negative at "
+                               f"t={float(_SAMPLE_TS[np.argmax(neg)])!r}")
             try:
-                lam = compute_lambda(h, alpha, tol)
+                lam = compute_lambda(h, alpha, tol).value
             except QuadratureError as exc:
                 lam = exc.result.value
                 ok = False

@@ -17,10 +17,11 @@ sum), so results are deterministic for a given integrand and tolerance.
 
 Integrands must be pointwise: each output value depends only on its own
 input value.  The engine evaluates several panels in one call, on arrays
-of 36*k points (36 for the first panel of a piece, 72 for the two halves
-of each split).  Nodes and per-panel sums are those of evaluating one
-12-point rule per call, so for a pointwise integrand the batching changes
-nothing but the number of calls.
+of 36*k points: one call for the first panels of all untransformed
+pieces, one for that of a transformed piece, and one for the two halves
+of each split (72).  Nodes and per-panel sums are those of evaluating
+one 12-point rule per call, so for a pointwise integrand the batching
+changes nothing but the number of calls.
 """
 
 from __future__ import annotations
@@ -148,9 +149,10 @@ def _panels(fn, bounds) -> list[tuple[float, float]]:
     return out
 
 
-def _adapt(fn, lo: float, hi: float,
-           tol: float) -> tuple[float, float, int, bool]:
-    """Adaptive bisection on [lo, hi] for a smooth (post-transform) fn.
+def _adapt(fn, lo: float, hi: float, tol: float,
+           first=None) -> tuple[float, float, int, bool]:
+    """Adaptive bisection on [lo, hi] for a smooth (post-transform) fn,
+    from the panel's (value, error) first when the caller has it.
 
     Returns (value, error_estimate, evaluations, converged).  The heap is
     keyed on (-error, lo) so refinement order, and therefore the result,
@@ -159,7 +161,7 @@ def _adapt(fn, lo: float, hi: float,
     """
     if hi <= lo:
         return 0.0, 0.0, 0, True
-    ((val, err),) = _panels(fn, [(lo, hi)])
+    val, err = first if first is not None else _panels(fn, [(lo, hi)])[0]
     n_eval = 36
     heap = [(-err, lo, hi, val)]
     frozen: list[tuple] = []
@@ -227,22 +229,22 @@ def integrate_finite(f: Integrand, a: float, b: float,
             f"{f.endpoint_exponent} <= -1); integrate it only against a "
             f"compensating factor")
     cuts = [a] + [k for k in f.kinks if a < k < b] + [b]
-    pieces: list[tuple] = []  # (callable, lo, hi)
-    first_lo, first_hi = cuts[0], cuts[1]
-    if f.endpoint_exponent != 0.0 and a == 0.0:
-        pieces.append((_singular_transform(f, first_lo, first_hi), 0.0, 1.0))
-    else:
-        pieces.append((f.fn, first_lo, first_hi))
-    for lo, hi in zip(cuts[1:], cuts[2:]):
-        pieces.append((f.fn, lo, hi))
+    spans = list(zip(cuts, cuts[1:]))
+    singular = f.endpoint_exponent != 0.0 and a == 0.0
+    plain = spans[1:] if singular else spans
+    # (callable, lo, hi, first panel); one call serves all plain pieces.
+    pieces = [(f.fn, lo, hi, first) for (lo, hi), first
+              in zip(plain, _panels(f.fn, plain) if plain else [])]
+    if singular:
+        pieces.insert(0, (_singular_transform(f, *spans[0]), 0.0, 1.0, None))
 
     tol_piece = tol / len(pieces)
     value = 0.0
     error = 0.0
     n_eval = 0
     ok = True
-    for fn, lo, hi in pieces:
-        v, e, ne, conv = _adapt(fn, lo, hi, tol_piece)
+    for fn, lo, hi, first in pieces:
+        v, e, ne, conv = _adapt(fn, lo, hi, tol_piece, first)
         value += v
         error += e
         n_eval += ne

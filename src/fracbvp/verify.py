@@ -151,12 +151,14 @@ def ode_residual_spotcheck(p: ProblemSpec, sp: SolutionPair,
 
     The fractional derivative is taken numerically from the
     reconstructed rows, entirely outside the solver's quadrature plan.
+    The grid nodes, the interpolant's breakpoints, are declared kinks.
     Differentiating an interpolant three times is noise-amplifying, so
     each entry carries the refinement's own error estimate and a
     low_confidence flag when that estimate is not small against the
     value; treat flagged entries as order-of-magnitude checks only.
     """
     t_nodes = sp.grid.nodes
+    kinks = tuple(t_nodes.tolist())
     u_fn = _psi_interpolant(t_nodes, sp.u_w, sp.du, sp.alpha1)
     v_fn = _psi_interpolant(t_nodes, sp.v_w, sp.dv, sp.alpha2)
     du_fn, dv_fn = _flat_pchip(t_nodes, sp.du), _flat_pchip(t_nodes, sp.dv)
@@ -178,7 +180,7 @@ def ode_residual_spotcheck(p: ProblemSpec, sp: SolutionPair,
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     val, est = rl_derivative(
-                        row_fn, alpha, t_star, tol=_SPOT_TOL,
+                        row_fn, alpha, t_star, tol=_SPOT_TOL, kinks=kinks,
                         g_exponent=alpha.q - 1.0, quad_tol=_SPOT_QUAD_TOL)
             except QuadratureError as exc:
                 entry.update(derivative=math.nan, residual=math.nan,

@@ -423,6 +423,30 @@ def test_solve_with_a_kinked_weight_exits_three(tmp_path, capsys):
     assert "quadrature did not converge in boundary integral G" in err
 
 
+def test_negative_boundary_weight_fails_h1_before_any_solve(
+        tmp_path, capsys, monkeypatch):
+    # Lambda1 = -1 is below Gamma(alpha1), so only the sampled sign of h1
+    # can catch this weight; the G cut and the chain ordering need h >= 0.
+    text = (Path(fracbvp.__file__).parent / "problems"
+            / "sublinear.prob").read_text()
+    neg = text.replace("h1 = t^(-1.5)*exp(-t)\n", "h1 = -t^(-1.5)*exp(-t)\n")
+    neg = neg.replace("\nlambda1 = 1\n", "\n")
+    assert neg.count("-t^(-1.5)") == 1 and "lambda1 = 1\n" not in neg
+    p = tmp_path / "negative.prob"
+    p.write_text(neg)
+    assert main(["check", str(p)]) == 2
+    out = capsys.readouterr().out
+    assert "H1 FAIL" in out and "h1 is negative at t=0.0001" in out
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved despite a failed H1")
+
+    monkeypatch.setattr(solver_mod, "monotone_solve", no_solve)
+    assert main(["solve", str(p), "--grid-n", "32"]) == 2
+    err = capsys.readouterr().err
+    assert "no scheme is licensed" in err and "h1 is negative" in err
+
+
 def test_solve_spotchecks_only_points_inside_the_grid(capsys):
     # theta 0.01 puts t_N at 1.877, below the spot-check point 2.0.
     code = main(["solve", "lipschitz", "--json", "--grid-n", "16",

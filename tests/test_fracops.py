@@ -153,3 +153,60 @@ def test_rl_negative_order_rejected():
         rl_integral(lambda s: s, -0.5, 1.0)
     with pytest.raises(ValueError):
         rl_integral(lambda s: s, 0.5, -1.0)
+
+
+def _rl_integral_without_kinks(g, q, t, *, tol=1e-10, g_exponent=0.0,
+                               kinks=()):
+    """rl_integral as it was before kinks could be declared: the
+    reference for calls that declare none."""
+    from fracbvp.quad import Integrand, integrate_finite, require_converged
+    assert kinks == ()
+    if t == 0:
+        return 0.0
+    half = 0.5 * t
+    res_lo = integrate_finite(
+        Integrand(lambda s: np.asarray(g(s)) * (t - s) ** (q - 1.0),
+                  endpoint_exponent=g_exponent), 0.0, half, tol / 2)
+    res_hi = integrate_finite(
+        Integrand(lambda x: np.asarray(g(t - x)) * x ** (q - 1.0),
+                  endpoint_exponent=q - 1.0), 0.0, half, tol / 2)
+    require_converged(res_lo, "reference lower half")
+    require_converged(res_hi, "reference upper half")
+    return (res_lo.value + res_hi.value) / gamma(q)
+
+
+@pytest.mark.parametrize("g, q, t, kw", [
+    (lambda s: s**0.5, 1.5, 1.0, {"g_exponent": 0.5}),
+    (lambda s: s**1.5, 1.5, 2.0, {}),
+    (lambda s: s, 0.5, 1.0, {}),
+    (lambda s: s**2.5, 2.5, 0.5, {}),
+    (lambda s: np.exp(s), 0.5, 1.0, {}),
+])
+def test_rl_derivative_without_kinks_is_unchanged(monkeypatch, g, q, t, kw):
+    """No declared kinks, no changed bit: the acceptance identities see
+    the same numbers as before kinks could be declared."""
+    import fracbvp.fracops as fracops_mod
+    got = rl_derivative(g, q, t, **kw)
+    monkeypatch.setattr(fracops_mod, "rl_integral",
+                        _rl_integral_without_kinks)
+    assert got == rl_derivative(g, q, t, **kw)
+
+
+def test_rl_integral_maps_kinks_onto_both_halves():
+    # g has one kink on each half of [0, 2], and I^1 is its plain
+    # integral.
+    kinks = (0.4, 1.5)
+    g = lambda s: np.abs(s - 0.4) + np.abs(s - 1.5)  # noqa: E731
+    want = (0.4**2 + 1.6**2) / 2 + (1.5**2 + 0.5**2) / 2
+    got = rl_integral(g, 1.0, 2.0, kinks=kinks)
+    assert abs(got - want) <= 1e-12
+    sizes = []
+
+    def counted(s):
+        sizes.append(np.size(s))
+        return g(s)
+
+    rl_integral(counted, 1.0, 2.0, kinks=kinks)
+    # Each half is two plain pieces whose first panels share one call,
+    # and a panel rule integrates a piecewise-linear g exactly.
+    assert sizes == [72, 72]

@@ -15,9 +15,9 @@ from fracbvp import (FracOrder, Integrand, IntegralOperator, KernelSet,
 
 def test_lambda_closed_forms(sublinear):
     # h1 weight t^(alpha1-1) collapses to e^(-t): Lambda_1 = 1.
-    assert abs(compute_lambda(sublinear.h1, sublinear.alpha1) - 1.0) < 1e-10
+    assert abs(compute_lambda(sublinear.h1, sublinear.alpha1).value - 1.0) < 1e-10
     # h2 weight t^(alpha2-1) collapses to e^(-2t): Lambda_2 = 1/2.
-    assert abs(compute_lambda(sublinear.h2, sublinear.alpha2) - 0.5) < 1e-10
+    assert abs(compute_lambda(sublinear.h2, sublinear.alpha2).value - 0.5) < 1e-10
 
 
 def test_build_populates_constants(kernels):
@@ -205,8 +205,9 @@ def test_kinked_weight_fails_within_bounded_work():
     res = exc.value.result
     assert not res.converged
     assert res.error_estimate > 1e3 * ks.tol
-    # Step 1/64 over u in [-40, 60 log 2 - log 1e-3]: 89 * 64 + 1 nodes.
-    assert 0 < res.evaluations <= 89 * 64 + 1
+    # Step 1/64 over u in [-40, log 90 - log 1e-3], x cut at Lambda's
+    # reach 90: 52 * 64 + 1 nodes (89 * 64 + 1 with the 2^60 cut).
+    assert 0 < res.evaluations <= 52 * 64 + 1
     assert ks._g_memo == {}
 
 
@@ -266,3 +267,71 @@ def test_k_bound_formula(kernels):
                 t ** (a - 1.0) / ks.denom, rel=1e-13)
         assert ks.kstar_bound() == pytest.approx(
             ks.gamma_alpha / ks.denom, rel=1e-13)
+
+
+def _trapezoid_columns(monkeypatch):
+    """Wrap halving_trapezoid; returns the list of (columns, hi, error
+    estimate) of every call."""
+    seen = []
+    orig = kernels_mod.halving_trapezoid
+
+    def wrapper(f, lo, hi, tol, rate, *args):
+        value, res = orig(f, lo, hi, tol, rate, *args)
+        seen.append((value.size, hi, res.error_estimate))
+        return value, res
+
+    monkeypatch.setattr(kernels_mod, "halving_trapezoid", wrapper)
+    return seen
+
+
+def test_g_is_cut_at_lambdas_reach(sublinear, monkeypatch):
+    # Lambda's half-line doubling stops at 180 for h1 (decay 1) and at 90
+    # for h2 (decay 2); points at or beyond that reach are Lambda/Gamma
+    # with no trapezoid column, and the rest are cut at x = reach.
+    seen = _trapezoid_columns(monkeypatch)
+    for h, alpha, reach in ((sublinear.h1, sublinear.alpha1, 180.0),
+                            (sublinear.h2, sublinear.alpha2, 90.0)):
+        ks = KernelSet.build(alpha, h)
+        assert ks.reach == reach and 0.0 < ks.reach_err < 1e-12
+        s = np.array([0.5, 7.0, reach - 1e-9, reach, 250.0, 1.6e16])
+        g = ks.g_many(s)
+        assert g[3:].tolist() == [ks.lam / ks.gamma_alpha] * 3
+        columns, hi, err = seen.pop()
+        assert columns == 3
+        assert hi == math.log(reach) - math.log(0.5)
+        assert err >= ks.reach_err
+        # Every point is in the memo; none costs another pass.
+        ks.g_many(s)
+        assert seen == []
+
+
+def test_g_cut_at_reach_matches_mpmath(sublinear):
+    s = np.array(list(_G_MPMATH))
+    for i, (h, alpha) in enumerate(((sublinear.h1, sublinear.alpha1),
+                                    (sublinear.h2, sublinear.alpha2))):
+        want = np.array([v[i] for v in _G_MPMATH.values()])
+        got = KernelSet.build(alpha, h).g_many(s)
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_directly_constructed_kernel_set_keeps_the_2_to_60_cut(
+        kernels, rng, monkeypatch):
+    # No Lambda result, no reach: every new point gets a column and x
+    # runs to 2^60, with no tail term added to the estimate.
+    seen = _trapezoid_columns(monkeypatch)
+    pts = _g_points(rng)
+    for ks in kernels:
+        fresh = _fresh(ks)
+        assert (fresh.reach, fresh.reach_err) == (math.inf, 0.0)
+        fresh.g_many(pts)
+        columns, hi, _ = seen.pop()
+        assert columns == np.unique(pts[pts > 0.0]).size
+        assert hi == 60.0 * math.log(2.0) - math.log(1e-9)
+
+
+def test_g_batch_raises_when_tol_is_not_met_after_the_cut(kernels):
+    ks = KernelSet.build(kernels[0].alpha, kernels[0].h)
+    ks.tol = 1e-16
+    with pytest.raises(QuadratureError, match="boundary integral G"):
+        ks.g_many(np.array([0.5, 2.0, 7.0, 200.0]))
+    assert ks._g_memo == {}

@@ -135,7 +135,7 @@ def _reference_panel(fn, lo, hi):
     return fine, abs(fine - coarse), 36
 
 
-def _reference_adapt(fn, lo, hi, tol):
+def _reference_adapt(fn, lo, hi, tol, first=None):
     if hi <= lo:
         return 0.0, 0.0, 0, True
     val, err, n_eval = _reference_panel(fn, lo, hi)
@@ -230,3 +230,24 @@ def test_one_integrand_call_per_refinement_step():
     splits = (res.evaluations // 36 - 1) // 2
     assert len(sizes) == 1 + splits
     assert sizes == [36] + [72] * splits
+
+
+@pytest.mark.parametrize("exponent", [0.0, 0.5])
+def test_one_integrand_call_for_every_plain_piece_first_panel(exponent):
+    # k kinks make k + 1 pieces; the first panels of all pieces that are
+    # not power-substituted share one call, and every split after that is
+    # a 72-point call of its own.
+    sizes = []
+
+    def counted(t):
+        sizes.append(t.size)
+        return (np.abs(np.sin(3.0 * t)) + np.cos(25.0 * t)) * t ** exponent
+
+    kinks = tuple(k * math.pi / 3.0 for k in (1, 2, 3))
+    f = Integrand(counted, kinks=kinks, endpoint_exponent=exponent)
+    res = integrate_finite(f, 0.0, 4.0, tol=1e-12)
+    assert res.converged
+    first = [36 * 3, 36] if exponent else [36 * 4]
+    splits = len(sizes) - len(first)
+    assert splits > 0 and sizes == first + [72] * splits
+    assert res.evaluations == sum(sizes)

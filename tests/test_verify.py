@@ -160,3 +160,35 @@ def test_verification_report_json(sublinear, op_sublinear, monotone_runs,
     assert doc["ordering"]["ok"] is True
     assert doc["error_bound"] is None
     assert doc["details"]["grid_n"] == 64
+
+
+def test_rl_integral_with_declared_nodes_matches_scipy(contraction_run):
+    """rl_integral with the grid nodes declared agrees with QUADPACK
+    given the same breakpoints, on the reconstructed rows the ODE
+    spot-check differentiates.  On the upper half scipy integrates in
+    y = (t-s)^q, which removes the kernel's endpoint singularity."""
+    from scipy.integrate import quad
+
+    from fracbvp import gamma, rl_integral
+    from fracbvp.verify import _psi_interpolant
+
+    sp, _ = contraction_run
+    nodes = sp.grid.nodes
+    kinks = tuple(nodes.tolist())
+    for row_w, row_d, alpha in ((sp.u_w, sp.du, sp.alpha1),
+                                (sp.v_w, sp.dv, sp.alpha2)):
+        u = _psi_interpolant(nodes, row_w, row_d, alpha)
+        q = alpha.n - alpha.q
+        for t in (0.5, 1.0, 1.37, 2.0):
+            got = rl_integral(u, q, t, tol=1e-12, g_exponent=alpha.q - 1.0,
+                              kinks=kinks)
+            half = 0.5 * t
+            lo, _ = quad(lambda s: (t - s) ** (q - 1.0) * float(u(s)),
+                         0.0, half, points=nodes[nodes < half],
+                         epsabs=1e-13, epsrel=1e-13, limit=2000)
+            upper = nodes[(nodes > half) & (nodes < t)]
+            hi, _ = quad(lambda y: float(u(t - y ** (1.0 / q))) / q,
+                         0.0, half ** q, points=(t - upper) ** q,
+                         epsabs=1e-13, epsrel=1e-13, limit=2000)
+            want = (lo + hi) / gamma(q)
+            assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), (alpha, t)
