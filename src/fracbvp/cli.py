@@ -13,7 +13,7 @@ system.  Sections and keys:
                   monotone        true if both are nondecreasing in the state
     [growth]      a10..a14, a20..a24   envelope coefficient expressions in t
                   lambda1, lambda2     four comma-separated exponents each
-    [solver]      n, theta, tol, max_iter, scheme, interp
+    [solver]      n, theta, tol, max_iter, scheme
     [expected]    any derived-constant name -> externally stated value,
                   checked against the computed value and flagged on
                   disagreement (values may be constant expressions, for
@@ -82,7 +82,7 @@ _SECTIONS: dict[str, tuple[str, ...]] = {
     "rhs": ("f1", "f2", "monotone"),
     "growth": _GROWTH_KEYS + ("lambda1", "lambda2"),
     "lipschitz": _LIPSCHITZ_KEYS,
-    "solver": ("n", "theta", "tol", "max_iter", "scheme", "interp"),
+    "solver": ("n", "theta", "tol", "max_iter", "scheme"),
     "expected": tuple(sorted(
         ("lambda1", "lambda2", "gamma_alpha1", "gamma_alpha2",
          "L1", "L2", "L", "m", "R", "r", "tau1", "tau2")
@@ -103,6 +103,7 @@ class SolverConfig:
     tol: float | None = None
     max_iter: int | None = None
     scheme: str = "auto"
+    # Always "linear"; kept because bench/sweep_worker.py reads it.
     interp: str = "linear"
 
     def __post_init__(self) -> None:
@@ -120,9 +121,6 @@ class SolverConfig:
         if self.scheme not in ("auto", "monotone", "contraction"):
             raise _fail("solver", "scheme", f"must be auto, monotone or "
                         f"contraction, got {self.scheme!r}")
-        if self.interp not in ("linear", "pchip"):
-            raise _fail("solver", "interp",
-                        f"must be linear or pchip, got {self.interp!r}")
 
 
 @dataclass(frozen=True)
@@ -447,46 +445,19 @@ def _check_seed(args: argparse.Namespace) -> None:
         raise ProblemFileError(f"--seed must be nonnegative, got {args.seed}")
 
 
-def _pick_scheme(cfg: SolverConfig, spec: ProblemSpec,
+def _pick_scheme(cfg: SolverConfig,
                  report: HypothesisReport) -> tuple[str | None, list[str]]:
-    """Choose the iteration scheme the hypotheses actually license."""
-    blockers: dict[str, list[str]] = {"monotone": [], "contraction": []}
-    v = report.verdicts
-    if not v["H1"].passed:
-        why = f"H1 fails ({v['H1'].reason})"
-        blockers["monotone"].append(why)
-        blockers["contraction"].append(why)
-
-    if spec.growth is None:
-        blockers["monotone"].append("no growth data")
-    elif not v["H2"].passed:
-        blockers["monotone"].append(f"H2 fails ({v['H2'].reason})")
-    if not spec.monotone:
-        blockers["monotone"].append("monotonicity not claimed")
-    elif "H4" in v and not v["H4"].passed:
-        blockers["monotone"].append(f"H4 fails ({v['H4'].reason})")
-    if report.R is None and not blockers["monotone"]:
-        blockers["monotone"].append(
-            "no invariant-ball radius (see report notes)")
-
-    if spec.lipschitz is None:
-        blockers["contraction"].append("no Lipschitz data")
-    elif not v["H3"].passed:
-        blockers["contraction"].append(f"H3 fails ({v['H3'].reason})")
-    if report.m is None:
-        if not blockers["contraction"]:
-            blockers["contraction"].append("no contraction modulus")
-    elif not report.m < 1.0:
-        blockers["contraction"].append(f"m={report.m:.6g} is not below 1")
-
-    if cfg.scheme in ("monotone", "contraction"):
+    """Choose the iteration scheme the report licenses: the configured
+    one, or under "auto" the first unblocked one.  Without a scheme,
+    the reasons list says what blocks it."""
+    blockers = report.blockers
+    if cfg.scheme != "auto":
         bad = blockers[cfg.scheme]
-        return (cfg.scheme, []) if not bad else (None, bad)
-    for scheme in ("monotone", "contraction"):
-        if not blockers[scheme]:
+        return (cfg.scheme, []) if not bad else (None, list(bad))
+    for scheme, bad in blockers.items():
+        if not bad:
             return scheme, []
-    reasons = [f"{s}: {'; '.join(b)}" for s, b in blockers.items()]
-    return None, reasons
+    return None, [f"{s}: {'; '.join(b)}" for s, b in blockers.items()]
 
 
 # -- subcommands --------------------------------------------------------
@@ -509,8 +480,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 # solve flag (argparse dest) -> the SolverConfig field it overrides.
 _SOLVER_FLAGS = {"grid_n": "n", "theta": "theta", "tol": "tol",
-                 "max_iter": "max_iter", "scheme": "scheme",
-                 "interp": "interp"}
+                 "max_iter": "max_iter", "scheme": "scheme"}
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -523,7 +493,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     spec = lp.spec
     name = spec.name or args.problem
     report = build_report(spec, seed=args.seed, expected=lp.expected)
-    scheme, reasons = _pick_scheme(cfg, spec, report)
+    scheme, reasons = _pick_scheme(cfg, report)
     if scheme is None:
         doc = {"problem": name, "refused": reasons,
                "hypothesis": report.to_dict()}
@@ -548,7 +518,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     ks1 = KernelSet.build(spec.alpha1, spec.h1)
     ks2 = KernelSet.build(spec.alpha2, spec.h2)
     grid = Grid.make(cfg.n, cfg.theta)
-    op = IntegralOperator(spec, ks1, ks2, grid, interp=cfg.interp)
+    op = IntegralOperator(spec, ks1, ks2, grid)
 
     config_doc = {"problem": name, "scheme": scheme, "grid_n": cfg.n,
                   "theta": cfg.theta, "t_max": grid.t_max, "tol": tol,
@@ -743,8 +713,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     default=None, help="override the scheme choice")
     ps.add_argument("--theta", type=float, default=None,
                     help="grid map scale (nodes at theta*x/(1-x))")
-    ps.add_argument("--interp", choices=("linear", "pchip"), default=None,
-                    help="state interpolation between nodes")
     ps.add_argument("--out", default=None, metavar="DIR",
                     help="write solution/trace CSVs and verification JSON "
                          "into DIR")

@@ -47,6 +47,7 @@ quadrature stopped, and G(s >= R) = Lambda/Gamma(alpha).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 import numpy as np
@@ -85,19 +86,22 @@ def halving_trapezoid(f, lo: float, hi: float, tol: float, rate: float,
             break
         new, prev = lo + step * (np.arange(n) + 0.5), value
         n, step = 2 * n, step / 2
-    err = change + 4 * np.finfo(float).eps * float(np.max(step * mass)) \
-        + float(np.max(np.abs(ends[0]))) / rate + tail_hi
+    err = float(change + 4 * np.finfo(float).eps * np.max(step * mass)
+                + np.max(np.abs(ends[0])) / rate + tail_hi)
     return value, QuadResult(float(np.max(np.abs(value))), err, math.inf,
                              n + 1, bool(err <= tol))
 
 
+@functools.lru_cache(maxsize=8)
 def compute_lambda(h: Integrand, alpha: FracOrder,
                    tol: float = DEFAULT_TOL) -> QuadResult:
     """QuadResult of Lambda = int_0^inf h(t) t^(alpha-1) dt; raises
     QuadratureError when it does not converge.
 
     The combined endpoint exponent (h's own plus alpha-1) keeps the
-    integrand admissible even when h alone diverges at 0.
+    integrand admissible even when h alone diverges at 0.  Results are
+    cached per (h, alpha, tol), so the hypothesis report and the kernel
+    sets of one solve integrate each Lambda once.
     """
     a = alpha.q
 

@@ -25,13 +25,17 @@ Lambda_i) and L = max{L_1, L_2, Gamma(alpha_1) L_1, Gamma(alpha_2) L_2},
 the contraction modulus m = L * max{sum_k b*_1k, sum_k b*_2k}, the
 invariant-ball radius R for the monotone scheme, and the contraction
 ball radius r = L * max{tau_1, tau_2} / (1 - m).
+
+The report also records, per scheme, why that scheme is blocked: each
+reason is noted where build_report establishes the fact behind it, and
+a scheme with no reasons is licensed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import inf, isfinite
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -165,6 +169,9 @@ class HypothesisReport:
     discrepancies: tuple[Discrepancy, ...]
     seed: int
     samples: int
+    # Scheme ("monotone", "contraction") -> why it is blocked, in the
+    # order the facts were established; to_dict leaves it out.
+    blockers: Mapping[str, tuple[str, ...]]
 
     @property
     def passed(self) -> bool:
@@ -210,6 +217,21 @@ class HypothesisReport:
 # -- individual checks -----------------------------------------------
 
 _SAMPLE_TS = np.geomspace(1e-4, 1e4, 64)
+# Where the growth and Lipschitz coefficients are sampled for sign.
+_COEF_TS = np.geomspace(1e-3, 1e3, 32)
+
+
+def _negative_at(ts: np.ndarray,
+                 named: Iterable[tuple[str, Integrand]]) -> list[str]:
+    """One reason per (name, Integrand) pair that is negative somewhere
+    on ts, naming the first such point."""
+    out = []
+    for name, c in named:
+        neg = np.asarray(c.fn(ts)) < 0.0
+        if np.any(neg):
+            out.append(f"{name} is negative at "
+                       f"t={float(ts[np.argmax(neg)])!r}")
+    return out
 
 
 def _forcing(f: Expr):
@@ -234,35 +256,27 @@ def check_h1(p: ProblemSpec,
     """
     lams = [0.0, 0.0]
     reasons = []
-    ok = True
     for i, (h, alpha) in enumerate(((p.h1, p.alpha1), (p.h2, p.alpha2))):
         ga = gamma(alpha.q)
         lam = 0.0
         if h is not None:
-            neg = np.asarray(h.fn(_SAMPLE_TS)) < 0.0
-            if np.any(neg):
-                ok = False
-                reasons.append(f"h{i + 1} is negative at "
-                               f"t={float(_SAMPLE_TS[np.argmax(neg)])!r}")
+            reasons += _negative_at(_SAMPLE_TS, [(f"h{i + 1}", h)])
             try:
                 lam = compute_lambda(h, alpha, tol).value
             except QuadratureError as exc:
                 lam = exc.result.value
-                ok = False
                 reasons.append(f"Lambda{i + 1} did not converge: {exc}")
         lams[i] = lam
         if not lam < ga:
-            ok = False
             reasons.append(
                 f"Lambda{i + 1}={lam:.10g} is not below "
                 f"Gamma(alpha{i + 1})={ga:.10g}")
     for i, f in enumerate((p.f1, p.f2), start=1):
         if not np.any(_forcing(f)(_SAMPLE_TS) != 0.0):
-            ok = False
             reasons.append(
                 f"f{i}(t,0,0,0,0) vanishes at all {_SAMPLE_TS.size} "
                 f"log-spaced sample points")
-    return Verdict(ok, "; ".join(reasons)), (lams[0], lams[1])
+    return Verdict(not reasons, "; ".join(reasons)), (lams[0], lams[1])
 
 
 def _star_integral(coef: Integrand, weight_exponent: float | None,
@@ -329,15 +343,15 @@ def check_h4(p: ProblemSpec, samples: int = 10_000,
         if np.any(bad):
             j = int(np.argmax(bad))
             issues.append(
-                f"f{i} decreases between ordered states at t={t[j]!r}: "
-                f"{flo[j]!r} > {fhi[j]!r} for lo={lo[:, j].tolist()}, "
-                f"hi={hi[:, j].tolist()}")
+                f"f{i} decreases between ordered states at "
+                f"t={float(t[j])!r}: {float(flo[j])!r} > {float(fhi[j])!r} "
+                f"for lo={lo[:, j].tolist()}, hi={hi[:, j].tolist()}")
         neg = np.minimum(flo, fhi) < -slack
         if np.any(neg):
             j = int(np.argmax(neg))
             issues.append(
-                f"f{i} is negative at t={t[j]!r}, "
-                f"state={lo[:, j].tolist()}: {min(flo[j], fhi[j])!r}")
+                f"f{i} is negative at t={float(t[j])!r}, "
+                f"state={lo[:, j].tolist()}: {float(min(flo[j], fhi[j]))!r}")
     if issues:
         return Verdict(False, "; ".join(issues))
     return Verdict(
@@ -345,17 +359,6 @@ def check_h4(p: ProblemSpec, samples: int = 10_000,
 
 
 # -- report assembly ---------------------------------------------------
-
-def _coefficients_nonneg(label: str, coeffs) -> list[str]:
-    ts = np.geomspace(1e-3, 1e3, 32)
-    out = []
-    for k, c in enumerate(coeffs):
-        vals = np.asarray(c.fn(ts))
-        if np.any(vals < 0.0):
-            j = int(np.argmax(vals < 0.0))
-            out.append(f"{label}{k} is negative at t={ts[j]!r}")
-    return out
-
 
 def build_report(p: ProblemSpec, *, seed: int = 0, samples: int = 10_000,
                  tol: float = DEFAULT_TOL,
@@ -371,9 +374,16 @@ def build_report(p: ProblemSpec, *, seed: int = 0, samples: int = 10_000,
     """
     notes: list[str] = []
     verdicts: dict[str, Verdict] = {}
+    blockers: dict[str, list[str]] = {"monotone": [], "contraction": []}
+
+    def settle(key: str, verdict: Verdict, *schemes: str) -> None:
+        verdicts[key] = verdict
+        if not verdict.passed:
+            for scheme in schemes:
+                blockers[scheme].append(f"{key} fails ({verdict.reason})")
 
     v1, lam = check_h1(p, tol)
-    verdicts["H1"] = v1
+    settle("H1", v1, "monotone", "contraction")
     # L_i = 1/(Gamma(alpha_i) - Lambda_i) is infinite when a coupling
     # reaches Gamma(alpha): the kernels do not exist there and no finite
     # operator bound holds.
@@ -385,22 +395,28 @@ def build_report(p: ProblemSpec, *, seed: int = 0, samples: int = 10_000,
                      "boundary coupling reaches Gamma(alpha)")
 
     a_star = None
-    if p.growth is not None:
+    if p.growth is None:
+        blockers["monotone"].append("no growth data")
+    else:
         g = p.growth
-        reasons = _coefficients_nonneg("a1", g.a1)
-        reasons += _coefficients_nonneg("a2", g.a2)
+        reasons = _negative_at(_COEF_TS, (
+            (f"a{i}{k}", c) for i, row in ((1, g.a1), (2, g.a2))
+            for k, c in enumerate(row)))
         try:
             a_star = (_star_row(p, "a1", g.a1, (0.0, *g.lam1), tol),
                       _star_row(p, "a2", g.a2, (0.0, *g.lam2), tol))
         except QuadratureError as exc:
             reasons.append(str(exc))
-        verdicts["H2"] = Verdict(not reasons, "; ".join(reasons))
+        settle("H2", Verdict(not reasons, "; ".join(reasons)), "monotone")
 
     b_star = tau = None
-    if p.lipschitz is not None:
+    if p.lipschitz is None:
+        blockers["contraction"].append("no Lipschitz data")
+    else:
         b = p.lipschitz
-        reasons = _coefficients_nonneg("b1", b.b1)
-        reasons += _coefficients_nonneg("b2", b.b2)
+        reasons = _negative_at(_COEF_TS, (
+            (f"b{i}{k}", c) for i, row in ((1, b.b1), (2, b.b2))
+            for k, c in enumerate(row, start=1)))
         try:
             # Power 1 in every slot; tau_i = int |f_i(t,0,0,0,0)| dt.
             b_star, tau = (
@@ -412,13 +428,14 @@ def build_report(p: ProblemSpec, *, seed: int = 0, samples: int = 10_000,
                     for i, f in enumerate((p.f1, p.f2), start=1)))
         except QuadratureError as exc:
             reasons.append(str(exc))
-        verdicts["H3"] = Verdict(not reasons, "; ".join(reasons))
+        settle("H3", Verdict(not reasons, "; ".join(reasons)), "contraction")
 
     if p.monotone:
-        verdicts["H4"] = check_h4(p, samples=samples, seed=seed)
+        settle("H4", check_h4(p, samples=samples, seed=seed), "monotone")
     else:
         notes.append("monotonicity not claimed; the monotone scheme "
                      "is unavailable for this problem")
+        blockers["monotone"].append("monotonicity not claimed")
 
     m = R = r = None
     if b_star is not None and isfinite(big_l):
@@ -427,26 +444,32 @@ def build_report(p: ProblemSpec, *, seed: int = 0, samples: int = 10_000,
             r = big_l * max(tau) / (1.0 - m)
         else:
             notes.append(f"m={m:.6g} >= 1: no contraction guarantee")
+            blockers["contraction"].append(f"m={m:.6g} is not below 1")
 
     # R = max of {5 a*_10, 5 a*_20} and {(5 L a*_ik)^(1/(1-lam_ik))} over
-    # the eight weighted slots; only exponents lam_ik < 1 are covered.
+    # the eight weighted slots; only exponents lam_ik < 1 are covered, and
+    # only a passing H2 makes every a*_ik a nonnegative envelope integral.
     if a_star is not None and isfinite(big_l):
         exps = (p.growth.lam1, p.growth.lam2)
         over = [e for row in exps for e in row if e >= 1.0]
         if over:
             notes.append(f"growth exponent {over[0]} >= 1 is outside the "
                          f"supported sublinear regime")
-        else:
+        elif verdicts["H2"].passed:
             R = max([5.0 * a_star[0][0], 5.0 * a_star[1][0]]
                     + [(5.0 * big_l * a_star[i][k])
                        ** (1.0 / (1.0 - exps[i][k - 1]))
                        for i in (0, 1) for k in (1, 2, 3, 4)])
+    if R is None and not blockers["monotone"]:
+        blockers["monotone"].append(
+            "no invariant-ball radius (see report notes)")
 
     report = HypothesisReport(
         lam=lam, gamma_alpha=ga, L_pair=(l1, l2), L=big_l,
         a_star=a_star, b_star=b_star, tau=tau, m=m, R=R, r=r,
         verdicts=verdicts, notes=tuple(notes), discrepancies=(),
-        seed=seed, samples=samples)
+        seed=seed, samples=samples,
+        blockers={k: tuple(v) for k, v in blockers.items()})
 
     if expected:
         values = report.constants()

@@ -34,11 +34,11 @@ nonnegative weights, and linear (order-preserving) interpolation of
 states, the discrete operator is then monotone up to rounding, which is
 what the ordering checks of the monotone scheme rely on.
 
-Off-node states are interpolated linearly on the weighted rows by
-default ("linear"); "pchip" switches to a monotone cubic.  Linear is
-the default because interpolating two ordered node arrays linearly
-preserves their ordering pointwise, a property shape-preserving cubics
-do not share.  Weighted u values take the known anchor u(0) = 0;
+Off-node states are interpolated linearly on the weighted rows.
+Interpolating two ordered node arrays linearly preserves their ordering
+pointwise, a property shape-preserving cubics do not share; a monotone
+cubic was measured to refine at the same second order with a larger
+constant.  Weighted u values take the known anchor u(0) = 0;
 derivative rows extend flat on both sides.  Beyond t_N the weighted
 state is frozen at its last node value (the weighted rows converge to
 finite limits, and every state-dependent tail term is damped by the
@@ -272,37 +272,6 @@ class IterationTrace:
 # -- the discretized operator ------------------------------------------
 
 
-def _flat_pchip(xp: np.ndarray, fp: np.ndarray):
-    """Monotone cubic through three or more points (xp, fp), extended
-    flat on both ends by the first and last rows of its table: scipy's
-    PchipInterpolator bit for bit, slopes (Fritsch-Carlson), coefficients
-    and evaluation order c3 + c2 z + c1 z^2 + c0 z^3 alike.  A row that
-    decays to subnormal values overflows the slope weights to inf, and
-    the slope becomes 0, the right limit, without a warning."""
-    h, d, i, j = np.diff(xp), np.empty(fp.size), [0, -1], [1, -2]
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        m = np.diff(fp) / h
-        sm, w1, w2 = np.sign(m), 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
-        flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
-        d[1:-1] = np.where(flat, 0.0,
-                           1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
-        e = ((2 * h[i] + h[j]) * m[i] - h[i] * m[j]) / (h[i] + h[j])
-        big = (sm[i] != sm[j]) & (abs(e) > 3 * abs(m[i]))
-        d[i] = np.where(np.sign(e) != sm[i], 0.0, np.where(big, 3 * m[i], e))
-        t = (d[:-1] + d[1:] - 2 * m) / h
-        tab = np.zeros((5, fp.size + 1))
-        tab[:, 1:-1] = (t / h, (m - d[:-1]) / h - t, d[:-1], fp[:-1], xp[:-1])
-    tab[3:, i] = fp[i], xp[i]
-
-    def fn(s: np.ndarray) -> np.ndarray:
-        k = np.searchsorted(xp, s, side="right")
-        c0, c1, c2, c3, x0 = (row[k] for row in tab)
-        z = s - x0
-        return c3 + c2 * z + c1 * (z * z) + c0 * (z * z * z)
-
-    return fn
-
-
 def _gauss_jacobi(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss rule for the weight (1-x)^a on [-1, 1], a > 0, by
     Golub-Welsch (eigh of the Jacobi matrix's lower triangle).  Raises
@@ -410,12 +379,12 @@ class IntegralOperator:
 
     def __init__(self, p: ProblemSpec, ks1: KernelSet, ks2: KernelSet,
                  grid: Grid, *, interp: str = "linear"):
-        if interp not in ("linear", "pchip"):
+        # Linear only; kept because bench/sweep_worker.py passes interp=.
+        if interp != "linear":
             raise ValueError(f"unknown interpolation mode {interp!r}")
         self.problem = p
         self.grid = grid
         self.quad_tol = LOOP_TOL
-        self.interp = interp
         self.f1 = compile_expr(p.f1)
         self.f2 = compile_expr(p.f2)
         self.plan1 = _EquationPlan(ks1, grid)
@@ -434,13 +403,9 @@ class IntegralOperator:
         """
         t = self.grid.nodes
         if anchor_zero:
-            xp = np.concatenate(([0.0], t))
-            fp = np.concatenate(([0.0], values))
-        else:
-            xp, fp = t, values
-        if self.interp == "linear":
-            return np.interp(s, xp, fp)
-        return _flat_pchip(xp, fp)(s)
+            return np.interp(s, np.concatenate(([0.0], t)),
+                             np.concatenate(([0.0], values)))
+        return np.interp(s, t, values)
 
     def _states(self, sp: SolutionPair, s: np.ndarray) -> tuple[np.ndarray, ...]:
         w1 = 1.0 + s ** (self.alpha1.q - 1.0)

@@ -28,7 +28,7 @@ from .fracops import FracOrder, gamma, rl_derivative
 from .problem import ProblemSpec
 from .quad import Integrand, QuadratureError, integrate_halfline, require_converged
 from .solver import (IntegralOperator, IterationTrace, SolutionPair,
-                     _ROW_NAMES, _flat_pchip, diff_norm)
+                     _ROW_NAMES, diff_norm)
 
 __all__ = [
     "AuditResult", "VerificationReport", "fixed_point_residual",
@@ -72,6 +72,37 @@ class VerificationReport:
 
 
 # -- row reconstruction -------------------------------------------------
+
+
+def _flat_pchip(xp: np.ndarray, fp: np.ndarray):
+    """Monotone cubic through three or more points (xp, fp), extended
+    flat on both ends by the first and last rows of its table: scipy's
+    PchipInterpolator bit for bit, slopes (Fritsch-Carlson), coefficients
+    and evaluation order c3 + c2 z + c1 z^2 + c0 z^3 alike.  A row that
+    decays to subnormal values overflows the slope weights to inf, and
+    the slope becomes 0, the right limit, without a warning."""
+    h, d, i, j = np.diff(xp), np.empty(fp.size), [0, -1], [1, -2]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        m = np.diff(fp) / h
+        sm, w1, w2 = np.sign(m), 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+        d[1:-1] = np.where(flat, 0.0,
+                           1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        e = ((2 * h[i] + h[j]) * m[i] - h[i] * m[j]) / (h[i] + h[j])
+        big = (sm[i] != sm[j]) & (abs(e) > 3 * abs(m[i]))
+        d[i] = np.where(np.sign(e) != sm[i], 0.0, np.where(big, 3 * m[i], e))
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        tab = np.zeros((5, fp.size + 1))
+        tab[:, 1:-1] = (t / h, (m - d[:-1]) / h - t, d[:-1], fp[:-1], xp[:-1])
+    tab[3:, i] = fp[i], xp[i]
+
+    def fn(s: np.ndarray) -> np.ndarray:
+        k = np.searchsorted(xp, s, side="right")
+        c0, c1, c2, c3, x0 = (row[k] for row in tab)
+        z = s - x0
+        return c3 + c2 * z + c1 * (z * z) + c0 * (z * z * z)
+
+    return fn
 
 
 def _psi_interpolant(grid_nodes: np.ndarray, row_w: np.ndarray,

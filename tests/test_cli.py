@@ -9,6 +9,7 @@ point with its exit-code contract:
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -150,11 +151,11 @@ def test_expected_accepts_constant_expressions():
 def test_solver_section_validation():
     assert load_problem(_with(
         "[solver]\nn = 48\ntheta = 4.0\ntol = 5e-4\nmax_iter = 77\n"
-        "scheme = contraction\ninterp = pchip\n")).solver.max_iter == 77
+        "scheme = contraction\n")).solver.max_iter == 77
     for bad, msg in (
             ("n = 8", "at least 16"),
             ("scheme = downhill", "monotone or contraction"),
-            ("interp = spline", "linear or pchip"),
+            ("interp = linear", r"unknown key.*interp"),
             ("tol = -1e-4", "must be positive"),
             ("tol = inf", "must be positive and finite"),
             ("max_iter = 0", "at least 1")):
@@ -206,6 +207,7 @@ def test_usage_errors_exit_four(capsys):
     assert main(["check", "sublinear", "--wat"]) == 4
     assert main(["check", "sublinear", "--grid-n", "32"]) == 4
     assert main(["kernel-dump", "sublinear", "--seed", "1"]) == 4
+    assert main(["solve", "sublinear", "--interp", "pchip"]) == 4
     assert main(["frobnicate"]) == 4
     assert main([]) == 4
 
@@ -445,6 +447,86 @@ def test_negative_boundary_weight_fails_h1_before_any_solve(
     assert main(["solve", str(p), "--grid-n", "32"]) == 2
     err = capsys.readouterr().err
     assert "no scheme is licensed" in err and "h1 is negative" in err
+
+
+def _packaged_without_expected(name, edits):
+    """Packaged problem `name` minus its [expected] section, with each
+    (old, new) pair of `edits` replaced exactly once."""
+    text = (Path(fracbvp.__file__).parent / "problems"
+            / f"{name}.prob").read_text()
+    text = text[:text.index("\n[expected]")] + "\n"
+    for old, new in edits:
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    return text
+
+
+_H4_FLOATS = (r"f1 decreases between ordered states at t=\d\.\d+: "
+              r"\d\.\d+ > \d\.\d+ for lo=\[")
+
+# Case -> (packaged problem, edits, runs).  Each run is (command, extra
+# arguments, exit code, regex its stdout plus stderr must match); solves
+# run with --grid-n 16 under the file's scheme unless extra says else.
+_EDGE_CASES = {
+    # Integer orders take rl_derivative's integer-order branch in the
+    # ODE spot-check.
+    "integer-orders": ("sublinear", [("alpha1 = 2.5", "alpha1 = 3"),
+                                     ("alpha2 = 1.5", "alpha2 = 2")], [
+        ("check", [], 0, "all applicable hypotheses hold"),
+        ("solve", [], 0, r"monotone scheme, n=16"),
+    ]),
+    "growth-exponent-1": ("sublinear", [("lambda1 = 0.1,", "lambda1 = 1,")], [
+        ("check", [], 0, "growth exponent 1.0 >= 1"),
+        ("solve", [], 2, r"licensed\n  no invariant-ball radius "
+                         r"\(see report notes\)\n$"),
+        ("solve", ["--scheme", "auto"], 2,
+         r"licensed\n  monotone: no invariant-ball radius \(see report "
+         r"notes\)\n  contraction: no Lipschitz data\n$"),
+    ]),
+    # Lambda1 = 2 int_0^inf exp(-t) dt = 2 > Gamma(2.5) = 1.33.
+    "lambda1-above-gamma": ("sublinear", [("h1 = t^", "h1 = 2*t^")], [
+        ("check", [], 2, r"H1 FAIL"),
+        ("solve", [], 2, r"H1 fails \(Lambda1=2 is not below "
+                         r"Gamma\(alpha1\)=1\.329340388\)"),
+        ("kernel-dump", ["--points", "3"], 2, "kernels do not exist"),
+    ]),
+    "m-above-1": ("lipschitz", [("b24 = 1/(20*(1+t^2))", "b24 = 10/(1+t^2)"),
+                                ("abs(u4)/(20*(1+t^2))",
+                                 "10*abs(u4)/(1+t^2)")], [
+        ("check", [], 0, r"m = 64\.07"),
+        ("solve", [], 2, r"licensed\n  m=64\.0719 is not below 1\n$"),
+    ]),
+    "h2-fails": ("sublinear", [("a13 = 2*t", "a13 = -2*t")], [
+        ("check", [], 2, r"H2 FAIL.*\n      a13 is negative at t=0\.001\n"),
+        ("solve", [], 2, r"licensed\n  H2 fails \(a13 is negative at "
+                         r"t=0\.001\)\n$"),
+    ]),
+    "h3-fails": ("lipschitz", [("b11 = exp", "b11 = -exp")], [
+        ("check", [], 2, r"H3 FAIL.*\n      b11 is negative at t=0\.001\n"),
+        ("solve", [], 2, r"licensed\n  H3 fails \(b11 is negative at "
+                         r"t=0\.001\)\n$"),
+    ]),
+    "h4-fails": ("sublinear", [("f1 = 2/(10+t)^2",
+                                "f1 = 2/(10+t)^2 - exp(-t)*abs(u1)/2")], [
+        ("check", [], 2, r"H4 FAIL.*\n      " + _H4_FLOATS),
+        ("solve", [], 2, r"licensed\n  H4 fails \(" + _H4_FLOATS),
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", list(_EDGE_CASES))
+def test_edge_case_exit_codes_and_reasons(tmp_path, capsys, case):
+    name, edits, runs = _EDGE_CASES[case]
+    p = tmp_path / f"{case}.prob"
+    p.write_text(_packaged_without_expected(name, edits))
+    for command, extra, code, pattern in runs:
+        if command == "solve":
+            extra = ["--grid-n", "16", *extra]
+        assert main([command, str(p), *extra]) == code, (command, extra)
+        captured = capsys.readouterr()
+        text = captured.out + captured.err
+        assert re.search(pattern, text), (command, extra, text)
+        assert "np.float64" not in text
 
 
 def test_solve_spotchecks_only_points_inside_the_grid(capsys):

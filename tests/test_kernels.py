@@ -11,6 +11,7 @@ import fracbvp.kernels as kernels_mod
 from fracbvp import (FracOrder, Integrand, IntegralOperator, KernelSet,
                      QuadratureError, compute_lambda, gamma,
                      integrate_halfline)
+from fracbvp.cli import main
 
 
 def test_lambda_closed_forms(sublinear):
@@ -204,6 +205,7 @@ def test_kinked_weight_fails_within_bounded_work():
         ks.g_many(s)
     res = exc.value.result
     assert not res.converged
+    assert type(res.error_estimate) is float
     assert res.error_estimate > 1e3 * ks.tol
     # Step 1/64 over u in [-40, log 90 - log 1e-3], x cut at Lambda's
     # reach 90: 52 * 64 + 1 nodes (89 * 64 + 1 with the 2^60 cut).
@@ -239,6 +241,22 @@ def test_operator_build_tabulates_g_once_per_equation(
     assert calls == {"halfline": 0, "trapezoid": 2}
     IntegralOperator(sublinear, ks1, ks2, grid64)
     assert calls == {"halfline": 0, "trapezoid": 2}
+
+
+def test_solve_integrates_each_lambda_once(monkeypatch, capsys):
+    # The hypothesis report and both kernel sets ask for Lambda_1 and
+    # Lambda_2 with the same weight, order and tolerance; compute_lambda's
+    # cache answers the second request.  G takes no integrate_halfline.
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    real = kernels_mod.integrate_halfline
+    monkeypatch.setattr(kernels_mod, "integrate_halfline", counting)
+    assert main(["solve", "sublinear", "--grid-n", "32"]) == 0
+    assert len(calls) == 2
 
 
 def test_bounds_are_sharp_but_never_crossed(kernels):

@@ -130,6 +130,7 @@ def test_h4_catches_decreasing_rhs():
     verdict = check_h4(p, samples=2000, seed=7)
     assert not verdict.passed
     assert "decreases between ordered states" in verdict.reason
+    assert "np.float64" not in verdict.reason
 
 
 def test_h4_catches_negative_rhs():
@@ -137,6 +138,7 @@ def test_h4_catches_negative_rhs():
     verdict = check_h4(p, samples=2000, seed=7)
     assert not verdict.passed
     assert "negative" in verdict.reason
+    assert "np.float64" not in verdict.reason
 
 
 def test_h4_passes_clean_rhs():

@@ -30,7 +30,8 @@ from fracbvp import (
     norm_pair,
 )
 from fracbvp.exprlang import parse
-from fracbvp.solver import _enforce_ordering, _flat_pchip, _gauss_jacobi
+from fracbvp.solver import _enforce_ordering, _gauss_jacobi
+from fracbvp.verify import _flat_pchip
 
 
 def test_grid_make():
@@ -152,20 +153,6 @@ def test_apply_is_deterministic(forcing_only, grid64, kernels):
     a = op.apply(z)
     b = op.apply(z)
     assert diff_norm(a, b) == 0.0
-
-
-def test_pchip_interpolation_close_to_linear(forcing_only, lipschitz,
-                                             kernels, grid64,
-                                             contraction_run):
-    ks1, ks2 = kernels
-    op_p = IntegralOperator(lipschitz, ks1, ks2, grid64, interp="pchip")
-    final, _ = contraction_run
-    lin = IntegralOperator(lipschitz, ks1, ks2, grid64).apply(final)
-    pch = op_p.apply(final)
-    # Same quadrature plan, different internode reconstruction; on a
-    # smooth iterate they should differ only in the interpolation error.
-    assert diff_norm(lin, pch) < 1e-3
-    assert diff_norm(lin, pch) > 0.0
 
 
 def _scipy_flat_pchip(xp, fp):
