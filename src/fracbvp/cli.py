@@ -2,30 +2,36 @@
 kernel dumps.
 
 A problem file is an INI document describing one coupled two-equation
-system.  Sections and keys:
+system.  _SECTIONS declares every section and each key's kind:
 
-    [orders]      alpha1 (in (2, 3]), alpha2 (in (1, 2])
-    [boundary]    h1, h2          boundary weight expressions in t
-                  h1_exponent     algebraic behavior of h1 at 0 (h1 ~ t^sigma)
-                  h1_decay        exponential decay rate of h1 (optional)
-                  (h2_* likewise; omit h_i for an uncoupled condition)
-    [rhs]         f1, f2          forcing expressions in t, u1, u2, u3, u4
-                  monotone        true if both are nondecreasing in the state
-    [growth]      a10..a14, a20..a24   envelope coefficient expressions in t
-                  lambda1, lambda2     four comma-separated exponents each
-    [solver]      n, theta, tol, max_iter, scheme
-    [expected]    any derived-constant name -> externally stated value,
-                  checked against the computed value and flagged on
-                  disagreement (values may be constant expressions, for
-                  example pi/40)
+    [orders]      alpha1, alpha2            constants in (2, 3] and (1, 2]
+    [boundary]    h1, h2                    expressions in t (boundary
+                                            weights; omit h_i for an
+                                            uncoupled condition)
+                  h1_exponent, h2_exponent  constants: h_i ~ t^sigma_i at 0
+                  h1_decay, h2_decay        constants > 0: exponential
+                                            decay rates (optional)
+    [rhs]         f1, f2                    expressions in t, u1, u2, u3, u4
+                  monotone                  boolean: both nondecreasing in
+                                            the state (default false)
+    [growth]      a10..a14, a20..a24        expressions in t (envelope
+                                            coefficients)
+                  lambda1, lambda2          four exponents each
+    [lipschitz]   b11..b14, b21..b24        expressions in t (Lipschitz
+                                            coefficients)
+    [solver]      n, max_iter               integers
+                  theta, tol                constants
+                  scheme                    word: auto, monotone, contraction
+    [expected]    any derived-constant name constants, checked against the
+                                            computed values and flagged on
+                                            disagreement
 
-    [lipschitz]   b11..b14, b21..b24   Lipschitz coefficient expressions in t
-
-u1, u2 are the two unknowns, u3, u4 their derivatives of orders
-alpha1 - 1 and alpha2 - 1.  Growth and Lipschitz coefficients must be
-regular at 0; only the boundary weights may carry an algebraic
-singularity, declared through the *_exponent keys.  Unknown sections or
-keys are rejected.
+A constant is a number or a constant expression such as pi/40.  u1, u2
+are the two unknowns, u3, u4 their derivatives of orders alpha1 - 1 and
+alpha2 - 1.  Growth and Lipschitz coefficients must be regular at 0;
+only the boundary weights may carry an algebraic singularity, declared
+through the *_exponent keys, and H1 needs sigma_i > -alpha_i for
+Lambda_i to converge.  Unknown sections or keys are rejected.
 
 Exit codes: 0 success; 2 a required hypothesis fails (or a scheme
 guarantee breaks mid-run); 3 iteration or quadrature non-convergence;
@@ -49,8 +55,8 @@ from .exprlang import (VARIABLES, Expr, ExprError, Num, compile_expr,
                        free_variables, parse, to_source)
 from .fracops import FracOrder
 from .kernels import KernelSet
-from .problem import (GrowthData, HypothesisReport, LipschitzData,
-                      ProblemSpec, build_report)
+from .problem import (CONSTANT_NAMES, GrowthData, HypothesisReport,
+                      LipschitzData, ProblemSpec, build_report)
 from .quad import DEFAULT_TOL, Integrand, QuadratureError
 
 __all__ = [
@@ -71,23 +77,27 @@ class ProblemFileError(ValueError):
 
 # -- problem file loading ----------------------------------------------
 
-_GROWTH_KEYS = tuple(f"a{i}{k}" for i in (1, 2) for k in range(5))
-_LIPSCHITZ_KEYS = tuple(f"b{i}{k}" for i in (1, 2) for k in range(1, 5))
-
-# Every section with its keys, both in the order format_problem writes.
-_SECTIONS: dict[str, tuple[str, ...]] = {
-    "orders": ("alpha1", "alpha2"),
-    "boundary": ("h1", "h1_exponent", "h1_decay",
-                 "h2", "h2_exponent", "h2_decay"),
-    "rhs": ("f1", "f2", "monotone"),
-    "growth": _GROWTH_KEYS + ("lambda1", "lambda2"),
-    "lipschitz": _LIPSCHITZ_KEYS,
-    "solver": ("n", "theta", "tol", "max_iter", "scheme"),
-    "expected": tuple(sorted(
-        ("lambda1", "lambda2", "gamma_alpha1", "gamma_alpha2",
-         "L1", "L2", "L", "m", "R", "r", "tau1", "tau2")
-        + _GROWTH_KEYS + _LIPSCHITZ_KEYS)),
+# The schema: every section with each key's kind, both in the order
+# format_problem writes.  _read parses a value by its kind:
+#   constant    a number or a constant expression such as pi/40
+#   expr(t)     an expression in t
+#   expr(t,u)   an expression in t and the state u1, u2, u3, u4
+#   exponents   four comma-separated constants
+#   integer, boolean (true/yes/on/1 or false/no/off/0), word
+_SECTIONS: dict[str, dict[str, str]] = {
+    "orders": {"alpha1": "constant", "alpha2": "constant"},
+    "boundary": {f"h{i}{part}": kind for i in (1, 2) for part, kind in (
+        ("", "expr(t)"), ("_exponent", "constant"), ("_decay", "constant"))},
+    "rhs": {"f1": "expr(t,u)", "f2": "expr(t,u)", "monotone": "boolean"},
+    "growth": {**{f"a{i}{k}": "expr(t)" for i in (1, 2) for k in range(5)},
+               "lambda1": "exponents", "lambda2": "exponents"},
+    "lipschitz": {f"b{i}{k}": "expr(t)" for i in (1, 2) for k in range(1, 5)},
+    "solver": {"n": "integer", "theta": "constant", "tol": "constant",
+               "max_iter": "integer", "scheme": "word"},
+    "expected": dict.fromkeys(sorted(CONSTANT_NAMES), "constant"),
 }
+_BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
+             "false": False, "no": False, "off": False, "0": False}
 
 
 @dataclass(frozen=True)
@@ -172,80 +182,44 @@ def _parse_number(section: str, key: str, text: str) -> float:
         raise _fail(section, key, f"not a constant: {exc}") from exc
 
 
-def _parse_int(section: str, key: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise _fail(section, key, f"not an integer: {text!r}") from exc
-
-
-def _parse_bool(section: str, key: str, text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise _fail(section, key, f"not a boolean: {text!r}")
-
-
-def _parse_exponents(section: str, key: str, text: str) -> tuple[float, ...]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 4:
-        raise _fail(section, key,
-                    f"need 4 comma-separated exponents, got {len(parts)}")
-    return tuple(_parse_number(section, key, p) for p in parts)
-
-
-def _coefficients(sec: dict[str, str], section: str, letter: str,
-                  ks: range, out: dict[str, str]
-                  ) -> tuple[tuple[Integrand, ...], ...]:
-    """Both equations' coefficient rows letter{i}{k} (k in ks) of a
-    [growth] or [lipschitz] section, after checking it has every key."""
-    missing = [k for k in _SECTIONS[section] if k not in sec]
-    if missing:
-        raise ProblemFileError(
-            f"[{section}] is missing key(s): {sorted(missing)}")
-    rows = []
-    for i in (1, 2):
-        row = []
-        for k in ks:
-            key = f"{letter}{i}{k}"
-            ast = _parse_expr(section, key, sec[key], ("t",))
-            out[key] = to_source(ast)
-            row.append(Integrand(compile_expr(ast, ("t",))))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _boundary_weight(sec: dict[str, str], which: str,
-                     out: dict[str, str]) -> Integrand | None:
-    expr = sec.pop(which, None)
-    sigma = sec.pop(f"{which}_exponent", None)
-    decay = sec.pop(f"{which}_decay", None)
-    if expr is None:
-        if sigma is not None or decay is not None:
-            raise _fail("boundary", which,
-                        f"{which}_exponent/{which}_decay make no sense "
-                        f"without {which}")
-        return None
-    ast = _parse_expr("boundary", which, expr, ("t",))
-    out[which] = to_source(ast)
-    kw: dict[str, float] = {}
-    if sigma is not None:
-        kw["endpoint_exponent"] = _parse_number("boundary",
-                                                f"{which}_exponent", sigma)
-        out[f"{which}_exponent"] = repr(kw["endpoint_exponent"])
-    if decay is not None:
-        kw["decay_hint"] = _parse_number("boundary", f"{which}_decay", decay)
-        if not kw["decay_hint"] > 0:
-            raise _fail("boundary", f"{which}_decay", "must be positive")
-        out[f"{which}_decay"] = repr(kw["decay_hint"])
-    return Integrand(compile_expr(ast, ("t",)), **kw)
+def _read(section: str, key: str, text: str) -> tuple[object, str]:
+    """The value of one key, parsed by its kind in _SECTIONS, and the
+    normalized text that format_problem writes for it."""
+    kind = _SECTIONS[section][key]
+    if kind.startswith("expr"):
+        ast = _parse_expr(section, key, text,
+                          ("t",) if kind == "expr(t)" else VARIABLES)
+        return (Integrand(compile_expr(ast, ("t",))) if kind == "expr(t)"
+                else ast), to_source(ast)
+    if kind == "exponents":
+        parts = text.split(",")
+        if len(parts) != 4:
+            raise _fail(section, key,
+                        f"need 4 comma-separated exponents, got {len(parts)}")
+        value = tuple(_parse_number(section, key, p.strip()) for p in parts)
+        return value, ", ".join(map(repr, value))
+    if kind == "integer":
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise _fail(section, key, f"not an integer: {text!r}") from exc
+        return value, repr(value)
+    word = text.strip().lower()
+    if kind == "word":
+        return word, word
+    if kind == "boolean":
+        if word not in _BOOLEANS:
+            raise _fail(section, key, f"not a boolean: {text!r}")
+        return _BOOLEANS[word], repr(_BOOLEANS[word]).lower()
+    value = _parse_number(section, key, text)
+    return value, repr(value)
 
 
 def load_problem(text: str, origin: str = "") -> LoadedProblem:
     """Parse problem-file text into a spec, solver config, and expected
-    constants.  Raises ProblemFileError on anything malformed."""
+    constants.  Raises ProblemFileError on anything malformed; when a
+    file has several faults, the first in section order (keys in schema
+    order, [solver] and [expected] in file order) is reported."""
     cp = configparser.ConfigParser(interpolation=None, delimiters=("=",),
                                    comment_prefixes=("#", ";"))
     cp.optionxform = str
@@ -275,83 +249,66 @@ def load_problem(text: str, origin: str = "") -> LoadedProblem:
         if missing:
             raise ProblemFileError(
                 f"[{section}] is missing required key(s): {missing}")
+    raw["rhs"].setdefault("monotone", "false")
 
+    # Each section's checks run once its keys are read, so the first
+    # fault in the order above is the one reported.
+    vals: dict[str, dict] = {}
     norm: dict[str, dict[str, str]] = {}
+    growth, solver = None, SolverConfig()
+    for section, kinds in _SECTIONS.items():
+        if section not in raw:
+            continue
+        sec = raw[section]
+        missing = set(kinds) - set(sec)
+        if section in ("growth", "lipschitz") and missing:
+            raise ProblemFileError(
+                f"[{section}] is missing key(s): {sorted(missing)}")
+        got, out = vals.setdefault(section, {}), {}
+        for key in (sec if section in ("solver", "expected")
+                    else [k for k in kinds if k in sec]):
+            if section == "boundary" and (h := key[:2]) not in sec:
+                raise _fail(section, h, f"{h}_exponent/{h}_decay make no "
+                                        f"sense without {h}")
+            got[key], out[key] = _read(section, key, sec[key])
+            if key.endswith("_decay") and not got[key] > 0:
+                raise _fail(section, key, "must be positive")
+        if out:  # format_problem writes no empty section
+            norm[section] = out
+        if section == "orders":
+            for key, lo, hi in (("alpha1", 2, 3), ("alpha2", 1, 2)):
+                if not lo < got[key] <= hi:
+                    raise _fail(section, key, f"must lie in ({lo}, {hi}], "
+                                              f"got {got[key]}")
+        elif section == "growth":
+            try:
+                growth = GrowthData(
+                    *(tuple(got[f"a{i}{k}"] for k in range(5))
+                      for i in (1, 2)), got["lambda1"], got["lambda2"])
+            except ValueError as exc:
+                raise ProblemFileError(f"[growth]: {exc}") from exc
+        elif section == "solver":
+            solver = SolverConfig(**got)
 
-    sec = raw["orders"]
-    alpha1 = _parse_number("orders", "alpha1", sec["alpha1"])
-    alpha2 = _parse_number("orders", "alpha2", sec["alpha2"])
-    if not 2.0 < alpha1 <= 3.0:
-        raise _fail("orders", "alpha1", f"must lie in (2, 3], got {alpha1}")
-    if not 1.0 < alpha2 <= 2.0:
-        raise _fail("orders", "alpha2", f"must lie in (1, 2], got {alpha2}")
-    norm["orders"] = {"alpha1": repr(alpha1), "alpha2": repr(alpha2)}
-
-    h1 = h2 = None
-    if "boundary" in raw:
-        sec = dict(raw["boundary"])
-        out: dict[str, str] = {}
-        h1 = _boundary_weight(sec, "h1", out)
-        h2 = _boundary_weight(sec, "h2", out)
-        norm["boundary"] = out
-
-    sec = raw["rhs"]
-    f1 = _parse_expr("rhs", "f1", sec["f1"], VARIABLES)
-    f2 = _parse_expr("rhs", "f2", sec["f2"], VARIABLES)
-    monotone = _parse_bool("rhs", "monotone", sec.get("monotone", "false"))
-    norm["rhs"] = {"f1": to_source(f1), "f2": to_source(f2),
-                   "monotone": "true" if monotone else "false"}
-
-    growth = None
-    if "growth" in raw:
-        sec = raw["growth"]
-        out = {}
-        a1, a2 = _coefficients(sec, "growth", "a", range(5), out)
-        lam1 = _parse_exponents("growth", "lambda1", sec["lambda1"])
-        lam2 = _parse_exponents("growth", "lambda2", sec["lambda2"])
-        out["lambda1"] = ", ".join(repr(x) for x in lam1)
-        out["lambda2"] = ", ".join(repr(x) for x in lam2)
-        try:
-            growth = GrowthData(a1=a1, a2=a2, lam1=lam1, lam2=lam2)
-        except ValueError as exc:
-            raise ProblemFileError(f"[growth]: {exc}") from exc
-        norm["growth"] = out
-
-    lipschitz = None
-    if "lipschitz" in raw:
-        out = {}
-        b1, b2 = _coefficients(raw["lipschitz"], "lipschitz", "b",
-                               range(1, 5), out)
-        lipschitz = LipschitzData(b1=b1, b2=b2)
-        norm["lipschitz"] = out
-
-    solver = SolverConfig()
-    if "solver" in raw:
-        parsers = {"n": _parse_int, "max_iter": _parse_int,
-                   "theta": _parse_number, "tol": _parse_number}
-        kw = {k: parsers[k]("solver", k, v) if k in parsers
-              else v.strip().lower() for k, v in raw["solver"].items()}
-        solver = SolverConfig(**kw)
-        norm["solver"] = {k: v if isinstance(v, str) else repr(v)
-                          for k, v in kw.items()}
-
-    expected: dict[str, float] = {}
-    if "expected" in raw:
-        out = {}
-        for key, val in raw["expected"].items():
-            expected[key] = _parse_number("expected", key, val)
-            out[key] = repr(expected[key])
-        norm["expected"] = out
-
-    name = Path(origin).stem if origin else ""
+    orders, rhs, bnd = vals["orders"], vals["rhs"], vals.get("boundary", {})
+    weights = [None if h not in bnd else replace(
+        bnd[h], endpoint_exponent=bnd.get(f"{h}_exponent", 0.0),
+        decay_hint=bnd.get(f"{h}_decay")) for h in ("h1", "h2")]
+    lips = vals.get("lipschitz")
     try:
-        spec = ProblemSpec(alpha1=FracOrder(alpha1), alpha2=FracOrder(alpha2),
-                           h1=h1, h2=h2, f1=f1, f2=f2, growth=growth,
-                           lipschitz=lipschitz, monotone=monotone, name=name)
+        spec = ProblemSpec(
+            alpha1=FracOrder(orders["alpha1"]),
+            alpha2=FracOrder(orders["alpha2"]), h1=weights[0], h2=weights[1],
+            f1=rhs["f1"], f2=rhs["f2"], growth=growth,
+            lipschitz=None if lips is None else LipschitzData(
+                *(tuple(lips[f"b{i}{k}"] for k in range(1, 5))
+                  for i in (1, 2))),
+            monotone=rhs["monotone"], name=Path(origin).stem if origin else "")
     except ValueError as exc:
         raise ProblemFileError(str(exc)) from exc
-    return LoadedProblem(spec=spec, solver=solver, expected=expected,
-                         sections=norm, origin=origin)
+    return LoadedProblem(spec=spec, solver=solver,
+                         expected=vals.get("expected", {}), sections=norm,
+                         origin=origin)
 
 
 def format_problem(lp: LoadedProblem) -> str:

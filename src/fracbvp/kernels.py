@@ -52,8 +52,8 @@ import math
 from dataclasses import dataclass, field
 import numpy as np
 
-from .fracops import FracOrder, gamma
-from .quad import (DEFAULT_TOL, Integrand, QuadResult, integrate_finite,
+from .fracops import FracOrder, gamma, rl_integral
+from .quad import (DEFAULT_TOL, Integrand, QuadResult,
                    integrate_halfline, require_converged)
 
 __all__ = ["KernelSet", "compute_lambda", "kernel_representation",
@@ -249,16 +249,11 @@ def kernel_representation(ks: KernelSet, y: Integrand, t: float,
 
     res_a = integrate_halfline(y, tol)
     require_converged(res_a, "kernel representation: total integral")
-
-    def flipped(x: np.ndarray) -> np.ndarray:
-        return np.asarray(y.fn(t - x)) * x ** (a - 1.0)
-
-    res_b = integrate_finite(
-        Integrand(flipped, endpoint_exponent=a - 1.0), 0.0, t, tol) \
-        if t > 0 else QuadResult(0.0, 0.0, 0.0, 0, True)
-    require_converged(res_b, "kernel representation: convolution part")
-
-    k1_part = (t ** (a - 1.0) * res_a.value - res_b.value) / ks.gamma_alpha
+    # The convolution part int_0^t (t-s)^(alpha-1) y(s) ds is
+    # Gamma(alpha) (I^alpha y)(t), with y's kinks and exponent declared.
+    k1_part = t ** (a - 1.0) * res_a.value / ks.gamma_alpha - rl_integral(
+        y.fn, ks.alpha, t, tol=tol, g_exponent=y.endpoint_exponent,
+        kinks=y.kinks)
     if ks.h is None:
         return k1_part
     c = _boundary_weighted_integral(ks, y, tol)

@@ -48,7 +48,7 @@ from .quad import (DEFAULT_TOL, Integrand, QuadratureError,
 __all__ = [
     "GrowthData", "LipschitzData", "ProblemSpec", "Verdict", "Discrepancy",
     "HypothesisReport", "InapplicableError", "check_h1", "check_h4",
-    "build_report",
+    "build_report", "CONSTANT_NAMES",
 ]
 
 
@@ -150,6 +150,15 @@ class Discrepancy:
         return abs(self.computed - self.expected)
 
 
+# Every derived constant, as HypothesisReport.constants names them:
+# a*_ik (k = 0..4) and b*_ik (k = 1..4) go by their coefficient's key.
+CONSTANT_NAMES = (
+    "lambda1", "lambda2", "gamma_alpha1", "gamma_alpha2", "L1", "L2", "L",
+    "m", "R", "r", "tau1", "tau2",
+    *(f"a{i}{k}" for i in (1, 2) for k in range(5)),
+    *(f"b{i}{k}" for i in (1, 2) for k in range(1, 5)))
+
+
 @dataclass(frozen=True)
 class HypothesisReport:
     """Everything build_report established about one problem."""
@@ -178,25 +187,14 @@ class HypothesisReport:
         return all(v.passed for v in self.verdicts.values())
 
     def constants(self) -> dict[str, float | None]:
-        """Flat name -> value map of every derived constant."""
-        out: dict[str, float | None] = {
-            "lambda1": self.lam[0], "lambda2": self.lam[1],
-            "gamma_alpha1": self.gamma_alpha[0],
-            "gamma_alpha2": self.gamma_alpha[1],
-            "L1": self.L_pair[0], "L2": self.L_pair[1], "L": self.L,
-            "m": self.m, "R": self.R, "r": self.r,
-            "tau1": None if self.tau is None else self.tau[0],
-            "tau2": None if self.tau is None else self.tau[1],
-        }
-        for i in (1, 2):
-            row = None if self.a_star is None else self.a_star[i - 1]
-            for k in range(5):
-                out[f"a{i}{k}"] = None if row is None else row[k]
-        for i in (1, 2):
-            row = None if self.b_star is None else self.b_star[i - 1]
-            for k in range(1, 5):
-                out[f"b{i}{k}"] = None if row is None else row[k - 1]
-        return out
+        """Flat name -> value map of every derived constant, named and
+        ordered as in CONSTANT_NAMES."""
+        a = self.a_star or ((None,) * 5,) * 2
+        b = self.b_star or ((None,) * 4,) * 2
+        return dict(zip(CONSTANT_NAMES, (
+            *self.lam, *self.gamma_alpha, *self.L_pair, self.L,
+            self.m, self.R, self.r, *(self.tau or (None, None)),
+            *a[0], *a[1], *b[0], *b[1]), strict=True))
 
     def to_dict(self) -> dict:
         doc = self.constants()
@@ -261,6 +259,13 @@ def check_h1(p: ProblemSpec,
         lam = 0.0
         if h is not None:
             reasons += _negative_at(_SAMPLE_TS, [(f"h{i + 1}", h)])
+            if h.endpoint_exponent <= -alpha.q:
+                # h t^(alpha-1) ~ t^(sigma+alpha-1) is not integrable at 0.
+                lams[i] = inf
+                reasons.append(
+                    f"h{i + 1}_exponent={h.endpoint_exponent!r} is not above "
+                    f"-alpha{i + 1}={-alpha.q!r}, so Lambda{i + 1} diverges")
+                continue
             try:
                 lam = compute_lambda(h, alpha, tol).value
             except QuadratureError as exc:
@@ -437,8 +442,9 @@ def build_report(p: ProblemSpec, *, seed: int = 0, samples: int = 10_000,
                      "is unavailable for this problem")
         blockers["monotone"].append("monotonicity not claimed")
 
+    # m and r need b*_ik that bound f, which only a passing H3 gives.
     m = R = r = None
-    if b_star is not None and isfinite(big_l):
+    if b_star is not None and isfinite(big_l) and verdicts["H3"].passed:
         m = big_l * max(sum(b_star[0]), sum(b_star[1]))
         if m < 1.0:
             r = big_l * max(tau) / (1.0 - m)

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_exprlang import _extend, _leaves
 
 import fracbvp
 import fracbvp.solver as solver_mod
@@ -24,8 +26,11 @@ from fracbvp import (
     load_problem,
     packaged_problem_names,
     resolve_problem,
+    to_source,
 )
 from fracbvp.cli import main
+from fracbvp.exprlang import VARIABLES, Var
+from fracbvp.problem import CONSTANT_NAMES
 
 _LIPS = "\n".join(f"b{i}{k} = exp(-t)" for i in (1, 2) for k in range(1, 5))
 
@@ -193,6 +198,121 @@ def test_format_normalizes_values():
     assert "tau2 = 0.00039269908169872416" in out
     assert "n = 48" in out
     assert "f2 = exp(-2.0 * t)" in out
+
+
+def _numbers(lo, hi):
+    """Float texts in (lo, hi], written as repr or with 3 digits."""
+    return st.builds(lambda x, fmt: fmt(x),
+                     st.floats(lo, hi, exclude_min=True),
+                     st.sampled_from([repr, "{:.3g}".format])
+                     ).filter(lambda text: lo < float(text) <= hi)
+
+
+def _exprs(variables):
+    """Expression texts over `variables`, from test_exprlang's trees."""
+    leaves = _leaves.filter(lambda e: not isinstance(e, Var)
+                            or e.name in variables)
+    return st.recursive(leaves, _extend, max_leaves=6).map(to_source)
+
+
+_T_EXPRS, _STATE_EXPRS = _exprs(("t",)), _exprs(VARIABLES)
+
+
+@st.composite
+def _problem_texts(draw):
+    """A valid problem file: each optional section and key drawn or not,
+    the keys of each section in random order."""
+    sections = {"orders": {"alpha1": draw(_numbers(2.0, 3.0)),
+                           "alpha2": draw(_numbers(1.0, 2.0))},
+                "rhs": {f"f{i}": draw(_STATE_EXPRS) for i in (1, 2)}}
+    if draw(st.booleans()):
+        sections["rhs"]["monotone"] = draw(st.sampled_from(
+            ["true", "No", "ON", "0"]))
+    boundary = {}
+    for h in ("h1", "h2"):
+        if draw(st.booleans()):
+            boundary[h] = draw(_T_EXPRS)
+            for key, lo in (("_exponent", -1.0), ("_decay", 0.0)):
+                if draw(st.booleans()):
+                    boundary[h + key] = draw(_numbers(lo, 5.0))
+    if draw(st.booleans()):
+        sections["boundary"] = boundary
+    growth, lipschitz = draw(st.sampled_from(
+        [(True, False), (False, True), (True, True)]))
+    if growth:
+        sections["growth"] = {f"a{i}{k}": draw(_T_EXPRS)
+                              for i in (1, 2) for k in range(5)}
+        for key in ("lambda1", "lambda2"):
+            sections["growth"][key] = ", ".join(
+                draw(st.lists(_numbers(0.0, 1.0), min_size=4, max_size=4)))
+    if lipschitz:
+        sections["lipschitz"] = {f"b{i}{k}": draw(_T_EXPRS)
+                                 for i in (1, 2) for k in range(1, 5)}
+    solver = {"n": str(draw(st.integers(16, 512))),
+              "theta": draw(_numbers(0.0, 50.0)),
+              "tol": draw(_numbers(0.0, 1.0)),
+              "max_iter": str(draw(st.integers(1, 10_000))),
+              "scheme": draw(st.sampled_from(["auto", "Monotone",
+                                              "contraction"]))}
+    sections["solver"] = {k: v for k, v in solver.items()
+                          if draw(st.booleans())}
+    names = draw(st.lists(st.sampled_from(CONSTANT_NAMES), unique=True,
+                          max_size=4))
+    sections["expected"] = {k: draw(st.one_of(
+        _numbers(-10.0, 10.0), st.sampled_from(["pi/40", "1/3", "e^2"])))
+        for k in names}
+    lines = []
+    for section in draw(st.permutations(list(sections))):
+        lines.append(f"[{section}]")
+        keys = draw(st.permutations(list(sections[section])))
+        lines += [f"{key} = {sections[section][key]}" for key in keys]
+    return "\n".join(lines) + "\n"
+
+
+@settings(deadline=None, max_examples=40)
+@given(_problem_texts())
+def test_format_is_idempotent_on_random_problems(text):
+    lp = load_problem(text)
+    once = format_problem(lp)
+    again = load_problem(once)
+    assert format_problem(again) == once
+    assert again.sections == lp.sections
+    assert again.solver == lp.solver
+    assert again.expected == lp.expected
+
+
+@pytest.mark.parametrize("edits, error", [
+    # Sections are read in schema order, whatever the file's order.
+    ([("alpha1 = 2.5", "alpha1 = 1.9"), ("[orders]", "[boundary]\n"
+                                         "h1 = exp(-t\n[orders]")],
+     r"^\[orders\] alpha1: must lie in \(2, 3\], got 1\.9$"),
+    # Both orders are parsed before either range is checked.
+    ([("alpha1 = 2.5", "alpha1 = 1.9"), ("alpha2 = 1.5", "alpha2 = t")],
+     r"^\[orders\] alpha2: unknown variable"),
+    # Keys in schema order: f1 before f2, wherever they stand.
+    ([("f1 = exp(-t)\nf2 = exp(-2*t)", "f2 = exp(-2*t\nf1 = u9")],
+     r"^\[rhs\] f1: bad expression"),
+    # [solver] keys are parsed in file order, then range-checked.
+    ([("[lipschitz]", "[solver]\nmax_iter = 0\nn = many\ntol = x\n"
+                      "[lipschitz]")], r"^\[solver\] n: not an integer"),
+    ([("[lipschitz]", "[solver]\ntol = -1\nn = 8\n[lipschitz]")],
+     r"^\[solver\] n: needs at least 16"),
+    # A boundary annotation without its weight, before any later key.
+    ([("[lipschitz]", "[boundary]\nh2 = exp(-t\nh1_decay = 0\n"
+                      "[lipschitz]")],
+     r"^\[boundary\] h1: h1_exponent/h1_decay make no sense without h1$"),
+    # A missing key in [growth] before any of its values is parsed.
+    ([("[lipschitz]", "[growth]\na10 = exp(-t\n[lipschitz]")],
+     r"^\[growth\] is missing key\(s\): \['a11', "),
+], ids=["sections", "orders", "rhs", "solver-parse", "solver-range",
+        "boundary", "growth"])
+def test_first_fault_in_schema_order_is_reported(edits, error):
+    text = MINIMAL
+    for old, new in edits:
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    with pytest.raises(ProblemFileError, match=error):
+        load_problem(text)
 
 
 # -- the executable ------------------------------------------------------
@@ -505,6 +625,17 @@ _EDGE_CASES = {
         ("check", [], 2, r"H3 FAIL.*\n      b11 is negative at t=0\.001\n"),
         ("solve", [], 2, r"licensed\n  H3 fails \(b11 is negative at "
                          r"t=0\.001\)\n$"),
+        # Without a passing H3 the b*'s bound nothing: no m, no r.
+        ("check", ["--json"], 2, r'"m": null,\n  "R": null,\n  "r": null,'),
+    ]),
+    # sigma1 + alpha1 - 1 = -1: h1 t^(alpha1-1) is not integrable at 0.
+    "h1-exponent-too-steep": ("sublinear", [("h1_exponent = -1.5",
+                                             "h1_exponent = -2.5")], [
+        ("check", [], 2, r"H1 FAIL.*\n      h1_exponent=-2\.5 is not above "
+                         r"-alpha1=-2\.5, so Lambda1 diverges\n"),
+        ("solve", [], 2, r"licensed\n  H1 fails \(h1_exponent=-2\.5 is not "
+                         r"above -alpha1=-2\.5, so Lambda1 diverges\)\n$"),
+        ("kernel-dump", ["--points", "3"], 2, "kernels do not exist"),
     ]),
     "h4-fails": ("sublinear", [("f1 = 2/(10+t)^2",
                                 "f1 = 2/(10+t)^2 - exp(-t)*abs(u1)/2")], [

@@ -10,7 +10,7 @@ import pytest
 import fracbvp.kernels as kernels_mod
 from fracbvp import (FracOrder, Integrand, IntegralOperator, KernelSet,
                      QuadratureError, compute_lambda, gamma,
-                     integrate_halfline)
+                     integrate_halfline, kernel_representation)
 from fracbvp.cli import main
 
 
@@ -44,6 +44,40 @@ def test_no_boundary_degenerates_cleanly():
     assert ks.k(1.0, 0.5) == ks.k1_grid(1.0, 0.5)
     assert ks.kstar_grid(0.5, 1.0) == 1.0
     assert ks.kstar_grid(1.0, 0.5) == 0.0
+
+
+@pytest.mark.parametrize("alpha", [2.5, 1.5])
+def test_kernel_representation_keeps_the_forcings_trouble_spots(alpha):
+    """The oracle's K1 part against scipy for a forcing singular at 0 and
+    a kinked one.  Its convolution part once dropped y's endpoint
+    exponent and returned -inf for y = s^(-1/2) e^(-s)."""
+    from scipy.integrate import quad
+
+    ks = KernelSet.build(FracOrder(alpha), None)
+    singular = Integrand(lambda s: s ** -0.5 * np.exp(-s),
+                         endpoint_exponent=-0.5, decay_hint=1.0)
+    kinked = Integrand(lambda s: np.exp(-s) * np.abs(s - 1.0), kinks=(1.0,),
+                       decay_hint=1.0)
+    for t in (0.7, 3.0):
+        # int_0^inf y and int_0^t (t-s)^(alpha-1) y(s) ds, piece by piece.
+        decay = lambda s: np.exp(-s)  # noqa: E731
+        total = (quad(decay, 0.0, 1.0, weight="alg", wvar=(-0.5, 0.0))[0]
+                 + quad(singular.fn, 1.0, np.inf)[0])
+        conv = quad(decay, 0.0, t, weight="alg", wvar=(-0.5, alpha - 1.0))[0]
+        want = (t ** (alpha - 1.0) * total - conv) / ks.gamma_alpha
+        got = kernel_representation(ks, singular, t, tol=1e-11)
+        assert got == pytest.approx(want, rel=1e-9), (t, got, want)
+
+        total = (quad(kinked.fn, 0.0, 1.0)[0]
+                 + quad(kinked.fn, 1.0, np.inf)[0])
+        # Below the kink only when t > 1; the weight sits at s = t.
+        head = 0.0 if t <= 1.0 else quad(
+            lambda s: kinked.fn(s) * (t - s) ** (alpha - 1.0), 0.0, 1.0)[0]
+        conv = head + quad(kinked.fn, 1.0 if t > 1.0 else 0.0, t,
+                           weight="alg", wvar=(0.0, alpha - 1.0))[0]
+        want = (t ** (alpha - 1.0) * total - conv) / ks.gamma_alpha
+        got = kernel_representation(ks, kinked, t, tol=1e-11)
+        assert got == pytest.approx(want, rel=1e-9), (t, got, want)
 
 
 def test_k1_closed_form(kernels):
