@@ -26,8 +26,8 @@ _EXPORTS = {
     "quad": "Integrand QuadratureError QuadResult integrate_finite "
             "integrate_halfline",
     "solver": "ContractionRatioWarning Grid IntegralOperator IterationTrace "
-              "MonotonicityError SolutionPair contract_solve diff_norm "
-              "monotone_solve norm_pair",
+              "MonotonicityError SchemeBreakError SolutionPair "
+              "contract_solve diff_norm monotone_solve norm_pair",
     "verify": "AuditResult VerificationReport boundary_residual "
               "error_bound_audit fixed_point_residual ode_residual_spotcheck "
               "ordering_audit verify_pair",

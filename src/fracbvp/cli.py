@@ -36,6 +36,8 @@ Lambda_i to converge.  Unknown sections or keys are rejected.
 Exit codes: 0 success; 2 a required hypothesis fails (or a scheme
 guarantee breaks mid-run); 3 iteration or quadrature non-convergence;
 4 unreadable input (bad file, bad INI, bad expression, bad flag).
+Every --json document and verification.json is strict JSON: a
+non-finite number is written as null.
 """
 
 from __future__ import annotations
@@ -56,8 +58,8 @@ from .exprlang import (VARIABLES, Expr, ExprError, Num, compile_expr,
 from .fracops import FracOrder
 from .kernels import KernelSet
 from .problem import (CONSTANT_NAMES, GrowthData, HypothesisReport,
-                      LipschitzData, ProblemSpec, build_report)
-from .quad import DEFAULT_TOL, Integrand, QuadratureError
+                      LipschitzData, ProblemSpec, build_report, check_h1)
+from .quad import Integrand, QuadratureError
 
 __all__ = [
     "ProblemFileError", "SolverConfig", "LoadedProblem", "load_problem",
@@ -355,6 +357,18 @@ def _header_lines(pairs) -> str:
     return "".join(f"# {k}: {v}\n" for k, v in pairs)
 
 
+def _json(doc) -> str:
+    """The one JSON writer: strict JSON (RFC 8259), with every
+    non-finite number written as null."""
+    def finite(x):
+        if isinstance(x, dict):
+            return {k: finite(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [finite(v) for v in x]
+        return None if isinstance(x, float) and not math.isfinite(x) else x
+    return json.dumps(finite(doc), indent=2, allow_nan=False)
+
+
 def _print_report(report: HypothesisReport, name: str,
                   spec: ProblemSpec) -> None:
     print(f"problem {name!r} (alpha1={spec.alpha1.q}, "
@@ -386,16 +400,6 @@ def _print_report(report: HypothesisReport, name: str,
                             if not v.passed)))
 
 
-def _quad_tol(args: argparse.Namespace) -> float:
-    """The quadrature tolerance of check and kernel-dump: --tol or 1e-10."""
-    if args.tol is None:
-        return DEFAULT_TOL
-    if not 0.0 < args.tol < math.inf:
-        raise ProblemFileError(
-            f"--tol must be positive and finite, got {args.tol}")
-    return args.tol
-
-
 def _check_seed(args: argparse.Namespace) -> None:
     """--seed feeds numpy's generator, which takes no negative seed."""
     if args.seed < 0:
@@ -422,14 +426,10 @@ def _pick_scheme(cfg: SolverConfig,
 
 def cmd_check(args: argparse.Namespace) -> int:
     _check_seed(args)
-    if args.samples < 1:
-        raise ProblemFileError(
-            f"--samples must be at least 1, got {args.samples}")
     lp = resolve_problem(args.problem)
-    report = build_report(lp.spec, seed=args.seed, samples=args.samples,
-                          tol=_quad_tol(args), expected=lp.expected)
+    report = build_report(lp.spec, seed=args.seed, expected=lp.expected)
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
+        print(_json(report.to_dict()))
     else:
         _print_report(report, lp.spec.name or args.problem, lp.spec)
     return EXIT_OK if report.passed else EXIT_HYPOTHESIS
@@ -455,7 +455,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         doc = {"problem": name, "refused": reasons,
                "hypothesis": report.to_dict()}
         if args.json:
-            print(json.dumps(doc, indent=2))
+            print(_json(doc))
         else:
             print(f"problem {name!r}: no scheme is licensed", file=sys.stderr)
             for reason in reasons:
@@ -463,14 +463,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return EXIT_HYPOTHESIS
 
     # Imported only now: check, kernel-dump and a refused solve skip them.
-    from .solver import (Grid, IntegralOperator, MonotonicityError,
-                         contract_solve, diff_norm, monotone_solve)
+    from .solver import (ITERATION_DEFAULTS, Grid, IntegralOperator,
+                         SchemeBreakError, contract_solve, diff_norm,
+                         monotone_solve)
     from .verify import error_bound_audit, ordering_audit, verify_pair
 
-    tol = cfg.tol if cfg.tol is not None \
-        else (1e-5 if scheme == "monotone" else 1e-4)
-    max_iter = cfg.max_iter if cfg.max_iter is not None \
-        else (200 if scheme == "monotone" else 5000)
+    tol, max_iter = ITERATION_DEFAULTS[scheme]
+    tol = tol if cfg.tol is None else cfg.tol
+    max_iter = max_iter if cfg.max_iter is None else cfg.max_iter
 
     ks1 = KernelSet.build(spec.alpha1, spec.h1)
     ks2 = KernelSet.build(spec.alpha2, spec.h2)
@@ -486,15 +486,20 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     # Chain key -> (solution, trace); the key names the output files and
     # the JSON section, and the contraction scheme's single run has none.
-    if scheme == "monotone":
-        try:
+    try:
+        if scheme == "monotone":
             chains = {d: monotone_solve(spec, ks1, ks2, grid, d, tol=tol,
                                         max_iter=max_iter, radius=report.R,
                                         operator=op)
                       for d in ("lower", "upper")}
-        except MonotonicityError as exc:
-            print(f"scheme guarantee broke mid-run: {exc}", file=sys.stderr)
-            return EXIT_HYPOTHESIS
+        else:
+            chains = {"": contract_solve(spec, ks1, ks2, grid, tol=tol,
+                                         max_iter=max_iter, m=report.m,
+                                         operator=op)}
+    except SchemeBreakError as exc:
+        print(f"scheme guarantee broke mid-run: {exc}", file=sys.stderr)
+        return EXIT_HYPOTHESIS
+    if scheme == "monotone":
         (low_sp, low_tr), (up_sp, up_tr) = chains.values()
         ver = verify_pair(spec, low_sp, op)
         ver.ordering = ordering_audit(low_tr, up_tr)
@@ -509,9 +514,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             f"ordering audit: {ver.ordering.message}",
         ]
     else:
-        sp, tr = contract_solve(spec, ks1, ks2, grid, tol=tol,
-                                max_iter=max_iter, m=report.m, operator=op)
-        chains = {"": (sp, tr)}
+        sp, tr = chains[""]
         ver = verify_pair(spec, sp, op)
         ver.error_bound = error_bound_audit(tr)
         ver.details["modulus_m"] = report.m
@@ -530,8 +533,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     doc = {"problem": name, "scheme": scheme, "config": config_doc,
            "converged": all(tr.converged for _, tr in chains.values()),
            "hypothesis": report.to_dict()}
-    outputs = {"verification.json": json.dumps(
-        {"config": config_doc, **ver_doc}, indent=2) + "\n"}
+    outputs = {"verification.json": _json({"config": config_doc,
+                                           **ver_doc}) + "\n"}
     for key, (sp, tr) in chains.items():
         suffix = f"-{key}" if key else ""
         outputs[f"solution{suffix}.csv"] = header + sp.to_csv()
@@ -551,7 +554,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         summary.append("wrote " + ", ".join(
             str(out_dir / f) for f in sorted(outputs)))
     if args.json:
-        print(json.dumps(doc, indent=2))
+        print(_json(doc))
     else:
         for line in summary:
             print(line)
@@ -567,25 +570,23 @@ def cmd_kernel_dump(args: argparse.Namespace) -> int:
     if args.points < 1:
         raise ProblemFileError(f"--points must be at least 1, got "
                                f"{args.points}")
-    tol = _quad_tol(args)
     try:
-        ks1 = KernelSet.build(spec.alpha1, spec.h1, tol=tol)
-        ks2 = KernelSet.build(spec.alpha2, spec.h2, tol=tol)
+        ks1 = KernelSet.build(spec.alpha1, spec.h1)
+        ks2 = KernelSet.build(spec.alpha2, spec.h2)
     except ValueError as exc:
-        print(f"kernels do not exist: {exc}", file=sys.stderr)
+        # Say why in check's words: H1 fails wherever the kernels do not
+        # exist (a Lambda_i diverges or reaches Gamma(alpha_i)).
+        print(f"kernels do not exist: {check_h1(spec)[0].reason or exc}",
+              file=sys.stderr)
         return EXIT_HYPOTHESIS
     ts = np.geomspace(args.t_min, args.t_max, args.points)
 
     name = spec.name or args.problem
     tt, ss = np.meshgrid(ts, ts, indexing="ij")
-    k1m = ks1.k_grid(tt, ss)
-    k2m = ks2.k_grid(tt, ss)
-    s1m = ks1.kstar_grid(tt, ss)
-    s2m = ks2.kstar_grid(tt, ss)
-    kb1 = ks1.k_bound(ts)
-    kb2 = ks2.k_bound(ts)
-    sb1 = ks1.kstar_bound()
-    sb2 = ks2.kstar_bound()
+    k1m, k2m = (ks.k_grid(tt, ss) for ks in (ks1, ks2))
+    s1m, s2m = (ks.kstar_grid(tt, ss) for ks in (ks1, ks2))
+    kb1, kb2 = (ks.k_bound(ts) for ks in (ks1, ks2))
+    sb1, sb2 = (ks.kstar_bound() for ks in (ks1, ks2))
     if args.json:
         doc = {
             "problem": name, "t": ts.tolist(), "s": ts.tolist(),
@@ -595,7 +596,7 @@ def cmd_kernel_dump(args: argparse.Namespace) -> int:
             "kstar1_bound": sb1, "kstar2_bound": sb2,
             "lambda1": ks1.lam, "lambda2": ks2.lam,
         }
-        text = json.dumps(doc, indent=2)
+        text = _json(doc)
     else:
         lines = [_header_lines([
             ("problem", name), ("alpha1", spec.alpha1.q),
@@ -638,9 +639,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              f"({', '.join(packaged_problem_names())})")
     common.add_argument("--json", action="store_true",
                         help="emit a JSON document instead of text")
-    common.add_argument("--tol", type=float, default=None,
-                        help="tolerance override (iteration tolerance for "
-                             "solve, quadrature tolerance elsewhere)")
 
     seeded = _ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=0,
@@ -656,14 +654,14 @@ def _build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("check", parents=[common, seeded],
                         help="verify the solvability hypotheses and derive "
                              "the scheme constants")
-    pc.add_argument("--samples", type=int, default=10_000,
-                    help="sample count for the monotonicity check")
     pc.set_defaults(fn=cmd_check)
 
     ps = sub.add_parser("solve", parents=[common, seeded],
                         help="run the licensed iteration scheme")
     ps.add_argument("--grid-n", type=int, default=None, dest="grid_n",
                     help="number of grid nodes")
+    ps.add_argument("--tol", type=float, default=None,
+                    help="iteration tolerance")
     ps.add_argument("--max-iter", type=int, default=None,
                     help="iteration cap")
     ps.add_argument("--scheme", choices=("auto", "monotone", "contraction"),

@@ -93,14 +93,13 @@ def halving_trapezoid(f, lo: float, hi: float, tol: float, rate: float,
 
 
 @functools.lru_cache(maxsize=8)
-def compute_lambda(h: Integrand, alpha: FracOrder,
-                   tol: float = DEFAULT_TOL) -> QuadResult:
+def compute_lambda(h: Integrand, alpha: FracOrder) -> QuadResult:
     """QuadResult of Lambda = int_0^inf h(t) t^(alpha-1) dt; raises
     QuadratureError when it does not converge.
 
     The combined endpoint exponent (h's own plus alpha-1) keeps the
     integrand admissible even when h alone diverges at 0.  Results are
-    cached per (h, alpha, tol), so the hypothesis report and the kernel
+    cached per (h, alpha), so the hypothesis report and the kernel
     sets of one solve integrate each Lambda once.
     """
     a = alpha.q
@@ -111,7 +110,7 @@ def compute_lambda(h: Integrand, alpha: FracOrder,
     f = Integrand(weighted, kinks=h.kinks,
                   endpoint_exponent=h.endpoint_exponent + a - 1.0,
                   decay_hint=h.decay_hint)
-    res = integrate_halfline(f, tol)
+    res = integrate_halfline(f, DEFAULT_TOL)
     return require_converged(res, f"Lambda integral (alpha={a})")
 
 
@@ -140,10 +139,9 @@ class KernelSet:
         default_factory=dict, repr=False)
 
     @classmethod
-    def build(cls, alpha: FracOrder, h: Integrand | None,
-              tol: float = DEFAULT_TOL) -> "KernelSet":
+    def build(cls, alpha: FracOrder, h: Integrand | None) -> "KernelSet":
         res = QuadResult(0.0, 0.0, math.inf, 0) if h is None \
-            else compute_lambda(h, alpha, tol)
+            else compute_lambda(h, alpha)
         lam, ga = res.value, gamma(alpha.q)
         if not lam < ga:
             raise ValueError(
@@ -151,7 +149,7 @@ class KernelSet:
                 f"below Gamma(alpha)={ga!r} for the kernels to exist")
         # The cut at Lambda's reach needs x^(alpha-1) <= (s+x)^(alpha-1).
         reach = res.truncation_point if alpha.q >= 1.0 else math.inf
-        return cls(alpha=alpha, h=h, lam=lam, gamma_alpha=ga, tol=tol,
+        return cls(alpha=alpha, h=h, lam=lam, gamma_alpha=ga,
                    reach=reach, reach_err=res.error_estimate)
 
     @property

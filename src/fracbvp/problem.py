@@ -244,8 +244,7 @@ def _forcing(f: Expr):
     return at_zero_state
 
 
-def check_h1(p: ProblemSpec,
-             tol: float = DEFAULT_TOL) -> tuple[Verdict, tuple[float, float]]:
+def check_h1(p: ProblemSpec) -> tuple[Verdict, tuple[float, float]]:
     """Weights h_i >= 0, couplings below Gamma(alpha), nondegenerate forcing.
 
     Returns the verdict together with (Lambda_1, Lambda_2); on a
@@ -267,7 +266,7 @@ def check_h1(p: ProblemSpec,
                     f"-alpha{i + 1}={-alpha.q!r}, so Lambda{i + 1} diverges")
                 continue
             try:
-                lam = compute_lambda(h, alpha, tol).value
+                lam = compute_lambda(h, alpha).value
             except QuadratureError as exc:
                 lam = exc.result.value
                 reasons.append(f"Lambda{i + 1} did not converge: {exc}")
@@ -285,7 +284,7 @@ def check_h1(p: ProblemSpec,
 
 
 def _star_integral(coef: Integrand, weight_exponent: float | None,
-                   power: float, tol: float, label: str) -> float:
+                   power: float, label: str) -> float:
     """int_0^inf coef(t) (1 + t^weight_exponent)^power dt; label names
     the integral in the non-convergence message."""
     if weight_exponent is None or power == 0.0:
@@ -298,13 +297,13 @@ def _star_integral(coef: Integrand, weight_exponent: float | None,
         f = Integrand(weighted, kinks=coef.kinks,
                       endpoint_exponent=coef.endpoint_exponent,
                       decay_hint=coef.decay_hint)
-    res = integrate_halfline(f, tol)
+    res = integrate_halfline(f, DEFAULT_TOL)
     require_converged(res, label)
     return res.value
 
 
 def _star_row(p: ProblemSpec, name: str, coeffs: tuple[Integrand, ...],
-              powers: tuple[float, ...], tol: float) -> tuple[float, ...]:
+              powers: tuple[float, ...]) -> tuple[float, ...]:
     """The envelope integrals of one equation's coefficients (a*_ik or
     b*_ik), weighted per slot (see the module docstring).
 
@@ -314,7 +313,7 @@ def _star_row(p: ProblemSpec, name: str, coeffs: tuple[Integrand, ...],
     """
     weights = (None, p.alpha1.q - 1.0, p.alpha2.q - 1.0, None, None)
     return tuple(
-        _star_integral(c, weights[k], powers[k], tol,
+        _star_integral(c, weights[k], powers[k],
                        f"envelope integral {name}{k}")
         for k, c in enumerate(coeffs, start=5 - len(coeffs)))
 
@@ -366,7 +365,6 @@ def check_h4(p: ProblemSpec, samples: int = 10_000,
 # -- report assembly ---------------------------------------------------
 
 def build_report(p: ProblemSpec, *, seed: int = 0, samples: int = 10_000,
-                 tol: float = DEFAULT_TOL,
                  expected: Mapping[str, float] | None = None
                  ) -> HypothesisReport:
     """Run every applicable check and assemble the full report.
@@ -387,7 +385,7 @@ def build_report(p: ProblemSpec, *, seed: int = 0, samples: int = 10_000,
             for scheme in schemes:
                 blockers[scheme].append(f"{key} fails ({verdict.reason})")
 
-    v1, lam = check_h1(p, tol)
+    v1, lam = check_h1(p)
     settle("H1", v1, "monotone", "contraction")
     # L_i = 1/(Gamma(alpha_i) - Lambda_i) is infinite when a coupling
     # reaches Gamma(alpha): the kernels do not exist there and no finite
@@ -408,8 +406,8 @@ def build_report(p: ProblemSpec, *, seed: int = 0, samples: int = 10_000,
             (f"a{i}{k}", c) for i, row in ((1, g.a1), (2, g.a2))
             for k, c in enumerate(row)))
         try:
-            a_star = (_star_row(p, "a1", g.a1, (0.0, *g.lam1), tol),
-                      _star_row(p, "a2", g.a2, (0.0, *g.lam2), tol))
+            a_star = (_star_row(p, "a1", g.a1, (0.0, *g.lam1)),
+                      _star_row(p, "a2", g.a2, (0.0, *g.lam2)))
         except QuadratureError as exc:
             reasons.append(str(exc))
         settle("H2", Verdict(not reasons, "; ".join(reasons)), "monotone")
@@ -425,11 +423,11 @@ def build_report(p: ProblemSpec, *, seed: int = 0, samples: int = 10_000,
         try:
             # Power 1 in every slot; tau_i = int |f_i(t,0,0,0,0)| dt.
             b_star, tau = (
-                (_star_row(p, "b1", b.b1, (1.0,) * 5, tol),
-                 _star_row(p, "b2", b.b2, (1.0,) * 5, tol)),
+                (_star_row(p, "b1", b.b1, (1.0,) * 5),
+                 _star_row(p, "b2", b.b2, (1.0,) * 5)),
                 tuple(_star_integral(
                     Integrand(lambda t, f0=_forcing(f): np.abs(f0(t))),
-                    None, 0.0, tol, f"forcing integral tau{i}")
+                    None, 0.0, f"forcing integral tau{i}")
                     for i, f in enumerate((p.f1, p.f2), start=1)))
         except QuadratureError as exc:
             reasons.append(str(exc))

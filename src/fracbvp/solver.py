@@ -63,8 +63,9 @@ from .quad import LOOP_TOL, QuadResult, _gl, require_converged
 
 __all__ = [
     "Grid", "SolutionPair", "IterationTrace", "IntegralOperator",
-    "MonotonicityError", "ContractionRatioWarning", "norm_pair",
-    "diff_norm", "monotone_solve", "contract_solve",
+    "SchemeBreakError", "MonotonicityError", "ContractionRatioWarning",
+    "norm_pair", "diff_norm", "monotone_solve", "contract_solve",
+    "ITERATION_DEFAULTS",
 ]
 
 _ROW_NAMES = ("u_w", "du", "v_w", "dv")
@@ -76,8 +77,15 @@ _GEO_PANELS = 8
 _GEO_RATIO = 0.25
 _TAIL_DOUBLINGS = 40
 
+# Scheme -> its default stopping tolerance and step cap.
+ITERATION_DEFAULTS = {"monotone": (1e-5, 200), "contraction": (1e-4, 5000)}
 
-class MonotonicityError(RuntimeError):
+
+class SchemeBreakError(RuntimeError):
+    """An iterate is not finite or (MonotonicityError) breaks the order."""
+
+
+class MonotonicityError(SchemeBreakError):
     """An iterate broke the scheme's ordering by more than the allowed
     quadrature slack."""
 
@@ -312,7 +320,6 @@ class _EquationPlan:
         self.s = (mid[:, None] + half[:, None] * x12[None, :]).ravel()
         self.w = (half[:, None] * w12[None, :]).ravel()
         self.panel_starts = np.arange(los.size) * 12
-        self.n_panels = los.size
 
         # Index bookkeeping for the cumulative pieces: panel K+j-1 is
         # [t_j, t_(j+1)] (1-based j), so everything at or beyond t_j
@@ -392,29 +399,17 @@ class IntegralOperator:
         self.alpha1 = ks1.alpha
         self.alpha2 = ks2.alpha
 
-    def _interp_weighted(self, values: np.ndarray, s: np.ndarray,
-                         anchor_zero: bool) -> np.ndarray:
-        """Interpolate one node row at arbitrary points.
-
-        anchor_zero adds the analytic node (0, 0) of the weighted value
-        rows; derivative rows instead extend flat below t_1.  Both ends
-        extend flat beyond the data, which is exactly the frozen-tail
-        rule past t_N.
-        """
-        t = self.grid.nodes
-        if anchor_zero:
-            return np.interp(s, np.concatenate(([0.0], t)),
-                             np.concatenate(([0.0], values)))
-        return np.interp(s, t, values)
-
     def _states(self, sp: SolutionPair, s: np.ndarray) -> tuple[np.ndarray, ...]:
-        w1 = 1.0 + s ** (self.alpha1.q - 1.0)
-        w2 = 1.0 + s ** (self.alpha2.q - 1.0)
-        u = self._interp_weighted(sp.u_w, s, True) * w1
-        v = self._interp_weighted(sp.v_w, s, True) * w2
-        du = self._interp_weighted(sp.du, s, False)
-        dv = self._interp_weighted(sp.dv, s, False)
-        return u, v, du, dv
+        """(u, v, du, dv) at the points s, interpolated linearly.  The
+        weighted value rows take the analytic node (0, 0); derivative
+        rows extend flat below t_1.  Every row extends flat past t_N,
+        which is exactly the frozen-tail rule."""
+        t = self.grid.nodes
+        t0 = np.concatenate(([0.0], t))
+        u, v = (np.interp(s, t0, np.concatenate(([0.0], row)))
+                * (1.0 + s ** (alpha.q - 1.0)) for row, alpha
+                in ((sp.u_w, self.alpha1), (sp.v_w, self.alpha2)))
+        return u, v, np.interp(s, t, sp.du), np.interp(s, t, sp.dv)
 
     def _forces(self, sp: SolutionPair, plan: _EquationPlan,
                 f) -> tuple[np.ndarray, np.ndarray]:
@@ -466,9 +461,36 @@ def _enforce_ordering(prev: SolutionPair, new: SolutionPair, sign: float,
     return clipped, count
 
 
+def _steps(op: IntegralOperator, trace: IterationTrace, max_iter: int,
+           project=lambda prev, new, step: (new, 0)):
+    """Apply op up to max_iter times from trace.iterates[0], recording
+    each step in trace, and yield (step, d_n) so the caller can stop.
+    project(prev, new, step) returns the kept iterate and its violation
+    count.  A non-finite iterate raises SchemeBreakError."""
+    sp = trace.iterates[0]
+    trace.norms.append(norm_pair(sp))
+    for step in range(1, max_iter + 1):
+        t0 = time.perf_counter()
+        try:
+            new = op.apply(sp)
+        except ValueError as exc:  # ExprEvalError or SolutionPair's check
+            raise SchemeBreakError(f"iteration {step}: {exc}") from exc
+        new, nviol = project(sp, new, step)
+        d = diff_norm(new, sp)
+        trace.seconds.append(time.perf_counter() - t0)
+        trace.diffs.append(d)
+        trace.violations.append(nviol)
+        trace.norms.append(norm_pair(new))
+        trace.iterates.append(new)
+        sp = new
+        yield step, d
+
+
 def monotone_solve(p: ProblemSpec, ks1: KernelSet, ks2: KernelSet,
-                   grid: Grid, direction: str, tol: float = 1e-5,
-                   max_iter: int = 200, *, radius: float | None = None,
+                   grid: Grid, direction: str,
+                   tol: float = ITERATION_DEFAULTS["monotone"][0],
+                   max_iter: int = ITERATION_DEFAULTS["monotone"][1], *,
+                   radius: float | None = None,
                    operator: IntegralOperator | None = None,
                    ) -> tuple[SolutionPair, IterationTrace]:
     """One monotone chain: isotone from zero or antitone from the
@@ -496,33 +518,24 @@ def monotone_solve(p: ProblemSpec, ks1: KernelSet, ks2: KernelSet,
                                       ks1.gamma_alpha, ks2.gamma_alpha)
         sign = -1.0
     slack = 10.0 * op.quad_tol
-    trace = IterationTrace(scheme="monotone", tol=tol,
-                           quad_tol=op.quad_tol, direction=direction)
-    trace.iterates.append(sp)
-    trace.norms.append(norm_pair(sp))
-    for step in range(1, max_iter + 1):
-        t0 = time.perf_counter()
-        new = op.apply(sp)
-        new, nviol = _enforce_ordering(sp, new, sign, slack, step)
-        d = diff_norm(new, sp)
-        trace.seconds.append(time.perf_counter() - t0)
-        trace.diffs.append(d)
-        trace.violations.append(nviol)
-        trace.norms.append(norm_pair(new))
-        trace.iterates.append(new)
-        sp = new
+    trace = IterationTrace(scheme="monotone", tol=tol, quad_tol=op.quad_tol,
+                           direction=direction, iterates=[sp])
+    for step, d in _steps(op, trace, max_iter, lambda prev, new, step:
+                          _enforce_ordering(prev, new, sign, slack, step)):
         if d <= tol:
             trace.converged = True
             trace.message = f"difference norm {d:.3e} <= tol after {step} steps"
-            return sp, trace
-    trace.message = (f"not converged in {max_iter} steps; "
-                     f"last difference norm {trace.diffs[-1]:.3e}")
-    return sp, trace
+            break
+    else:
+        trace.message = (f"not converged in {max_iter} steps; "
+                         f"last difference norm {trace.diffs[-1]:.3e}")
+    return trace.iterates[-1], trace
 
 
 def contract_solve(p: ProblemSpec, ks1: KernelSet, ks2: KernelSet,
                    grid: Grid, initial: SolutionPair | None = None,
-                   tol: float = 1e-4, max_iter: int = 5000, *,
+                   tol: float = ITERATION_DEFAULTS["contraction"][0],
+                   max_iter: int = ITERATION_DEFAULTS["contraction"][1], *,
                    m: float, operator: IntegralOperator | None = None,
                    ) -> tuple[SolutionPair, IterationTrace]:
     """Picard iteration under the contraction guarantee, with the
@@ -531,10 +544,11 @@ def contract_solve(p: ProblemSpec, ks1: KernelSet, ks2: KernelSet,
     Stops when the a-posteriori bound d_n m/(1-m) for the distance to
     the fixed point falls to tol, so the returned pair is within tol of
     the discrete fixed point whenever the modulus m really bounds the
-    operator's Lipschitz constant.  Ratios d_(n+1)/d_n persistently
-    above m + 0.05 trigger a warning instead of an abort: they signal a
-    wrong m or quadrature noise, both worth surfacing, neither provably
-    fatal.
+    operator's Lipschitz constant.  Ratios d_(n+1)/d_n above m + 0.05
+    for 3 consecutive steps trigger a warning instead of an abort: they
+    signal a wrong m or quadrature noise, both worth surfacing, neither
+    provably fatal.  An iterate that is not finite, which no contraction
+    yields, raises SchemeBreakError.
     """
     if not m < 1.0:
         raise InapplicableError(
@@ -544,37 +558,25 @@ def contract_solve(p: ProblemSpec, ks1: KernelSet, ks2: KernelSet,
         else SolutionPair.zeros(grid, ks1.alpha, ks2.alpha)
     gain = m / (1.0 - m)
     trace = IterationTrace(scheme="contraction", tol=tol,
-                           quad_tol=op.quad_tol, m=m)
-    trace.iterates.append(sp)
-    trace.norms.append(norm_pair(sp))
-    high_ratio_streak = 0
+                           quad_tol=op.quad_tol, m=m, iterates=[sp])
     warned = False
-    for step in range(1, max_iter + 1):
-        t0 = time.perf_counter()
-        new = op.apply(sp)
-        d = diff_norm(new, sp)
-        trace.seconds.append(time.perf_counter() - t0)
-        trace.diffs.append(d)
-        trace.violations.append(0)
-        trace.norms.append(norm_pair(new))
-        trace.iterates.append(new)
-        sp = new
-        if step >= 2 and trace.diffs[-2] > 0.0:
-            ratio = d / trace.diffs[-2]
-            high_ratio_streak = high_ratio_streak + 1 \
-                if ratio > m + 0.05 else 0
-            if high_ratio_streak >= 3 and not warned:
-                warnings.warn(
-                    f"difference ratios exceeded m + 0.05 = {m + 0.05:.4f} "
-                    f"for 3 consecutive steps (latest {ratio:.4f}); the "
-                    f"contraction modulus may not bound this operator",
-                    ContractionRatioWarning, stacklevel=2)
-                warned = True
+    for step, d in _steps(op, trace, max_iter):
+        # Every d_n but the last is positive, or the run would have ended.
+        last = trace.diffs[-4:]
+        if not warned and len(last) == 4 \
+                and all(b / a > m + 0.05 for a, b in zip(last, last[1:])):
+            warnings.warn(
+                f"difference ratios exceeded m + 0.05 = {m + 0.05:.4f} "
+                f"for 3 consecutive steps (latest {d / last[-2]:.4f}); the "
+                f"contraction modulus may not bound this operator",
+                ContractionRatioWarning, stacklevel=2)
+            warned = True
         if d * gain <= tol:
             trace.converged = True
             trace.message = (f"a-posteriori bound d_n*m/(1-m) = "
                              f"{d * gain:.3e} <= tol after {step} steps")
-            return sp, trace
-    trace.message = (f"not converged in {max_iter} steps; last bound "
-                     f"{trace.diffs[-1] * gain:.3e}")
-    return sp, trace
+            break
+    else:
+        trace.message = (f"not converged in {max_iter} steps; last bound "
+                         f"{trace.diffs[-1] * gain:.3e}")
+    return trace.iterates[-1], trace

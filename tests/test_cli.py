@@ -20,6 +20,7 @@ from test_exprlang import _extend, _leaves
 import fracbvp
 import fracbvp.solver as solver_mod
 from fracbvp import (
+    ContractionRatioWarning,
     MonotonicityError,
     ProblemFileError,
     format_problem,
@@ -28,7 +29,7 @@ from fracbvp import (
     resolve_problem,
     to_source,
 )
-from fracbvp.cli import main
+from fracbvp.cli import _json, main
 from fracbvp.exprlang import VARIABLES, Var
 from fracbvp.problem import CONSTANT_NAMES
 
@@ -46,6 +47,14 @@ f2 = exp(-2*t)
 [lipschitz]
 {_LIPS}
 """
+
+
+def _strict_json(text):
+    """json.loads that rejects the non-standard Infinity and NaN tokens."""
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def _with(extra):
@@ -328,6 +337,17 @@ def test_usage_errors_exit_four(capsys):
     assert main(["check", "sublinear", "--grid-n", "32"]) == 4
     assert main(["kernel-dump", "sublinear", "--seed", "1"]) == 4
     assert main(["solve", "sublinear", "--interp", "pchip"]) == 4
+    # check and kernel-dump run at the quadrature tolerance and H4 sample
+    # count that solve uses; --tol is solve's iteration tolerance.
+    for argv in (["check", "sublinear", "--tol", "-1"],
+                 ["check", "sublinear", "--tol", "inf"],
+                 ["check", "sublinear", "--samples", "-1"],
+                 ["check", "sublinear", "--samples", "0"],
+                 ["kernel-dump", "sublinear", "--tol", "0"],
+                 ["kernel-dump", "sublinear", "--tol", "inf"]):
+        assert main(argv) == 4, argv
+        assert "unrecognized arguments: " + " ".join(argv[2:]) in \
+            capsys.readouterr().err
     assert main(["frobnicate"]) == 4
     assert main([]) == 4
 
@@ -360,7 +380,7 @@ def test_check_reports_declared_mismatch(capsys):
 
 def test_check_json(capsys):
     assert main(["check", "lipschitz", "--json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = _strict_json(capsys.readouterr().out)
     assert doc["passed"] is True
     assert doc["m"] == pytest.approx(0.985740294457121, abs=1e-9)
     assert [d["name"] for d in doc["discrepancies"]] == ["tau2"]
@@ -385,7 +405,7 @@ def test_solve_refuses_unlicensed_scheme(capsys):
 def test_solve_contraction_json(capsys):
     code = main(["solve", "lipschitz", "--json",
                  "--grid-n", "32", "--tol", "1e-3"])
-    doc = json.loads(capsys.readouterr().out)
+    doc = _strict_json(capsys.readouterr().out)
     assert code == 0
     assert doc["scheme"] == "contraction"
     assert doc["converged"] is True
@@ -414,7 +434,7 @@ def test_solve_monotone_writes_outputs(tmp_path, capsys):
     data = np.array([[float(x) for x in r.split(",")] for r in rows[1:]])
     assert data.shape == (64, 5)
     assert np.all(data[:, 1:] >= 0.0)  # the lower solution is nonnegative
-    ver = json.loads((out_dir / "verification.json").read_text())
+    ver = _strict_json((out_dir / "verification.json").read_text())
     assert ver["ordering"]["ok"] is True
     assert ver["config"]["scheme"] == "monotone"
     summary = capsys.readouterr().out
@@ -492,16 +512,10 @@ def test_non_finite_constant_exits_four(tmp_path, capsys, old, new):
     ["solve", "lipschitz", "--tol", "-1"],
     ["solve", "lipschitz", "--tol", "nan"],
     ["solve", "lipschitz", "--grid-n", "8"],
-    ["check", "sublinear", "--tol", "-1"],
-    ["check", "sublinear", "--samples", "-1"],
-    ["check", "sublinear", "--samples", "0"],
     ["check", "sublinear", "--seed", "-1"],
     ["solve", "sublinear", "--seed", "-1"],
     ["kernel-dump", "sublinear", "--points", "-3"],
     ["kernel-dump", "sublinear", "--points", "0"],
-    ["kernel-dump", "sublinear", "--tol", "0"],
-    ["check", "sublinear", "--tol", "inf"],
-    ["kernel-dump", "sublinear", "--tol", "inf"],
     ["solve", "lipschitz", "--tol", "inf", "--grid-n", "16"],
     ["kernel-dump", "sublinear", "--t-max", "inf", "--points", "3"],
 ], ids=" ".join)
@@ -569,6 +583,15 @@ def test_negative_boundary_weight_fails_h1_before_any_solve(
     assert "no scheme is licensed" in err and "h1 is negative" in err
 
 
+def test_json_writer_writes_non_finite_as_null():
+    doc = {"a": [math.inf, -math.inf, math.nan, 1.5, np.float64(0.1)],
+           "b": (2, None, "x"), "c": {"d": np.float64(math.inf)}}
+    assert _strict_json(_json(doc)) == {
+        "a": [None, None, None, 1.5, 0.1], "b": [2, None, "x"],
+        "c": {"d": None}}
+    assert _json({"v": 0.1}) == json.dumps({"v": 0.1}, indent=2)
+
+
 def _packaged_without_expected(name, edits):
     """Packaged problem `name` minus its [expected] section, with each
     (old, new) pair of `edits` replaced exactly once."""
@@ -609,6 +632,10 @@ _EDGE_CASES = {
         ("solve", [], 2, r"H1 fails \(Lambda1=2 is not below "
                          r"Gamma\(alpha1\)=1\.329340388\)"),
         ("kernel-dump", ["--points", "3"], 2, "kernels do not exist"),
+        # L1 = 1/(Gamma(alpha1) - Lambda1) is infinite: JSON has no inf.
+        ("check", ["--json"], 2, r'"L1": null,\n  "L2": [0-9.]+,\n'
+                                 r'  "L": null,'),
+        ("solve", ["--json"], 2, r'"refused": \[\n    "H1 fails'),
     ]),
     "m-above-1": ("lipschitz", [("b24 = 1/(20*(1+t^2))", "b24 = 10/(1+t^2)"),
                                 ("abs(u4)/(20*(1+t^2))",
@@ -635,7 +662,10 @@ _EDGE_CASES = {
                          r"-alpha1=-2\.5, so Lambda1 diverges\n"),
         ("solve", [], 2, r"licensed\n  H1 fails \(h1_exponent=-2\.5 is not "
                          r"above -alpha1=-2\.5, so Lambda1 diverges\)\n$"),
-        ("kernel-dump", ["--points", "3"], 2, "kernels do not exist"),
+        ("kernel-dump", ["--points", "3"], 2, r"^kernels do not exist: "
+         r"h1_exponent=-2\.5 is not above -alpha1=-2\.5, so Lambda1 "
+         r"diverges\n$"),
+        ("check", ["--json"], 2, r'"lambda1": null,'),
     ]),
     "h4-fails": ("sublinear", [("f1 = 2/(10+t)^2",
                                 "f1 = 2/(10+t)^2 - exp(-t)*abs(u1)/2")], [
@@ -658,6 +688,25 @@ def test_edge_case_exit_codes_and_reasons(tmp_path, capsys, case):
         text = captured.out + captured.err
         assert re.search(pattern, text), (command, extra, text)
         assert "np.float64" not in text
+        if "--json" in extra:
+            _strict_json(captured.out)
+
+
+def test_contraction_iterate_overflow_breaks_the_scheme(tmp_path, capsys):
+    # check licenses the file (H3 holds as declared), but b24 = 1/20
+    # understates the coefficient 2 of |u4|: the iterates grow until f2
+    # is not finite.  That breaks the scheme's guarantee (exit 2), like
+    # a broken chain ordering, not an unreadable input (exit 4).
+    p = tmp_path / "blowup.prob"
+    p.write_text(_packaged_without_expected(
+        "lipschitz", [("abs(u4)/(20*(1+t^2))", "2*abs(u4)/(1+t^2)")]))
+    assert main(["check", str(p)]) == 0
+    capsys.readouterr()
+    with pytest.warns(ContractionRatioWarning):
+        assert main(["solve", str(p), "--grid-n", "16"]) == 2
+    err = capsys.readouterr().err
+    assert re.match(r"scheme guarantee broke mid-run: iteration \d+: "
+                    r"non-finite value from ", err), err
 
 
 def test_solve_spotchecks_only_points_inside_the_grid(capsys):
@@ -694,6 +743,6 @@ def test_kernel_dump_json_and_file(tmp_path, capsys):
     code = main(["kernel-dump", "lipschitz", "--points", "4",
                  "--json", "--out", str(target)])
     assert code == 0
-    doc = json.loads(target.read_text())
+    doc = _strict_json(target.read_text())
     assert len(doc["t"]) == 4
     assert len(doc["k1"]) == 4 and len(doc["k1"][0]) == 4
