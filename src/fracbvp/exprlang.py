@@ -16,9 +16,12 @@ above + and -, so "-t^2" parses as -(t^2).
 One evaluator serves every use: compile_expr turns a tree into a
 vectorized numpy closure, called on sample arrays by the solver and the
 checks, and with no variables at all for the constant expressions of
-problem files.  Everything, constants included, follows numpy
-semantics: intermediate overflow to inf and underflow to 0 are allowed
-(so 1/exp(1000) is 0.0), and only a non-finite final result is an error.
+problem files.  It can also bind variables to fixed arrays (the solver
+binds t to its quadrature points); every subtree over bound variables
+alone is then evaluated once, at compile time.  Everything, constants
+included, follows numpy semantics: intermediate overflow to inf and
+underflow to 0 are allowed (so 1/exp(1000) is 0.0), and only a
+non-finite final result is an error.
 """
 
 from __future__ import annotations
@@ -248,7 +251,16 @@ _OPERATIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
                "pow": operator.pow}
 
 
-def _compile(e: Expr) -> Callable[[Mapping[str, np.ndarray]], np.ndarray]:
+def _compile(e: Expr, bound: Mapping[str, np.ndarray] | None = None
+             ) -> Callable[[Mapping[str, np.ndarray]], np.ndarray]:
+    # A subtree over bound variables alone (or none) is evaluated here,
+    # once, and becomes a read-only constant of the closure.
+    if bound is not None and free_variables(e) <= bound.keys():
+        with np.errstate(all="ignore"):
+            v = _compile(e)(bound)
+        if isinstance(v, np.ndarray):
+            v.setflags(write=False)
+        return lambda env: v
     # Leaves are numpy scalars, so constant subtrees follow numpy
     # semantics too (1/0 is inf, not a ZeroDivisionError).
     if isinstance(e, Num):
@@ -261,13 +273,14 @@ def _compile(e: Expr) -> Callable[[Mapping[str, np.ndarray]], np.ndarray]:
         name = e.name
         return lambda env: env[name]
     if isinstance(e, Unary):
-        f = _compile(e.operand)
+        f = _compile(e.operand, bound)
         return lambda env: -f(env)
     if isinstance(e, Binary):
-        op, fl, fr = _OPERATIONS[e.op], _compile(e.left), _compile(e.right)
+        op = _OPERATIONS[e.op]
+        fl, fr = _compile(e.left, bound), _compile(e.right, bound)
         return lambda env: op(fl(env), fr(env))
     if isinstance(e, Call):
-        fn, parts = _OPERATIONS[e.fn], [_compile(a) for a in e.args]
+        fn, parts = _OPERATIONS[e.fn], [_compile(a, bound) for a in e.args]
         if len(parts) == 1:
             f = parts[0]
             return lambda env: fn(f(env))
@@ -276,7 +289,8 @@ def _compile(e: Expr) -> Callable[[Mapping[str, np.ndarray]], np.ndarray]:
     raise TypeError(f"not an Expr node: {e!r}")
 
 
-def compile_expr(e: Expr, variables: tuple[str, ...] = VARIABLES
+def compile_expr(e: Expr, variables: tuple[str, ...] = VARIABLES, *,
+                 bind: Mapping[str, np.ndarray] | None = None
                  ) -> Callable[..., np.ndarray]:
     """Compile to a vectorized function of positional ndarray arguments.
 
@@ -286,22 +300,32 @@ def compile_expr(e: Expr, variables: tuple[str, ...] = VARIABLES
     mistakes cannot leak NaN into a solver run.  A variable of the tree
     outside `variables` raises ExprNameError here; with no variables the
     function takes no arguments and returns a 0-d array.
+
+    `bind` fixes some of `variables` to arrays (copied, read-only); the
+    function takes the others, in order.  Subtrees over bound variables
+    alone are evaluated here, once, by the same operations a call runs,
+    so results are bit for bit the unbound ones; the check runs per call.
     """
-    unbound = free_variables(e) - set(variables)
+    bound = {k: np.array(v, dtype=float) for k, v in (bind or {}).items()}
+    for a in bound.values():
+        a.setflags(write=False)
+    unbound = (free_variables(e) | bound.keys()) - set(variables)
     if unbound:
         raise ExprNameError(min(unbound), None, variables)
-    body = _compile(e)
+    params = tuple(v for v in variables if v not in bound)
+    body = _compile(e, bound)
     src = to_source(e)
 
     def fn(*args: np.ndarray) -> np.ndarray:
-        if len(args) != len(variables):
-            raise TypeError(f"expected {len(variables)} arguments "
-                            f"({', '.join(variables)}), got {len(args)}")
-        env = dict(zip(variables, (np.asarray(a, dtype=float) for a in args)))
+        if len(args) != len(params):
+            raise TypeError(f"expected {len(params)} arguments "
+                            f"({', '.join(params)}), got {len(args)}")
+        env = dict(bound)
+        env.update(zip(params, (np.asarray(a, dtype=float) for a in args)))
         with np.errstate(all="ignore"):
             out = np.asarray(body(env), dtype=float)
         out = np.broadcast_to(out, np.broadcast_shapes(
-            *(np.shape(a) for a in args))) if out.shape == () else out
+            *(np.shape(a) for a in env.values()))) if out.shape == () else out
         bad = ~np.isfinite(out)
         if np.any(bad):
             where = ""

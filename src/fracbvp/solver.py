@@ -42,7 +42,11 @@ constant.  Weighted u values take the known anchor u(0) = 0;
 derivative rows extend flat on both sides.  Beyond t_N the weighted
 state is frozen at its last node value (the weighted rows converge to
 finite limits, and every state-dependent tail term is damped by the
-integrable forcing envelopes).
+integrable forcing envelopes).  The plan's points never move, so a
+build fixes each point's bracket, offset and state weights, and
+evaluates the subtrees of f_i that depend on t alone there, once; an
+apply runs np.interp's own formula on those brackets, so the states are
+np.interp's values bit for bit.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exprlang import compile_expr
+from .exprlang import Expr, compile_expr
 from .fracops import FracOrder, gamma
 from .kernels import KernelSet
 from .problem import InapplicableError, ProblemSpec
@@ -299,9 +303,13 @@ def _gauss_jacobi(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _EquationPlan:
-    """Fixed quadrature data for one equation on one grid."""
+    """Fixed quadrature data for one equation on one grid, and what no
+    apply changes at its points: the forcing with t bound to them, each
+    point's bracket among [0, t_1..t_N] and offset from its left end,
+    and the state weights 1 + s^(alpha_i-1) of both orders."""
 
-    def __init__(self, ks: KernelSet, grid: Grid):
+    def __init__(self, ks: KernelSet, grid: Grid, f: Expr,
+                 orders: tuple[FracOrder, FracOrder]):
         self.ks = ks
         a = ks.alpha.q
         t = grid.nodes
@@ -350,6 +358,24 @@ class _EquationPlan:
         self.t_pow = t ** (a - 1.0)
         self.g_at_s = ks.g_many(self.s)
 
+        s_all = np.concatenate((self.s, self.s_jac.ravel()))
+        nodes = np.concatenate(([0.0], t))
+        self.bracket = np.searchsorted(nodes, s_all, side="right") - 1
+        self.offset = s_all - nodes[self.bracket]
+        self.weights = np.stack([1.0 + s_all ** (o.q - 1.0) for o in orders])
+        self.f = compile_expr(f, bind={"t": s_all})
+
+    def forces(self, rows: np.ndarray,
+               slopes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """F at the Gauss-Legendre and the Gauss-Jacobi points, the states
+        by np.interp's formula: slope*offset + the bracket's left value."""
+        j = self.bracket
+        states = slopes.take(j, axis=1) * self.offset + rows.take(j, axis=1)
+        states[:2] *= self.weights
+        vals = self.f(*states)
+        split = self.s.size
+        return vals[:split], vals[split:].reshape(self.s_jac.shape)
+
     def assemble(self, f_gl: np.ndarray,
                  f_jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Node values (unweighted u row, derivative row) from F samples."""
@@ -377,11 +403,13 @@ class IntegralOperator:
     """The discrete fixed-point operator for one problem on one grid.
 
     Building one precomputes the panel layout, the product-quadrature
-    matrices, and the boundary integrals G at every quadrature point
-    (one batched quadrature per equation, the larger part of a first
-    build; a rebuild on the same kernel sets reads G from their memo);
-    each apply() is then a few vectorized evaluations.  The map is
-    deterministic: same input pair, same output, bit for bit.
+    matrices, the boundary integrals G at every quadrature point (one
+    batched quadrature per equation, the larger part of a first build; a
+    rebuild on the same kernel sets reads G from their memo), and at the
+    plan's points the t-only subtrees of f_i, the interpolation brackets
+    and offsets, and the state weights; each apply() is then a few
+    vectorized evaluations.  The map is deterministic: same input pair,
+    same output, bit for bit.
     """
 
     def __init__(self, p: ProblemSpec, ks1: KernelSet, ks2: KernelSet,
@@ -389,41 +417,29 @@ class IntegralOperator:
         # Linear only; kept because bench/sweep_worker.py passes interp=.
         if interp != "linear":
             raise ValueError(f"unknown interpolation mode {interp!r}")
-        self.problem = p
         self.grid = grid
         self.quad_tol = LOOP_TOL
-        self.f1 = compile_expr(p.f1)
-        self.f2 = compile_expr(p.f2)
-        self.plan1 = _EquationPlan(ks1, grid)
-        self.plan2 = _EquationPlan(ks2, grid)
         self.alpha1 = ks1.alpha
         self.alpha2 = ks2.alpha
-
-    def _states(self, sp: SolutionPair, s: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(u, v, du, dv) at the points s, interpolated linearly.  The
-        weighted value rows take the analytic node (0, 0); derivative
-        rows extend flat below t_1.  Every row extends flat past t_N,
-        which is exactly the frozen-tail rule."""
-        t = self.grid.nodes
-        t0 = np.concatenate(([0.0], t))
-        u, v = (np.interp(s, t0, np.concatenate(([0.0], row)))
-                * (1.0 + s ** (alpha.q - 1.0)) for row, alpha
-                in ((sp.u_w, self.alpha1), (sp.v_w, self.alpha2)))
-        return u, v, np.interp(s, t, sp.du), np.interp(s, t, sp.dv)
-
-    def _forces(self, sp: SolutionPair, plan: _EquationPlan,
-                f) -> tuple[np.ndarray, np.ndarray]:
-        s_all = np.concatenate((plan.s, plan.s_jac.ravel()))
-        u, v, du, dv = self._states(sp, s_all)
-        vals = np.asarray(f(s_all, u, v, du, dv))
-        split = plan.s.size
-        return vals[:split], vals[split:].reshape(plan.s_jac.shape)
+        orders = (ks1.alpha, ks2.alpha)
+        self.plan1 = _EquationPlan(ks1, grid, p.f1, orders)
+        self.plan2 = _EquationPlan(ks2, grid, p.f2, orders)
+        # Interval widths of [0, t_1..t_N], plus a pad interval past t_N
+        # on which every row is flat.
+        self.widths = np.append(np.diff(grid.nodes, prepend=0.0), 1.0)
 
     def apply(self, sp: SolutionPair) -> SolutionPair:
-        f1_gl, f1_jac = self._forces(sp, self.plan1, self.f1)
-        f2_gl, f2_jac = self._forces(sp, self.plan2, self.f2)
-        u, du = self.plan1.assemble(f1_gl, f1_jac)
-        v, dv = self.plan2.assemble(f2_gl, f2_jac)
+        # Rows (u_w, v_w, du, dv) on [0, t_1..t_N, pad]: weighted rows
+        # take the analytic node (0, 0), derivative rows extend flat below
+        # t_1, and every row extends flat past t_N (the frozen tail).
+        rows = np.empty((4, self.grid.n + 2))
+        rows[:, 1:-1] = sp.u_w, sp.v_w, sp.du, sp.dv
+        rows[:2, 0] = 0.0
+        rows[2:, 0] = rows[2:, 1]
+        rows[:, -1] = rows[:, -2]
+        slopes = np.diff(rows) / self.widths
+        u, du = self.plan1.assemble(*self.plan1.forces(rows, slopes))
+        v, dv = self.plan2.assemble(*self.plan2.forces(rows, slopes))
         return SolutionPair(
             self.grid, self.alpha1, self.alpha2,
             u_w=u / (1.0 + self.plan1.t_pow),

@@ -675,6 +675,17 @@ _EDGE_CASES = {
          r"diverges\n$"),
         ("check", ["--json"], 2, r'"lambda1": null,'),
     ]),
+    # An algebraic-decay weight with no h1_decay hint: Lambda1 =
+    # int_0^inf t^(-1.5) t^1.5 (1+t)^(-3) dt = 1/2.
+    "algebraic-decay-weight": ("sublinear", [
+            ("h1 = t^(-1.5)*exp(-t)", "h1 = t^(-1.5)/(1+t)^3"),
+            ("h1_decay = 1\n", "")], [
+        ("check", [], 0, r"lambda1 = 0\.49999999999\d*\n(.|\n)*"
+                         r"all applicable hypotheses hold"),
+        ("solve", ["--grid-n", "32"], 0,
+         r"monotone scheme, n=32(.|\n)*boundary residuals 1\.6\d*e-03, "
+         r"3\.8\d*e-03"),
+    ]),
     "h4-fails": ("sublinear", [("f1 = 2/(10+t)^2",
                                 "f1 = 2/(10+t)^2 - exp(-t)*abs(u1)/2")], [
         ("check", [], 2, r"H4 FAIL.*\n      " + _H4_FLOATS),

@@ -2,6 +2,7 @@
 variable discovery."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -191,3 +192,52 @@ def test_free_variables():
     assert free_variables(parse("t*u3 - u1")) == {"t", "u1", "u3"}
     assert free_variables(parse("exp(-t)*(u1+u2+u3+u4)")) == {
         "t", "u1", "u2", "u3", "u4"}
+
+
+@given(st.recursive(_leaves, _extend, max_leaves=12),
+       st.lists(st.floats(min_value=0.0, max_value=1e16), max_size=6),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_binding_t_changes_no_bit_and_no_error(tree, ts, seed):
+    t = np.array([0.0, 9.999999999999998e15, 1e16, *ts])
+    us = np.random.default_rng(seed).uniform(-10.0, 10.0, (4, t.size))
+    outcomes = []
+    for fn, args in ((compile_expr(tree), (t, *us)),
+                     (compile_expr(tree, bind={"t": t}), tuple(us))):
+        try:
+            outcomes.append(fn(*args))
+        except ExprEvalError as exc:
+            outcomes.append(str(exc))
+    unbound, bound = outcomes
+    if isinstance(unbound, str) or isinstance(bound, str):
+        assert unbound == bound
+    else:
+        assert unbound.shape == bound.shape
+        assert unbound.tobytes() == bound.tobytes()
+
+
+def test_bound_t_only_tree_is_one_frozen_array():
+    # The forcing of the solver tests' forcing-only problem.
+    t = np.array([0.0, 0.5, 3.0, 1e16])
+    us = (np.zeros(t.size),) * 4
+    fn = compile_expr(parse("exp(-t)"), bind={"t": t})
+    first = fn(*us)
+    assert not first.flags.writeable
+    assert np.array_equal(fn(*us), first)
+    assert np.array_equal(first, np.exp(-t))
+    assert t.flags.writeable  # the caller's array is copied, not frozen
+    # Binding evaluates under numpy's error state, so a t-only part that
+    # overflows warns nothing; the call then fails as the unbound one.
+    t = np.array([1.0, -1000.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fn = compile_expr(parse("exp(-t)"), bind={"t": t})
+    with pytest.raises(ExprEvalError, match=r"index 1 \(t=-1000\.0\)$"):
+        fn(*(np.zeros(2),) * 4)
+
+
+def test_bind_names_checked_and_arity_shrinks():
+    with pytest.raises(ExprNameError, match="'x'"):
+        compile_expr(parse("t"), ("t",), bind={"x": np.ones(2)})
+    fn = compile_expr(parse("t + u1"), bind={"t": np.ones(3)})
+    with pytest.raises(TypeError, match=r"expected 4 arguments \(u1, u2"):
+        fn(np.ones(3))

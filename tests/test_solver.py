@@ -29,7 +29,8 @@ from fracbvp import (
     monotone_solve,
     norm_pair,
 )
-from fracbvp.exprlang import parse
+from fracbvp import solver as solver_mod
+from fracbvp.exprlang import compile_expr, parse
 from fracbvp.solver import _enforce_ordering, _gauss_jacobi
 from fracbvp.verify import _flat_pchip
 
@@ -294,3 +295,104 @@ def test_contraction_stop_rule(contraction_run, report_lipschitz):
     # And the step before was not yet good enough, so we stopped exactly
     # when the a-posteriori bound first allowed it.
     assert trace.diffs[-2] * m / (1.0 - m) > trace.tol
+
+
+class _InterpRoute(IntegralOperator):
+    """The operator with its states taken the plain way on every apply:
+    np.interp on [0, t_1..t_N] (weighted rows, anchored at 0) and on
+    t_1..t_N (derivative rows), the weights 1 + s^(alpha-1) recomputed,
+    and the forcing compiled unbound on the concatenated points.  It
+    shares only the quadrature plan (assemble) with the operator."""
+
+    def __init__(self, p, ks1, ks2, grid):
+        super().__init__(p, ks1, ks2, grid)
+        self.unbound = (compile_expr(p.f1), compile_expr(p.f2))
+
+    def apply(self, sp):
+        t = self.grid.nodes
+        t0 = np.concatenate(([0.0], t))
+        rows = []
+        for plan, f in zip((self.plan1, self.plan2), self.unbound):
+            s = np.concatenate((plan.s, plan.s_jac.ravel()))
+            u, v = (np.interp(s, t0, np.concatenate(([0.0], row)))
+                    * (1.0 + s ** (alpha.q - 1.0)) for row, alpha
+                    in ((sp.u_w, self.alpha1), (sp.v_w, self.alpha2)))
+            vals = f(s, u, v, np.interp(s, t, sp.du), np.interp(s, t, sp.dv))
+            split = plan.s.size
+            value, deriv = plan.assemble(
+                vals[:split], vals[split:].reshape(plan.s_jac.shape))
+            rows += [value / (1.0 + plan.t_pow), deriv]
+        return SolutionPair(self.grid, self.alpha1, self.alpha2,
+                            u_w=rows[0], du=rows[1], v_w=rows[2], dv=rows[3])
+
+
+def _assert_same_rows(a, b, what):
+    for name, x, y in zip(("u_w", "du", "v_w", "dv"), a.rows(), b.rows()):
+        assert np.array_equal(x, y), (what, name)
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+@pytest.mark.parametrize("name, radius", [("sublinear", "R"),
+                                          ("lipschitz", "r")])
+def test_apply_and_solves_are_the_interp_route_bit_for_bit(
+        request, kernels, name, radius, n):
+    p = request.getfixturevalue(name)
+    report = request.getfixturevalue(f"report_{name}")
+    ks1, ks2 = kernels
+    grid = Grid.make(n)
+    op = IntegralOperator(p, ks1, ks2, grid)
+    oracle = _InterpRoute(p, ks1, ks2, grid)
+    upper = SolutionPair.upper_start(grid, ks1.alpha, ks2.alpha,
+                                     getattr(report, radius),
+                                     ks1.gamma_alpha, ks2.gamma_alpha)
+    # Two random pairs between 0 and the upper start, the first below
+    # the second.
+    scales = np.sort(np.random.default_rng(n).uniform(size=(2, 4, n)),
+                     axis=0)
+    inputs = [SolutionPair.zeros(grid, ks1.alpha, ks2.alpha), upper] + [
+        SolutionPair(grid, ks1.alpha, ks2.alpha, **dict(zip(
+            ("u_w", "du", "v_w", "dv"), c * np.array(upper.rows()))))
+        for c in scales]
+    for k, sp in enumerate(inputs):
+        _assert_same_rows(op.apply(sp), oracle.apply(sp), k)
+    if name == "sublinear":
+        for direction in ("lower", "upper"):
+            got, want = (monotone_solve(p, ks1, ks2, grid, direction,
+                                        radius=report.R, operator=o)
+                         for o in (op, oracle))
+            _assert_same_rows(got[0], want[0], direction)
+            assert got[1].diffs == want[1].diffs
+    else:
+        got, want = (contract_solve(p, ks1, ks2, grid, m=report.m,
+                                    operator=o) for o in (op, oracle))
+        _assert_same_rows(got[0], want[0], "contraction")
+        assert got[1].diffs == want[1].diffs
+
+
+def test_forcings_are_evaluated_twice_per_apply(monkeypatch, sublinear,
+                                                 kernels, grid64):
+    """The per-layer trace counts forcing evaluations by wrapping the
+    callables that solver.compile_expr returns, as bench/tracing.py
+    does; an apply must evaluate each forcing once, through them."""
+    compile_original = solver_mod.compile_expr
+    points = []
+
+    def counting_compile(*args, **kwargs):
+        fn = compile_original(*args, **kwargs)
+
+        def counted(*xs):
+            points.append(np.size(xs[0]))
+            return fn(*xs)
+        return counted
+
+    monkeypatch.setattr(solver_mod, "compile_expr", counting_compile)
+    ks1, ks2 = kernels
+    op = IntegralOperator(sublinear, ks1, ks2, grid64)
+    _, trace = monotone_solve(sublinear, ks1, ks2, grid64, "lower",
+                              operator=op)
+    assert trace.n_steps > 0
+    assert len(points) == 2 * trace.n_steps
+    per_apply = sum(plan.s.size + plan.s_jac.size
+                    for plan in (op.plan1, op.plan2))
+    assert sum(points) == trace.n_steps * per_apply
+
