@@ -313,7 +313,7 @@ def compile_expr(e: Expr, variables: tuple[str, ...] = VARIABLES, *,
     if unbound:
         raise ExprNameError(min(unbound), None, variables)
     params = tuple(v for v in variables if v not in bound)
-    body = _compile(e, bound)
+    body = _compile(e, bound or None)
     src = to_source(e)
 
     def fn(*args: np.ndarray) -> np.ndarray:

@@ -11,7 +11,8 @@ These operators are verification tools, not the solver hot path: the
 derivative is computed by differentiating the integral numerically
 (central differences refined by Richardson extrapolation), which is
 accurate enough for residual spot-checks and closed-form identity tests
-but would be wasteful inside an iteration loop.
+but would be wasteful inside an iteration loop.  The integrals at all
+of the refinement's stencil points are one quadrature batch.
 """
 
 from __future__ import annotations
@@ -19,11 +20,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Union
+from bisect import bisect_left, bisect_right
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .quad import Integrand, integrate_finite, require_converged
+from .quad import (Integrand, QuadratureError, integrate_batch,
+                   require_converged)
 
 __all__ = [
     "FracOrder",
@@ -72,9 +75,9 @@ def gamma(x: float) -> float:
     return math.gamma(x)
 
 
-def rl_integral(g: Callable[[np.ndarray], np.ndarray], q: OrderLike, t: float,
-                *, tol: float = 1e-10, g_exponent: float = 0.0,
-                kinks: tuple[float, ...] = ()) -> float:
+def rl_integral(g: Callable[[np.ndarray], np.ndarray], q: OrderLike,
+                t: float | Sequence[float], *, tol: float = 1e-10,
+                g_exponent: float = 0.0, kinks: Sequence[float] = ()):
     """Fractional integral (I^q g)(t) for vectorized g on [0, t].
 
     g_exponent declares algebraic behavior of g at 0 (g(s) ~ s^sigma),
@@ -83,32 +86,51 @@ def rl_integral(g: Callable[[np.ndarray], np.ndarray], q: OrderLike, t: float,
     convolution kernel's own endpoint singularity at s = t is handled by
     flipping the variable on the upper half of the interval (a kink k
     lands at t - k); both halves then have their singularity at the left
-    end, where the quadrature substitution removes it.  Raises
-    QuadratureError when the tolerance is not met.
+    end, where the quadrature substitution removes it.
+
+    A scalar t gives a float, or raises QuadratureError when the
+    tolerance is not met.  A sequence of t gives a list, in which a t
+    whose quadrature failed has that error in place of its value.  Both
+    halves of every t are jobs of one integrate_batch call.
     """
     qv = _order(q)
-    if t < 0:
+    ts = list(t) if np.ndim(t) else [t]
+    if any(x < 0 for x in ts):
         raise ValueError(f"rl_integral needs t >= 0, got {t}")
-    if t == 0:
-        return 0.0
-    half = 0.5 * t
+    kinks = Integrand(g, kinks=kinks).kinks  # checked increasing floats
+    jobs = []
+    for x in ts:
+        half = 0.5 * x
+        # By bisection, the kinks in (0, half) and in (half, x).
+        jobs += [] if x == 0 else [
+            (0.0, half, kinks[bisect_right(kinks, 0.0):
+                              bisect_left(kinks, half)], g_exponent),
+            (0.0, half, [x - k for k in reversed(kinks[bisect_right(
+                kinks, half):bisect_left(kinks, x)])], qv - 1.0)]
+    at = np.repeat(np.array([x for x in ts if x != 0], float), 2)
+    flip = np.arange(at.size) % 2 == 1
 
-    def lower(s: np.ndarray) -> np.ndarray:
-        return np.asarray(g(s)) * (t - s) ** (qv - 1.0)
+    def fn(x: np.ndarray, job) -> np.ndarray:
+        # Lower half g(s) (t - s)^(q-1); upper half g(t - x) x^(q-1).
+        up = flip[job]
+        return np.asarray(g(np.where(up, d := at[job] - x, x))) \
+            * np.where(up, x, d) ** (qv - 1.0)
 
-    def upper(x: np.ndarray) -> np.ndarray:
-        return np.asarray(g(t - x)) * x ** (qv - 1.0)
-
-    res_lo = integrate_finite(
-        Integrand(lower, kinks=tuple(k for k in kinks if 0.0 < k < half),
-                  endpoint_exponent=g_exponent), 0.0, half, tol / 2)
-    res_hi = integrate_finite(
-        Integrand(upper, kinks=tuple(t - k for k in reversed(kinks)
-                                     if half < k < t),
-                  endpoint_exponent=qv - 1.0), 0.0, half, tol / 2)
-    require_converged(res_lo, f"rl_integral lower half (q={qv}, t={t})")
-    require_converged(res_hi, f"rl_integral upper half (q={qv}, t={t})")
-    return (res_lo.value + res_hi.value) / gamma(qv)
+    res, out = iter(integrate_batch(fn, jobs, tol / 2) if jobs else ()), []
+    for x in ts:
+        if x == 0:
+            out.append(0.0)
+            continue
+        lo, hi = next(res), next(res)
+        try:
+            for r, s in ((lo, "lower"), (hi, "upper")):
+                require_converged(r, f"rl_integral {s} half (q={qv}, t={x})")
+            out.append((lo.value + hi.value) / gamma(qv))
+        except QuadratureError as exc:
+            if not np.ndim(t):
+                raise
+            out.append(exc)
+    return out if np.ndim(t) else out[0]
 
 
 class LossOfSignificanceWarning(RuntimeWarning):
@@ -135,7 +157,9 @@ def rl_derivative(g: Callable[[np.ndarray], np.ndarray], q: OrderLike,
     g_exponent and kinks), refined through a Richardson table until the
     diagonal stabilizes below tol (relative to 1 + |value|).  When the
     refinement stalls instead, a LossOfSignificanceWarning is issued and
-    the best value is returned with its achieved estimate.
+    the best value is returned with its achieved estimate.  One
+    rl_integral call serves the stencil points of all five levels; a
+    point's QuadratureError is raised only if the refinement reads it.
     """
     qv = _order(q)
     if not t > 0:
@@ -145,36 +169,32 @@ def rl_derivative(g: Callable[[np.ndarray], np.ndarray], q: OrderLike,
         raise ValueError(f"orders above 4 are out of scope (q={qv})")
     frac = n - qv
 
-    cache: dict[float, float] = {}
-
+    offsets, coeffs = _STENCILS[n]
+    h0 = t / (4.0 * max(abs(o) for o in offsets))
+    steps = [h0 / 2 ** k for k in range(5)]
+    xs = list(dict.fromkeys(t + o * h for h in steps for o in offsets))
     if frac == 0.0:
         # Integer order: I^0 is the identity, differentiate g itself.
-        def smooth(x: float) -> float:
-            if x not in cache:
-                cache[x] = float(np.asarray(g(np.array([x])))[0])
-            return cache[x]
+        vals = [float(y) for y in np.asarray(g(np.array(xs)))]
     else:
-        def smooth(x: float) -> float:
-            if x not in cache:
-                cache[x] = rl_integral(g, frac, x, tol=quad_tol,
-                                       g_exponent=g_exponent, kinks=kinks)
-            return cache[x]
-
-    offsets, coeffs = _STENCILS[n]
-    reach = max(abs(o) for o in offsets)
-    h0 = t / (4.0 * reach)
-    levels = 5
+        vals = rl_integral(g, frac, xs, tol=quad_tol,
+                           g_exponent=g_exponent, kinks=kinks)
+    cache = dict(zip(xs, vals))
 
     def stencil(h: float) -> float:
-        return sum(c * smooth(t + o * h) for o, c in zip(offsets, coeffs)) / h ** n
+        ys = [cache[t + o * h] for o in offsets]
+        for y in ys:
+            if isinstance(y, QuadratureError):
+                raise y
+        return sum(c * y for c, y in zip(coeffs, ys)) / h ** n
 
     table: list[list[float]] = []
     best = math.nan
     est = math.inf
     prev_diag = math.nan
     stalls = 0
-    for k in range(levels):
-        row = [stencil(h0 / 2 ** k)]
+    for k, h in enumerate(steps):
+        row = [stencil(h)]
         for j in range(1, k + 1):
             fac = 4.0 ** j
             row.append((fac * row[j - 1] - table[k - 1][j - 1]) / (fac - 1.0))

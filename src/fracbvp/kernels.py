@@ -286,8 +286,8 @@ def _boundary_weighted_integral(ks: KernelSet, y: Integrand,
     tabulates the points it has not seen in one trapezoid pass whose
     step and u range depend on the whole batch, so G at a point depends,
     within that pass's tolerance (tol/10, 1e-11 by default), on the
-    batch that first reached it; the engine's 36- and 72-point calls
-    make such batches.  The value is deterministic for a given
+    batch that first reached it; each integrand call of the engine makes
+    such a batch.  The value is deterministic for a given
     KernelSet history; only kernel_representation and
     derivative_representation use it, and no CLI output does.
     """

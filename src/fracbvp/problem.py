@@ -396,6 +396,10 @@ def build_report(p: ProblemSpec, *, seed: int = 0, samples: int = 10_000,
     if not isfinite(big_l):
         notes.append("operator sup constants are infinite because a "
                      "boundary coupling reaches Gamma(alpha)")
+    for i, g, x, li in ((1, ga[0], lam[0], l1), (2, ga[1], lam[1], l2)):
+        if 0.0 < g - x < 1e-3 * g:
+            notes.append(f"Gamma(alpha{i}) - Lambda{i} = {g - x:.3e} is below "
+                         f"1e-3*Gamma(alpha{i}), so L{i} = {li:.6g}")
 
     a_star = None
     if p.growth is None:

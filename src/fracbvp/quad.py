@@ -15,13 +15,12 @@ and the worst panel is split until the summed estimate meets the tolerance.
 Summation order is fixed (panels are sorted by position before the final
 sum), so results are deterministic for a given integrand and tolerance.
 
-Integrands must be pointwise: each output value depends only on its own
-input value.  The engine evaluates several panels in one call, on arrays
-of 36*k points: one call for the first panels of all untransformed
-pieces, one for that of a transformed piece, and one for the two halves
-of each split (72).  Nodes and per-panel sums are those of evaluating
-one 12-point rule per call, so for a pointwise integrand the batching
-changes nothing but the number of calls.
+Integrands must be pointwise, because the engine evaluates many panels
+in one call: integrate_batch the first panels of every piece of every
+job (power-substituted ones included) in one call, then one call per
+round of splits; a half-line tail the first panels of 8 doublings per
+call.  Nodes and per-panel sums are those of one panel at a time, so
+batching changes nothing but the number of calls.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ __all__ = [
     "Integrand",
     "QuadResult",
     "QuadratureError",
+    "integrate_batch",
     "integrate_finite",
     "integrate_halfline",
 ]
@@ -49,6 +49,8 @@ LOOP_TOL = 1e-8
 
 _MAX_PANELS = 4096
 _MAX_DOUBLINGS = 60
+# Tail doublings whose first panels share one integrand call.
+_TAIL_CHUNK = 8
 
 
 @functools.cache
@@ -62,9 +64,8 @@ class Integrand:
     """A real function on (0, inf) with declared trouble spots.
 
     fn                 vectorized callable, ndarray -> ndarray; must be
-                       pointwise (each output depends only on its own
-                       input), because the engine evaluates several
-                       panels in one call on arrays of 36*k points
+                       pointwise: each output depends only on its own
+                       input
     kinks              strictly increasing interior points where fn is
                        continuous but not smooth (panel boundaries are
                        forced there)
@@ -91,9 +92,6 @@ class Integrand:
         if self.decay_hint is not None and self.decay_hint <= 0:
             raise ValueError("decay_hint must be a positive rate")
 
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        return self.fn(t)
-
 
 @dataclass(frozen=True)
 class QuadResult:
@@ -119,49 +117,48 @@ class QuadratureError(RuntimeError):
         self.result = result
 
 
-def _panels(fn, bounds) -> list[tuple[float, float]]:
-    """(value, error) for every (lo, hi) panel in bounds, from one call
-    of fn.
-
-    Each panel's value comes from GL12 on its two halves and its error
-    from the difference against GL12 on the whole panel; that is 36
-    nodes per panel, all passed to fn in one array.  Nodes and sums are
-    formed with the same float operations, in the same order, as
-    estimating one panel at a time: per-row 12-term dots rather than one
-    matrix product, whose summation order BLAS may change.
+def _estimate(fn, lo: np.ndarray, hi: np.ndarray):
+    """(value, error) arrays for the panels [lo_i, hi_i] from one call of
+    fn on their 36 nodes each, flat in the shape (3, P, 12): GL12 on the
+    whole panel (the error is the difference), on its left and its right
+    half (the value).  The float operations are those of one panel at a
+    time: np.vecdot forms each 12-term dot as `w @ row` does, where a
+    matrix product may reorder the sums.
     """
     x, w = _gl(12)
-    centres: list[float] = []
-    halves: list[float] = []
-    for lo, hi in bounds:
+    # Outside fn, inf and nan arise silently, as in Python float math.
+    with np.errstate(over="ignore", invalid="ignore"):
         mid = 0.5 * (lo + hi)
-        centres += (mid, 0.5 * (lo + mid), 0.5 * (mid + hi))
-        halves += (0.5 * (hi - lo), 0.5 * (mid - lo), 0.5 * (hi - mid))
-    nodes = np.array(centres)[:, None] + np.array(halves)[:, None] * x
+        left, right = np.concatenate((lo, lo, mid, hi, mid, hi)).reshape(2, -1)
+        halves = 0.5 * (right - left)
+        nodes = (0.5 * (left + right))[:, None] + halves[:, None] * x
     ys = np.reshape(fn(nodes.ravel()), nodes.shape)
-    out = []
-    for i in range(0, len(halves), 3):
-        coarse = halves[i] * float(w @ ys[i])
+    with np.errstate(over="ignore", invalid="ignore"):
+        dots = (halves * np.vecdot(ys, w)).reshape(3, -1)
         # The leading 0.0 keeps the running sum's +0.0 for a -0.0 total.
-        fine = 0.0 + halves[i + 1] * float(w @ ys[i + 1]) \
-            + halves[i + 2] * float(w @ ys[i + 2])
-        out.append((fine, abs(fine - coarse)))
-    return out
+        fine = 0.0 + dots[1] + dots[2]
+        return fine, np.abs(fine - dots[0])
 
 
-def _adapt(fn, lo: float, hi: float, tol: float,
-           first=None) -> tuple[float, float, int, bool]:
-    """Adaptive bisection on [lo, hi] for a smooth (post-transform) fn,
-    from the panel's (value, error) first when the caller has it.
+def _panels(fn, bounds) -> list[tuple[float, float]]:
+    """_estimate on a sequence of (lo, hi) panels, as (value, error)s."""
+    val, err = _estimate(fn, *np.array(bounds, dtype=float).reshape(-1, 2).T)
+    return list(zip(val.tolist(), err.tolist()))
 
-    Returns (value, error_estimate, evaluations, converged).  The heap is
-    keyed on (-error, lo) so refinement order, and therefore the result,
-    is deterministic.  Panels narrower than the width floor are frozen
-    with their current estimate instead of being split forever.
+
+def _adapt(lo: float, hi: float, tol: float, first):
+    """Adaptive bisection on [lo, hi] for a smooth (post-transform)
+    integrand from the panel's (value, error) first, as a generator:
+    each split yields the two halves and is sent their (value, error)
+    pairs (see _lockstep); it returns (value, error_estimate,
+    evaluations, converged).  The heap is keyed on (-error, lo) so
+    refinement order, and therefore the result, is deterministic.
+    Panels narrower than the width floor are frozen with their current
+    estimate instead of being split forever.
     """
     if hi <= lo:
         return 0.0, 0.0, 0, True
-    val, err = first if first is not None else _panels(fn, [(lo, hi)])[0]
+    val, err = first
     n_eval = 36
     heap = [(-err, lo, hi, val)]
     frozen: list[tuple] = []
@@ -186,7 +183,7 @@ def _adapt(fn, lo: float, hi: float, tol: float,
         total_err += neg_err  # neg_err is negative: removes this panel
         m = 0.5 * (a + b)
         children = ((a, m), (m, b))
-        for (c, d), (pv, pe) in zip(children, _panels(fn, children)):
+        for (c, d), (pv, pe) in zip(children, (yield children)):
             heapq.heappush(heap, (-pe, c, d, pv))
             total_err += pe
         n_eval += 72
@@ -197,59 +194,104 @@ def _adapt(fn, lo: float, hi: float, tol: float,
     return value, error, n_eval, converged
 
 
-def _singular_transform(f: Integrand, a: float, c: float):
-    """Map the first panel [a, c] with fn ~ (t-a)^sigma onto y in [0, 1]
-    via t = a + (c-a) * y^(1/(1+sigma)); the transformed integrand is
-    bounded at y = 0."""
-    sigma = f.endpoint_exponent
-    p = 1.0 + sigma
-    w = c - a
+def _lockstep(estimate, runs: dict) -> dict:
+    """Each _adapt generator's result in runs, by key.  The generators
+    refine together: every round estimates the split halves of all that
+    are still refining in one estimate(keys, lo, hi) call."""
+    done, sent = {}, dict.fromkeys(runs)
+    while True:
+        asks = {}
+        for key, panels in sent.items():
+            try:
+                asks[key] = runs[key].send(panels)
+            except StopIteration as stop:
+                done[key] = stop.value
+        if not asks:
+            return done
+        lo, hi = np.array(list(asks.values()), float).reshape(-1, 2).T
+        val, err = estimate(np.repeat(list(asks), 2), lo, hi)
+        pairs = list(zip(val.tolist(), err.tolist()))
+        sent = {key: pairs[2 * n:2 * n + 2] for n, key in enumerate(asks)}
 
-    def g(y: np.ndarray) -> np.ndarray:
-        t = a + w * y ** (1.0 / p)
-        return f.fn(t) * (w / p) * y ** (1.0 / p - 1.0)
 
-    return g
+def integrate_batch(fn, jobs, tol: float = DEFAULT_TOL) -> list[QuadResult]:
+    """Integrate fn(x, job) over each job's interval, each to tol.
+
+    A job is (a, b, kinks, sigma): no panel straddles a kink, and the
+    power substitution removes fn ~ t^sigma at 0+ from the leading piece
+    when a == 0.  fn gets the points and, for each, its job's index (an
+    int when there is one job); it must be pointwise.  The first panels
+    of all pieces come from one call of fn; a piece whose first panel
+    meets its share tol/pieces is done, and the others refine in
+    lockstep (_adapt), one call per round of splits.  Each job's pieces
+    are summed in order: its result is bit for bit the job's alone.
+    """
+    lo, hi, sig, count = [], [], [], []  # per piece; pieces per job
+    for a, b, kinks, sigma in jobs:
+        if not a < b:
+            raise ValueError(f"need a < b, got [{a}, {b}]")
+        if a == 0.0 and sigma <= -1.0:
+            raise ValueError(
+                f"integrand diverges at 0 (endpoint exponent {sigma} <= -1); "
+                f"integrate it only against a compensating factor")
+        cuts = [a, *(k for k in kinks if a < k < b), b]
+        lo += cuts[:-1]
+        hi += cuts[1:]
+        sig += [sigma if a == 0.0 else 0.0] + [0.0] * (len(cuts) - 2)
+        count.append(len(cuts) - 1)
+    owner = np.repeat(np.arange(len(count)), count)
+    start, end, sig_ = np.array(lo, float), np.array(hi, float), np.array(sig)
+
+    def estimate(ids: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        job = owner[ids][None].repeat(3, 0).repeat(12) if len(count) > 1 else 0
+
+        def mapped(x: np.ndarray) -> np.ndarray:
+            # A piece [0, c] of exponent sigma maps to y in [0, 1] by
+            # t = c y^(1/p), p = 1 + sigma, scaling fn by (c/p) y^(1/p - 1),
+            # powers to a Python float, as for the piece alone (so that
+            # y ** 2.0 and y ** 0.5 are numpy's square and sqrt).
+            x, scales, s = x.reshape(3, ids.size, 12), [], sig_[ids]
+            for sigma in dict.fromkeys(s[s != 0.0].tolist()):
+                sel = np.flatnonzero(s == sigma)
+                p, y, a = 1.0 + sigma, x[:, sel], start[ids[sel], None]
+                w = end[ids[sel], None] - a
+                x[:, sel] = a + w * y ** (1.0 / p)
+                scales.append((sel, w / p, y ** (1.0 / p - 1.0)))
+            ys = np.array(fn(x.ravel(), job), float).reshape(x.shape)
+            for sel, wp, dy in scales:
+                ys[:, sel] = ys[:, sel] * wp * dy
+            return ys.ravel()
+        return _estimate(mapped, lo, hi)
+
+    val, err = estimate(np.arange(owner.size), np.where(sig_, 0.0, start),
+                        np.where(sig_, 1.0, end))
+    share, jobs_of = [tol / c for c in count], owner.tolist()
+    # What _adapt returns for a first panel within its share.
+    vals, errs = (0.0 + val).tolist(), err.tolist()
+    n_eval, ok = [36 * c for c in count], [True] * len(count)
+    runs = {i: _adapt(*((0.0, 1.0) if sig[i] else (lo[i], hi[i])),
+                      share[jobs_of[i]], (float(val[i]), errs[i]))
+            for i in np.flatnonzero(err > np.repeat(share, count)).tolist()}
+    for i, (vals[i], errs[i], ne, conv) in _lockstep(estimate, runs).items():
+        n_eval[jobs_of[i]] += ne - 36
+        ok[jobs_of[i]] = ok[jobs_of[i]] and conv
+    value, error = [0.0] * len(count), [0.0] * len(count)
+    for j, v, e in zip(jobs_of, vals, errs):  # running sums, piece order
+        value[j] += v
+        error[j] += e
+    return [QuadResult(value[j], error[j], b, n_eval[j], ok[j])
+            for j, (_, b, _, _) in enumerate(jobs)]
 
 
 def integrate_finite(f: Integrand, a: float, b: float,
                      tol: float = DEFAULT_TOL) -> QuadResult:
-    """Integrate f over [a, b].
-
-    Panels are subdivided at every declared kink; an endpoint exponent
-    (taken to describe behavior at t = 0, hence applied only when a == 0)
-    is removed by the power substitution on the leading piece.  On
-    non-convergence the best value is returned with converged=False.
-    """
-    if not a < b:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    if a == 0.0 and f.endpoint_exponent <= -1.0:
-        raise ValueError(
-            f"integrand diverges at 0 (endpoint exponent "
-            f"{f.endpoint_exponent} <= -1); integrate it only against a "
-            f"compensating factor")
-    cuts = [a] + [k for k in f.kinks if a < k < b] + [b]
-    spans = list(zip(cuts, cuts[1:]))
-    singular = f.endpoint_exponent != 0.0 and a == 0.0
-    plain = spans[1:] if singular else spans
-    # (callable, lo, hi, first panel); one call serves all plain pieces.
-    pieces = [(f.fn, lo, hi, first) for (lo, hi), first
-              in zip(plain, _panels(f.fn, plain) if plain else [])]
-    if singular:
-        pieces.insert(0, (_singular_transform(f, *spans[0]), 0.0, 1.0, None))
-
-    tol_piece = tol / len(pieces)
-    value = 0.0
-    error = 0.0
-    n_eval = 0
-    ok = True
-    for fn, lo, hi, first in pieces:
-        v, e, ne, conv = _adapt(fn, lo, hi, tol_piece, first)
-        value += v
-        error += e
-        n_eval += ne
-        ok = ok and conv
-    return QuadResult(value, error, b, n_eval, ok)
+    """Integrate f over [a, b], integrate_batch's one-job case: no panel
+    straddles a declared kink, and an endpoint exponent (behavior at
+    t = 0, so applied only when a == 0) is removed by the power
+    substitution.  On non-convergence the best value is returned with
+    converged=False."""
+    return integrate_batch(lambda x, job: f.fn(x),
+                           [(a, b, f.kinks, f.endpoint_exponent)], tol)[0]
 
 
 def integrate_halfline(f: Integrand, tol: float = DEFAULT_TOL) -> QuadResult:
@@ -261,7 +303,10 @@ def integrate_halfline(f: Integrand, tol: float = DEFAULT_TOL) -> QuadResult:
     less than tol/4 in magnitude.  A geometric extrapolation of the last
     panel is added to the error estimate, never to the value.  If the
     panel contributions fail to stabilize within the doubling budget the
-    result is flagged as a suspected divergence (converged=False).
+    result is flagged as a suspected divergence (converged=False).  The
+    first panels of _TAIL_CHUNK doublings come from one integrand call;
+    the walk still takes one doubling at a time, and counts none past
+    its stop in the evaluations.
     """
     t0 = 1.0
     if f.kinks:
@@ -271,18 +316,19 @@ def integrate_halfline(f: Integrand, tol: float = DEFAULT_TOL) -> QuadResult:
         t0 = max(t0, 45.0 / f.decay_hint)
 
     head = integrate_finite(f, 0.0, t0, tol / 2)
-    value = head.value
-    error = head.error_estimate
-    n_eval = head.evaluations
-    ok = head.converged
+    value, error = head.value, head.error_estimate
+    n_eval, ok = head.evaluations, head.converged
 
-    t = t0
-    prev = math.inf
-    tail_tol = tol / 8
-    stabilized = False
-    last = 0.0
-    for _ in range(_MAX_DOUBLINGS):
-        v, e, ne, conv = _adapt(f.fn, t, 2 * t, tail_tol)
+    t, prev, last, stabilized, tail_tol = t0, math.inf, 0.0, False, tol / 8
+    tail = lambda _, lo, hi: _estimate(f.fn, lo, hi)  # noqa: E731
+    for i in range(_MAX_DOUBLINGS):
+        k = i % _TAIL_CHUNK
+        if k == 0:  # the walk's own t * 2^j, short of _adapt's [inf, inf]
+            los = [lo for j in range(min(_TAIL_CHUNK, _MAX_DOUBLINGS - i))
+                   if (lo := t * 2.0 ** j) < math.inf]
+            firsts = _panels(f.fn, [(lo, 2 * lo) for lo in los]) if los else []
+        v, e, ne, conv = _lockstep(tail, {0: _adapt(
+            t, 2 * t, tail_tol, firsts[k] if k < len(firsts) else None)})[0]
         n_eval += ne
         ok = ok and conv
         value += v

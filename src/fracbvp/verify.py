@@ -180,9 +180,9 @@ def ode_residual_spotcheck(p: ProblemSpec, sp: SolutionPair,
                            ) -> list[dict]:
     """Residual |D^alpha u + f(t, states)| at a few interior points.
 
-    The fractional derivative is taken numerically from the
-    reconstructed rows, entirely outside the solver's quadrature plan.
-    The grid nodes, the interpolant's breakpoints, are declared kinks.
+    The fractional derivative is taken numerically from the rows, apart
+    from the solver's quadrature plan: one rl_derivative (one quadrature
+    batch) per entry, the grid nodes declared as kinks.
     Differentiating an interpolant three times is noise-amplifying, so
     each entry carries the refinement's own error estimate and a
     low_confidence flag when that estimate is not small against the

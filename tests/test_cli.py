@@ -686,6 +686,20 @@ _EDGE_CASES = {
          r"monotone scheme, n=32(.|\n)*boundary residuals 1\.6\d*e-03, "
          r"3\.8\d*e-03"),
     ]),
+    # Lambda1 = 1.3293 sits 4.0e-5 below Gamma(2.5): every hypothesis
+    # holds, but L1 and R are huge, and the report says why.
+    "lambda1-near-gamma": ("sublinear", [
+            ("h1 = t^(-1.5)*exp(-t)", "h1 = 1.3293*t^(-1.5)*exp(-t)")], [
+        ("check", [], 0, r"L1 = 24759\.71\d*\n(.|\n)*R = 1922004974\d{5}\.\d*"
+                         r"\n(.|\n)*note: Gamma\(alpha1\) - Lambda1 = 4\.039e-05 "
+                         r"is below 1e-3\*Gamma\(alpha1\), so L1 = 24759\.7\n"
+                         r"result: all applicable hypotheses hold"),
+        ("check", ["--json"], 0, r'"notes": \[\s*"Gamma\(alpha1\) - Lambda1 '
+                                 r'= 4\.039e-05 [^"]*L1 = 24759\.7"\s*\]'),
+        ("solve", [], 0, r"monotone scheme, n=16(.|\n)*after 40 steps(.|\n)*"
+                         r"after 43 steps(.|\n)*boundary residuals "
+                         r"5\.657e-03, 7\.064e-03"),
+    ]),
     "h4-fails": ("sublinear", [("f1 = 2/(10+t)^2",
                                 "f1 = 2/(10+t)^2 - exp(-t)*abs(u1)/2")], [
         ("check", [], 2, r"H4 FAIL.*\n      " + _H4_FLOATS),

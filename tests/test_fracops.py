@@ -12,8 +12,12 @@ import warnings
 import numpy as np
 import pytest
 
-from fracbvp import FracOrder, gamma, rl_derivative, rl_integral
-from fracbvp.fracops import LossOfSignificanceWarning
+import fracbvp.fracops as fracops_mod
+from fracbvp import FracOrder, gamma, quad, rl_derivative, rl_integral
+from fracbvp.fracops import LossOfSignificanceWarning, _order
+from fracbvp.quad import (Integrand, QuadratureError, integrate_finite,
+                          require_converged)
+from test_quad import _reference_finite
 
 
 def test_gamma_pinned_values():
@@ -155,11 +159,95 @@ def test_rl_negative_order_rejected():
         rl_integral(lambda s: s, 0.5, -1.0)
 
 
+def _scalar_rl_integral(g, q, t, *, tol=1e-10, g_exponent=0.0, kinks=()):
+    """rl_integral for one t as two unbatched integrate_finite calls,
+    with the kinks and exponents that rl_integral passes: the reference
+    for the batched route."""
+    qv = _order(q)
+    if t == 0:
+        return 0.0
+    half = 0.5 * t
+    res_lo = _reference_finite(
+        Integrand(lambda s: np.asarray(g(s)) * (t - s) ** (qv - 1.0),
+                  kinks=tuple(k for k in kinks if 0.0 < k < half),
+                  endpoint_exponent=g_exponent), 0.0, half, tol / 2)
+    res_hi = _reference_finite(
+        Integrand(lambda x: np.asarray(g(t - x)) * x ** (qv - 1.0),
+                  kinks=tuple(t - k for k in reversed(kinks)
+                              if half < k < t),
+                  endpoint_exponent=qv - 1.0), 0.0, half, tol / 2)
+    require_converged(res_lo, f"rl_integral lower half (q={qv}, t={t})")
+    require_converged(res_hi, f"rl_integral upper half (q={qv}, t={t})")
+    return (res_lo.value + res_hi.value) / gamma(qv)
+
+
+def _each_t(scalar):
+    """rl_integral's contract for a sequence of t on top of a one-t
+    route: a list, with the error of a failed t in its place."""
+    def route(g, q, t, **kw):
+        if not np.ndim(t):
+            return scalar(g, q, t, **kw)
+        out = []
+        for x in t:
+            try:
+                out.append(scalar(g, q, x, **kw))
+            except QuadratureError as exc:
+                out.append(exc)
+        return out
+    return route
+
+
+_reference_rl_integral = _each_t(_scalar_rl_integral)
+
+
+def _reference_rl_derivative(g, q, t, *, tol=1e-6, g_exponent=0.0,
+                             quad_tol=1e-12, kinks=()):
+    """rl_derivative reading one stencil point at a time through
+    _scalar_rl_integral, only when the refinement needs it."""
+    qv = _order(q)
+    n = math.ceil(qv)
+    cache = {}
+
+    def smooth(x):
+        if x not in cache:
+            cache[x] = (float(np.asarray(g(np.array([x])))[0]) if n == qv
+                        else _scalar_rl_integral(
+                            g, n - qv, x, tol=quad_tol,
+                            g_exponent=g_exponent, kinks=kinks))
+        return cache[x]
+
+    offsets, coeffs = fracops_mod._STENCILS[n]
+    h0 = t / (4.0 * max(abs(o) for o in offsets))
+    table, best, est, prev_diag, stalls = [], math.nan, math.inf, math.nan, 0
+    for k in range(5):
+        h = h0 / 2 ** k
+        row = [sum(c * smooth(t + o * h)
+                   for o, c in zip(offsets, coeffs)) / h ** n]
+        for j in range(1, k + 1):
+            fac = 4.0 ** j
+            row.append((fac * row[j - 1] - table[k - 1][j - 1]) / (fac - 1.0))
+        table.append(row)
+        diag = row[-1]
+        if k > 0:
+            new_est = abs(diag - prev_diag)
+            if new_est <= est:
+                best, est, stalls = diag, new_est, 0
+            else:
+                stalls += 1
+                if stalls >= 2:
+                    break
+            if est <= tol * (1.0 + abs(best)):
+                break
+        else:
+            best = diag
+        prev_diag = diag
+    return best, est
+
+
 def _rl_integral_without_kinks(g, q, t, *, tol=1e-10, g_exponent=0.0,
                                kinks=()):
     """rl_integral as it was before kinks could be declared: the
     reference for calls that declare none."""
-    from fracbvp.quad import Integrand, integrate_finite, require_converged
     assert kinks == ()
     if t == 0:
         return 0.0
@@ -185,11 +273,114 @@ def _rl_integral_without_kinks(g, q, t, *, tol=1e-10, g_exponent=0.0,
 def test_rl_derivative_without_kinks_is_unchanged(monkeypatch, g, q, t, kw):
     """No declared kinks, no changed bit: the acceptance identities see
     the same numbers as before kinks could be declared."""
-    import fracbvp.fracops as fracops_mod
     got = rl_derivative(g, q, t, **kw)
+    calls = []
+    reference = _each_t(_rl_integral_without_kinks)
     monkeypatch.setattr(fracops_mod, "rl_integral",
-                        _rl_integral_without_kinks)
+                        lambda *a, **k: calls.append(a[2]) or reference(*a, **k))
     assert got == rl_derivative(g, q, t, **kw)
+    assert len(calls) == 1 and len(calls[0]) > 1  # the patched name ran
+
+
+def _kinked(rng, k):
+    """A vectorized g with kinks at k random grid-like nodes."""
+    nodes = np.sort(rng.uniform(0.0, 3.0, k))
+    slopes = rng.uniform(-1.0, 1.0, k)
+
+    def g(s):
+        # Elementwise operations only: pointwise bit for bit.
+        out = 1.0 + 0.3 * np.sin(2.0 * np.asarray(s, dtype=float))
+        for a, b in zip(slopes, nodes):
+            out = out + a * np.abs(s - b)
+        return out
+    return g, tuple(nodes.tolist())
+
+
+@pytest.mark.parametrize("g_exponent", [0.0, 0.5, 1.5])
+@pytest.mark.parametrize("q", [0.25, 0.5, 1.5])
+def test_batched_rl_integral_matches_scalar_route(g_exponent, q):
+    """Both halves of every t in one batch: each value equals that of
+    the unbatched two-call route, bit for bit."""
+    rng = np.random.default_rng(int(100 * q + 10 * g_exponent))
+    base, kinks = _kinked(rng, 40)
+    g = (lambda s: base(s) * np.asarray(s) ** g_exponent) if g_exponent \
+        else base
+    ts = [0.0] + rng.uniform(0.05, 3.5, 12).tolist() + [kinks[7]]
+    kw = dict(tol=1e-11, g_exponent=g_exponent, kinks=kinks)
+    got = rl_integral(g, q, ts, **kw)
+    assert got == [_scalar_rl_integral(g, q, t, **kw) for t in ts]
+    assert rl_integral(g, q, ts[3], **kw) == got[3]
+
+
+@pytest.mark.parametrize("q, g_exponent", [(2.5, 0.0), (1.5, 0.5),
+                                           (0.5, 0.0), (2.0, 0.0)])
+def test_batched_rl_derivative_matches_scalar_route(q, g_exponent):
+    rng = np.random.default_rng(7)
+    base, kinks = _kinked(rng, 30)
+    g = lambda s: base(s) * np.asarray(s) ** (q - 1.0)  # noqa: E731
+    for t in (0.5, 1.0, 2.0):
+        kw = dict(tol=1e-5, g_exponent=q - 1.0, quad_tol=1e-9, kinks=kinks)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LossOfSignificanceWarning)
+            got = rl_derivative(g, q, t, **kw)
+            want = _reference_rl_derivative(g, q, t, **kw)
+        assert got == want
+
+
+def test_first_pass_is_one_call_of_g_over_every_stencil_point():
+    # q = 1.5 differentiates I^0.5 twice: stencil offsets -1, 0, 1 over
+    # five levels make 11 distinct points, two one-piece halves each.
+    sizes = []
+
+    def g(s):
+        sizes.append(np.size(s))
+        return np.exp(np.sin(3.0 * s))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LossOfSignificanceWarning)
+        rl_derivative(g, 1.5, 1.0, tol=1e-12, quad_tol=1e-12)
+    assert sizes[0] == 36 * 2 * 11
+    assert all(s % 72 == 0 for s in sizes[1:])
+    sizes.clear()
+    rl_derivative(g, 2.0, 1.0)  # integer order: g itself, one call
+    assert sizes == [11]
+
+
+def test_quadrature_error_surfaces_only_where_the_refinement_reads(
+        monkeypatch):
+    # On a cubic, Richardson's first column is exact, so the refinement
+    # stops at level 2 and never reads the level-4 points.
+    t, h0 = 1.0, 1.0 / 4.0
+    unread, read = t + h0 / 16, t + h0
+    boom = QuadratureError("quadrature did not converge in test",
+                           quad.QuadResult(1.0, 1.0, 1.0, 36, False))
+
+    def fake(bad):
+        def route(g, q, ts, **kw):
+            return [boom if x == bad else x**3 for x in ts]
+        return route
+
+    monkeypatch.setattr(fracops_mod, "rl_integral", fake(unread))
+    val, est = rl_derivative(lambda s: s, 0.5, t)
+    assert abs(val - 3.0) < 1e-12 and est < 1e-12
+    monkeypatch.setattr(fracops_mod, "rl_integral", fake(read))
+    with pytest.raises(QuadratureError) as exc:
+        rl_derivative(lambda s: s, 0.5, t)
+    assert exc.value is boom
+
+
+def test_quadrature_error_keeps_the_scalar_message():
+    # sin(1/(s - 1.2)) oscillates without end at s = 1.2, which lies in
+    # [0, x] only for the level-0 point x = 1.25, read first.
+    def g(s):
+        d = np.asarray(s) - 1.2
+        return np.sin(1.0 / np.where(d == 0.0, 1.0, d))
+    with pytest.raises(QuadratureError) as got:
+        rl_derivative(g, 0.5, 1.0)
+    with pytest.raises(QuadratureError) as want:
+        _reference_rl_derivative(g, 0.5, 1.0)
+    assert str(got.value) == str(want.value)
+    assert "upper half (q=0.5, t=1.25)" in str(got.value)
 
 
 def test_rl_integral_maps_kinks_onto_both_halves():
@@ -207,6 +398,6 @@ def test_rl_integral_maps_kinks_onto_both_halves():
         return g(s)
 
     rl_integral(counted, 1.0, 2.0, kinks=kinks)
-    # Each half is two plain pieces whose first panels share one call,
-    # and a panel rule integrates a piecewise-linear g exactly.
-    assert sizes == [72, 72]
+    # Each half is two plain pieces, the first panels of all four share
+    # one call, and a panel rule integrates a piecewise-linear g exactly.
+    assert sizes == [144]

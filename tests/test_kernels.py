@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fracbvp.kernels as kernels_mod
 from fracbvp import (FracOrder, Integrand, IntegralOperator, KernelSet,
@@ -120,6 +121,23 @@ def test_g_is_a_saturating_ramp(kernels):
         assert np.all(g <= cap + 5e-10)
         # By s = 60 the boundary weight has fully decayed.
         assert g[-1] == pytest.approx(cap, abs=1e-10)
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=30),
+       st.integers(0, 5), st.sampled_from([0, 1]))
+def test_g_is_a_nondecreasing_ramp_on_random_batches(kernels, exps, dups,
+                                                     eq):
+    """On a fresh KernelSet, any batch of s (log-uniform in [1e-6, 1e6],
+    with 0 and repeats) gives G nondecreasing in s and inside
+    [0, Lambda/Gamma(alpha)], both within 10 tol."""
+    s = 10.0 ** np.array(exps)
+    s = np.concatenate(([0.0], s, s[:dups]))
+    ks = KernelSet.build(kernels[eq].alpha, kernels[eq].h)
+    g = ks.g_many(s)[np.argsort(s, kind="stable")]
+    slack = 10.0 * ks.tol
+    assert np.all(np.diff(g) >= -slack)
+    assert np.all(g >= -slack) and np.all(g <= ks.lam / ks.gamma_alpha + slack)
 
 
 def _fresh(ks, **kw):

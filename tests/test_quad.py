@@ -170,6 +170,61 @@ def _reference_adapt(fn, lo, hi, tol, first=None):
     return value, error, n_eval, converged
 
 
+def _reference_substituted(fn, a, c, sigma):
+    p = 1.0 + sigma
+    w = c - a
+    return lambda y: fn(a + w * y ** (1.0 / p)) * (w / p) * y ** (1.0 / p - 1.0)
+
+
+def _reference_finite(f, a, b, tol):
+    """integrate_finite one piece at a time, each piece through
+    _reference_adapt: the unbatched route, kept as the reference."""
+    cuts = [a] + [k for k in f.kinks if a < k < b] + [b]
+    pieces = [(f.fn, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    if f.endpoint_exponent != 0.0 and a == 0.0:
+        pieces[0] = (_reference_substituted(f.fn, a, cuts[1],
+                                            f.endpoint_exponent), 0.0, 1.0)
+    value = error = 0.0
+    n_eval, ok = 0, True
+    for fn, lo, hi in pieces:
+        v, e, ne, conv = _reference_adapt(fn, lo, hi, tol / len(pieces))
+        value += v
+        error += e
+        n_eval += ne
+        ok = ok and conv
+    return quad.QuadResult(value, error, b, n_eval, ok)
+
+
+def _reference_halfline(f, tol):
+    """integrate_halfline with every doubling through _reference_adapt."""
+    t0 = 1.0
+    if f.kinks:
+        t0 = max(t0, 1.5 * f.kinks[-1])
+    if f.decay_hint is not None:
+        t0 = max(t0, 45.0 / f.decay_hint)
+    head = _reference_finite(f, 0.0, t0, tol / 2)
+    value, error = head.value, head.error_estimate
+    n_eval, ok = head.evaluations, head.converged
+    t, prev, last, stabilized = t0, math.inf, 0.0, False
+    for _ in range(quad._MAX_DOUBLINGS):
+        v, e, ne, conv = _reference_adapt(f.fn, t, 2 * t, tol / 8)
+        n_eval += ne
+        ok = ok and conv
+        value += v
+        error += e
+        t *= 2
+        if abs(v) < tol / 4 and abs(prev) < tol / 4:
+            stabilized, last = True, abs(v)
+            break
+        prev, last = v, abs(v)
+    if stabilized:
+        error += last
+    else:
+        ok = False
+        error += abs(last) if math.isfinite(last) else math.inf
+    return quad.QuadResult(value, error, t, n_eval, ok)
+
+
 # (driver, integrand, tol, converges): kinks, endpoint exponents, decay
 # hints, an undeclared oscillation that exhausts the panel budget, and a
 # divergent tail.
@@ -185,26 +240,51 @@ _ENGINE_CASES = [
     ("halfline", Integrand(lambda t: np.abs(t - 2.0) / (1.0 + t**3),
                            kinks=(0.5, 2.0)), 1e-10, True),
     ("halfline", Integrand(lambda t: 1.0 / (1.0 + t)), 1e-8, False),
+    ("finite", Integrand(lambda t: np.abs(np.cos(5.0 * t)) * t**-0.5,
+                         kinks=tuple((k + 0.5) * math.pi / 5.0
+                                     for k in range(5)),
+                         endpoint_exponent=-0.5), 1e-12, True),
+    ("halfline", Integrand(lambda t: t**0.5 * np.exp(-t) / (1.0 + t),
+                           endpoint_exponent=0.5), 1e-12, True),
 ]
 
 
 @pytest.mark.parametrize("kind, f, tol, converges", _ENGINE_CASES,
                          ids=[f"{c[0]}{i}" for i, c in
                               enumerate(_ENGINE_CASES)])
-def test_batched_engine_matches_three_call_reference(monkeypatch, kind, f,
-                                                     tol, converges):
-    """One call per refinement step changes no bit of any result: the same
-    panels, the same nodes and the same per-panel sums."""
-    run = ((lambda: integrate_finite(f, 0.0, math.pi, tol)) if kind == "finite"
-           else (lambda: integrate_halfline(f, tol)))
-    got = run()
-    monkeypatch.setattr(quad, "_adapt", _reference_adapt)
-    want = run()
+def test_batched_engine_matches_three_call_reference(kind, f, tol,
+                                                     converges):
+    """Batched first panels, pieces accepted on them and pieces refined
+    in lockstep change no bit of any result: every QuadResult field
+    equals that of the one-piece-at-a-time reference."""
+    if kind == "finite":
+        got = integrate_finite(f, 0.0, math.pi, tol)
+        want = _reference_finite(f, 0.0, math.pi, tol)
+    else:
+        got, want = integrate_halfline(f, tol), _reference_halfline(f, tol)
     assert want.converged is converges
-    assert (got.value, got.error_estimate, got.evaluations, got.converged,
-            got.truncation_point) == (want.value, want.error_estimate,
-                                      want.evaluations, want.converged,
-                                      want.truncation_point)
+    assert got == want
+
+
+def test_batch_jobs_each_match_their_one_job_result():
+    # Jobs with different intervals, kinks and exponents share every
+    # integrand call, and each result is that of its job alone.
+    calls = []
+
+    def fn(x, job):
+        calls.append(np.size(x))
+        c = np.array([1.0, 2.0, 3.0, 4.0])[job]
+        return np.abs(np.sin(c * x) - 0.2) * x ** -0.5 + np.cos(9.0 * x)
+
+    jobs = [(0.0, 2.0, (0.5, 1.0), -0.5), (0.0, 1.5, (), -0.5),
+            (0.5, 3.0, (1.0, 2.5), 0.0), (0.0, 4.0, (2.0,), 0.5)]
+    got = quad.integrate_batch(fn, jobs, 1e-12)
+    assert calls[0] == 36 * 9 and len(calls) < 1 + sum(
+        (r.evaluations // 36 - 1) // 2 for r in got)
+    for j, (a, b, kinks, sigma) in enumerate(jobs):
+        f = Integrand(lambda x, j=j: fn(x, j), kinks=kinks,
+                      endpoint_exponent=sigma)
+        assert got[j] == _reference_finite(f, a, b, 1e-12)
 
 
 def test_batched_panels_match_reference_on_arbitrary_bounds():
@@ -234,9 +314,9 @@ def test_one_integrand_call_per_refinement_step():
 
 @pytest.mark.parametrize("exponent", [0.0, 0.5])
 def test_one_integrand_call_for_every_plain_piece_first_panel(exponent):
-    # k kinks make k + 1 pieces; the first panels of all pieces that are
-    # not power-substituted share one call, and every split after that is
-    # a 72-point call of its own.
+    # k kinks make k + 1 pieces.  The first panels of all of them, the
+    # power-substituted one included, share one call; after that, each
+    # round of splits is one call of 72 points per piece still refining.
     sizes = []
 
     def counted(t):
@@ -247,7 +327,28 @@ def test_one_integrand_call_for_every_plain_piece_first_panel(exponent):
     f = Integrand(counted, kinks=kinks, endpoint_exponent=exponent)
     res = integrate_finite(f, 0.0, 4.0, tol=1e-12)
     assert res.converged
-    first = [36 * 3, 36] if exponent else [36 * 4]
-    splits = len(sizes) - len(first)
-    assert splits > 0 and sizes == first + [72] * splits
+    assert sizes[0] == 36 * 4
+    assert all(s % 72 == 0 and s <= 72 * 4 for s in sizes[1:])
+    assert max(sizes[1:]) > 72  # splits of several pieces shared a call
     assert res.evaluations == sum(sizes)
+
+
+def test_tail_first_panels_arrive_eight_doublings_per_call():
+    # A divergent tail walks all 60 doublings: its first panels come in
+    # calls of 8 doublings (7 * 8 + 4), between the 72-point splits.
+    sizes = []
+
+    def counted(t):
+        sizes.append(t.size)
+        return 1.0 / (1.0 + t)
+
+    res = integrate_halfline(Integrand(counted), tol=1e-8)
+    assert not res.converged and res.truncation_point == 2.0 ** 60
+    assert [s for s in sizes if s != 72] == [36] + [36 * 8] * 7 + [36 * 4]
+    # A walk that stops early still counts only the doublings it used.
+    sizes.clear()
+    f = Integrand(lambda t: counted(t) ** 3)
+    res = integrate_halfline(f, tol=1e-9)
+    assert [s for s in sizes if s != 72][1:] == [36 * 8] * (
+        math.ceil(math.log2(res.truncation_point) / 8))
+    assert res.converged and res == _reference_halfline(f, 1e-9)

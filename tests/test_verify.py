@@ -192,3 +192,29 @@ def test_rl_integral_with_declared_nodes_matches_scipy(contraction_run):
                          epsabs=1e-13, epsrel=1e-13, limit=2000)
             want = (lo + hi) / gamma(q)
             assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), (alpha, t)
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_spotcheck_matches_the_scalar_route(monkeypatch, n, kernels,
+                                            sublinear, lipschitz,
+                                            report_lipschitz):
+    """Every stencil point of every level in one batch leaves each
+    spot-check entry as the one-point-at-a-time route gives it."""
+    import fracbvp.verify as verify_mod
+    from fracbvp import Grid, IntegralOperator, contract_solve, monotone_solve
+    from test_fracops import _reference_rl_derivative
+
+    ks1, ks2 = kernels
+    grid = Grid.make(n)
+    sp_sub, _ = monotone_solve(
+        sublinear, ks1, ks2, grid, "lower", tol=1e-5,
+        operator=IntegralOperator(sublinear, ks1, ks2, grid))
+    sp_lip, _ = contract_solve(
+        lipschitz, ks1, ks2, grid, tol=1e-4, m=report_lipschitz.m,
+        operator=IntegralOperator(lipschitz, ks1, ks2, grid))
+    for p, sp in ((sublinear, sp_sub), (lipschitz, sp_lip)):
+        got = ode_residual_spotcheck(p, sp)
+        with monkeypatch.context() as m:
+            m.setattr(verify_mod, "rl_derivative", _reference_rl_derivative)
+            want = ode_residual_spotcheck(p, sp)
+        assert len(got) == 6 and repr(got) == repr(want)
