@@ -92,17 +92,30 @@ def halving_trapezoid(f, lo: float, hi: float, tol: float, rate: float,
                              n + 1, bool(err <= tol))
 
 
-@functools.lru_cache(maxsize=8)
 def compute_lambda(h: Integrand, alpha: FracOrder) -> QuadResult:
     """QuadResult of Lambda = int_0^inf h(t) t^(alpha-1) dt; raises
     QuadratureError when it does not converge.
 
     The combined endpoint exponent (h's own plus alpha-1) keeps the
     integrand admissible even when h alone diverges at 0.  Results are
-    cached per (h, alpha), so the hypothesis report and the kernel
-    sets of one solve integrate each Lambda once.
+    cached per (h, alpha), h known by its fn's `source` text when it has
+    one, so one solve's report and kernel sets, and every load of one
+    weight text, integrate each Lambda once.
     """
-    a = alpha.q
+    src = getattr(h.fn, "source", None)
+    return _lambda(_Weight(h if src is None else (
+        src, h.kinks, h.endpoint_exponent, h.decay_hint), h), alpha)
+
+
+@dataclass(frozen=True)
+class _Weight:
+    key: object  # the memo compares this alone
+    h: Integrand = field(compare=False)
+
+
+@functools.lru_cache(maxsize=8)
+def _lambda(w: _Weight, alpha: FracOrder) -> QuadResult:
+    h, a = w.h, alpha.q
 
     def weighted(t: np.ndarray) -> np.ndarray:
         return np.asarray(h.fn(t)) * t ** (a - 1.0)

@@ -6,9 +6,9 @@ The continuous problem is equivalent to the fixed-point equation
 
 with F_i(s) = f_i(s, u(s), v(s), D^(alpha_1-1)u(s), D^(alpha_2-1)v(s)),
 plus the derivative rows through the step-plus-constant kernels.  A
-SolutionPair stores the four rows at grid nodes; IntegralOperator maps a
-pair to its image under the discretized operator; the two schemes below
-iterate that map.
+SolutionPair stacks the four rows at grid nodes in one (4, n) array;
+IntegralOperator maps a pair to its image under the discretized
+operator; the two schemes below iterate that map.
 
 Discretization.  Writing K_1(t,s) = [t^(a-1) - (t-s)^(a-1)]/Gamma(a) for
 s <= t (a = the equation's order) and t^(a-1)/Gamma(a) otherwise, the
@@ -45,8 +45,8 @@ finite limits, and every state-dependent tail term is damped by the
 integrable forcing envelopes).  The plan's points never move, so a
 build fixes each point's bracket, offset and state weights, and
 evaluates the subtrees of f_i that depend on t alone there, once; an
-apply runs np.interp's own formula on those brackets, so the states are
-np.interp's values bit for bit.
+apply runs np.interp's own formula on those brackets, once for both
+equations, so the states are np.interp's values bit for bit.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exprlang import Expr, compile_expr
+from .exprlang import compile_expr
 from .fracops import FracOrder, gamma
 from .kernels import KernelSet
 from .problem import InapplicableError, ProblemSpec
@@ -137,18 +137,10 @@ class Grid:
         return float(self.nodes[-1])
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("solution rows must be finite")
-    a = a.copy()
-    a.setflags(write=False)
-    return a
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SolutionPair:
-    """The four rows of one iterate at the grid nodes.
+    """The four rows of one iterate at the grid nodes, as views of one
+    read-only, C-contiguous (4, n) `stack` in _ROW_NAMES order.
 
     u_w, v_w hold the weighted values u(t)/(1+t^(alpha_1-1)) and
     v(t)/(1+t^(alpha_2-1)); du, dv hold D^(alpha_1-1)u and
@@ -158,24 +150,36 @@ class SolutionPair:
     grid: Grid
     alpha1: FracOrder
     alpha2: FracOrder
-    u_w: np.ndarray
-    v_w: np.ndarray
-    du: np.ndarray
-    dv: np.ndarray
+    stack: np.ndarray
 
-    def __post_init__(self) -> None:
-        for name in ("u_w", "v_w", "du", "dv"):
-            a = _frozen(getattr(self, name))
-            if a.shape != self.grid.nodes.shape:
+    def __init__(self, grid: Grid, alpha1: FracOrder, alpha2: FracOrder,
+                 u_w: np.ndarray, v_w: np.ndarray, du: np.ndarray,
+                 dv: np.ndarray) -> None:
+        rows = {"u_w": u_w, "v_w": v_w, "du": du, "dv": dv}
+        for name, a in rows.items():
+            if np.shape(a) != grid.nodes.shape:
                 raise ValueError(f"{name} must match the grid "
-                                 f"({a.shape} vs {self.grid.nodes.shape})")
-            object.__setattr__(self, name, a)
+                                 f"({np.shape(a)} vs {grid.nodes.shape})")
+        self._adopt(grid, alpha1, alpha2, np.array(
+            [rows[name] for name in _ROW_NAMES], dtype=float), self)
+
+    @classmethod
+    def _adopt(cls, grid: Grid, alpha1: FracOrder, alpha2: FracOrder,
+               stack: np.ndarray, sp=None) -> SolutionPair:
+        """Fill `sp`, else a new pair, with a fresh C-contiguous (4, n)
+        stack, not copied but made read-only, once it is finite."""
+        if not np.all(np.isfinite(stack)):
+            raise ValueError("solution rows must be finite")
+        stack.setflags(write=False)
+        sp = object.__new__(cls) if sp is None else sp
+        sp.__dict__.update(zip(_ROW_NAMES, stack), grid=grid, alpha1=alpha1,
+                           alpha2=alpha2, stack=stack)
+        return sp
 
     @classmethod
     def zeros(cls, grid: Grid, alpha1: FracOrder,
               alpha2: FracOrder) -> "SolutionPair":
-        z = np.zeros_like(grid.nodes)
-        return cls(grid, alpha1, alpha2, z, z, z, z)
+        return cls.constant(grid, alpha1, alpha2, 0.0)
 
     @classmethod
     def upper_start(cls, grid: Grid, alpha1: FracOrder, alpha2: FracOrder,
@@ -183,20 +187,18 @@ class SolutionPair:
                     gamma_alpha2: float) -> "SolutionPair":
         """The dominating start u_0 = R t^(alpha_1-1), v_0 = R t^(alpha_2-1),
         whose fractional derivatives are the constants Gamma(alpha_i) R."""
-        t = grid.nodes
-        w1 = t ** (alpha1.q - 1.0)
-        w2 = t ** (alpha2.q - 1.0)
+        w1, w2 = (grid.nodes ** (a.q - 1.0) for a in (alpha1, alpha2))
         return cls(grid, alpha1, alpha2,
                    radius * w1 / (1.0 + w1), radius * w2 / (1.0 + w2),
-                   np.full_like(t, gamma_alpha1 * radius),
-                   np.full_like(t, gamma_alpha2 * radius))
+                   np.full_like(w1, gamma_alpha1 * radius),
+                   np.full_like(w1, gamma_alpha2 * radius))
 
     @classmethod
     def constant(cls, grid: Grid, alpha1: FracOrder, alpha2: FracOrder,
                  value: float) -> "SolutionPair":
         """All four rows identically `value`; its norm is |value|."""
-        c = np.full_like(grid.nodes, value)
-        return cls(grid, alpha1, alpha2, c, c, c, c)
+        return cls._adopt(grid, alpha1, alpha2,
+                          np.full((4, grid.n), value, dtype=float))
 
     def rows(self) -> tuple[np.ndarray, ...]:
         return self.u_w, self.du, self.v_w, self.dv
@@ -226,12 +228,11 @@ class SolutionPair:
 
 def norm_pair(sp: SolutionPair) -> float:
     """Discrete product norm: the largest sup over the four rows."""
-    return max(float(np.max(np.abs(r))) for r in sp.rows())
+    return float(np.max(np.abs(sp.stack)))
 
 
 def diff_norm(a: SolutionPair, b: SolutionPair) -> float:
-    return max(float(np.max(np.abs(x - y)))
-               for x, y in zip(a.rows(), b.rows()))
+    return float(np.max(np.abs(a.stack - b.stack)))
 
 
 @dataclass
@@ -303,13 +304,10 @@ def _gauss_jacobi(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _EquationPlan:
-    """Fixed quadrature data for one equation on one grid, and what no
-    apply changes at its points: the forcing with t bound to them, each
-    point's bracket among [0, t_1..t_N] and offset from its left end,
-    and the state weights 1 + s^(alpha_i-1) of both orders."""
+    """Fixed quadrature data for one equation on one grid: what turns F
+    at the points s (the grid's alone) and s_jac into node rows."""
 
-    def __init__(self, ks: KernelSet, grid: Grid, f: Expr,
-                 orders: tuple[FracOrder, FracOrder]):
+    def __init__(self, ks: KernelSet, grid: Grid):
         self.ks = ks
         a = ks.alpha.q
         t = grid.nodes
@@ -358,24 +356,6 @@ class _EquationPlan:
         self.t_pow = t ** (a - 1.0)
         self.g_at_s = ks.g_many(self.s)
 
-        s_all = np.concatenate((self.s, self.s_jac.ravel()))
-        nodes = np.concatenate(([0.0], t))
-        self.bracket = np.searchsorted(nodes, s_all, side="right") - 1
-        self.offset = s_all - nodes[self.bracket]
-        self.weights = np.stack([1.0 + s_all ** (o.q - 1.0) for o in orders])
-        self.f = compile_expr(f, bind={"t": s_all})
-
-    def forces(self, rows: np.ndarray,
-               slopes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """F at the Gauss-Legendre and the Gauss-Jacobi points, the states
-        by np.interp's formula: slope*offset + the bracket's left value."""
-        j = self.bracket
-        states = slopes.take(j, axis=1) * self.offset + rows.take(j, axis=1)
-        states[:2] *= self.weights
-        vals = self.f(*states)
-        split = self.s.size
-        return vals[:split], vals[split:].reshape(self.s_jac.shape)
-
     def assemble(self, f_gl: np.ndarray,
                  f_jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Node values (unweighted u row, derivative row) from F samples."""
@@ -405,11 +385,11 @@ class IntegralOperator:
     Building one precomputes the panel layout, the product-quadrature
     matrices, the boundary integrals G at every quadrature point (one
     batched quadrature per equation, the larger part of a first build; a
-    rebuild on the same kernel sets reads G from their memo), and at the
-    plan's points the t-only subtrees of f_i, the interpolation brackets
-    and offsets, and the state weights; each apply() is then a few
-    vectorized evaluations.  The map is deterministic: same input pair,
-    same output, bit for bit.
+    rebuild on the same kernel sets reads G from their memo), and over
+    the points [jac1 | GL | jac2] (both plans share the Gauss-Legendre
+    points) the interpolation brackets, offsets and state weights, and
+    the t-only subtrees of f_1 on [jac1 | GL] and f_2 on [GL | jac2].
+    The map is deterministic: same input pair, same output, bit for bit.
     """
 
     def __init__(self, p: ProblemSpec, ks1: KernelSet, ks2: KernelSet,
@@ -419,32 +399,49 @@ class IntegralOperator:
             raise ValueError(f"unknown interpolation mode {interp!r}")
         self.grid = grid
         self.quad_tol = LOOP_TOL
-        self.alpha1 = ks1.alpha
-        self.alpha2 = ks2.alpha
-        orders = (ks1.alpha, ks2.alpha)
-        self.plan1 = _EquationPlan(ks1, grid, p.f1, orders)
-        self.plan2 = _EquationPlan(ks2, grid, p.f2, orders)
+        self.alpha1, self.alpha2 = ks1.alpha, ks2.alpha
+        self.plan1 = _EquationPlan(ks1, grid)
+        self.plan2 = _EquationPlan(ks2, grid)
         # Interval widths of [0, t_1..t_N], plus a pad interval past t_N
         # on which every row is flat.
         self.widths = np.append(np.diff(grid.nodes, prepend=0.0), 1.0)
 
+        nj, ng = self.plan1.s_jac.size, self.plan1.s.size
+        s_all = np.concatenate((self.plan1.s_jac.ravel(), self.plan1.s,
+                                self.plan2.s_jac.ravel()))
+        nodes = np.concatenate(([0.0], grid.nodes))
+        self.bracket = np.searchsorted(nodes, s_all, side="right") - 1
+        self.offset = s_all - nodes[self.bracket]
+        self.weights = np.stack([1.0 + s_all ** (o.q - 1.0)
+                                 for o in (self.alpha1, self.alpha2)])
+        # (plan, bound f, its columns, their GL part, their Jacobi part)
+        self.parts = [(plan, compile_expr(f, bind={"t": s_all[cols]}), cols,
+                       gl, jac) for plan, f, cols, gl, jac in (
+            (self.plan1, p.f1, slice(nj + ng), slice(nj, None), slice(nj)),
+            (self.plan2, p.f2, slice(nj, None), slice(ng), slice(ng, None)))]
+
     def apply(self, sp: SolutionPair) -> SolutionPair:
-        # Rows (u_w, v_w, du, dv) on [0, t_1..t_N, pad]: weighted rows
+        # Rows (u_w, du, v_w, dv) on [0, t_1..t_N, pad]: weighted rows
         # take the analytic node (0, 0), derivative rows extend flat below
         # t_1, and every row extends flat past t_N (the frozen tail).
         rows = np.empty((4, self.grid.n + 2))
-        rows[:, 1:-1] = sp.u_w, sp.v_w, sp.du, sp.dv
-        rows[:2, 0] = 0.0
-        rows[2:, 0] = rows[2:, 1]
+        rows[:, 1:-1] = sp.stack
+        rows[0::2, 0] = 0.0
+        rows[1::2, 0] = rows[1::2, 1]
         rows[:, -1] = rows[:, -2]
         slopes = np.diff(rows) / self.widths
-        u, du = self.plan1.assemble(*self.plan1.forces(rows, slopes))
-        v, dv = self.plan2.assemble(*self.plan2.forces(rows, slopes))
-        return SolutionPair(
-            self.grid, self.alpha1, self.alpha2,
-            u_w=u / (1.0 + self.plan1.t_pow),
-            v_w=v / (1.0 + self.plan2.t_pow),
-            du=du, dv=dv)
+        # The states by np.interp's formula: slope*offset + left value.
+        j = self.bracket
+        states = slopes.take(j, axis=1) * self.offset + rows.take(j, axis=1)
+        states[0::2] *= self.weights
+        out = np.empty((4, self.grid.n))
+        for k, (plan, f, cols, gl, jac) in enumerate(self.parts):
+            u, du, v, dv = states[:, cols]
+            vals = f(u, v, du, dv)
+            value, out[2 * k + 1] = plan.assemble(
+                vals[gl], vals[jac].reshape(plan.s_jac.shape))
+            out[2 * k] = value / (1.0 + plan.t_pow)
+        return SolutionPair._adopt(self.grid, self.alpha1, self.alpha2, out)
 
 
 # -- iteration schemes -------------------------------------------------
@@ -458,23 +455,20 @@ def _enforce_ordering(prev: SolutionPair, new: SolutionPair, sign: float,
     Deviations within `slack` are clipped to prev and counted; anything
     larger is a genuine ordering break and raises.
     """
-    rows = []
-    count = 0
-    for name, pr, nr in zip(_ROW_NAMES, prev.rows(), new.rows()):
-        deficit = sign * (pr - nr)
-        worst = float(np.max(deficit))
-        if worst > slack:
-            j = int(np.argmax(deficit))
-            raise MonotonicityError(
-                f"iteration {step}: row {name} breaks the chain ordering at "
-                f"node {j} (t={float(prev.grid.nodes[j])!r}) by {worst:.3e}, "
-                f"beyond the quadrature slack {slack:.3e}")
-        bad = deficit > 0.0
-        count += int(np.count_nonzero(bad))
-        rows.append(np.where(bad, pr, nr))
-    clipped = SolutionPair(prev.grid, prev.alpha1, prev.alpha2,
-                           u_w=rows[0], du=rows[1], v_w=rows[2], dv=rows[3])
-    return clipped, count
+    deficit = sign * (prev.stack - new.stack)
+    worst = deficit.max(axis=1)
+    broken = np.flatnonzero(worst > slack)
+    if broken.size:
+        r = int(broken[0])
+        j = int(np.argmax(deficit[r]))
+        raise MonotonicityError(
+            f"iteration {step}: row {_ROW_NAMES[r]} breaks the chain "
+            f"ordering at node {j} (t={float(prev.grid.nodes[j])!r}) by "
+            f"{float(worst[r]):.3e}, beyond the quadrature slack {slack:.3e}")
+    bad = deficit > 0.0
+    clipped = SolutionPair._adopt(prev.grid, prev.alpha1, prev.alpha2,
+                                  np.where(bad, prev.stack, new.stack))
+    return clipped, int(np.count_nonzero(bad))
 
 
 def _steps(op: IntegralOperator, trace: IterationTrace, max_iter: int,

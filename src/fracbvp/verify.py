@@ -233,13 +233,7 @@ def ode_residual_spotcheck(p: ProblemSpec, sp: SolutionPair,
 
 
 def _stack(trace: IterationTrace) -> np.ndarray:
-    return np.stack([np.stack(it.rows()) for it in trace.iterates])
-
-
-def _locate(arr: np.ndarray, trace: IterationTrace) -> tuple:
-    k, r, j = np.unravel_index(int(np.argmax(arr)), arr.shape)
-    t = float(trace.iterates[0].grid.nodes[j])
-    return int(k), _ROW_NAMES[r], int(j), t
+    return np.stack([it.stack for it in trace.iterates])
 
 
 def ordering_audit(lower: IterationTrace,
@@ -258,26 +252,26 @@ def ordering_audit(lower: IterationTrace,
             f"need one lower and one upper trace, got directions "
             f"{lower.direction!r} and {upper.direction!r}")
     slack = 10.0 * max(lower.quad_tol, upper.quad_tol)
-    lo = _stack(lower)
-    up = _stack(upper)
+    lo, up = _stack(lower), _stack(upper)
     climbs = lo[:-1] - lo[1:]       # positive entry = lower chain dropped
     descents = up[1:] - up[:-1]     # positive entry = upper chain rose
     cross = lo.max(axis=0) - up.min(axis=0)
     candidates = (
-        ("lower chain step", climbs.max(initial=-math.inf), climbs, lower),
-        ("upper chain step", descents.max(initial=-math.inf), descents,
-         upper),
-        ("cross-chain gap", cross.max(), cross[None, ...], lower),
+        ("lower chain step", climbs.max(initial=-math.inf), climbs),
+        ("upper chain step", descents.max(initial=-math.inf), descents),
+        ("cross-chain gap", cross.max(), cross[None, ...]),
     )
-    kind, worst, arr, tr = max(candidates, key=lambda c: c[1])
-    k, row, j, t = _locate(arr, tr)
+    kind, worst, arr = max(candidates, key=lambda c: c[1])
+    k, r, j = np.unravel_index(int(np.argmax(arr)), arr.shape)
+    t = float(lower.iterates[0].grid.nodes[j])
     checked = climbs.size + descents.size \
         + lo.shape[0] * up.shape[0] * cross.size
     worst = float(worst)
     ok = worst <= slack
     state = "holds" if ok else "broken"
-    message = (f"ordering {state}; tightest at {kind} {k + 1}, row {row}, "
-               f"node {j} (t={t:.6g}): excess {worst - slack:.3e}")
+    message = (f"ordering {state}; tightest at {kind} {k + 1}, row "
+               f"{_ROW_NAMES[r]}, node {j} (t={t:.6g}): excess "
+               f"{worst - slack:.3e}")
     return AuditResult("ordering", ok, float(worst - slack), checked,
                        slack, message)
 
@@ -313,22 +307,20 @@ def error_bound_audit(trace: IterationTrace, *, m: float | None = None,
         reference = its[-1]
         allowance += trace.diffs[-1] * m * gain
 
-    worst = -math.inf
-    where = ""
-    checked = 0
-    for n in range(1, len(its)):
-        lhs = diff_norm(its[n], reference)
-        excess = lhs - (m ** n * gain * d1 + allowance)
-        checked += 1
-        if excess > worst:
-            worst, where = excess, f"iterate {n} vs reference"
-    for n in range(1, len(its)):
-        for j in range(n + 1, len(its)):
-            lhs = diff_norm(its[j], its[n])
-            bound = m ** n * (1.0 - m ** (j - n)) * gain * d1 + slack
-            checked += 1
-            if lhs - bound > worst:
-                worst, where = lhs - bound, f"iterates {n} and {j}"
+    # As in a scan of the comparisons, the first largest excess wins.
+    st = _stack(trace)
+    pw = np.array([m ** n for n in range(len(its))])
+    excess = np.abs(st[1:] - reference.stack).max(axis=(1, 2)) \
+        - (pw[1:] * gain * d1 + allowance)
+    worst, checked = float(excess.max()), excess.size
+    where = f"iterate {int(excess.argmax()) + 1} vs reference"
+    for n in range(1, len(its) - 1):
+        excess = np.abs(st[n + 1:] - st[n]).max(axis=(1, 2)) \
+            - (pw[n] * (1.0 - pw[1:len(its) - n]) * gain * d1 + slack)
+        checked += excess.size
+        if excess.max() > worst:
+            j = int(excess.argmax())
+            worst, where = float(excess[j]), f"iterates {n} and {n + 1 + j}"
     ok = worst <= 0.0
     state = "holds" if ok else "broken"
     message = (f"geometric bound {state} over {checked} comparisons; "

@@ -3,6 +3,7 @@ boundary integral G (batched, checked against per-point quadrature), the
 assembled kernels, and their sharp bounds."""
 
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ import fracbvp.kernels as kernels_mod
 from fracbvp import (FracOrder, Integrand, IntegralOperator, KernelSet,
                      QuadratureError, compute_lambda, gamma,
                      integrate_halfline, kernel_representation)
-from fracbvp.cli import main
+from fracbvp.cli import load_problem, main
+from fracbvp.problem import build_report
 
 
 def test_lambda_closed_forms(sublinear):
@@ -307,8 +309,32 @@ def test_solve_integrates_each_lambda_once(monkeypatch, capsys):
 
     real = kernels_mod.integrate_halfline
     monkeypatch.setattr(kernels_mod, "integrate_halfline", counting)
+    # Earlier loads of the same weights may have filled the memo.
+    kernels_mod._lambda.cache_clear()
     assert main(["solve", "sublinear", "--grid-n", "32"]) == 0
     assert len(calls) == 2
+
+
+def test_lambda_memo_keys_on_the_weight_text():
+    # Every load compiles h1 and h2 into new closures; the memo knows a
+    # weight by its source text and metadata, so loads after the first
+    # hit.  A different h1 text misses.
+    text = (resources.files("fracbvp") / "problems"
+            / "sublinear.prob").read_text()
+    kernels_mod._lambda.cache_clear()
+    specs = [load_problem(text).spec for _ in range(3)]
+    for spec in specs:
+        build_report(spec)
+    info = kernels_mod._lambda.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
+    got = [[compute_lambda(h, a) for h, a in
+            ((s.h1, s.alpha1), (s.h2, s.alpha2))] for s in specs]
+    assert got[0] == got[1] == got[2]
+    other = load_problem(text.replace("h1 = t^(-1.5)*exp(-t)",
+                                      "h1 = 0.5*t^(-1.5)*exp(-t)")).spec
+    half = compute_lambda(other.h1, other.alpha1)
+    assert kernels_mod._lambda.cache_info().misses == 3
+    assert half.value == pytest.approx(0.5 * got[0][0].value, rel=1e-10)
 
 
 def test_bounds_are_sharp_but_never_crossed(kernels):

@@ -18,6 +18,7 @@ from fracbvp import (
     Grid,
     Integrand,
     IntegralOperator,
+    IterationTrace,
     LipschitzData,
     MonotonicityError,
     ProblemSpec,
@@ -28,8 +29,10 @@ from fracbvp import (
     kernel_representation,
     monotone_solve,
     norm_pair,
+    ordering_audit,
 )
 from fracbvp import solver as solver_mod
+from fracbvp import verify as verify_mod
 from fracbvp.exprlang import compile_expr, parse
 from fracbvp.solver import _enforce_ordering, _gauss_jacobi
 from fracbvp.verify import _flat_pchip
@@ -273,6 +276,209 @@ def test_enforce_ordering_raises_on_real_breaks(grid64):
     clipped, count = _enforce_ordering(prev, drop, -1.0, slack=1e-7, step=3)
     assert count == 0
     assert norm_pair(clipped) == 0.0
+
+
+_ROWS = ("u_w", "du", "v_w", "dv")
+
+
+# The per-row step bookkeeping that the stacked SolutionPair replaced,
+# kept as the oracle for the stacked route.
+def _per_row_enforce_ordering(prev, new, sign, slack, step):
+    rows = []
+    count = 0
+    for name, pr, nr in zip(_ROWS, prev.rows(), new.rows()):
+        deficit = sign * (pr - nr)
+        worst = float(np.max(deficit))
+        if worst > slack:
+            j = int(np.argmax(deficit))
+            raise MonotonicityError(
+                f"iteration {step}: row {name} breaks the chain ordering at "
+                f"node {j} (t={float(prev.grid.nodes[j])!r}) by {worst:.3e}, "
+                f"beyond the quadrature slack {slack:.3e}")
+        bad = deficit > 0.0
+        count += int(np.count_nonzero(bad))
+        rows.append(np.where(bad, pr, nr))
+    clipped = SolutionPair(prev.grid, prev.alpha1, prev.alpha2,
+                           u_w=rows[0], du=rows[1], v_w=rows[2], dv=rows[3])
+    return clipped, count
+
+
+def _per_row_norm_pair(sp):
+    return max(float(np.max(np.abs(r))) for r in sp.rows())
+
+
+def _per_row_diff_norm(a, b):
+    return max(float(np.max(np.abs(x - y)))
+               for x, y in zip(a.rows(), b.rows()))
+
+
+def _ordered_pairs(grid, rng, slack):
+    """(prev, new, sign) with new on the required side of prev, then
+    dust (dips within slack, clipped), exact ties, and breaks: one row,
+    or two rows whose later one breaks deeper."""
+    a1, a2 = FracOrder(2.5), FracOrder(1.5)
+    n = grid.n
+    for k in range(240):
+        sign = 1.0 if k % 2 else -1.0
+        prev = rng.uniform(0.0, 10.0, (4, n))
+        new = prev + sign * rng.uniform(0.0, 1.0, (4, n))
+        kind = k % 6
+        if kind >= 1:
+            dust = rng.uniform(size=(4, n)) < 0.2
+            new[dust] = (prev - sign * rng.uniform(0.0, slack, (4, n)))[dust]
+        if kind >= 2:
+            ties = rng.uniform(size=(4, n)) < 0.1
+            new[ties] = prev[ties]
+        if kind == 4:
+            r, j = rng.integers(4), rng.integers(n)
+            new[r, j] = prev[r, j] - sign * rng.uniform(2.0, 5.0) * slack
+        if kind == 5:
+            r1, r2 = np.sort(rng.choice(4, size=2, replace=False))
+            j1, j2 = rng.integers(n, size=2)
+            new[r1, j1] = prev[r1, j1] - sign * 2.0 * slack
+            new[r2, j2] = prev[r2, j2] - sign * 50.0 * slack
+        yield (SolutionPair(grid, a1, a2, **dict(zip(_ROWS, prev))),
+               SolutionPair(grid, a1, a2, **dict(zip(_ROWS, new))), sign)
+
+
+def test_stacked_bookkeeping_is_the_per_row_route(rng):
+    grid = Grid.make(16)
+    slack = 1e-7
+    raised = 0
+    for step, (prev, new, sign) in enumerate(
+            _ordered_pairs(grid, rng, slack)):
+        assert diff_norm(new, prev) == _per_row_diff_norm(new, prev)
+        assert norm_pair(new) == _per_row_norm_pair(new)
+        try:
+            want = _per_row_enforce_ordering(prev, new, sign, slack, step)
+        except MonotonicityError as exc:
+            with pytest.raises(MonotonicityError) as got:
+                _enforce_ordering(prev, new, sign, slack, step)
+            assert str(got.value) == str(exc)
+            raised += 1
+            continue
+        got = _enforce_ordering(prev, new, sign, slack, step)
+        assert got[1] == want[1]
+        _assert_same_rows(got[0], want[0], step)
+        assert norm_pair(got[0]) == _per_row_norm_pair(want[0])
+        assert diff_norm(got[0], prev) == _per_row_diff_norm(want[0], prev)
+    assert raised == 80
+
+
+def test_enforce_ordering_names_the_first_broken_row(grid64):
+    # du and dv both break; dv by more.  The error names du at its own
+    # worst node, as the rows are checked in the order u_w, du, v_w, dv.
+    a1, a2 = FracOrder(2.5), FracOrder(1.5)
+    prev = SolutionPair.constant(grid64, a1, a2, 1.0)
+    du, dv = np.ones(grid64.n), np.ones(grid64.n)
+    du[7], dv[3] = 0.5, 0.0
+    new = SolutionPair(grid64, a1, a2, u_w=prev.u_w, v_w=prev.v_w,
+                       du=du, dv=dv)
+    with pytest.raises(MonotonicityError) as exc:
+        _enforce_ordering(prev, new, 1.0, slack=1e-7, step=2)
+    assert str(exc.value).startswith("iteration 2: row du breaks the chain "
+                                     "ordering at node 7 (")
+    assert "by 5.000e-01" in str(exc.value)
+
+
+@pytest.mark.parametrize("climb", ["zero", "u_w only"])
+def test_ordering_audit_ties_match_the_per_row_stack(monkeypatch, grid64,
+                                                     climb):
+    # All climbs zero, or zero in every row but u_w: the flat argmax
+    # picks the first zero, so the row order decides the message.
+    a1, a2 = FracOrder(2.5), FracOrder(1.5)
+    start = SolutionPair.constant(grid64, a1, a2, 1.0)
+    u_w = start.u_w + (climb != "zero")
+    step = SolutionPair(grid64, a1, a2, u_w=u_w, v_w=start.v_w,
+                        du=start.du, dv=start.dv)
+    lower, upper = (IterationTrace(scheme="monotone", tol=1e-6,
+                                   quad_tol=1e-8, direction=d,
+                                   iterates=its) for d, its in
+                    (("lower", [start, step]),
+                     ("upper", [SolutionPair.constant(grid64, a1, a2, v)
+                                for v in (9.0, 8.0)])))
+    got = ordering_audit(lower, upper).message
+    row = "du" if climb == "u_w only" else "u_w"
+    assert f"tightest at lower chain step 1, row {row}, node 0 " in got
+    monkeypatch.setattr(verify_mod, "_stack", lambda tr: np.stack(
+        [np.stack(it.rows()) for it in tr.iterates]))
+    assert ordering_audit(lower, upper).message == got
+
+
+def test_solution_pair_rows_are_views_of_one_read_only_stack(grid64, rng):
+    a1, a2 = FracOrder(2.5), FracOrder(1.5)
+    given = {name: rng.normal(size=grid64.n) for name in _ROWS}
+    kept = {name: a.copy() for name, a in given.items()}
+    sp = SolutionPair(grid64, a1, a2, **given)
+    z = SolutionPair.zeros(grid64, a1, a2)
+    for pair in (sp, _enforce_ordering(z, sp, -1.0, 100.0, 1)[0]):
+        assert pair.stack.shape == (4, grid64.n)
+        assert pair.stack.flags.c_contiguous
+        assert not pair.stack.flags.writeable
+        for k, name in enumerate(_ROWS):
+            row = getattr(pair, name)
+            assert np.shares_memory(row, pair.stack)
+            assert np.array_equal(row, pair.stack[k])
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 1.0
+    # The constructor copies: writing to the caller's arrays afterwards
+    # leaves the pair as it was.
+    for a in given.values():
+        a[:] = 7.0
+    for k, name in enumerate(_ROWS):
+        assert np.array_equal(sp.stack[k], kept[name])
+
+
+def test_applied_pair_is_a_read_only_stack(forcing_only):
+    _, _, image = forcing_only
+    assert image.stack.flags.c_contiguous
+    assert not image.stack.flags.writeable
+    assert all(np.shares_memory(r, image.stack) for r in image.rows())
+
+
+@pytest.mark.parametrize("name", _ROWS)
+def test_solution_pair_names_its_bad_row(grid64, name):
+    a1, a2 = FracOrder(2.5), FracOrder(1.5)
+    rows = {k: np.zeros(grid64.n) for k in _ROWS}
+    with pytest.raises(ValueError,
+                       match=f"^{name} must match the grid \\(\\(3,\\) vs"):
+        SolutionPair(grid64, a1, a2, **{**rows, name: np.zeros(3)})
+    for bad in (np.nan, np.inf):
+        row = np.zeros(grid64.n)
+        row[5] = bad
+        with pytest.raises(ValueError,
+                           match="^solution rows must be finite$"):
+            SolutionPair(grid64, a1, a2, **{**rows, name: row})
+
+
+def test_solution_pair_csv_and_dict_columns(grid64, rng):
+    a1, a2 = FracOrder(2.5), FracOrder(1.5)
+    rows = {name: rng.uniform(size=grid64.n) for name in _ROWS}
+    sp = SolutionPair(grid64, a1, a2, **rows)
+    t = grid64.nodes
+    want = {"t": t, "u": rows["u_w"] * (1.0 + t ** 1.5),
+            "v": rows["v_w"] * (1.0 + t ** 0.5),
+            "du": rows["du"], "dv": rows["dv"]}
+    assert sp.to_dict() == {k: v.tolist() for k, v in want.items()}
+    lines = ["t,u,v,du,dv"] + [",".join(repr(float(x)) for x in row)
+                               for row in zip(*want.values())]
+    assert sp.to_csv() == "\r\n".join(lines) + "\r\n"
+
+
+def test_apply_rejects_a_non_finite_image(sublinear, kernels, grid64):
+    # Finite forcing values whose tail integral overflows: f's own check
+    # passes, the assembled rows do not.
+    ks1, ks2 = kernels
+    zero = Integrand(lambda t: np.zeros_like(np.asarray(t, dtype=float)))
+    p = ProblemSpec(
+        alpha1=sublinear.alpha1, alpha2=sublinear.alpha2,
+        h1=sublinear.h1, h2=sublinear.h2,
+        f1=parse("exp(-t)"), f2=parse("1e300"),
+        lipschitz=LipschitzData(b1=(zero,) * 4, b2=(zero,) * 4))
+    op = IntegralOperator(p, ks1, ks2, grid64)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="^solution rows must be finite$"):
+        op.apply(SolutionPair.zeros(grid64, ks1.alpha, ks2.alpha))
 
 
 def test_trace_csv_and_json(monotone_runs):

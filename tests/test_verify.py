@@ -3,6 +3,7 @@ solutions and the two scheme audits, including hand-built failing traces
 to prove the audits can actually fail."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,12 +12,14 @@ from fracbvp import (
     FracOrder,
     IterationTrace,
     SolutionPair,
+    diff_norm,
     error_bound_audit,
     norm_pair,
     ordering_audit,
     verify_pair,
 )
-from fracbvp.verify import boundary_residual, ode_residual_spotcheck
+from fracbvp.verify import (AuditResult, boundary_residual,
+                            ode_residual_spotcheck)
 
 
 def test_monotone_solution_verifies(sublinear, op_sublinear, monotone_runs):
@@ -145,6 +148,61 @@ def test_error_bound_audit_with_external_reference(contraction_run,
     res = error_bound_audit(trace, m=report_lipschitz.m,
                             reference=other_final)
     assert res.ok, res.message
+
+
+def _scanned_error_bound_audit(trace, m, reference=None):
+    """error_bound_audit as a scan over the comparisons, one diff_norm
+    each: the oracle for the stacked audit."""
+    slack = 10.0 * trace.quad_tol * (1.0 + max(trace.norms))
+    its = trace.iterates
+    d1 = trace.diffs[0]
+    gain = 1.0 / (1.0 - m)
+    allowance = slack
+    if reference is None:
+        reference = its[-1]
+        allowance += trace.diffs[-1] * m * gain
+    worst, where, checked = -math.inf, "", 0
+    for n in range(1, len(its)):
+        excess = diff_norm(its[n], reference) - (m ** n * gain * d1
+                                                 + allowance)
+        checked += 1
+        if excess > worst:
+            worst, where = excess, f"iterate {n} vs reference"
+    for n in range(1, len(its)):
+        for j in range(n + 1, len(its)):
+            lhs = diff_norm(its[j], its[n])
+            bound = m ** n * (1.0 - m ** (j - n)) * gain * d1 + slack
+            checked += 1
+            if lhs - bound > worst:
+                worst, where = lhs - bound, f"iterates {n} and {j}"
+    ok = worst <= 0.0
+    message = (f"geometric bound {'holds' if ok else 'broken'} over "
+               f"{checked} comparisons; tightest at {where}: excess "
+               f"{worst:.3e}")
+    return AuditResult("error_bound", ok, float(worst), checked, slack,
+                       message)
+
+
+def test_error_bound_audit_is_the_scan(grid64, rng, contraction_run,
+                                       contraction_alt_run,
+                                       report_lipschitz):
+    _, trace = contraction_run
+    m = report_lipschitz.m
+    other, _ = contraction_alt_run
+    assert error_bound_audit(trace, m=m) \
+        == _scanned_error_bound_audit(trace, m)
+    assert error_bound_audit(trace, m=m, reference=other) \
+        == _scanned_error_bound_audit(trace, m, other)
+    # Repeated iterates tie many comparisons; random ones break the bound.
+    a1, a2 = FracOrder(2.5), FracOrder(1.5)
+    const = lambda v: SolutionPair.constant(grid64, a1, a2, v)
+    for pairs in ([const(1.0), const(0.5), const(0.5), const(0.5)],
+                  [const(1.0), const(1.0)],
+                  [SolutionPair(grid64, a1, a2, *rng.uniform(size=(4, 64)))
+                   for _ in range(7)]):
+        for m in (1e-6, 0.5):
+            tr = _trace("contraction", None, pairs, m=m)
+            assert error_bound_audit(tr) == _scanned_error_bound_audit(tr, m)
 
 
 def test_verification_report_json(sublinear, op_sublinear, monotone_runs,
