@@ -252,41 +252,50 @@ _OPERATIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 
 
 def _compile(e: Expr, bound: Mapping[str, np.ndarray] | None = None
-             ) -> Callable[[Mapping[str, np.ndarray]], np.ndarray]:
-    # A subtree over bound variables alone (or none) is evaluated here,
-    # once, and becomes a read-only constant of the closure.
-    if bound is not None and free_variables(e) <= bound.keys():
-        with np.errstate(all="ignore"):
-            v = _compile(e)(bound)
-        if isinstance(v, np.ndarray):
-            v.setflags(write=False)
-        return lambda env: v
+             ) -> tuple[Callable[[Mapping[str, np.ndarray]], np.ndarray],
+                        frozenset[str]]:
+    """e's closure over an environment and e's free variables, in one
+    walk.  With bound variables, each largest subtree over them alone (or
+    none) is folded (_fold) by its parent, or at the root by compile_expr."""
     # Leaves are numpy scalars, so constant subtrees follow numpy
     # semantics too (1/0 is inf, not a ZeroDivisionError).
-    if isinstance(e, Num):
-        v = np.float64(e.value)
-        return lambda env: v
-    if isinstance(e, Const):
-        v = np.float64(CONSTANTS[e.name])
-        return lambda env: v
+    if isinstance(e, (Num, Const)):
+        v = np.float64(e.value if isinstance(e, Num) else CONSTANTS[e.name])
+        return (lambda env: v), frozenset()
     if isinstance(e, Var):
         name = e.name
-        return lambda env: env[name]
+        return (lambda env: env[name]), frozenset((name,))
     if isinstance(e, Unary):
-        f = _compile(e.operand, bound)
-        return lambda env: -f(env)
-    if isinstance(e, Binary):
-        op = _OPERATIONS[e.op]
-        fl, fr = _compile(e.left, bound), _compile(e.right, bound)
-        return lambda env: op(fl(env), fr(env))
-    if isinstance(e, Call):
-        fn, parts = _OPERATIONS[e.fn], [_compile(a, bound) for a in e.args]
-        if len(parts) == 1:
-            f = parts[0]
-            return lambda env: fn(f(env))
-        fl, fr = parts
-        return lambda env: fn(fl(env), fr(env))
-    raise TypeError(f"not an Expr node: {e!r}")
+        op, args = operator.neg, (e.operand,)
+    elif isinstance(e, Binary):
+        op, args = _OPERATIONS[e.op], (e.left, e.right)
+    elif isinstance(e, Call):
+        op, args = _OPERATIONS[e.fn], e.args
+    else:
+        raise TypeError(f"not an Expr node: {e!r}")
+    parts = [_compile(a, bound) for a in args]
+    free = frozenset().union(*(p[1] for p in parts))
+    if bound is not None and not free <= bound.keys():
+        parts = [_fold(p, bound) for p in parts]
+    if len(parts) == 1:
+        f = parts[0][0]
+        return (lambda env: op(f(env))), free
+    (fl, _), (fr, _) = parts
+    return (lambda env: op(fl(env), fr(env))), free
+
+
+def _fold(part, bound: Mapping[str, np.ndarray]):
+    """part, a (closure, free variables) pair, with the closure evaluated
+    here, once, into a read-only constant when it reads bound variables
+    alone (or none)."""
+    f, free = part
+    if not free <= bound.keys():
+        return part
+    with np.errstate(all="ignore"):
+        v = f(bound)
+    if isinstance(v, np.ndarray):
+        v.setflags(write=False)
+    return (lambda env: v), free
 
 
 def compile_expr(e: Expr, variables: tuple[str, ...] = VARIABLES, *,
@@ -309,11 +318,13 @@ def compile_expr(e: Expr, variables: tuple[str, ...] = VARIABLES, *,
     bound = {k: np.array(v, dtype=float) for k, v in (bind or {}).items()}
     for a in bound.values():
         a.setflags(write=False)
-    unbound = (free_variables(e) | bound.keys()) - set(variables)
+    body, free = _compile(e, bound or None)
+    if bound:
+        body, _ = _fold((body, free), bound)
+    unbound = (free | bound.keys()) - set(variables)
     if unbound:
         raise ExprNameError(min(unbound), None, variables)
     params = tuple(v for v in variables if v not in bound)
-    body = _compile(e, bound or None)
     src = to_source(e)
 
     def fn(*args: np.ndarray) -> np.ndarray:
@@ -388,17 +399,4 @@ def to_source(e: Expr) -> str:
 
 def free_variables(e: Expr) -> frozenset[str]:
     """The set of variable names occurring in the expression."""
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, (Num, Const)):
-        return frozenset()
-    if isinstance(e, Unary):
-        return free_variables(e.operand)
-    if isinstance(e, Binary):
-        return free_variables(e.left) | free_variables(e.right)
-    if isinstance(e, Call):
-        out: frozenset[str] = frozenset()
-        for a in e.args:
-            out |= free_variables(a)
-        return out
-    raise TypeError(f"not an Expr node: {e!r}")
+    return _compile(e)[1]

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .fracops import FracOrder, gamma, rl_integral
@@ -116,14 +116,9 @@ class _Weight:
 @functools.lru_cache(maxsize=8)
 def _lambda(w: _Weight, alpha: FracOrder) -> QuadResult:
     h, a = w.h, alpha.q
-
-    def weighted(t: np.ndarray) -> np.ndarray:
-        return np.asarray(h.fn(t)) * t ** (a - 1.0)
-
-    f = Integrand(weighted, kinks=h.kinks,
-                  endpoint_exponent=h.endpoint_exponent + a - 1.0,
-                  decay_hint=h.decay_hint)
-    res = integrate_halfline(f, DEFAULT_TOL)
+    res = integrate_halfline(replace(
+        h, fn=lambda t: np.asarray(h.fn(t)) * t ** (a - 1.0),
+        endpoint_exponent=h.endpoint_exponent + a - 1.0), DEFAULT_TOL)
     return require_converged(res, f"Lambda integral (alpha={a})")
 
 
@@ -300,19 +295,16 @@ def _boundary_weighted_integral(ks: KernelSet, y: Integrand,
     step and u range depend on the whole batch, so G at a point depends,
     within that pass's tolerance (tol/10, 1e-11 by default), on the
     batch that first reached it; each integrand call of the engine makes
-    such a batch.  The value is deterministic for a given
-    KernelSet history; only kernel_representation and
-    derivative_representation use it, and no CLI output does.
+    such a batch.  C is a one-job integrate_halfline, so those calls
+    carry its head's panels, then its tail's, never another job's
+    points.  The value is deterministic for a given KernelSet history;
+    only kernel_representation and derivative_representation use it,
+    and no CLI output does.
     """
     if (y, tol) in ks._c_memo:
         return ks._c_memo[y, tol]
-
-    def fn(s: np.ndarray) -> np.ndarray:
-        return ks.g_many(s) * np.asarray(y.fn(s))
-
     res = integrate_halfline(
-        Integrand(fn, kinks=y.kinks, endpoint_exponent=y.endpoint_exponent,
-                  decay_hint=y.decay_hint), tol)
+        replace(y, fn=lambda s: ks.g_many(s) * np.asarray(y.fn(s))), tol)
     require_converged(res, "boundary-weighted integral of G")
     ks._c_memo[y, tol] = res.value
     return res.value

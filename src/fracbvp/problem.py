@@ -39,16 +39,16 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .exprlang import Expr, compile_expr
+from .exprlang import Expr, ExprError, compile_expr
 from .fracops import FracOrder, gamma
 from .kernels import compute_lambda
-from .quad import (DEFAULT_TOL, Integrand, QuadratureError,
-                   integrate_halfline, require_converged)
+from .quad import (DEFAULT_TOL, Integrand, QuadratureError, integrate_batch,
+                   require_converged)
 
 __all__ = [
     "GrowthData", "LipschitzData", "ProblemSpec", "Verdict", "Discrepancy",
     "HypothesisReport", "InapplicableError", "check_h1", "check_h4",
-    "build_report", "CONSTANT_NAMES",
+    "build_report", "integrate_each", "CONSTANT_NAMES",
 ]
 
 
@@ -283,39 +283,52 @@ def check_h1(p: ProblemSpec) -> tuple[Verdict, tuple[float, float]]:
     return Verdict(not reasons, "; ".join(reasons)), (lams[0], lams[1])
 
 
-def _star_integral(coef: Integrand, weight_exponent: float | None,
-                   power: float, label: str) -> float:
-    """int_0^inf coef(t) (1 + t^weight_exponent)^power dt; label names
-    the integral in the non-convergence message."""
-    if weight_exponent is None or power == 0.0:
-        f = coef
-    else:
-        def weighted(t, _c=coef.fn, _w=weight_exponent, _p=power):
-            t = np.asarray(t, dtype=float)
-            return np.asarray(_c(t)) * (1.0 + t ** _w) ** _p
+def integrate_each(named, tol: float = DEFAULT_TOL) -> list[float]:
+    """The integrals over (0, inf) of the (label, Integrand) pairs in
+    named, as the jobs of one integrate_batch call whose fn(x, job) calls
+    each job's fn on that job's points alone, so each is bit for bit its
+    integrate_halfline.  The first job in order whose fn raised an
+    ExprError, or that did not converge, raises: that error, or
+    QuadratureError with its label, as integrating one by one would."""
+    fs, failed = [f.fn for _, f in named], {}
 
-        f = Integrand(weighted, kinks=coef.kinks,
-                      endpoint_exponent=coef.endpoint_exponent,
-                      decay_hint=coef.decay_hint)
-    res = integrate_halfline(f, DEFAULT_TOL)
-    require_converged(res, label)
-    return res.value
+    def fn(x: np.ndarray, job: np.ndarray) -> np.ndarray:
+        out = np.zeros(x.shape)  # a job whose fn raised gets zeros
+        for j in set(np.unique(job).tolist()) - failed.keys():
+            try:
+                out[job == j] = fs[j](x[job == j])
+            except ExprError as exc:  # raised below, in job order
+                failed[j] = exc
+        return out
+
+    results = integrate_batch(fn, [
+        (0.0, inf, f.kinks, f.endpoint_exponent, f.decay_hint)
+        for _, f in named], tol)
+    for j, ((label, _), res) in enumerate(zip(named, results)):
+        if j in failed:
+            raise failed[j]
+        require_converged(res, label)
+    return [res.value for res in results]
 
 
-def _star_row(p: ProblemSpec, name: str, coeffs: tuple[Integrand, ...],
-              powers: tuple[float, ...]) -> tuple[float, ...]:
-    """The envelope integrals of one equation's coefficients (a*_ik or
-    b*_ik), weighted per slot (see the module docstring).
+def _envelopes(p: ProblemSpec, name: str, coeffs: tuple[Integrand, ...],
+               powers: tuple[float, ...]) -> list[tuple[str, Integrand]]:
+    """(label, integrand) of each envelope integral of one equation's
+    coefficients (a*_ik or b*_ik), weighted per slot (see the module
+    docstring), for integrate_each.
 
     coeffs[j] is the coefficient of slot k = 5 - len(coeffs) + j, with
     powers[k] its exponent: slot 0 is the state-free a_i0, slots 1 and 2
     the weighted u1, u2, and slots 3 and 4 the unweighted u3, u4.
     """
     weights = (None, p.alpha1.q - 1.0, p.alpha2.q - 1.0, None, None)
-    return tuple(
-        _star_integral(c, weights[k], powers[k],
-                       f"envelope integral {name}{k}")
-        for k, c in enumerate(coeffs, start=5 - len(coeffs)))
+    out = []
+    for k, c in enumerate(coeffs, start=5 - len(coeffs)):
+        if weights[k] is not None and powers[k] != 0.0:
+            c = replace(c, fn=lambda t, _c=c.fn, _w=weights[k], _p=powers[k]:
+                        np.asarray(_c(t)) * (1.0 + t ** _w) ** _p)
+        out.append((f"envelope integral {name}{k}", c))
+    return out
 
 
 # Side of the cube [0, _H4_BOX]^5 that check_h4 samples (t and the state).
@@ -410,8 +423,9 @@ def build_report(p: ProblemSpec, *, seed: int = 0, samples: int = 10_000,
             (f"a{i}{k}", c) for i, row in ((1, g.a1), (2, g.a2))
             for k, c in enumerate(row)))
         try:
-            a_star = (_star_row(p, "a1", g.a1, (0.0, *g.lam1)),
-                      _star_row(p, "a2", g.a2, (0.0, *g.lam2)))
+            a = integrate_each(_envelopes(p, "a1", g.a1, (0.0, *g.lam1))
+                               + _envelopes(p, "a2", g.a2, (0.0, *g.lam2)))
+            a_star = (tuple(a[:5]), tuple(a[5:]))
         except QuadratureError as exc:
             reasons.append(str(exc))
         settle("H2", Verdict(not reasons, "; ".join(reasons)), "monotone")
@@ -426,13 +440,13 @@ def build_report(p: ProblemSpec, *, seed: int = 0, samples: int = 10_000,
             for k, c in enumerate(row, start=1)))
         try:
             # Power 1 in every slot; tau_i = int |f_i(t,0,0,0,0)| dt.
-            b_star, tau = (
-                (_star_row(p, "b1", b.b1, (1.0,) * 5),
-                 _star_row(p, "b2", b.b2, (1.0,) * 5)),
-                tuple(_star_integral(
-                    Integrand(lambda t, f0=_forcing(f): np.abs(f0(t))),
-                    None, 0.0, f"forcing integral tau{i}")
-                    for i, f in enumerate((p.f1, p.f2), start=1)))
+            s = integrate_each(
+                _envelopes(p, "b1", b.b1, (1.0,) * 5)
+                + _envelopes(p, "b2", b.b2, (1.0,) * 5)
+                + [(f"forcing integral tau{i}",
+                    Integrand(lambda t, f0=_forcing(f): np.abs(f0(t))))
+                   for i, f in enumerate((p.f1, p.f2), start=1)])
+            b_star, tau = (tuple(s[:4]), tuple(s[4:8])), tuple(s[8:])
         except QuadratureError as exc:
             reasons.append(str(exc))
         settle("H3", Verdict(not reasons, "; ".join(reasons)), "contraction")

@@ -15,12 +15,13 @@ and the worst panel is split until the summed estimate meets the tolerance.
 Summation order is fixed (panels are sorted by position before the final
 sum), so results are deterministic for a given integrand and tolerance.
 
-Integrands must be pointwise, because the engine evaluates many panels
-in one call: integrate_batch the first panels of every piece of every
-job (power-substituted ones included) in one call, then one call per
-round of splits; a half-line tail the first panels of 8 doublings per
-call.  Nodes and per-panel sums are those of one panel at a time, so
-batching changes nothing but the number of calls.
+One driver, integrate_batch, integrates many jobs, finite and half-line,
+under one pointwise fn(x, job), one call per round: the first panels of
+every piece of every job, then the split halves of every piece still
+refining and the tail panels of every walking job (first panels of 8
+doublings per ask).  Nodes and sums are those of one panel at a time, in
+each job's own order, so batching changes nothing but the number of
+calls.  integrate_finite and integrate_halfline are its one-job cases.
 """
 
 from __future__ import annotations
@@ -140,24 +141,15 @@ def _estimate(fn, lo: np.ndarray, hi: np.ndarray):
         return fine, np.abs(fine - dots[0])
 
 
-def _panels(fn, bounds) -> list[tuple[float, float]]:
-    """_estimate on a sequence of (lo, hi) panels, as (value, error)s."""
-    val, err = _estimate(fn, *np.array(bounds, dtype=float).reshape(-1, 2).T)
-    return list(zip(val.tolist(), err.tolist()))
-
-
-def _adapt(lo: float, hi: float, tol: float, first):
-    """Adaptive bisection on [lo, hi] for a smooth (post-transform)
-    integrand from the panel's (value, error) first, as a generator:
-    each split yields the two halves and is sent their (value, error)
-    pairs (see _lockstep); it returns (value, error_estimate,
-    evaluations, converged).  The heap is keyed on (-error, lo) so
-    refinement order, and therefore the result, is deterministic.
-    Panels narrower than the width floor are frozen with their current
-    estimate instead of being split forever.
-    """
-    if hi <= lo:
-        return 0.0, 0.0, 0, True
+def _adapt(key, lo: float, hi: float, tol: float, first):
+    """Adaptive bisection of piece `key` on [lo, hi] for a smooth
+    (post-transform) integrand from the panel's (value, error) first, as
+    a generator: each split yields the halves as (key, lo, hi) panels and
+    is sent their (value, error)s (see _together); it returns (value,
+    error_estimate, evaluations, converged).  The heap is keyed on
+    (-error, lo) so refinement order, and therefore the result, is
+    deterministic.  Panels narrower than the width floor are frozen with
+    their current estimate instead of being split forever."""
     val, err = first
     n_eval = 36
     heap = [(-err, lo, hi, val)]
@@ -182,8 +174,8 @@ def _adapt(lo: float, hi: float, tol: float, first):
             continue
         total_err += neg_err  # neg_err is negative: removes this panel
         m = 0.5 * (a + b)
-        children = ((a, m), (m, b))
-        for (c, d), (pv, pe) in zip(children, (yield children)):
+        children = ((key, a, m), (key, m, b))
+        for (_, c, d), (pv, pe) in zip(children, (yield children)):
             heapq.heappush(heap, (-pe, c, d, pv))
             total_err += pe
         n_eval += 72
@@ -194,24 +186,66 @@ def _adapt(lo: float, hi: float, tol: float, first):
     return value, error, n_eval, converged
 
 
-def _lockstep(estimate, runs: dict) -> dict:
-    """Each _adapt generator's result in runs, by key.  The generators
-    refine together: every round estimates the split halves of all that
-    are still refining in one estimate(keys, lo, hi) call."""
-    done, sent = {}, dict.fromkeys(runs)
+def _together(runs: list):
+    """The generators in runs (or their results already) as one: each
+    round yields all their asks, lists of (piece, lo, hi) panels, as one
+    list and sends each its (value, error) pairs; returns the results."""
+    done = list(runs)
+    sent = {i: None for i, r in enumerate(runs) if not isinstance(r, tuple)}
     while True:
         asks = {}
-        for key, panels in sent.items():
+        for i, pairs in sent.items():
             try:
-                asks[key] = runs[key].send(panels)
+                asks[i] = runs[i].send(pairs)
             except StopIteration as stop:
-                done[key] = stop.value
+                done[i] = stop.value
         if not asks:
             return done
-        lo, hi = np.array(list(asks.values()), float).reshape(-1, 2).T
-        val, err = estimate(np.repeat(list(asks), 2), lo, hi)
-        pairs = list(zip(val.tolist(), err.tolist()))
-        sent = {key: pairs[2 * n:2 * n + 2] for n, key in enumerate(asks)}
+        pairs, n, sent = (yield [p for ask in asks.values() for p in ask]), 0, {}
+        for i, ask in asks.items():
+            sent[i], n = pairs[n:n + len(ask)], n + len(ask)
+
+
+def _total(parts: list, end: float) -> QuadResult:
+    """The QuadResult of a job's (value, error, evaluations, converged)
+    parts, pieces then doublings, summed in order."""
+    value = error = 0.0
+    n_eval, ok = 0, True
+    for v, e, ne, conv in parts:
+        value += v
+        error += e
+        n_eval += ne
+        ok = ok and conv
+    return QuadResult(value, error, end, n_eval, ok)
+
+
+def _walk(runs: list, end: float, tail: int, tol: float):
+    """A half-line job as a generator (see _together): its pieces' runs,
+    then doublings [end, 2 end], [2 end, 4 end], ... (piece tail), each
+    to tol/8, the first panels of _TAIL_CHUNK asked for at once, until
+    two in a row contribute less than tol/4 in magnitude.  The last one
+    goes into the error estimate, never the value: for an integrable
+    decay, the tail past it shrinks at worst geometrically.  No stop
+    within _MAX_DOUBLINGS is a suspected divergence (converged=False)."""
+    parts = yield from _together(runs)
+    t, prev = end, math.inf
+    for i in range(_MAX_DOUBLINGS):
+        if i % _TAIL_CHUNK == 0:  # t * 2^j short of inf
+            los = [lo for j in range(min(_TAIL_CHUNK, _MAX_DOUBLINGS - i))
+                   if (lo := t * 2.0 ** j) < math.inf]
+            firsts = iter((yield [(tail, lo, 2 * lo) for lo in los])
+                          if los else ())
+        first = next(firsts, None)  # None once t reaches inf
+        parts.append((yield from _adapt(tail, t, 2 * t, tol / 8, first))
+                     if first else (0.0, 0.0, 0, True))
+        v, t = parts[-1][0], 2 * t
+        if abs(v) < tol / 4 and abs(prev) < tol / 4:
+            parts.append((0.0, abs(v), 0, True))
+            break
+        prev = v
+    else:
+        parts.append((0.0, abs(v) if math.isfinite(v) else math.inf, 0, False))
+    return _total(parts, t)
 
 
 def integrate_batch(fn, jobs, tol: float = DEFAULT_TOL) -> list[QuadResult]:
@@ -219,68 +253,79 @@ def integrate_batch(fn, jobs, tol: float = DEFAULT_TOL) -> list[QuadResult]:
 
     A job is (a, b, kinks, sigma): no panel straddles a kink, and the
     power substitution removes fn ~ t^sigma at 0+ from the leading piece
-    when a == 0.  fn gets the points and, for each, its job's index (an
-    int when there is one job); it must be pointwise.  The first panels
-    of all pieces come from one call of fn; a piece whose first panel
-    meets its share tol/pieces is done, and the others refine in
-    lockstep (_adapt), one call per round of splits.  Each job's pieces
-    are summed in order: its result is bit for bit the job's alone.
+    when a == 0.  A half-line job (0, inf, kinks, sigma, decay_hint) has
+    the pieces of [0, T0], T0 = max(1, 1.5 * last kink, 45 / decay_hint),
+    to tol/2, then walks the doublings beyond T0 (_walk).  fn gets the
+    points and each one's job index; it must be pointwise.  Each job's
+    points come in the calls and order of the job alone (see the module
+    docstring), so its result is bit for bit the job's alone.
     """
-    lo, hi, sig, count = [], [], [], []  # per piece; pieces per job
-    for a, b, kinks, sigma in jobs:
+    lo, hi, sig, owner, specs = [], [], [], [], []  # per piece; per job
+    for j, (a, b, kinks, sigma, *rate) in enumerate(jobs):
         if not a < b:
             raise ValueError(f"need a < b, got [{a}, {b}]")
         if a == 0.0 and sigma <= -1.0:
             raise ValueError(
                 f"integrand diverges at 0 (endpoint exponent {sigma} <= -1); "
                 f"integrate it only against a compensating factor")
+        walk = b == math.inf
+        if walk:  # e^{-45} ~ 3e-20: safely below any tolerance in use here
+            b = max([1.0, *(1.5 * k for k in kinks[-1:]),
+                     *(45.0 / r for r in rate if r is not None)])
         cuts = [a, *(k for k in kinks if a < k < b), b]
+        specs.append((len(lo), len(cuts) - 1, b, walk))
         lo += cuts[:-1]
         hi += cuts[1:]
         sig += [sigma if a == 0.0 else 0.0] + [0.0] * (len(cuts) - 2)
-        count.append(len(cuts) - 1)
-    owner = np.repeat(np.arange(len(count)), count)
-    start, end, sig_ = np.array(lo, float), np.array(hi, float), np.array(sig)
+        owner += [j] * (len(cuts) - 1)
+    # Piece n + j, plain, is job j's doublings.
+    n, owner = len(lo), np.array(owner + list(range(len(specs))))
+    sig += [0.0] * len(specs)
+    start, end, sig = (np.array(v, float) for v in (lo, hi, sig))
 
     def estimate(ids: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-        job = owner[ids][None].repeat(3, 0).repeat(12) if len(count) > 1 else 0
-
         def mapped(x: np.ndarray) -> np.ndarray:
             # A piece [0, c] of exponent sigma maps to y in [0, 1] by
             # t = c y^(1/p), p = 1 + sigma, scaling fn by (c/p) y^(1/p - 1),
             # powers to a Python float, as for the piece alone (so that
             # y ** 2.0 and y ** 0.5 are numpy's square and sqrt).
-            x, scales, s = x.reshape(3, ids.size, 12), [], sig_[ids]
+            x, scales, s = x.reshape(3, ids.size, 12), [], sig[ids]
             for sigma in dict.fromkeys(s[s != 0.0].tolist()):
                 sel = np.flatnonzero(s == sigma)
                 p, y, a = 1.0 + sigma, x[:, sel], start[ids[sel], None]
                 w = end[ids[sel], None] - a
                 x[:, sel] = a + w * y ** (1.0 / p)
                 scales.append((sel, w / p, y ** (1.0 / p - 1.0)))
+            job = owner[ids][None].repeat(3, 0).repeat(12)
             ys = np.array(fn(x.ravel(), job), float).reshape(x.shape)
             for sel, wp, dy in scales:
                 ys[:, sel] = ys[:, sel] * wp * dy
             return ys.ravel()
         return _estimate(mapped, lo, hi)
 
-    val, err = estimate(np.arange(owner.size), np.where(sig_, 0.0, start),
-                        np.where(sig_, 1.0, end))
-    share, jobs_of = [tol / c for c in count], owner.tolist()
-    # What _adapt returns for a first panel within its share.
-    vals, errs = (0.0 + val).tolist(), err.tolist()
-    n_eval, ok = [36 * c for c in count], [True] * len(count)
-    runs = {i: _adapt(*((0.0, 1.0) if sig[i] else (lo[i], hi[i])),
-                      share[jobs_of[i]], (float(val[i]), errs[i]))
-            for i in np.flatnonzero(err > np.repeat(share, count)).tolist()}
-    for i, (vals[i], errs[i], ne, conv) in _lockstep(estimate, runs).items():
-        n_eval[jobs_of[i]] += ne - 36
-        ok[jobs_of[i]] = ok[jobs_of[i]] and conv
-    value, error = [0.0] * len(count), [0.0] * len(count)
-    for j, v, e in zip(jobs_of, vals, errs):  # running sums, piece order
-        value[j] += v
-        error[j] += e
-    return [QuadResult(value[j], error[j], b, n_eval[j], ok[j])
-            for j, (_, b, _, _) in enumerate(jobs)]
+    lo, hi = np.where(sig[:n], 0.0, start), np.where(sig[:n], 1.0, end)
+    val, err = estimate(np.arange(n), lo, hi)
+    vals, errs, lo, hi = val.tolist(), err.tolist(), lo.tolist(), hi.tolist()
+    runs = []  # a half-line job's _walk, a finite job's pieces
+    for j, (s, c, b, walk) in enumerate(specs):
+        share = (tol / 2 if walk else tol) / c
+        parts = [_adapt(i, lo[i], hi[i], share, (vals[i], errs[i]))
+                 if errs[i] > share else (vals[i], errs[i], 36, True)
+                 for i in range(s, s + c)]
+        runs += [_walk(parts, b, n + j, tol)] if walk else parts
+    run, pairs = _together(runs), None
+    while True:  # one estimate, so one call of fn, per round
+        try:
+            ask = run.send(pairs)
+        except StopIteration as stop:
+            done = iter(stop.value)
+            break
+        ids, lo, hi = zip(*ask)
+        val, err = estimate(np.array(ids), np.array(lo, float),
+                            np.array(hi, float))
+        pairs = list(zip(val.tolist(), err.tolist()))
+    return [next(done) if walk else _total([next(done) for _ in range(c)], b)
+            for _, c, b, walk in specs]
 
 
 def integrate_finite(f: Integrand, a: float, b: float,
@@ -295,58 +340,13 @@ def integrate_finite(f: Integrand, a: float, b: float,
 
 
 def integrate_halfline(f: Integrand, tol: float = DEFAULT_TOL) -> QuadResult:
-    """Integrate f over (0, inf).
-
-    The finite head [0, T0] goes through integrate_finite (kinks and the
-    endpoint exponent handled there); beyond T0 the interval is doubled,
-    [T, 2T], [2T, 4T], ..., until two successive panels each contribute
-    less than tol/4 in magnitude.  A geometric extrapolation of the last
-    panel is added to the error estimate, never to the value.  If the
-    panel contributions fail to stabilize within the doubling budget the
-    result is flagged as a suspected divergence (converged=False).  The
-    first panels of _TAIL_CHUNK doublings come from one integrand call;
-    the walk still takes one doubling at a time, and counts none past
-    its stop in the evaluations.
-    """
-    t0 = 1.0
-    if f.kinks:
-        t0 = max(t0, 1.5 * f.kinks[-1])
-    if f.decay_hint is not None:
-        # e^{-45} ~ 3e-20: safely below any tolerance in use here.
-        t0 = max(t0, 45.0 / f.decay_hint)
-
-    head = integrate_finite(f, 0.0, t0, tol / 2)
-    value, error = head.value, head.error_estimate
-    n_eval, ok = head.evaluations, head.converged
-
-    t, prev, last, stabilized, tail_tol = t0, math.inf, 0.0, False, tol / 8
-    tail = lambda _, lo, hi: _estimate(f.fn, lo, hi)  # noqa: E731
-    for i in range(_MAX_DOUBLINGS):
-        k = i % _TAIL_CHUNK
-        if k == 0:  # the walk's own t * 2^j, short of _adapt's [inf, inf]
-            los = [lo for j in range(min(_TAIL_CHUNK, _MAX_DOUBLINGS - i))
-                   if (lo := t * 2.0 ** j) < math.inf]
-            firsts = _panels(f.fn, [(lo, 2 * lo) for lo in los]) if los else []
-        v, e, ne, conv = _lockstep(tail, {0: _adapt(
-            t, 2 * t, tail_tol, firsts[k] if k < len(firsts) else None)})[0]
-        n_eval += ne
-        ok = ok and conv
-        value += v
-        error += e
-        t *= 2
-        if abs(v) < tol / 4 and abs(prev) < tol / 4:
-            stabilized = True
-            last = abs(v)
-            break
-        prev, last = v, abs(v)
-    if stabilized:
-        # Remaining tail: panel magnitudes were already below tol/4 and,
-        # for integrable decay, keep shrinking at worst geometrically.
-        error += last
-    else:
-        ok = False
-        error += abs(last) if math.isfinite(last) else math.inf
-    return QuadResult(value, error, t, n_eval, ok)
+    """Integrate f over (0, inf), integrate_batch's one-job case: its
+    calls carry the head's first panels and rounds of splits, then the
+    first panels of 8 doublings at a time, each followed by the splits
+    of those doublings in turn.  On non-convergence the best value is
+    returned with converged=False."""
+    return integrate_batch(lambda x, job: f.fn(x), [
+        (0.0, math.inf, f.kinks, f.endpoint_exponent, f.decay_hint)], tol)[0]
 
 
 def require_converged(result: QuadResult, context: str) -> QuadResult:

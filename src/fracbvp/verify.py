@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .exprlang import compile_expr
 from .fracops import FracOrder, gamma, rl_derivative
-from .problem import ProblemSpec
-from .quad import Integrand, QuadratureError, integrate_halfline, require_converged
+from .problem import ProblemSpec, integrate_each
+from .quad import Integrand, QuadratureError
 from .solver import (IntegralOperator, IterationTrace, SolutionPair,
                      _ROW_NAMES, diff_norm)
 
@@ -137,24 +137,14 @@ def fixed_point_residual(op: IntegralOperator, sp: SolutionPair) -> float:
     return diff_norm(sp, op.apply(sp))
 
 
-def _bc_one(h: Integrand | None, alpha: FracOrder, grid_nodes: np.ndarray,
-            row_w: np.ndarray, row_d: np.ndarray, tol: float) -> float:
-    if h is None:
-        # No weight: the condition is D^(alpha-1)u(inf) = 0.
-        return abs(float(row_d[-1]))
+def _bc_integrand(h: Integrand, alpha: FracOrder, grid_nodes: np.ndarray,
+                  row_w: np.ndarray, row_d: np.ndarray) -> Integrand:
+    """h(s) u(s), u reconstructed from the rows, with h's kinks and the
+    grid nodes declared as kinks."""
     u_fn = _psi_interpolant(grid_nodes, row_w, row_d, alpha)
-
-    def fn(s: np.ndarray) -> np.ndarray:
-        return np.asarray(h.fn(s)) * u_fn(s)
-
-    kinks = sorted(set(h.kinks) | set(float(t) for t in grid_nodes))
-    combined = Integrand(fn, kinks=tuple(kinks),
-                         endpoint_exponent=h.endpoint_exponent
-                         + (alpha.q - 1.0),
-                         decay_hint=h.decay_hint)
-    res = integrate_halfline(combined, tol)
-    require_converged(res, f"boundary integral (alpha={alpha.q})")
-    return abs(float(row_d[-1]) - res.value)
+    return replace(h, fn=lambda s: np.asarray(h.fn(s)) * u_fn(s),
+                   kinks=tuple(sorted({*h.kinks, *map(float, grid_nodes)})),
+                   endpoint_exponent=h.endpoint_exponent + (alpha.q - 1.0))
 
 
 def boundary_residual(p: ProblemSpec,
@@ -165,13 +155,18 @@ def boundary_residual(p: ProblemSpec,
     The derivative rows carry the boundary constant through the kernel
     route; the integral here recomputes it from the solution values and
     the weight h directly, so agreement checks the two routes against
-    each other.  An equation without a weight h has the condition
+    each other.  Both equations' integrals are the jobs of one batch.
+    An equation without a weight h has the condition
     D^(alpha-1)u(inf) = 0, and its residual is |D^(alpha-1)u(t_N)|.
     Returns the pair of absolute residuals.
     """
     t = sp.grid.nodes
-    r1 = _bc_one(p.h1, sp.alpha1, t, sp.u_w, sp.du, _BC_TOL)
-    r2 = _bc_one(p.h2, sp.alpha2, t, sp.v_w, sp.dv, _BC_TOL)
+    rows = ((p.h1, sp.alpha1, sp.u_w, sp.du), (p.h2, sp.alpha2, sp.v_w, sp.dv))
+    values = iter(integrate_each([
+        (f"boundary integral (alpha={a.q})", _bc_integrand(h, a, t, w, d))
+        for h, a, w, d in rows if h is not None], _BC_TOL))
+    r1, r2 = (abs(float(d[-1])) if h is None
+              else abs(float(d[-1]) - next(values)) for h, _, _, d in rows)
     return r1, r2
 
 

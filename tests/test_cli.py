@@ -700,6 +700,47 @@ _EDGE_CASES = {
                          r"after 43 steps(.|\n)*boundary residuals "
                          r"5\.657e-03, 7\.064e-03"),
     ]),
+    # The report's constants of a section are the jobs of one batch; a
+    # failing job is reported as if the integrals ran one by one.
+    "envelope-a14-diverges": ("sublinear", [
+            ("a14 = 1/(1+t^2)", "a14 = 1/(1+t)")], [
+        ("check", [], 2, r"H2 FAIL.*\n      quadrature did not converge in "
+                         r"envelope integral a14 \(value=41\.58883083359671, "
+                         r"error_estimate=6\.931e-01\)\n  H4 pass"),
+    ]),
+    "envelopes-a11-and-a24-diverge": ("sublinear", [
+            ("a11 = exp(-t)/(1+sqrt(t^3))^0.1", "a11 = 1/(1+t)"),
+            ("a24 = 2/(1+t^2)", "a24 = 2/(1+t)")], [
+        ("check", [], 2, r"H2 FAIL.*\n      quadrature did not converge in "
+                         r"envelope integral a11 \(value=3406\.580331937682, "
+                         r"error_estimate=3\.371e\+02\)\n  H4 pass"),
+    ]),
+    "forcing-tau1-diverges": ("lipschitz", [
+            ("f1 = 2/(10+t)^2", "f1 = 2/(10+t)")], [
+        ("check", [], 2, r"H3 FAIL.*\n      quadrature did not converge in "
+                         r"forcing integral tau1 \(value=78\.57249148120532, "
+                         r"error_estimate=1\.386e\+00\)\nconstants:"),
+    ]),
+    # a24 is not finite on (0.004, 0.005), which holds its first
+    # quadrature node and no point of the sign check: the earlier a11
+    # still decides (exit 2).  a11 not finite below t = 0.001, where its
+    # refinement goes, decides with its own error (exit 4).
+    "a24-not-finite-after-a11-diverges": ("sublinear", [
+            ("a11 = exp(-t)/(1+sqrt(t^3))^0.1", "a11 = 1/(1+t)"),
+            ("a24 = 2/(1+t^2)",
+             "a24 = 2/(1+t^2) + 0*sqrt((t - 0.004)*(t - 0.005))")], [
+        ("check", [], 2, r"H2 FAIL.*\n      quadrature did not converge in "
+                         r"envelope integral a11 \(value=3406\.580331937682, "
+                         r"error_estimate=3\.371e\+02\)\n  H4 pass"),
+    ]),
+    "a11-not-finite-before-a24-diverges": ("sublinear", [
+            ("a11 = exp(-t)/(1+sqrt(t^3))^0.1",
+             "a11 = exp(-t) + 0*sqrt(t - 0.001)"),
+            ("a24 = 2/(1+t^2)", "a24 = 2/(1+t)")], [
+        ("check", [], 4, r"^error: non-finite value from 'exp\(-t\) \+ 0\.0 \* "
+                         r"sqrt\(t - 0\.001\)' at sample index 24 "
+                         r"\(t=0\.0005762301797900236\)\n$"),
+    ]),
     "h4-fails": ("sublinear", [("f1 = 2/(10+t)^2",
                                 "f1 = 2/(10+t)^2 - exp(-t)*abs(u1)/2")], [
         ("check", [], 2, r"H4 FAIL.*\n      " + _H4_FLOATS),

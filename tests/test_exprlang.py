@@ -235,6 +235,23 @@ def test_bound_t_only_tree_is_one_frozen_array():
         fn(*(np.zeros(2),) * 4)
 
 
+def test_bound_compile_walks_the_tree_once(monkeypatch):
+    # Each node's free variables come with its closure from the one
+    # compile walk: a bound compile of a 400-term sum asks
+    # free_variables at most once, not once per node.
+    from fracbvp import exprlang
+
+    calls = []
+    real = exprlang.free_variables
+    monkeypatch.setattr(exprlang, "free_variables",
+                        lambda e: calls.append(e) or real(e))
+    tree = parse("+".join(["t*u1"] * 400))
+    t, u1 = np.linspace(0.0, 2.0, 7), np.linspace(-1.0, 1.0, 7)
+    fn = compile_expr(tree, ("t", "u1"), bind={"t": t})
+    assert len(calls) <= 1
+    assert fn(u1).tobytes() == compile_expr(tree, ("t", "u1"))(t, u1).tobytes()
+
+
 def test_bind_names_checked_and_arity_shrinks():
     with pytest.raises(ExprNameError, match="'x'"):
         compile_expr(parse("t"), ("t",), bind={"x": np.ones(2)})

@@ -8,9 +8,11 @@ orders to catch regressions early.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import _reference_halfline
 
 from fracbvp import (
     FracOrder,
@@ -23,7 +25,8 @@ from fracbvp import (
     check_h4,
     gamma,
 )
-from fracbvp.exprlang import parse
+from fracbvp.exprlang import compile_expr, parse
+from fracbvp.quad import DEFAULT_TOL
 
 GA1 = gamma(2.5)
 GA2 = gamma(1.5)
@@ -66,6 +69,41 @@ def test_forcing_integrals(report_lipschitz):
     tau1, tau2 = report_lipschitz.tau
     assert abs(tau1 - 0.2) < 1e-9        # int 2/(10+t)^2 = 2/10
     assert abs(tau2 - 1.0 / 800.0) < 1e-9  # int 1/(20+t)^3 = 1/(2*400)
+
+
+@pytest.mark.parametrize("name", ["sublinear", "lipschitz"])
+def test_batched_constants_equal_one_integral_references(request, name):
+    # build_report integrates each section's constants as the jobs of one
+    # batch; each must be bit for bit the unbatched one-integral route
+    # (conftest's oracle) on its own weighted coefficient.
+    p = request.getfixturevalue(name)
+    rep = request.getfixturevalue(f"report_{name}")
+    weights = (None, p.alpha1.q - 1.0, p.alpha2.q - 1.0, None, None)
+
+    def reference(c, k, power):
+        w = weights[k]
+        fn = c.fn if w is None or power == 0.0 else (
+            lambda t: np.asarray(c.fn(t)) * (1.0 + t ** w) ** power)
+        return _reference_halfline(replace(c, fn=fn), DEFAULT_TOL).value
+
+    pairs = []
+    if p.growth is not None:
+        g = p.growth
+        for i, (row, lams) in enumerate(((g.a1, g.lam1), (g.a2, g.lam2))):
+            pairs += [(rep.a_star[i][k], reference(c, k, (0.0, *lams)[k]))
+                      for k, c in enumerate(row)]
+    if p.lipschitz is not None:
+        b = p.lipschitz
+        for i, row in enumerate((b.b1, b.b2)):
+            pairs += [(rep.b_star[i][k - 1], reference(c, k, 1.0))
+                      for k, c in enumerate(row, start=1)]
+        for i, f in enumerate((p.f1, p.f2)):
+            f0 = compile_expr(f)
+            tau = Integrand(lambda t, f0=f0: np.abs(np.asarray(
+                f0(t, *[np.zeros_like(t)] * 4))))
+            pairs.append((rep.tau[i], reference(tau, 0, 0.0)))
+    assert len(pairs) == 10
+    assert [got for got, _ in pairs] == [want for _, want in pairs]
 
 
 def test_contraction_modulus_value(report_lipschitz):

@@ -1,11 +1,12 @@
 """Quadrature layer: finite panels, kink handling, endpoint power
 substitution, and the doubling half-line driver."""
 
-import heapq
 import math
 
 import numpy as np
 import pytest
+from conftest import (_reference_finite, _reference_halfline,
+                      _reference_panel)
 
 from fracbvp import Integrand, QuadratureError, integrate_finite, integrate_halfline
 from fracbvp import quad
@@ -120,111 +121,6 @@ def test_truncation_point_respects_decay_hint():
 
 # -- the batched panel engine ---------------------------------------------
 
-def _reference_panel(fn, lo, hi):
-    """One panel estimated with three integrand calls: the engine's
-    unbatched form, kept here as the bit-for-bit reference."""
-    x, w = quad._gl(12)
-    mid = 0.5 * (lo + hi)
-    h1 = 0.5 * (hi - lo)
-    coarse = h1 * float(w @ fn(mid + h1 * x))
-    fine = 0.0
-    for a, b in ((lo, mid), (mid, hi)):
-        c = 0.5 * (a + b)
-        h = 0.5 * (b - a)
-        fine += h * float(w @ fn(c + h * x))
-    return fine, abs(fine - coarse), 36
-
-
-def _reference_adapt(fn, lo, hi, tol, first=None):
-    if hi <= lo:
-        return 0.0, 0.0, 0, True
-    val, err, n_eval = _reference_panel(fn, lo, hi)
-    heap = [(-err, lo, hi, val)]
-    frozen = []
-    total_err = err
-    count = 1
-    width_floor = 1e-15 * max(abs(lo), abs(hi), 1.0)
-    converged = True
-    while total_err > tol:
-        if count >= quad._MAX_PANELS or not heap:
-            converged = False
-            break
-        neg_err, a, b, v = heapq.heappop(heap)
-        if b - a <= width_floor:
-            frozen.append((neg_err, a, b, v))
-            if not heap:
-                converged = False
-                break
-            continue
-        total_err += neg_err
-        m = 0.5 * (a + b)
-        for c, d in ((a, m), (m, b)):
-            pv, pe, pn = _reference_panel(fn, c, d)
-            n_eval += pn
-            heapq.heappush(heap, (-pe, c, d, pv))
-            total_err += pe
-        count += 1
-    panels = sorted(heap + frozen, key=lambda item: item[1])
-    value = math.fsum(p[3] for p in panels)
-    error = math.fsum(-p[0] for p in panels)
-    return value, error, n_eval, converged
-
-
-def _reference_substituted(fn, a, c, sigma):
-    p = 1.0 + sigma
-    w = c - a
-    return lambda y: fn(a + w * y ** (1.0 / p)) * (w / p) * y ** (1.0 / p - 1.0)
-
-
-def _reference_finite(f, a, b, tol):
-    """integrate_finite one piece at a time, each piece through
-    _reference_adapt: the unbatched route, kept as the reference."""
-    cuts = [a] + [k for k in f.kinks if a < k < b] + [b]
-    pieces = [(f.fn, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    if f.endpoint_exponent != 0.0 and a == 0.0:
-        pieces[0] = (_reference_substituted(f.fn, a, cuts[1],
-                                            f.endpoint_exponent), 0.0, 1.0)
-    value = error = 0.0
-    n_eval, ok = 0, True
-    for fn, lo, hi in pieces:
-        v, e, ne, conv = _reference_adapt(fn, lo, hi, tol / len(pieces))
-        value += v
-        error += e
-        n_eval += ne
-        ok = ok and conv
-    return quad.QuadResult(value, error, b, n_eval, ok)
-
-
-def _reference_halfline(f, tol):
-    """integrate_halfline with every doubling through _reference_adapt."""
-    t0 = 1.0
-    if f.kinks:
-        t0 = max(t0, 1.5 * f.kinks[-1])
-    if f.decay_hint is not None:
-        t0 = max(t0, 45.0 / f.decay_hint)
-    head = _reference_finite(f, 0.0, t0, tol / 2)
-    value, error = head.value, head.error_estimate
-    n_eval, ok = head.evaluations, head.converged
-    t, prev, last, stabilized = t0, math.inf, 0.0, False
-    for _ in range(quad._MAX_DOUBLINGS):
-        v, e, ne, conv = _reference_adapt(f.fn, t, 2 * t, tol / 8)
-        n_eval += ne
-        ok = ok and conv
-        value += v
-        error += e
-        t *= 2
-        if abs(v) < tol / 4 and abs(prev) < tol / 4:
-            stabilized, last = True, abs(v)
-            break
-        prev, last = v, abs(v)
-    if stabilized:
-        error += last
-    else:
-        ok = False
-        error += abs(last) if math.isfinite(last) else math.inf
-    return quad.QuadResult(value, error, t, n_eval, ok)
-
-
 # (driver, integrand, tol, converges): kinks, endpoint exponents, decay
 # hints, an undeclared oscillation that exhausts the panel budget, and a
 # divergent tail.
@@ -287,6 +183,51 @@ def test_batch_jobs_each_match_their_one_job_result():
         assert got[j] == _reference_finite(f, a, b, 1e-12)
 
 
+def test_batch_mixes_finite_and_halfline_jobs():
+    # Finite and half-line jobs share integrand calls: kinks, endpoint
+    # exponents, a decay hint and a divergent tail that walks all 60
+    # doublings.  Each result is that of its one-job reference, in fewer
+    # calls than the jobs take one at a time.
+    cases = [
+        (Integrand(lambda t: np.abs(np.sin(3.0 * t) - 0.2) * t ** -0.5,
+                   kinks=(math.asin(0.2) / 3.0,), endpoint_exponent=-0.5),
+         0.0, 2.0),
+        (Integrand(lambda t: np.exp(-0.7 * t) * np.sin(t) ** 2 * t ** -0.5,
+                   endpoint_exponent=0.5, decay_hint=0.7), 0.0, math.inf),
+        (Integrand(lambda t: 1.0 / (1.0 + t)), 0.0, math.inf),
+        (Integrand(lambda t: np.exp(-t) * np.cos(9.0 * t)), 0.5, 3.0),
+        (Integrand(lambda t: np.abs(t - 2.0) / (1.0 + t**3),
+                   kinks=(0.5, 2.0)), 0.0, math.inf),
+    ]
+    calls = []
+
+    def fn(x, job):
+        calls.append(x.size)
+        out = np.empty_like(x)
+        for j in np.unique(job).tolist():
+            out[job == j] = cases[j][0].fn(x[job == j])
+        return out
+
+    jobs = [(a, b, f.kinks, f.endpoint_exponent)
+            + ((f.decay_hint,) if b == math.inf else ()) for f, a, b in cases]
+    got = quad.integrate_batch(fn, jobs, 1e-10)
+    batch_calls, one_job_calls = len(calls), 0
+    for (f, a, b), res in zip(cases, got):
+        counted = Integrand(lambda t, f=f: calls.append(t.size) or f.fn(t),
+                            f.kinks, f.endpoint_exponent, f.decay_hint)
+        calls.clear()
+        if b == math.inf:
+            assert res == _reference_halfline(f, 1e-10)
+            assert res == integrate_halfline(counted, 1e-10)
+        else:
+            assert res == _reference_finite(f, a, b, 1e-10)
+            assert res == integrate_finite(counted, a, b, 1e-10)
+        one_job_calls += len(calls)
+    assert not got[2].converged and got[2].truncation_point == 2.0 ** 60
+    assert all(r.converged for r in got[:2] + got[3:])
+    assert batch_calls < one_job_calls, (batch_calls, one_job_calls)
+
+
 def test_batched_panels_match_reference_on_arbitrary_bounds():
     # Bisection trees from dyadic-friendly endpoints rarely expose a
     # changed node formula; unrelated random bounds do.
@@ -295,7 +236,8 @@ def test_batched_panels_match_reference_on_arbitrary_bounds():
     bounds = list(zip(lo.tolist(), (lo + rng.uniform(1e-6, 2.0, 40)).tolist()))
     fn = lambda t: np.exp(np.sin(5.0 * t)) / (1.0 + t * t)  # noqa: E731
     want = [_reference_panel(fn, a, b)[:2] for a, b in bounds]
-    assert quad._panels(fn, bounds) == want
+    val, err = quad._estimate(fn, *np.array(bounds).T)
+    assert list(zip(val.tolist(), err.tolist())) == want
 
 
 def test_one_integrand_call_per_refinement_step():
