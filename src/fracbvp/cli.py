@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import sys
@@ -184,9 +185,13 @@ def _parse_number(section: str, key: str, text: str) -> float:
         raise _fail(section, key, f"not a constant: {exc}") from exc
 
 
+@functools.lru_cache(maxsize=256)
 def _read(section: str, key: str, text: str) -> tuple[object, str]:
     """The value of one key, parsed by its kind in _SECTIONS, and the
-    normalized text that format_problem writes for it."""
+    normalized text that format_problem writes for it.  Both are
+    immutable, so loads share them: every load of a text after the first
+    (a sweep's variants differ in a few keys) parses and compiles only
+    what is new.  A ProblemFileError is raised afresh on every load."""
     kind = _SECTIONS[section][key]
     if kind.startswith("expr"):
         ast = _parse_expr(section, key, text,

@@ -131,7 +131,9 @@ class KernelSet:
     points it had not seen, and an entry is never overwritten: G(s)
     keeps its first value, and any other batch agrees with it to within
     tol.  A second memo keeps the t-free boundary-weighted integral C of
-    the representations per (y, tol), likewise never overwritten.
+    the representations per (y, tol), likewise never overwritten.  The
+    solver keeps its quadrature plan on these kernels in _plan_memo,
+    with the nodes it was built for (see solver._plan).
     """
 
     alpha: FracOrder
@@ -145,6 +147,8 @@ class KernelSet:
     _g_memo: dict[float, float] = field(default_factory=dict, repr=False)
     _c_memo: dict[tuple[Integrand, float], float] = field(
         default_factory=dict, repr=False)
+    _plan_memo: tuple[bytes, object] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, alpha: FracOrder, h: Integrand | None) -> "KernelSet":

@@ -34,8 +34,9 @@ a scheme with no reasons is licensed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from math import inf, isfinite
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -111,6 +112,8 @@ class ProblemSpec:
     alpha_1 - 1 and alpha_2 - 1.  h1, h2 weight the integral boundary
     conditions; None means no boundary coupling.  At least one of
     growth / lipschitz must be present, or no scheme applies.
+    f_compiled holds f1 and f2 compiled unbound, once per spec, for
+    every check that evaluates them.
     """
 
     alpha1: FracOrder
@@ -129,6 +132,10 @@ class ProblemSpec:
             raise ValueError(
                 "problem carries neither growth nor Lipschitz data; "
                 "no solution scheme applies")
+
+    @cached_property
+    def f_compiled(self) -> tuple[Callable[..., np.ndarray], ...]:
+        return compile_expr(self.f1), compile_expr(self.f2)
 
 
 @dataclass(frozen=True)
@@ -232,9 +239,9 @@ def _negative_at(ts: np.ndarray,
     return out
 
 
-def _forcing(f: Expr):
-    """f as a function of t alone, with the state slots pinned to 0."""
-    fn = compile_expr(f)
+def _forcing(fn: Callable[..., np.ndarray]):
+    """A compiled f as a function of t alone, with the state slots
+    pinned to 0."""
 
     def at_zero_state(t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -275,8 +282,8 @@ def check_h1(p: ProblemSpec) -> tuple[Verdict, tuple[float, float]]:
             reasons.append(
                 f"Lambda{i + 1}={lam:.10g} is not below "
                 f"Gamma(alpha{i + 1})={ga:.10g}")
-    for i, f in enumerate((p.f1, p.f2), start=1):
-        if not np.any(_forcing(f)(_SAMPLE_TS) != 0.0):
+    for i, fn in enumerate(p.f_compiled, start=1):
+        if not np.any(_forcing(fn)(_SAMPLE_TS) != 0.0):
             reasons.append(
                 f"f{i}(t,0,0,0,0) vanishes at all {_SAMPLE_TS.size} "
                 f"log-spaced sample points")
@@ -294,7 +301,8 @@ def integrate_each(named, tol: float = DEFAULT_TOL) -> list[float]:
 
     def fn(x: np.ndarray, job: np.ndarray) -> np.ndarray:
         out = np.zeros(x.shape)  # a job whose fn raised gets zeros
-        for j in set(np.unique(job).tolist()) - failed.keys():
+        # Not np.unique: on numpy 2.4 it imports numpy.ma.
+        for j in set(job.tolist()) - failed.keys():
             try:
                 out[job == j] = fs[j](x[job == j])
             except ExprError as exc:  # raised below, in job order
@@ -335,6 +343,21 @@ def _envelopes(p: ProblemSpec, name: str, coeffs: tuple[Integrand, ...],
 _H4_BOX = 10.0
 
 
+@lru_cache(maxsize=1)
+def _h4_draws(samples: int, seed: int) -> tuple[np.ndarray, ...]:
+    """check_h4's sample times t and ordered state pairs lo <= hi, read
+    only: the same for every problem, so drawn once per (samples, seed).
+    A process uses one (samples, seed) pair, so one entry is kept."""
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.0, _H4_BOX, samples)
+    draw_a = rng.uniform(0.0, _H4_BOX, (4, samples))
+    draw_b = rng.uniform(0.0, _H4_BOX, (4, samples))
+    draws = t, np.minimum(draw_a, draw_b), np.maximum(draw_a, draw_b)
+    for a in draws:
+        a.setflags(write=False)
+    return draws
+
+
 def check_h4(p: ProblemSpec, samples: int = 10_000,
              seed: int = 0) -> Verdict:
     """Randomized monotonicity falsification on [0, _H4_BOX]^5.
@@ -344,15 +367,9 @@ def check_h4(p: ProblemSpec, samples: int = 10_000,
     Nonnegativity of f_i on the sampled states is checked alongside,
     since positivity of the iterates relies on it.
     """
-    rng = np.random.default_rng(seed)
-    t = rng.uniform(0.0, _H4_BOX, samples)
-    draw_a = rng.uniform(0.0, _H4_BOX, (4, samples))
-    draw_b = rng.uniform(0.0, _H4_BOX, (4, samples))
-    lo = np.minimum(draw_a, draw_b)
-    hi = np.maximum(draw_a, draw_b)
+    t, lo, hi = _h4_draws(samples, seed)
     issues = []
-    for i, f in enumerate((p.f1, p.f2), start=1):
-        fn = compile_expr(f)
+    for i, fn in enumerate(p.f_compiled, start=1):
         flo = np.asarray(fn(t, *lo))
         fhi = np.asarray(fn(t, *hi))
         slack = 1e-12 * (1.0 + np.abs(fhi))
@@ -444,8 +461,8 @@ def build_report(p: ProblemSpec, *, seed: int = 0, samples: int = 10_000,
                 _envelopes(p, "b1", b.b1, (1.0,) * 5)
                 + _envelopes(p, "b2", b.b2, (1.0,) * 5)
                 + [(f"forcing integral tau{i}",
-                    Integrand(lambda t, f0=_forcing(f): np.abs(f0(t))))
-                   for i, f in enumerate((p.f1, p.f2), start=1)])
+                    Integrand(lambda t, f0=_forcing(fn): np.abs(f0(t))))
+                   for i, fn in enumerate(p.f_compiled, start=1)])
             b_star, tau = (tuple(s[:4]), tuple(s[4:8])), tuple(s[8:])
         except QuadratureError as exc:
             reasons.append(str(exc))

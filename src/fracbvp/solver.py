@@ -308,7 +308,10 @@ class _EquationPlan:
     at the points s (the grid's alone) and s_jac into node rows."""
 
     def __init__(self, ks: KernelSet, grid: Grid):
-        self.ks = ks
+        # The two constants of ks that assemble reads, and not ks itself:
+        # ks keeps the plan (_plan), and a reference back would make a
+        # cycle that only the cycle collector frees.
+        self.denom, self.gamma_alpha = ks.denom, ks.gamma_alpha
         a = ks.alpha.q
         t = grid.nodes
         n = t.size
@@ -355,11 +358,14 @@ class _EquationPlan:
 
         self.t_pow = t ** (a - 1.0)
         self.g_at_s = ks.g_many(self.s)
+        # Operators on the same kernel set and nodes share the plan.
+        for v in vars(self).values():
+            if isinstance(v, np.ndarray):
+                v.setflags(write=False)
 
     def assemble(self, f_gl: np.ndarray,
                  f_jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Node values (unweighted u row, derivative row) from F samples."""
-        ks = self.ks
         wf = self.w * f_gl
         psums = np.add.reduceat(wf, self.panel_starts)
         right = np.cumsum(psums[::-1])[::-1]
@@ -372,23 +378,35 @@ class _EquationPlan:
         p = self.kmat @ f_gl[:self.n_left_points]
         p += self.jac_factor * (f_jac @ self.w_jac)
 
-        boundary = c_total / ks.denom
-        u = (self.t_pow * a_total - p) / ks.gamma_alpha \
+        boundary = c_total / self.denom
+        u = (self.t_pow * a_total - p) / self.gamma_alpha \
             + self.t_pow * boundary
-        du = remainder + ks.gamma_alpha * boundary
+        du = remainder + self.gamma_alpha * boundary
         return u, du
+
+
+def _plan(ks: KernelSet, grid: Grid) -> _EquationPlan:
+    """The plan of ks on grid.  ks keeps one plan, with the bytes of
+    the nodes it was built for (a plan reads nothing else of the grid),
+    and builds a new one when the nodes differ."""
+    key = grid.nodes.tobytes()
+    if ks._plan_memo is None or ks._plan_memo[0] != key:
+        ks._plan_memo = key, _EquationPlan(ks, grid)
+    return ks._plan_memo[1]
 
 
 class IntegralOperator:
     """The discrete fixed-point operator for one problem on one grid.
 
-    Building one precomputes the panel layout, the product-quadrature
-    matrices, the boundary integrals G at every quadrature point (one
-    batched quadrature per equation, the larger part of a first build; a
-    rebuild on the same kernel sets reads G from their memo), and over
-    the points [jac1 | GL | jac2] (both plans share the Gauss-Legendre
-    points) the interpolation brackets, offsets and state weights, and
-    the t-only subtrees of f_1 on [jac1 | GL] and f_2 on [GL | jac2].
+    Each equation's plan (the panel layout, the product-quadrature
+    matrices and the boundary integrals G at every quadrature point, one
+    batched quadrature per equation, the larger part of a first build)
+    comes from its kernel set, which keeps the plan of its latest grid
+    (_plan).
+    A build then fixes, over the points [jac1 | GL | jac2] (both plans
+    share the Gauss-Legendre points), the interpolation brackets,
+    offsets and state weights, and the t-only subtrees of f_1 on
+    [jac1 | GL] and f_2 on [GL | jac2].
     The map is deterministic: same input pair, same output, bit for bit.
     """
 
@@ -400,8 +418,7 @@ class IntegralOperator:
         self.grid = grid
         self.quad_tol = LOOP_TOL
         self.alpha1, self.alpha2 = ks1.alpha, ks2.alpha
-        self.plan1 = _EquationPlan(ks1, grid)
-        self.plan2 = _EquationPlan(ks2, grid)
+        self.plan1, self.plan2 = _plan(ks1, grid), _plan(ks2, grid)
         # Interval widths of [0, t_1..t_N], plus a pad interval past t_N
         # on which every row is flat.
         self.widths = np.append(np.diff(grid.nodes, prepend=0.0), 1.0)

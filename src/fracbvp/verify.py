@@ -23,7 +23,6 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .exprlang import compile_expr
 from .fracops import FracOrder, gamma, rl_derivative
 from .problem import ProblemSpec, integrate_each
 from .quad import Integrand, QuadratureError
@@ -189,8 +188,8 @@ def ode_residual_spotcheck(p: ProblemSpec, sp: SolutionPair,
     v_fn = _psi_interpolant(t_nodes, sp.v_w, sp.dv, sp.alpha2)
     du_fn, dv_fn = _flat_pchip(t_nodes, sp.du), _flat_pchip(t_nodes, sp.dv)
     rows = (
-        (1, u_fn, compile_expr(p.f1), sp.alpha1),
-        (2, v_fn, compile_expr(p.f2), sp.alpha2),
+        (1, u_fn, p.f_compiled[0], sp.alpha1),
+        (2, v_fn, p.f_compiled[1], sp.alpha2),
     )
     out: list[dict] = []
     for t_star in points:

@@ -10,6 +10,7 @@ point with its exit-code contract:
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from fracbvp import (
     resolve_problem,
     to_source,
 )
-from fracbvp.cli import _json, main
+from fracbvp.cli import _json, _read, main
 from fracbvp.exprlang import VARIABLES, Var
 from fracbvp.problem import CONSTANT_NAMES
 
@@ -820,3 +821,56 @@ def test_kernel_dump_json_and_file(tmp_path, capsys):
     doc = _strict_json(target.read_text())
     assert len(doc["t"]) == 4
     assert len(doc["k1"]) == 4 and len(doc["k1"][0]) == 4
+
+
+def test_loads_share_parsed_values(tmp_path, capsys):
+    """_read keeps the parsed values of recent texts: a second load of a
+    text gives the same canonical form and report, a malformed value
+    fails the same way on every load (a raised error is never kept), and
+    the cache is bounded."""
+    assert _read.cache_info().maxsize is not None
+    path = tmp_path / "sub.prob"
+    path.write_text((Path(fracbvp.__file__).parent / "problems"
+                     / "sublinear.prob").read_text())
+    loads = [load_problem(path.read_text()) for _ in range(2)]
+    assert format_problem(loads[0]) == format_problem(loads[1])
+    docs = []
+    for _ in range(2):
+        assert main(["check", str(path), "--json"]) == 0
+        docs.append(capsys.readouterr().out)
+    assert docs[0] == docs[1]
+
+    bad = MINIMAL.replace("f2 = exp(-2*t)", "f2 = exp(-2*t")
+    errors, misses = [], []
+    for _ in range(3):
+        with pytest.raises(ProblemFileError) as exc:
+            load_problem(bad)
+        errors.append(str(exc.value))
+        misses.append(_read.cache_info().misses)
+    assert errors[0] == errors[1] == errors[2]
+    assert "[rhs] f2: bad expression" in errors[0]
+    # Each later load reads every key before f2 from the cache, and
+    # reads f2 again.
+    assert misses[2] - misses[1] == misses[1] - misses[0] == 1
+
+
+def test_solve_compiles_each_forcing_once_unbound(monkeypatch):
+    """A solve compiles f1 and f2 unbound once each, for every check
+    that evaluates them, plus once each bound to the operator's points."""
+    import fracbvp.verify  # noqa: F401  (solve imports it; bind it now)
+    calls = []
+    real = fracbvp.exprlang.compile_expr
+
+    def counting(e, variables=VARIABLES, *, bind=None):
+        if variables == VARIABLES:
+            calls.append((to_source(e), bind is not None))
+        return real(e, variables, bind=bind)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("fracbvp") and hasattr(mod, "compile_expr"):
+            monkeypatch.setattr(mod, "compile_expr", counting)
+    assert main(["solve", "sublinear", "--grid-n", "32"]) == 0
+    spec = resolve_problem("sublinear").spec
+    forcings = {to_source(spec.f1), to_source(spec.f2)}
+    assert sorted(calls) == sorted(
+        (f, bound) for f in forcings for bound in (False, True))

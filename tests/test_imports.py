@@ -52,7 +52,7 @@ def test_check_and_refused_solve_skip_scipy_and_the_solver(argv, exit_code):
     loaded = _modules_after(argv, exit_code)
     assert "fracbvp.problem" in loaded
     assert not loaded & {"scipy.integrate", "scipy.interpolate",
-                         "fracbvp.solver", "fracbvp.verify"}
+                         "fracbvp.solver", "fracbvp.verify", "numpy.ma"}
 
 
 def test_kernel_dump_imports_no_solver():
@@ -67,8 +67,11 @@ def test_kernel_dump_imports_no_solver():
     ["kernel-dump", "sublinear", "--points", "4"],
 ], ids=["solve-monotone", "solve-contraction", "kernel-dump"])
 def test_solve_and_kernel_dump_load_no_scipy(argv):
+    # numpy.ma costs 15-20 ms to import; np.unique without
+    # return_inverse imports it on numpy 2.4.
     loaded = _modules_after(argv)
     assert "fracbvp.kernels" in loaded
+    assert "numpy.ma" not in loaded
     assert not [m for m in loaded if m.startswith("scipy")]
 
 

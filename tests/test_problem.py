@@ -25,6 +25,7 @@ from fracbvp import (
     check_h4,
     gamma,
 )
+from fracbvp import problem as problem_mod
 from fracbvp.exprlang import compile_expr, parse
 from fracbvp.quad import DEFAULT_TOL
 
@@ -183,6 +184,25 @@ def test_h4_passes_clean_rhs():
     p = _tiny_problem("exp(-t) * (1 + u1 + u3)", "exp(-2*t) * (2 + u2)")
     verdict = check_h4(p, samples=2000, seed=7)
     assert verdict.passed, verdict.reason
+
+
+def test_h4_draws_its_samples_once_per_seed():
+    """The samples depend on (samples, seed) alone: problems share one
+    read-only draw, another seed draws anew, and a fresh draw gives the
+    same verdicts."""
+    problem_mod._h4_draws.cache_clear()
+    clean = _tiny_problem("exp(-t) * (1 + u1 + u3)", "exp(-2*t) * (2 + u2)")
+    bad = _tiny_problem("u1 - 5", "exp(-t)")
+    first = [check_h4(p, samples=300, seed=5) for p in (clean, bad)]
+    info = problem_mod._h4_draws.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert check_h4(clean, samples=300, seed=6).passed
+    assert problem_mod._h4_draws.cache_info().misses == 2
+    problem_mod._h4_draws.cache_clear()
+    assert [check_h4(p, samples=300, seed=5) for p in (clean, bad)] == first
+    t, lo, hi = problem_mod._h4_draws(300, 5)
+    assert not any(a.flags.writeable for a in (t, lo, hi))
+    assert t.shape == (300,) and np.all(lo <= hi)
 
 
 def test_h1_rejects_vanishing_forcing():

@@ -7,7 +7,9 @@ The oracle tests here compare the two on a forcing-only problem, where
 one operator application already is the exact image.
 """
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from fracbvp import (
     Integrand,
     IntegralOperator,
     IterationTrace,
+    KernelSet,
     LipschitzData,
     MonotonicityError,
     ProblemSpec,
@@ -602,3 +605,68 @@ def test_forcings_are_evaluated_twice_per_apply(monkeypatch, sublinear,
                     for plan in (op.plan1, op.plan2))
     assert sum(points) == trace.n_steps * per_apply
 
+
+def test_kernel_sets_keep_the_plan_of_their_grid(monkeypatch, sublinear):
+    """A kernel set keeps the plan of the last nodes it was asked for:
+    later operators on them build no plan and tabulate no G, and apply
+    bit for bit as an operator on fresh kernel sets does."""
+    plans, g_calls = [], []
+    real_plan, real_g = solver_mod._EquationPlan, KernelSet.g_many
+
+    def counting_plan(ks, grid):
+        plans.append((ks, grid.n))
+        return real_plan(ks, grid)
+
+    def counting_g(self, s):
+        g_calls.append(np.size(s))
+        return real_g(self, s)
+
+    def fresh():
+        return (KernelSet.build(sublinear.alpha1, sublinear.h1),
+                KernelSet.build(sublinear.alpha2, sublinear.h2))
+
+    ks1, ks2 = fresh()
+    grid = Grid.make(64)
+    first = IntegralOperator(sublinear, ks1, ks2, grid)
+    monkeypatch.setattr(solver_mod, "_EquationPlan", counting_plan)
+    monkeypatch.setattr(KernelSet, "g_many", counting_g)
+    # The same grid, and a grid built apart with equal nodes.
+    for g in (grid, Grid(nodes=grid.nodes.copy(), theta=grid.theta)):
+        op = IntegralOperator(sublinear, ks1, ks2, g)
+        assert (op.plan1, op.plan2) == (first.plan1, first.plan2)
+    assert plans == [] and g_calls == []
+
+    monkeypatch.setattr(solver_mod, "_EquationPlan", real_plan)
+    monkeypatch.setattr(KernelSet, "g_many", real_g)
+    other = IntegralOperator(sublinear, *fresh(), grid)
+    sp = SolutionPair.upper_start(grid, ks1.alpha, ks2.alpha, 0.3,
+                                  ks1.gamma_alpha, ks2.gamma_alpha)
+    assert np.array_equal(op.apply(sp).stack, other.apply(sp).stack)
+    assert other.plan1 is not op.plan1
+
+    # Other nodes, or another kernel set, build their own plans; a
+    # kernel set keeps one, so going back to a grid builds it again.
+    monkeypatch.setattr(solver_mod, "_EquationPlan", counting_plan)
+    ks3 = KernelSet.build(sublinear.alpha1, sublinear.h1)
+    IntegralOperator(sublinear, ks3, ks2, grid)
+    assert plans == [(ks3, 64)]
+    IntegralOperator(sublinear, ks1, ks2, Grid.make(32))
+    IntegralOperator(sublinear, ks1, ks2, Grid.make(64, theta=2.0))
+    IntegralOperator(sublinear, ks1, ks2, grid)
+    assert plans[1:] == [(k, n) for n in (32, 64, 64) for k in (ks1, ks2)]
+    with pytest.raises(ValueError, match="read-only"):
+        op.plan1.kmat[0, 0] = 1.0
+
+
+def test_a_kept_plan_holds_no_reference_to_its_kernel_set(sublinear):
+    """A kernel set and its plan are freed by reference counting alone:
+    the plan keeps no reference back to the kernel set that keeps it."""
+    gc.disable()
+    try:
+        ks = KernelSet.build(sublinear.alpha1, sublinear.h1)
+        plan = solver_mod._plan(ks, Grid.make(16))
+        gone = weakref.ref(ks), weakref.ref(plan)
+        del ks, plan
+        assert [r() for r in gone] == [None, None]
+    finally:
+        gc.enable()
