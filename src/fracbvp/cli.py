@@ -587,11 +587,18 @@ def cmd_kernel_dump(args: argparse.Namespace) -> int:
     ts = np.geomspace(args.t_min, args.t_max, args.points)
 
     name = spec.name or args.problem
-    tt, ss = np.meshgrid(ts, ts, indexing="ij")
-    k1m, k2m = (ks.k_grid(tt, ss) for ks in (ks1, ks2))
-    s1m, s2m = (ks.kstar_grid(tt, ss) for ks in (ks1, ks2))
-    kb1, kb2 = (ks.k_bound(ts) for ks in (ks1, ks2))
+    tt, ss = ts[:, None], ts[None, :]
+    # t^(alpha-1) can overflow at an end of the range, so the finished
+    # tables are checked, not the range.
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1m, k2m = (ks.k_grid(tt, ss) for ks in (ks1, ks2))
+        s1m, s2m = (ks.kstar_grid(tt, ss) for ks in (ks1, ks2))
+        kb1, kb2 = (ks.k_bound(ts) for ks in (ks1, ks2))
     sb1, sb2 = (ks.kstar_bound() for ks in (ks1, ks2))
+    if not all(np.isfinite(m).all() for m in (k1m, k2m, s1m, s2m, kb1, kb2)):
+        raise ProblemFileError(
+            f"kernels are not finite for t in [{args.t_min}, {args.t_max}]; "
+            f"narrow --t-min/--t-max")
     if args.json:
         doc = {
             "problem": name, "t": ts.tolist(), "s": ts.tolist(),

@@ -34,12 +34,10 @@ G is evaluated through the equivalent split
     D(s) = integral_0^inf h(s+x) x^(alpha-1) dx
 
 (substituting tau = s + x in the part of K1 with tau >= s), which removes
-the interior kink at tau = s.  The deficits D of all new points in a
-g_many call come from one trapezoid rule in u = log(x/c), exponentially
-convergent for h analytic on (0, inf), whose error estimate fails on a
-kinked h; the memo keeps them per s: solver grids and dump grids pay
-for each distinct s once, and G(s) keeps its first value within a
-KernelSet; any other batch agrees with it to within tol.
+the interior kink at tau = s.  The deficits D of the distinct points
+of a g_many call come from one trapezoid rule in u = log(x/c),
+exponentially convergent for h analytic on (0, inf), whose error
+estimate fails on a kinked h; nothing is kept between calls.
 For h >= 0 and alpha >= 1, D(s) beyond x = R is at most Lambda's tail
 beyond R, so KernelSet.build cuts x at the point R where Lambda's
 quadrature stopped, and G(s >= R) = Lambda/Gamma(alpha).
@@ -49,7 +47,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 import numpy as np
 
 from .fracops import FracOrder, gamma, rl_integral
@@ -92,48 +90,32 @@ def halving_trapezoid(f, lo: float, hi: float, tol: float, rate: float,
                              n + 1, bool(err <= tol))
 
 
+@functools.lru_cache(maxsize=8)
 def compute_lambda(h: Integrand, alpha: FracOrder) -> QuadResult:
     """QuadResult of Lambda = int_0^inf h(t) t^(alpha-1) dt; raises
     QuadratureError when it does not converge.
 
     The combined endpoint exponent (h's own plus alpha-1) keeps the
     integrand admissible even when h alone diverges at 0.  Results are
-    cached per (h, alpha), h known by its fn's `source` text when it has
-    one, so one solve's report and kernel sets, and every load of one
-    weight text, integrate each Lambda once.
+    cached per (h, alpha); every load of one weight text shares its
+    compiled fn (cli._read), so one solve's report and kernel sets, and
+    every load of that text, integrate each Lambda once.
     """
-    src = getattr(h.fn, "source", None)
-    return _lambda(_Weight(h if src is None else (
-        src, h.kinks, h.endpoint_exponent, h.decay_hint), h), alpha)
-
-
-@dataclass(frozen=True)
-class _Weight:
-    key: object  # the memo compares this alone
-    h: Integrand = field(compare=False)
-
-
-@functools.lru_cache(maxsize=8)
-def _lambda(w: _Weight, alpha: FracOrder) -> QuadResult:
-    h, a = w.h, alpha.q
+    a = alpha.q
     res = integrate_halfline(replace(
         h, fn=lambda t: np.asarray(h.fn(t)) * t ** (a - 1.0),
         endpoint_exponent=h.endpoint_exponent + a - 1.0), DEFAULT_TOL)
     return require_converged(res, f"Lambda integral (alpha={a})")
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelSet:
-    """Kernels of one equation, with the boundary integral memoized.
+    """Kernels of one equation: an immutable value, so equal builds are
+    equal, hash equal and share the entries of the caches keyed on them
+    (solver._plan, _boundary_weighted_integral).
 
     Build with KernelSet.build; the constructor takes precomputed
-    constants.  The memo table is filled once per g_many batch with the
-    points it had not seen, and an entry is never overwritten: G(s)
-    keeps its first value, and any other batch agrees with it to within
-    tol.  A second memo keeps the t-free boundary-weighted integral C of
-    the representations per (y, tol), likewise never overwritten.  The
-    solver keeps its quadrature plan on these kernels in _plan_memo,
-    with the nodes it was built for (see solver._plan).
+    constants.
     """
 
     alpha: FracOrder
@@ -144,11 +126,6 @@ class KernelSet:
     # Where Lambda's quadrature stopped, and its error estimate (g_many).
     reach: float = math.inf
     reach_err: float = 0.0
-    _g_memo: dict[float, float] = field(default_factory=dict, repr=False)
-    _c_memo: dict[tuple[Integrand, float], float] = field(
-        default_factory=dict, repr=False)
-    _plan_memo: tuple[bytes, object] | None = field(
-        default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, alpha: FracOrder, h: Integrand | None) -> "KernelSet":
@@ -182,8 +159,8 @@ class KernelSet:
     # -- boundary integral --------------------------------------------
 
     def g_many(self, s: np.ndarray) -> np.ndarray:
-        """G at every entry of s.  Points s < reach not in the memo yet
-        get their deficits D from one halving_trapezoid pass on x = c e^u,
+        """G at every entry of s.  The distinct points 0 < s < reach get
+        their deficits D from one halving_trapezoid pass on x = c e^u,
         c = min(s, 1): there x^(alpha-1) dx = x^alpha du decays
         exponentially as u -> -inf, and the layers at x ~ s and x ~ 1
         are O(1) wide in u at every scale of s.  h is evaluated only
@@ -193,10 +170,9 @@ class KernelSet:
         if self.h is None:
             return np.zeros(s.shape)
         uniq, inv = np.unique(s, return_inverse=True)
-        memo = self._g_memo
         # K1(tau, 0) == 0 identically, so G(0) = 0 needs no quadrature.
-        new = np.array([x for x in uniq.tolist() if x and x not in memo])
-        d, near = np.zeros(new.size), new[new < self.reach]
+        is_near = (uniq != 0) & (uniq < self.reach)
+        d, near = np.zeros(uniq.size), uniq[is_near]
         if near.size:
             a, h, log_c = self.alpha.q, self.h, np.log(np.minimum(near, 1.0))
             log_cap = math.log(min(self.reach, 2.0 ** 60))
@@ -209,17 +185,15 @@ class KernelSet:
                     np.broadcast_to(near, lx.shape)[inside] + x)) * x ** a
                 return out
 
-            d[:near.size], res = halving_trapezoid(
+            d[is_near], res = halving_trapezoid(
                 weighted, _U_LO, log_cap - log_c.min(), self.tol, a,
                 self.reach_err)
             require_converged(res,
                               f"boundary integral G at {near.size} points")
         g = (self.lam - d) / self.gamma_alpha
         # G is nonnegative by construction; clip quadrature dust at 0.
-        g[(g < 0) & (g > -10 * self.tol)] = 0.0
-        memo.update(zip(new.tolist(), g.tolist()))
-        vals = np.array([memo.get(x, 0.0) for x in uniq.tolist()])
-        return vals[inv].reshape(s.shape)
+        g[((g < 0) & (g > -10 * self.tol)) | (uniq == 0)] = 0.0
+        return g[inv].reshape(s.shape)
 
     # -- assembled kernels ---------------------------------------------
 
@@ -289,26 +263,21 @@ def derivative_representation(ks: KernelSet, y: Integrand, t: float,
     return res_tail.value + ks.gamma_alpha / ks.denom * c
 
 
+@functools.lru_cache(maxsize=32)
 def _boundary_weighted_integral(ks: KernelSet, y: Integrand,
                                 tol: float) -> float:
-    """C = int_0^inf G(s) y(s) ds with G evaluated through the memo,
-    computed once per (y, tol) on ks.
+    """C = int_0^inf G(s) y(s) ds, cached per (ks, y, tol).
 
     This is the package's one integrand that is not pointwise: g_many
-    tabulates the points it has not seen in one trapezoid pass whose
-    step and u range depend on the whole batch, so G at a point depends,
-    within that pass's tolerance (tol/10, 1e-11 by default), on the
-    batch that first reached it; each integrand call of the engine makes
-    such a batch.  C is a one-job integrate_halfline, so those calls
-    carry its head's panels, then its tail's, never another job's
-    points.  The value is deterministic for a given KernelSet history;
-    only kernel_representation and derivative_representation use it,
-    and no CLI output does.
+    tabulates each batch in one trapezoid pass whose step and u range
+    depend on the whole batch, so G at a point depends, within that
+    pass's tolerance (tol/10, 1e-11 by default), on the batch; each
+    integrand call of the engine makes such a batch.  C is a one-job
+    integrate_halfline, so those calls carry its head's panels, then
+    its tail's, never another job's points, and C is a function of its
+    arguments.  Only kernel_representation and derivative_representation
+    use it, and no CLI output does.
     """
-    if (y, tol) in ks._c_memo:
-        return ks._c_memo[y, tol]
     res = integrate_halfline(
         replace(y, fn=lambda s: ks.g_many(s) * np.asarray(y.fn(s))), tol)
-    require_converged(res, "boundary-weighted integral of G")
-    ks._c_memo[y, tol] = res.value
-    return res.value
+    return require_converged(res, "boundary-weighted integral of G").value

@@ -54,9 +54,9 @@ _MAX_DOUBLINGS = 60
 _TAIL_CHUNK = 8
 
 
-@functools.cache
+@functools.lru_cache(maxsize=8)
 def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on [-1, 1], cached."""
+    """Gauss-Legendre nodes/weights on [-1, 1], cached for 8 orders n."""
     return np.polynomial.legendre.leggauss(n)
 
 

@@ -52,6 +52,7 @@ equations, so the states are np.interp's values bit for bit.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import time
 import warnings
@@ -307,13 +308,9 @@ class _EquationPlan:
     """Fixed quadrature data for one equation on one grid: what turns F
     at the points s (the grid's alone) and s_jac into node rows."""
 
-    def __init__(self, ks: KernelSet, grid: Grid):
-        # The two constants of ks that assemble reads, and not ks itself:
-        # ks keeps the plan (_plan), and a reference back would make a
-        # cycle that only the cycle collector frees.
-        self.denom, self.gamma_alpha = ks.denom, ks.gamma_alpha
+    def __init__(self, ks: KernelSet, t: np.ndarray):
+        self.ks = ks
         a = ks.alpha.q
-        t = grid.nodes
         n = t.size
         k = _GEO_PANELS
 
@@ -378,21 +375,19 @@ class _EquationPlan:
         p = self.kmat @ f_gl[:self.n_left_points]
         p += self.jac_factor * (f_jac @ self.w_jac)
 
-        boundary = c_total / self.denom
-        u = (self.t_pow * a_total - p) / self.gamma_alpha \
-            + self.t_pow * boundary
-        du = remainder + self.gamma_alpha * boundary
+        ga = self.ks.gamma_alpha
+        boundary = c_total / self.ks.denom
+        u = (self.t_pow * a_total - p) / ga + self.t_pow * boundary
+        du = remainder + ga * boundary
         return u, du
 
 
-def _plan(ks: KernelSet, grid: Grid) -> _EquationPlan:
-    """The plan of ks on grid.  ks keeps one plan, with the bytes of
-    the nodes it was built for (a plan reads nothing else of the grid),
-    and builds a new one when the nodes differ."""
-    key = grid.nodes.tobytes()
-    if ks._plan_memo is None or ks._plan_memo[0] != key:
-        ks._plan_memo = key, _EquationPlan(ks, grid)
-    return ks._plan_memo[1]
+@functools.lru_cache(maxsize=2)
+def _plan(ks: KernelSet, nodes: bytes) -> _EquationPlan:
+    """The plan of ks on the grid whose nodes have these bytes (a plan
+    reads nothing else of the grid).  Two entries: both equations of
+    one problem on one grid."""
+    return _EquationPlan(ks, np.frombuffer(nodes))
 
 
 class IntegralOperator:
@@ -401,8 +396,8 @@ class IntegralOperator:
     Each equation's plan (the panel layout, the product-quadrature
     matrices and the boundary integrals G at every quadrature point, one
     batched quadrature per equation, the larger part of a first build)
-    comes from its kernel set, which keeps the plan of its latest grid
-    (_plan).
+    comes from _plan, which keeps the plans of the latest kernel sets and
+    grid.
     A build then fixes, over the points [jac1 | GL | jac2] (both plans
     share the Gauss-Legendre points), the interpolation brackets,
     offsets and state weights, and the t-only subtrees of f_1 on
@@ -418,7 +413,8 @@ class IntegralOperator:
         self.grid = grid
         self.quad_tol = LOOP_TOL
         self.alpha1, self.alpha2 = ks1.alpha, ks2.alpha
-        self.plan1, self.plan2 = _plan(ks1, grid), _plan(ks2, grid)
+        nodes = grid.nodes.tobytes()
+        self.plan1, self.plan2 = _plan(ks1, nodes), _plan(ks2, nodes)
         # Interval widths of [0, t_1..t_N], plus a pad interval past t_N
         # on which every row is flat.
         self.widths = np.append(np.diff(grid.nodes, prepend=0.0), 1.0)

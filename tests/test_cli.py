@@ -521,6 +521,7 @@ _SOLVE_ONLY_FLAGS = [
     ["kernel-dump", "sublinear", "--points", "0"],
     ["solve", "lipschitz", "--tol", "inf", "--grid-n", "16"],
     ["kernel-dump", "sublinear", "--t-max", "inf", "--points", "3"],
+    ["kernel-dump", "sublinear", "--t-max", "1e300", "--points", "3"],
     *_SOLVE_ONLY_FLAGS,
 ], ids=" ".join)
 def test_bad_flag_values_exit_four(capsys, argv):
@@ -821,6 +822,16 @@ def test_kernel_dump_json_and_file(tmp_path, capsys):
     doc = _strict_json(target.read_text())
     assert len(doc["t"]) == 4
     assert len(doc["k1"]) == 4 and len(doc["k1"][0]) == 4
+
+
+def test_kernel_dump_is_the_same_twice_in_one_process(capsys):
+    # Nothing a first dump computes changes what a second one prints.
+    docs = []
+    for _ in range(2):
+        assert main(["kernel-dump", "sublinear", "--points", "6",
+                     "--json"]) == 0
+        docs.append(capsys.readouterr().out)
+    assert docs[0] == docs[1]
 
 
 def test_loads_share_parsed_values(tmp_path, capsys):

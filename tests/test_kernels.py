@@ -1,14 +1,18 @@
-"""Green's kernel layer: the boundary coupling constant, the memoized
-boundary integral G (batched, checked against per-point quadrature), the
+"""Green's kernel layer: the boundary coupling constant, the boundary
+integral G (batched, checked against per-point quadrature), the
 assembled kernels, and their sharp bounds."""
 
+import importlib
 import math
+import pkgutil
+from dataclasses import FrozenInstanceError, replace
 from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fracbvp
 import fracbvp.kernels as kernels_mod
 from fracbvp import (FracOrder, Integrand, IntegralOperator, KernelSet,
                      QuadratureError, compute_lambda, gamma,
@@ -143,7 +147,7 @@ def test_g_is_a_nondecreasing_ramp_on_random_batches(kernels, exps, dups,
 
 
 def _fresh(ks, **kw):
-    """Same constants as ks, empty memo."""
+    """Same constants as ks, no reach."""
     return KernelSet(alpha=ks.alpha, h=ks.h, lam=ks.lam,
                      gamma_alpha=ks.gamma_alpha, **kw)
 
@@ -179,8 +183,8 @@ def test_g_batch_matches_per_point_quadrature(kernels, rng):
 
 
 def test_g_memo_is_stable(kernels, rng):
-    """After the first batch, G is served by the memo: bit for bit, in
-    any order and shape."""
+    """G depends on the set of points in a batch, not on their order,
+    shape or repeats: bit for bit."""
     pts = _g_points(rng)
     for ks in kernels:
         ks = _fresh(ks)
@@ -190,9 +194,6 @@ def test_g_memo_is_stable(kernels, rng):
         assert np.array_equal(ks.g_many(pts[perm]), got[perm])
         assert np.array_equal(ks.g_many(pts.reshape(4, 10)),
                               got.reshape(4, 10))
-        # One-point batches land elsewhere within tol (at s = 1e-9, for
-        # one); the memo returns the first values.
-        assert [ks.g_many(np.array([s]))[0] for s in pts] == got.tolist()
 
 
 def test_g_batch_raises_when_tol_is_not_met(kernels):
@@ -203,7 +204,6 @@ def test_g_batch_raises_when_tol_is_not_met(kernels):
     assert not res.converged
     assert res.error_estimate > ks.tol
     assert res.evaluations > 0
-    assert ks._g_memo == {}
 
 
 # G of the sublinear kernels (h1 = t^-1.5 e^-t with alpha 2.5, h2 =
@@ -250,7 +250,7 @@ def test_g_matches_mpmath(kernels):
 def test_kinked_weight_fails_within_bounded_work():
     # The kink of |t-1| sits at a different u for every s, so the
     # trapezoid rule falls to second order and cannot reach tol; it
-    # must say so after at most six halvings, with nothing memoized.
+    # must say so after at most six halvings.
     h = Integrand(lambda t: t ** -0.5 * np.exp(-2 * t) * np.abs(t - 1),
                   endpoint_exponent=-0.5, decay_hint=2.0)
     ks = KernelSet.build(FracOrder(1.5), h)
@@ -264,7 +264,6 @@ def test_kinked_weight_fails_within_bounded_work():
     # Step 1/64 over u in [-40, log 90 - log 1e-3], x cut at Lambda's
     # reach 90: 52 * 64 + 1 nodes (89 * 64 + 1 with the 2^60 cut).
     assert 0 < res.evaluations <= 52 * 64 + 1
-    assert ks._g_memo == {}
 
 
 def test_g_batch_raises_on_non_finite_values():
@@ -273,7 +272,6 @@ def test_g_batch_raises_on_non_finite_values():
                    gamma_alpha=gamma(2.5))
     with pytest.raises(QuadratureError):
         ks.g_many(np.array([0.5, 2.0]))
-    assert ks._g_memo == {}
 
 
 def test_operator_build_tabulates_g_once_per_equation(
@@ -309,23 +307,23 @@ def test_solve_integrates_each_lambda_once(monkeypatch, capsys):
 
     real = kernels_mod.integrate_halfline
     monkeypatch.setattr(kernels_mod, "integrate_halfline", counting)
-    # Earlier loads of the same weights may have filled the memo.
-    kernels_mod._lambda.cache_clear()
+    # Earlier loads of the same weights may have filled the cache.
+    compute_lambda.cache_clear()
     assert main(["solve", "sublinear", "--grid-n", "32"]) == 0
     assert len(calls) == 2
 
 
 def test_lambda_memo_keys_on_the_weight_text():
-    # Every load compiles h1 and h2 into new closures; the memo knows a
-    # weight by its source text and metadata, so loads after the first
-    # hit.  A different h1 text misses.
+    # Every load of a weight text shares its compiled fn (cli._read), so
+    # the cache, which knows a weight by its value, hits on loads after
+    # the first.  A different h1 text misses.
     text = (resources.files("fracbvp") / "problems"
             / "sublinear.prob").read_text()
-    kernels_mod._lambda.cache_clear()
+    compute_lambda.cache_clear()
     specs = [load_problem(text).spec for _ in range(3)]
     for spec in specs:
         build_report(spec)
-    info = kernels_mod._lambda.cache_info()
+    info = compute_lambda.cache_info()
     assert (info.misses, info.hits) == (2, 4)
     got = [[compute_lambda(h, a) for h, a in
             ((s.h1, s.alpha1), (s.h2, s.alpha2))] for s in specs]
@@ -333,8 +331,40 @@ def test_lambda_memo_keys_on_the_weight_text():
     other = load_problem(text.replace("h1 = t^(-1.5)*exp(-t)",
                                       "h1 = 0.5*t^(-1.5)*exp(-t)")).spec
     half = compute_lambda(other.h1, other.alpha1)
-    assert kernels_mod._lambda.cache_info().misses == 3
+    assert compute_lambda.cache_info().misses == 3
     assert half.value == pytest.approx(0.5 * got[0][0].value, rel=1e-10)
+
+
+def test_kernel_sets_are_values(sublinear):
+    # Frozen, and equal builds are equal and hash equal, so the caches
+    # keyed on kernel sets (_plan, _boundary_weighted_integral) share
+    # their entries.
+    ks = KernelSet.build(sublinear.alpha1, sublinear.h1)
+    with pytest.raises(FrozenInstanceError):
+        ks.tol = 1e-16
+    again = KernelSet.build(sublinear.alpha1, sublinear.h1)
+    assert again is not ks and again == ks and hash(again) == hash(ks)
+    assert replace(ks, tol=1e-9) != ks
+    assert KernelSet.build(sublinear.alpha2, sublinear.h2) != ks
+
+
+def test_every_lru_cache_is_bounded():
+    """Every lru_cache of the package has a finite maxsize (README, "What
+    is computed once and kept")."""
+    found = {}
+    for info in pkgutil.iter_modules(fracbvp.__path__):
+        if info.name == "__main__":
+            continue
+        mod = importlib.import_module(f"fracbvp.{info.name}")
+        for obj in vars(mod).values():
+            members = vars(obj).values() if isinstance(obj, type) else ()
+            for fn in (obj, *members):
+                fn = getattr(fn, "__func__", fn)
+                if hasattr(fn, "cache_parameters"):
+                    found[fn.__qualname__] = fn.cache_parameters()["maxsize"]
+    assert {"compute_lambda", "_boundary_weighted_integral", "_plan",
+            "_read", "_h4_draws"} <= set(found)
+    assert all(size is not None for size in found.values()), found
 
 
 def test_bounds_are_sharp_but_never_crossed(kernels):
@@ -396,9 +426,6 @@ def test_g_is_cut_at_lambdas_reach(sublinear, monkeypatch):
         assert columns == 3
         assert hi == math.log(reach) - math.log(0.5)
         assert err >= ks.reach_err
-        # Every point is in the memo; none costs another pass.
-        ks.g_many(s)
-        assert seen == []
 
 
 def test_g_cut_at_reach_matches_mpmath(sublinear):
@@ -426,8 +453,6 @@ def test_directly_constructed_kernel_set_keeps_the_2_to_60_cut(
 
 
 def test_g_batch_raises_when_tol_is_not_met_after_the_cut(kernels):
-    ks = KernelSet.build(kernels[0].alpha, kernels[0].h)
-    ks.tol = 1e-16
+    ks = replace(KernelSet.build(kernels[0].alpha, kernels[0].h), tol=1e-16)
     with pytest.raises(QuadratureError, match="boundary integral G"):
         ks.g_many(np.array([0.5, 2.0, 7.0, 200.0]))
-    assert ks._g_memo == {}

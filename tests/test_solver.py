@@ -10,6 +10,7 @@ one operator application already is the exact image.
 import gc
 import json
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -607,15 +608,16 @@ def test_forcings_are_evaluated_twice_per_apply(monkeypatch, sublinear,
 
 
 def test_kernel_sets_keep_the_plan_of_their_grid(monkeypatch, sublinear):
-    """A kernel set keeps the plan of the last nodes it was asked for:
-    later operators on them build no plan and tabulate no G, and apply
-    bit for bit as an operator on fresh kernel sets does."""
+    """_plan keeps the plans of the latest kernel sets and nodes, keyed
+    on their values: later operators on equal kernel sets and nodes
+    build no plan and tabulate no G, and apply bit for bit as an
+    operator with newly built plans does."""
     plans, g_calls = [], []
     real_plan, real_g = solver_mod._EquationPlan, KernelSet.g_many
 
-    def counting_plan(ks, grid):
-        plans.append((ks, grid.n))
-        return real_plan(ks, grid)
+    def counting_plan(ks, nodes):
+        plans.append((ks, nodes.size))
+        return real_plan(ks, nodes)
 
     def counting_g(self, s):
         g_calls.append(np.size(s))
@@ -630,24 +632,27 @@ def test_kernel_sets_keep_the_plan_of_their_grid(monkeypatch, sublinear):
     first = IntegralOperator(sublinear, ks1, ks2, grid)
     monkeypatch.setattr(solver_mod, "_EquationPlan", counting_plan)
     monkeypatch.setattr(KernelSet, "g_many", counting_g)
-    # The same grid, and a grid built apart with equal nodes.
-    for g in (grid, Grid(nodes=grid.nodes.copy(), theta=grid.theta)):
-        op = IntegralOperator(sublinear, ks1, ks2, g)
-        assert (op.plan1, op.plan2) == (first.plan1, first.plan2)
+    # The same kernel sets or equal builds, on the same grid or on a
+    # grid built apart with equal nodes.
+    for pair in ((ks1, ks2), fresh()):
+        for g in (grid, Grid(nodes=grid.nodes.copy(), theta=grid.theta)):
+            op = IntegralOperator(sublinear, *pair, g)
+            assert op.plan1 is first.plan1 and op.plan2 is first.plan2
     assert plans == [] and g_calls == []
 
     monkeypatch.setattr(solver_mod, "_EquationPlan", real_plan)
     monkeypatch.setattr(KernelSet, "g_many", real_g)
+    solver_mod._plan.cache_clear()
     other = IntegralOperator(sublinear, *fresh(), grid)
     sp = SolutionPair.upper_start(grid, ks1.alpha, ks2.alpha, 0.3,
                                   ks1.gamma_alpha, ks2.gamma_alpha)
     assert np.array_equal(op.apply(sp).stack, other.apply(sp).stack)
     assert other.plan1 is not op.plan1
 
-    # Other nodes, or another kernel set, build their own plans; a
-    # kernel set keeps one, so going back to a grid builds it again.
+    # Other nodes, or another kernel set, build their own plans; the
+    # cache keeps two, so going back to a grid builds it again.
     monkeypatch.setattr(solver_mod, "_EquationPlan", counting_plan)
-    ks3 = KernelSet.build(sublinear.alpha1, sublinear.h1)
+    ks3 = replace(ks1, tol=ks1.tol / 2)
     IntegralOperator(sublinear, ks3, ks2, grid)
     assert plans == [(ks3, 64)]
     IntegralOperator(sublinear, ks1, ks2, Grid.make(32))
@@ -659,14 +664,21 @@ def test_kernel_sets_keep_the_plan_of_their_grid(monkeypatch, sublinear):
 
 
 def test_a_kept_plan_holds_no_reference_to_its_kernel_set(sublinear):
-    """A kernel set and its plan are freed by reference counting alone:
-    the plan keeps no reference back to the kernel set that keeps it."""
+    """_plan is bounded: once maxsize other plans are built, a dropped
+    kernel set and its plan are freed by reference counting alone."""
+    maxsize = solver_mod._plan.cache_parameters()["maxsize"]
+    assert maxsize == 2
+    solver_mod._plan.cache_clear()
     gc.disable()
     try:
         ks = KernelSet.build(sublinear.alpha1, sublinear.h1)
-        plan = solver_mod._plan(ks, Grid.make(16))
+        plan = solver_mod._plan(ks, Grid.make(16).nodes.tobytes())
         gone = weakref.ref(ks), weakref.ref(plan)
         del ks, plan
+        ks2 = KernelSet.build(sublinear.alpha2, sublinear.h2)
+        for n in range(16, 16 + maxsize):
+            assert [r() is None for r in gone] == [False, False]
+            solver_mod._plan(ks2, Grid.make(n + 1).nodes.tobytes())
         assert [r() for r in gone] == [None, None]
     finally:
         gc.enable()
