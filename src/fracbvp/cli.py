@@ -47,6 +47,7 @@ import configparser
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -374,10 +375,22 @@ def _json(doc) -> str:
     return json.dumps(finite(doc), indent=2, allow_nan=False)
 
 
-def _print_report(report: HypothesisReport, name: str,
-                  spec: ProblemSpec) -> None:
-    print(f"problem {name!r} (alpha1={spec.alpha1.q}, "
-          f"alpha2={spec.alpha2.q})")
+def _emit(text: str, end: str = "\n") -> None:
+    """The one stdout writer: print(text, end=end), flushed.  A reader
+    that has gone away (a closed pipe) is not an error: stdout is
+    pointed at os.devnull, so the interpreter's last flush cannot fail
+    either, and the command keeps its own exit code."""
+    try:
+        sys.stdout.write(text + end)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _report_text(report: HypothesisReport, name: str,
+                 spec: ProblemSpec) -> str:
+    lines = [f"problem {name!r} (alpha1={spec.alpha1.q}, "
+             f"alpha2={spec.alpha2.q})"]
     labels = {
         "H1": "boundary weights nonnegative, couplings below Gamma(alpha)",
         "H2": "growth envelopes usable (nonnegative, integrable)",
@@ -387,22 +400,21 @@ def _print_report(report: HypothesisReport, name: str,
     for key in sorted(report.verdicts):
         v = report.verdicts[key]
         status = "pass" if v.passed else "FAIL"
-        print(f"  {key} {status}  {labels.get(key, '')}")
+        lines.append(f"  {key} {status}  {labels.get(key, '')}")
         if v.reason:
-            print(f"      {v.reason}")
-    print("constants:")
-    for key, val in report.constants().items():
-        if val is not None:
-            print(f"  {key} = {val!r}")
-    for note in report.notes:
-        print(f"note: {note}")
-    for d in report.discrepancies:
-        print(f"declared-value mismatch: {d.name} computed {d.computed!r} "
-              f"vs declared {d.expected!r} (difference {d.difference:.3e})")
-    print("result: " + ("all applicable hypotheses hold" if report.passed
-                        else "FAILED: " + ", ".join(
-                            k for k, v in sorted(report.verdicts.items())
-                            if not v.passed)))
+            lines.append(f"      {v.reason}")
+    lines.append("constants:")
+    lines += [f"  {key} = {val!r}"
+              for key, val in report.constants().items() if val is not None]
+    lines += [f"note: {note}" for note in report.notes]
+    lines += [f"declared-value mismatch: {d.name} computed {d.computed!r} "
+              f"vs declared {d.expected!r} (difference {d.difference:.3e})"
+              for d in report.discrepancies]
+    failed = [k for k, v in sorted(report.verdicts.items()) if not v.passed]
+    lines.append("result: " + ("all applicable hypotheses hold"
+                               if report.passed else
+                               "FAILED: " + ", ".join(failed)))
+    return "\n".join(lines)
 
 
 def _check_seed(args: argparse.Namespace) -> None:
@@ -433,10 +445,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     _check_seed(args)
     lp = resolve_problem(args.problem)
     report = build_report(lp.spec, seed=args.seed, expected=lp.expected)
-    if args.json:
-        print(_json(report.to_dict()))
-    else:
-        _print_report(report, lp.spec.name or args.problem, lp.spec)
+    _emit(_json(report.to_dict()) if args.json else
+          _report_text(report, lp.spec.name or args.problem, lp.spec))
     return EXIT_OK if report.passed else EXIT_HYPOTHESIS
 
 
@@ -460,7 +470,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         doc = {"problem": name, "refused": reasons,
                "hypothesis": report.to_dict()}
         if args.json:
-            print(_json(doc))
+            _emit(_json(doc))
         else:
             print(f"problem {name!r}: no scheme is licensed", file=sys.stderr)
             for reason in reasons:
@@ -558,11 +568,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             (out_dir / fname).write_text(text)
         summary.append("wrote " + ", ".join(
             str(out_dir / f) for f in sorted(outputs)))
-    if args.json:
-        print(_json(doc))
-    else:
-        for line in summary:
-            print(line)
+    _emit(_json(doc) if args.json else "\n".join(summary))
     return EXIT_OK if doc["converged"] else EXIT_NO_CONVERGENCE
 
 
@@ -627,9 +633,9 @@ def cmd_kernel_dump(args: argparse.Namespace) -> int:
 
     if args.out:
         Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
+        _emit(f"wrote {args.out}")
     else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        _emit(text, end="" if text.endswith("\n") else "\n")
     return EXIT_OK
 
 

@@ -11,14 +11,14 @@ These operators are verification tools, not the solver hot path: the
 derivative is computed by differentiating the integral numerically
 (central differences refined by Richardson extrapolation), which is
 accurate enough for residual spot-checks and closed-form identity tests
-but would be wasteful inside an iteration loop.  The integrals at all
-of the refinement's stencil points are one quadrature batch.
+but would be wasteful inside an iteration loop.  Both operators take a
+sequence of t as one quadrature batch: rl_derivative hands the stencil
+points of every t at every refinement level to one rl_integral call.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from bisect import bisect_left, bisect_right
 from typing import Callable, Sequence, Union
@@ -33,7 +33,6 @@ __all__ = [
     "gamma",
     "rl_integral",
     "rl_derivative",
-    "LossOfSignificanceWarning",
 ]
 
 
@@ -133,10 +132,6 @@ def rl_integral(g: Callable[[np.ndarray], np.ndarray], q: OrderLike,
     return out if np.ndim(t) else out[0]
 
 
-class LossOfSignificanceWarning(RuntimeWarning):
-    """Richardson refinement stalled above the requested tolerance."""
-
-
 # Central difference stencils of the n-th derivative, O(h^2) truncation.
 _STENCILS: dict[int, tuple[tuple[int, ...], tuple[float, ...]]] = {
     1: ((-1, 1), (-0.5, 0.5)),
@@ -147,79 +142,71 @@ _STENCILS: dict[int, tuple[tuple[int, ...], tuple[float, ...]]] = {
 
 
 def rl_derivative(g: Callable[[np.ndarray], np.ndarray], q: OrderLike,
-                  t: float, *, tol: float = 1e-6, g_exponent: float = 0.0,
-                  quad_tol: float = 1e-12,
-                  kinks: tuple[float, ...] = ()) -> tuple[float, float]:
+                  t: float | Sequence[float], *, tol: float = 1e-6,
+                  g_exponent: float = 0.0, quad_tol: float = 1e-12,
+                  kinks: Sequence[float] = ()):
     """Fractional derivative (D^q g)(t) = (d/dt)^n (I^(n-q) g)(t).
 
-    Returns (value, error_estimate).  The n-th derivative is taken by
-    central differences on the (n-q)-integral from rl_integral (given
-    g_exponent and kinks), refined through a Richardson table until the
-    diagonal stabilizes below tol (relative to 1 + |value|).  When the
-    refinement stalls instead, a LossOfSignificanceWarning is issued and
-    the best value is returned with its achieved estimate.  One
-    rl_integral call serves the stencil points of all five levels; a
-    point's QuadratureError is raised only if the refinement reads it.
+    The n-th derivative is taken by central differences on the
+    (n-q)-integral from rl_integral (given g_exponent and kinks), refined
+    through a Richardson table until the diagonal stabilizes below tol
+    (relative to 1 + |value|).  A stalled refinement shows only in its
+    estimate: the best value comes back with an estimate above that.
+
+    A scalar t gives (value, error_estimate), or raises the
+    QuadratureError of a stencil point its refinement reads.  A sequence
+    of t gives a list, with that error in place of a failed t's pair.
+    The stencil points of every t at all five levels are one rl_integral
+    call.
     """
     qv = _order(q)
-    if not t > 0:
+    ts = list(t) if np.ndim(t) else [t]
+    if not all(x > 0 for x in ts):
         raise ValueError(f"rl_derivative needs t > 0, got {t}")
     n = math.ceil(qv)
     if n > 4:
         raise ValueError(f"orders above 4 are out of scope (q={qv})")
-    frac = n - qv
-
     offsets, coeffs = _STENCILS[n]
-    h0 = t / (4.0 * max(abs(o) for o in offsets))
-    steps = [h0 / 2 ** k for k in range(5)]
-    xs = list(dict.fromkeys(t + o * h for h in steps for o in offsets))
-    if frac == 0.0:
+    span = 4.0 * max(map(abs, offsets))
+    steps = [[x / span / 2 ** k for k in range(5)] for x in ts]
+    xs = list(dict.fromkeys(x + o * h for x, hs in zip(ts, steps)
+                            for h in hs for o in offsets))
+    if n == qv:
         # Integer order: I^0 is the identity, differentiate g itself.
         vals = [float(y) for y in np.asarray(g(np.array(xs)))]
     else:
-        vals = rl_integral(g, frac, xs, tol=quad_tol,
+        vals = rl_integral(g, n - qv, xs, tol=quad_tol,
                            g_exponent=g_exponent, kinks=kinks)
     cache = dict(zip(xs, vals))
 
-    def stencil(h: float) -> float:
-        ys = [cache[t + o * h] for o in offsets]
-        for y in ys:
-            if isinstance(y, QuadratureError):
-                raise y
-        return sum(c * y for c, y in zip(coeffs, ys)) / h ** n
-
-    table: list[list[float]] = []
-    best = math.nan
-    est = math.inf
-    prev_diag = math.nan
-    stalls = 0
-    for k, h in enumerate(steps):
-        row = [stencil(h)]
-        for j in range(1, k + 1):
-            fac = 4.0 ** j
-            row.append((fac * row[j - 1] - table[k - 1][j - 1]) / (fac - 1.0))
-        table.append(row)
-        diag = row[-1]
-        if k > 0:
-            new_est = abs(diag - prev_diag)
+    def refine(x: float, hs: list[float]) -> tuple[float, float]:
+        # prev is the table's previous row; its last entry is the
+        # previous diagonal.
+        prev, best, est, stalls = [], math.nan, math.inf, 0
+        for k, h in enumerate(hs):
+            ys = [cache[x + o * h] for o in offsets]
+            if bad := [y for y in ys if isinstance(y, QuadratureError)]:
+                raise bad[0]
+            row = [sum(c * y for c, y in zip(coeffs, ys)) / h ** n]
+            for j in range(1, k + 1):
+                fac = 4.0 ** j
+                row.append((fac * row[j - 1] - prev[j - 1]) / (fac - 1.0))
+            new_est = abs(row[-1] - prev[-1]) if prev else math.inf
             if new_est <= est:
-                best, est = diag, new_est
-                stalls = 0
-            else:
-                stalls += 1
-                if stalls >= 2:
-                    break
-            if est <= tol * (1.0 + abs(best)):
+                best, est, stalls = row[-1], new_est, 0
+            elif (stalls := stalls + 1) >= 2:
                 break
-        else:
-            best = diag
-        prev_diag = diag
+            if prev and est <= tol * (1.0 + abs(best)):
+                break
+            prev = row
+        return best, est
 
-    value = best
-    if not est <= tol * (1.0 + abs(value)):
-        warnings.warn(
-            f"rl_derivative refinement stalled at estimate {est:.2e} "
-            f"(q={qv}, t={t}), above tolerance {tol:.1e}",
-            LossOfSignificanceWarning,
-        )
-    return value, est
+    if not np.ndim(t):
+        return refine(ts[0], steps[0])
+    out = []
+    for x, hs in zip(ts, steps):
+        try:
+            out.append(refine(x, hs))
+        except QuadratureError as exc:
+            out.append(exc)
+    return out

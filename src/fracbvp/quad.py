@@ -223,9 +223,10 @@ def _walk(runs: list, end: float, tail: int, tol: float):
     """A half-line job as a generator (see _together): its pieces' runs,
     then doublings [end, 2 end], [2 end, 4 end], ... (piece tail), each
     to tol/8, the first panels of _TAIL_CHUNK asked for at once, until
-    two in a row contribute less than tol/4 in magnitude.  The last one
-    goes into the error estimate, never the value: for an integrable
-    decay, the tail past it shrinks at worst geometrically.  No stop
+    two in a row contribute less than tol/4 in magnitude.  Every
+    doubling's value goes into the result; the last one's magnitude also
+    goes into the error estimate, standing for the tail past it, which
+    for an integrable decay shrinks at worst geometrically.  No stop
     within _MAX_DOUBLINGS is a suspected divergence (converged=False)."""
     parts = yield from _together(runs)
     t, prev = end, math.inf

@@ -9,7 +9,9 @@ point with its exit-code contract:
 
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -832,6 +834,26 @@ def test_kernel_dump_is_the_same_twice_in_one_process(capsys):
                      "--json"]) == 0
         docs.append(capsys.readouterr().out)
     assert docs[0] == docs[1]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["kernel-dump", "sublinear", "--json"], 0),
+    (["solve", "sublinear", "--grid-n", "16", "--max-iter", "1", "--json"], 3),
+])
+def test_a_closed_stdout_keeps_the_exit_code(argv, code):
+    """A reader gone before the first write (a pipe into `head -c 0`)
+    costs neither a traceback nor the command's own exit code."""
+    root = str(Path(fracbvp.__file__).resolve().parent.parent)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "fracbvp",
+             *argv], stdout=write_end, stderr=subprocess.PIPE, text=True,
+            timeout=300, env={**os.environ, "PYTHONPATH": root})
+    finally:
+        os.close(write_end)
+    assert (run.returncode, run.stderr) == (code, "")
 
 
 def test_loads_share_parsed_values(tmp_path, capsys):

@@ -260,7 +260,7 @@ def test_spotcheck_matches_the_scalar_route(monkeypatch, n, kernels,
     spot-check entry as the one-point-at-a-time route gives it."""
     import fracbvp.verify as verify_mod
     from fracbvp import Grid, IntegralOperator, contract_solve, monotone_solve
-    from test_fracops import _reference_rl_derivative
+    from test_fracops import _each_t, _reference_rl_derivative
 
     ks1, ks2 = kernels
     grid = Grid.make(n)
@@ -273,6 +273,29 @@ def test_spotcheck_matches_the_scalar_route(monkeypatch, n, kernels,
     for p, sp in ((sublinear, sp_sub), (lipschitz, sp_lip)):
         got = ode_residual_spotcheck(p, sp)
         with monkeypatch.context() as m:
-            m.setattr(verify_mod, "rl_derivative", _reference_rl_derivative)
+            m.setattr(verify_mod, "rl_derivative",
+                      _each_t(_reference_rl_derivative))
             want = ode_residual_spotcheck(p, sp)
         assert len(got) == 6 and repr(got) == repr(want)
+
+
+def test_spotcheck_is_one_rl_derivative_per_equation(monkeypatch, sublinear,
+                                                     monotone_runs):
+    import fracbvp.verify as verify_mod
+    final, _ = monotone_runs["lower"]
+    real, calls = verify_mod.rl_derivative, []
+
+    def counted(*args, **kw):
+        calls.append(args[2])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(verify_mod, "rl_derivative", counted)
+    # Every point is checked before any derivative is taken.
+    with pytest.raises(ValueError, match="outside"):
+        ode_residual_spotcheck(sublinear, final,
+                               points=(0.5, final.grid.t_max * 2.0))
+    assert calls == []
+    got = ode_residual_spotcheck(sublinear, final)
+    assert calls == [verify_mod._SPOT_POINTS] * 2
+    assert [(e["t"], e["equation"]) for e in got] \
+        == [(t, eq) for t in verify_mod._SPOT_POINTS for eq in (1, 2)]
