@@ -100,8 +100,7 @@ _SECTIONS: dict[str, dict[str, str]] = {
                "max_iter": "integer", "scheme": "word"},
     "expected": dict.fromkeys(sorted(CONSTANT_NAMES), "constant"),
 }
-_BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
-             "false": False, "no": False, "off": False, "0": False}
+_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
 
 
 @dataclass(frozen=True)
@@ -163,7 +162,8 @@ def _parse_expr(section: str, key: str, text: str,
         ast = parse(text)
     except ExprError as exc:
         raise _fail(section, key, f"bad expression: {exc}") from exc
-    extra = free_variables(ast) - set(allowed)
+    # parse emits Var only for names in VARIABLES, so those pass unchecked.
+    extra = allowed != VARIABLES and free_variables(ast) - set(allowed)
     if extra:
         raise _fail(section, key,
                     f"unknown variable(s) {sorted(extra)}; allowed here: "
@@ -480,8 +480,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
     # Imported only now: check, kernel-dump and a refused solve skip them.
     from .solver import (ITERATION_DEFAULTS, Grid, IntegralOperator,
                          SchemeBreakError, contract_solve, diff_norm,
-                         monotone_solve)
+                         monotone_solve, plan_in_range)
     from .verify import error_bound_audit, ordering_audit, verify_pair
+
+    if not plan_in_range(cfg.n, cfg.theta, (spec.alpha1.q, spec.alpha2.q)):
+        raise _fail("solver", "theta", f"{cfg.theta!r} puts the quadrature "
+                    f"points of an n={cfg.n} grid where s^(alpha_i - 1) is "
+                    f"not finite and positive")
 
     tol, max_iter = ITERATION_DEFAULTS[scheme]
     tol = tol if cfg.tol is None else cfg.tol

@@ -273,10 +273,10 @@ def _boundary_weighted_integral(ks: KernelSet, y: Integrand,
     depend on the whole batch, so G at a point depends, within that
     pass's tolerance (tol/10, 1e-11 by default), on the batch; each
     integrand call of the engine makes such a batch.  C is a one-job
-    integrate_halfline, so those calls carry its head's panels, then
-    its tail's, never another job's points, and C is a function of its
-    arguments.  Only kernel_representation and derivative_representation
-    use it, and no CLI output does.
+    integrate_halfline: its calls carry its head's and tail's panels
+    (the tail's first beside the head's splits), never another job's,
+    so C is a function of its arguments.  Only kernel_representation
+    and derivative_representation use it, and no CLI output does.
     """
     res = integrate_halfline(
         replace(y, fn=lambda s: ks.g_many(s) * np.asarray(y.fn(s))), tol)

@@ -18,10 +18,12 @@ sum), so results are deterministic for a given integrand and tolerance.
 One driver, integrate_batch, integrates many jobs, finite and half-line,
 under one pointwise fn(x, job), one call per round: the first panels of
 every piece of every job, then the split halves of every piece still
-refining and the tail panels of every walking job (first panels of 8
-doublings per ask).  Nodes and sums are those of one panel at a time, in
-each job's own order, so batching changes nothing but the number of
-calls.  integrate_finite and integrate_halfline are its one-job cases.
+refining and the tail panels of every half-line job, whose walk of
+doublings runs beside its head's pieces (first panels of 8 doublings per
+ask, the first 8 with the head's first splits).  Nodes and sums are
+those of one panel at a time, in each job's own order, so batching
+changes nothing but the number of calls.  integrate_finite and
+integrate_halfline are its one-job cases.
 """
 
 from __future__ import annotations
@@ -145,7 +147,7 @@ def _adapt(key, lo: float, hi: float, tol: float, first):
     """Adaptive bisection of piece `key` on [lo, hi] for a smooth
     (post-transform) integrand from the panel's (value, error) first, as
     a generator: each split yields the halves as (key, lo, hi) panels and
-    is sent their (value, error)s (see _together); it returns (value,
+    is sent their (value, error)s (see integrate_batch); it returns (value,
     error_estimate, evaluations, converged).  The heap is keyed on
     (-error, lo) so refinement order, and therefore the result, is
     deterministic.  Panels narrower than the width floor are frozen with
@@ -186,32 +188,12 @@ def _adapt(key, lo: float, hi: float, tol: float, first):
     return value, error, n_eval, converged
 
 
-def _together(runs: list):
-    """The generators in runs (or their results already) as one: each
-    round yields all their asks, lists of (piece, lo, hi) panels, as one
-    list and sends each its (value, error) pairs; returns the results."""
-    done = list(runs)
-    sent = {i: None for i, r in enumerate(runs) if not isinstance(r, tuple)}
-    while True:
-        asks = {}
-        for i, pairs in sent.items():
-            try:
-                asks[i] = runs[i].send(pairs)
-            except StopIteration as stop:
-                done[i] = stop.value
-        if not asks:
-            return done
-        pairs, n, sent = (yield [p for ask in asks.values() for p in ask]), 0, {}
-        for i, ask in asks.items():
-            sent[i], n = pairs[n:n + len(ask)], n + len(ask)
-
-
-def _total(parts: list, end: float) -> QuadResult:
+def _total(parts: list, tail: list, end: float) -> QuadResult:
     """The QuadResult of a job's (value, error, evaluations, converged)
-    parts, pieces then doublings, summed in order."""
+    parts, its pieces' then its doublings' (tail), summed in order."""
     value = error = 0.0
     n_eval, ok = 0, True
-    for v, e, ne, conv in parts:
+    for v, e, ne, conv in parts + tail:
         value += v
         error += e
         n_eval += ne
@@ -219,17 +201,17 @@ def _total(parts: list, end: float) -> QuadResult:
     return QuadResult(value, error, end, n_eval, ok)
 
 
-def _walk(runs: list, end: float, tail: int, tol: float):
-    """A half-line job as a generator (see _together): its pieces' runs,
-    then doublings [end, 2 end], [2 end, 4 end], ... (piece tail), each
-    to tol/8, the first panels of _TAIL_CHUNK asked for at once, until
-    two in a row contribute less than tol/4 in magnitude.  Every
-    doubling's value goes into the result; the last one's magnitude also
-    goes into the error estimate, standing for the tail past it, which
-    for an integrable decay shrinks at worst geometrically.  No stop
-    within _MAX_DOUBLINGS is a suspected divergence (converged=False)."""
-    parts = yield from _together(runs)
-    t, prev = end, math.inf
+def _walk(end: float, tail: int, tol: float):
+    """A half-line job's doublings [end, 2 end], [2 end, 4 end], ... as a
+    run of integrate_batch beside its head's pieces (piece tail), each to
+    tol/8, the first panels of _TAIL_CHUNK asked for at once (the first
+    chunk with the head's first splits), until two in a row contribute
+    less than tol/4 in magnitude.  Every doubling's value goes into the
+    result; the last one's magnitude also goes into the error estimate,
+    standing for the tail past it, which for an integrable decay shrinks
+    at worst geometrically.  No stop within _MAX_DOUBLINGS is a suspected
+    divergence (converged=False).  Returns (parts, truncation point)."""
+    parts, t, prev = [], end, math.inf
     for i in range(_MAX_DOUBLINGS):
         if i % _TAIL_CHUNK == 0:  # t * 2^j short of inf
             los = [lo for j in range(min(_TAIL_CHUNK, _MAX_DOUBLINGS - i))
@@ -246,7 +228,7 @@ def _walk(runs: list, end: float, tail: int, tol: float):
         prev = v
     else:
         parts.append((0.0, abs(v) if math.isfinite(v) else math.inf, 0, False))
-    return _total(parts, t)
+    return parts, t
 
 
 def integrate_batch(fn, jobs, tol: float = DEFAULT_TOL) -> list[QuadResult]:
@@ -256,8 +238,9 @@ def integrate_batch(fn, jobs, tol: float = DEFAULT_TOL) -> list[QuadResult]:
     power substitution removes fn ~ t^sigma at 0+ from the leading piece
     when a == 0.  A half-line job (0, inf, kinks, sigma, decay_hint) has
     the pieces of [0, T0], T0 = max(1, 1.5 * last kink, 45 / decay_hint),
-    to tol/2, then walks the doublings beyond T0 (_walk).  fn gets the
-    points and each one's job index; it must be pointwise.  Each job's
+    to tol/2, and walks the doublings beyond T0 beside them (_walk), its
+    first tail panels in the call of the head's first splits.  fn gets
+    the points and each one's job index; it must be pointwise.  Each job's
     points come in the calls and order of the job alone (see the module
     docstring), so its result is bit for bit the job's alone.
     """
@@ -307,26 +290,32 @@ def integrate_batch(fn, jobs, tol: float = DEFAULT_TOL) -> list[QuadResult]:
     lo, hi = np.where(sig[:n], 0.0, start), np.where(sig[:n], 1.0, end)
     val, err = estimate(np.arange(n), lo, hi)
     vals, errs, lo, hi = val.tolist(), err.tolist(), lo.tolist(), hi.tolist()
-    runs = []  # a half-line job's _walk, a finite job's pieces
+    runs = []  # per job: its pieces, then its walk or ([], b)
     for j, (s, c, b, walk) in enumerate(specs):
         share = (tol / 2 if walk else tol) / c
-        parts = [_adapt(i, lo[i], hi[i], share, (vals[i], errs[i]))
+        runs += [_adapt(i, lo[i], hi[i], share, (vals[i], errs[i]))
                  if errs[i] > share else (vals[i], errs[i], 36, True)
                  for i in range(s, s + c)]
-        runs += [_walk(parts, b, n + j, tol)] if walk else parts
-    run, pairs = _together(runs), None
-    while True:  # one estimate, so one call of fn, per round
-        try:
-            ask = run.send(pairs)
-        except StopIteration as stop:
-            done = iter(stop.value)
-            break
-        ids, lo, hi = zip(*ask)
-        val, err = estimate(np.array(ids), np.array(lo, float),
-                            np.array(hi, float))
-        pairs = list(zip(val.tolist(), err.tolist()))
-    return [next(done) if walk else _total([next(done) for _ in range(c)], b)
-            for _, c, b, walk in specs]
+        runs.append(_walk(b, n + j, tol) if walk else ([], b))
+    # A run is a generator asking for lists of (piece, lo, hi) panels and
+    # sent their (value, error) pairs, or its result already.
+    sent = {i: None for i, r in enumerate(runs) if not isinstance(r, tuple)}
+    while sent:  # one estimate, so one call of fn, per round
+        asks = {}
+        for i, got in sent.items():
+            try:
+                asks[i] = runs[i].send(got)
+            except StopIteration as stop:
+                runs[i] = stop.value
+        if asks:
+            ids, lo, hi = zip(*(p for ask in asks.values() for p in ask))
+            val, err = estimate(np.array(ids), np.array(lo, float),
+                                np.array(hi, float))
+            pairs = zip(val.tolist(), err.tolist())
+        sent = {i: [next(pairs) for _ in ask] for i, ask in asks.items()}
+    done = iter(runs)
+    return [_total([next(done) for _ in range(c)], *next(done))
+            for _, c, _, _ in specs]
 
 
 def integrate_finite(f: Integrand, a: float, b: float,
@@ -342,10 +331,12 @@ def integrate_finite(f: Integrand, a: float, b: float,
 
 def integrate_halfline(f: Integrand, tol: float = DEFAULT_TOL) -> QuadResult:
     """Integrate f over (0, inf), integrate_batch's one-job case: its
-    calls carry the head's first panels and rounds of splits, then the
-    first panels of 8 doublings at a time, each followed by the splits
-    of those doublings in turn.  On non-convergence the best value is
-    returned with converged=False."""
+    first call carries the head's first panels; from the second on, the
+    head's rounds of splits and the tail's walk share calls, the tail
+    asking for the first panels of 8 doublings at a time (the first 8
+    with the head's first splits), each followed by the splits of those
+    doublings in turn.  On non-convergence the best value is returned
+    with converged=False."""
     return integrate_batch(lambda x, job: f.fn(x), [
         (0.0, math.inf, f.kinks, f.endpoint_exponent, f.decay_hint)], tol)[0]
 

@@ -70,7 +70,7 @@ __all__ = [
     "Grid", "SolutionPair", "IterationTrace", "IntegralOperator",
     "SchemeBreakError", "MonotonicityError", "ContractionRatioWarning",
     "norm_pair", "diff_norm", "monotone_solve", "contract_solve",
-    "ITERATION_DEFAULTS",
+    "ITERATION_DEFAULTS", "plan_in_range",
 ]
 
 _ROW_NAMES = ("u_w", "du", "v_w", "dv")
@@ -136,6 +136,20 @@ class Grid:
     @property
     def t_max(self) -> float:
         return float(self.nodes[-1])
+
+
+def plan_in_range(n: int, theta: float, orders) -> bool:
+    """Whether the plan on Grid.make(n, theta) stays in floating-point
+    range: s and s^(a-1), for each order a, finite and positive at every
+    plan point s from t_1 _GEO_RATIO^(_GEO_PANELS-1) to t_N
+    2^_TAIL_DOUBLINGS (each is monotone in s).  The two end nodes are
+    Grid.make's, computed without floating-point warnings."""
+    x01 = 0.5 * (_gl(n)[0][[0, -1]] + 1.0)
+    with np.errstate(over="ignore", under="ignore"):
+        s = theta * x01 / (1.0 - x01) * np.array(
+            [_GEO_RATIO ** (_GEO_PANELS - 1), 2.0 ** _TAIL_DOUBLINGS])
+        p = s[:, None] ** (np.array([*orders, 2.0]) - 1.0)
+    return bool(np.all(np.isfinite(p) & (p > 0.0)))
 
 
 @dataclass(frozen=True, init=False, eq=False)

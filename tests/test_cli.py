@@ -451,6 +451,40 @@ def test_solve_without_boundary_section(tmp_path, capsys):
     assert math.isfinite(ver["bc_residual_2"])
 
 
+def test_solve_refuses_a_theta_whose_plan_leaves_float_range(tmp_path,
+                                                             capsys):
+    # theta = 1e-300 puts t_1/4^7 where s^(alpha_1 - 1) underflows to 0:
+    # the chains once "converged" on that grid, and the flag and the
+    # [solver] key are refused alike.
+    p = tmp_path / "free.prob"
+    text = MINIMAL.replace(_LIPS, _LIPS.replace("= exp", "= 0.1*exp"))
+    p.write_text(text)
+    assert main(["solve", str(p), "--grid-n", "16", "--theta", "1e-300"]) == 4
+    assert capsys.readouterr().err.startswith("error: [solver] theta: ")
+    p.write_text(text + "\n[solver]\nn = 16\ntheta = 1e-300\n")
+    assert main(["solve", str(p)]) == 4
+    assert capsys.readouterr().err.startswith("error: [solver] theta: ")
+
+
+def test_state_expressions_skip_the_free_variable_walk(monkeypatch):
+    # parse emits Var only for names in VARIABLES, so f1 and f2 have no
+    # free variable to refuse; expr(t) keys and constants keep the check.
+    import fracbvp.cli as cli_mod
+    seen, real = [], cli_mod.free_variables
+    monkeypatch.setattr(cli_mod, "free_variables",
+                        lambda e: seen.append(to_source(e)) or real(e))
+    _read.cache_clear()
+    lp = load_problem((Path(fracbvp.__file__).parent / "problems"
+                       / "sublinear.prob").read_text())
+    assert not {lp.sections["rhs"]["f1"], lp.sections["rhs"]["f2"]} & set(seen)
+    assert all(text in seen for key, text in lp.sections["growth"].items()
+               if key[0] == "a")
+    with pytest.raises(ProblemFileError, match=r"unknown variable.*u1"):
+        load_problem(_with("[growth]\n" + "\n".join(
+            f"a{i}{k} = u1" for i in (1, 2) for k in range(5))
+            + "\nlambda1 = 1, 1, 1, 1\nlambda2 = 1, 1, 1, 1\n"))
+
+
 @pytest.mark.parametrize("old, new", [
     ("f1 = 2/", "f1 = log(t-1) + 2/"),
     ("h1 = t", "h1 = log(t-1)*t"),
@@ -524,6 +558,7 @@ _SOLVE_ONLY_FLAGS = [
     ["solve", "lipschitz", "--tol", "inf", "--grid-n", "16"],
     ["kernel-dump", "sublinear", "--t-max", "inf", "--points", "3"],
     ["kernel-dump", "sublinear", "--t-max", "1e300", "--points", "3"],
+    ["solve", "sublinear", "--grid-n", "16", "--theta", "1e300"],
     *_SOLVE_ONLY_FLAGS,
 ], ids=" ".join)
 def test_bad_flag_values_exit_four(capsys, argv):

@@ -294,3 +294,18 @@ def test_tail_first_panels_arrive_eight_doublings_per_call():
     assert [s for s in sizes if s != 72][1:] == [36 * 8] * (
         math.ceil(math.log2(res.truncation_point) / 8))
     assert res.converged and res == _reference_halfline(f, 1e-9)
+
+
+def test_head_splits_and_first_tail_chunk_share_a_call():
+    # A half-line job's doublings walk beside its head's pieces: the
+    # head's first split and the first panels of 8 doublings are one call.
+    sizes = []
+
+    def counted(t):
+        sizes.append(t.size)
+        return (2.0 + np.cos(25.0 * t)) * np.exp(-t)
+
+    f = Integrand(counted)
+    res = integrate_halfline(f, tol=1e-10)
+    assert sizes[:2] == [36, 72 + 36 * 8]
+    assert res.converged and res == _reference_halfline(f, 1e-10)
