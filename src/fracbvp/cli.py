@@ -478,15 +478,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return EXIT_HYPOTHESIS
 
     # Imported only now: check, kernel-dump and a refused solve skip them.
-    from .solver import (ITERATION_DEFAULTS, Grid, IntegralOperator,
-                         SchemeBreakError, contract_solve, diff_norm,
-                         monotone_solve, plan_in_range)
+    from .solver import (ITERATION_DEFAULTS, Grid, GridError,
+                         IntegralOperator, SchemeBreakError, contract_solve,
+                         diff_norm, monotone_solve)
     from .verify import error_bound_audit, ordering_audit, verify_pair
-
-    if not plan_in_range(cfg.n, cfg.theta, (spec.alpha1.q, spec.alpha2.q)):
-        raise _fail("solver", "theta", f"{cfg.theta!r} puts the quadrature "
-                    f"points of an n={cfg.n} grid where s^(alpha_i - 1) is "
-                    f"not finite and positive")
 
     tol, max_iter = ITERATION_DEFAULTS[scheme]
     tol = tol if cfg.tol is None else cfg.tol
@@ -494,15 +489,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     ks1 = KernelSet.build(spec.alpha1, spec.h1)
     ks2 = KernelSet.build(spec.alpha2, spec.h2)
-    grid = Grid.make(cfg.n, cfg.theta)
-    op = IntegralOperator(spec, ks1, ks2, grid)
+    try:
+        grid = Grid.make(cfg.n, cfg.theta)
+        op = IntegralOperator(spec, ks1, ks2, grid)
+    except GridError as exc:  # theta is the one input that can cause it
+        raise _fail("solver", "theta",
+                    f"{cfg.theta!r} on an n={cfg.n} grid: {exc}") from exc
 
     config_doc = {"problem": name, "scheme": scheme, "grid_n": cfg.n,
                   "theta": cfg.theta, "t_max": grid.t_max, "tol": tol,
                   "max_iter": max_iter, "interp": cfg.interp,
                   "seed": args.seed}
-    header = _header_lines((k, repr(v) if isinstance(v, float) else v)
-                           for k, v in config_doc.items())
 
     # Chain key -> (solution, trace); the key names the output files and
     # the JSON section, and the contraction scheme's single run has none.
@@ -553,12 +550,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     doc = {"problem": name, "scheme": scheme, "config": config_doc,
            "converged": all(tr.converged for _, tr in chains.values()),
            "hypothesis": report.to_dict()}
-    outputs = {"verification.json": _json({"config": config_doc,
-                                           **ver_doc}) + "\n"}
     for key, (sp, tr) in chains.items():
-        suffix = f"-{key}" if key else ""
-        outputs[f"solution{suffix}.csv"] = header + sp.to_csv()
-        outputs[f"trace{suffix}.csv"] = header + tr.to_csv()
         part = {"trace": tr.to_dict(), "solution": sp.to_dict()}
         if key:
             doc[key] = part
@@ -567,6 +559,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
     doc["verification"] = ver_doc
 
     if args.out:
+        header = _header_lines((k, repr(v) if isinstance(v, float) else v)
+                               for k, v in config_doc.items())
+        outputs = {"verification.json": _json({"config": config_doc,
+                                               **ver_doc}) + "\n"}
+        for key, (sp, tr) in chains.items():
+            suffix = f"-{key}" if key else ""
+            outputs[f"solution{suffix}.csv"] = header + sp.to_csv()
+            outputs[f"trace{suffix}.csv"] = header + tr.to_csv()
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         for fname, text in sorted(outputs.items()):

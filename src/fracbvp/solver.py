@@ -22,17 +22,18 @@ rows reduce to four reusable pieces per equation,
 from which  u(t_j)  = [t_j^(a-1) A - P_j]/Gamma(a) + t_j^(a-1) C/(Gamma-Lambda)
 and    D^(a-1)u(t_j) = (A - Q_j) + Gamma(a) C/(Gamma-Lambda).
 
-The quadrature plan is fixed per grid, not adaptive: Gauss-Legendre
-panels between consecutive nodes, a geometrically graded bundle of
-panels on [0, t_1], and a run of doubling panels past t_N covering the
-tail to beyond any representable contribution.  P_j uses the same panel
-values through precomputed product weights W_i (t_j - S_i)^(a-1), with
-the panel touching t_j handled by a Gauss-Jacobi rule so the (t_j-s)^(a-1)
-kink never meets a plain panel.  A fixed plan keeps the operator a
-deterministic map on node arrays: together with nondecreasing f_i,
-nonnegative weights, and linear (order-preserving) interpolation of
-states, the discrete operator is then monotone up to rounding, which is
-what the ordering checks of the monotone scheme rely on.
+The quadrature plan is fixed per grid, not adaptive, and shared by both
+equations: Gauss-Legendre panels between consecutive nodes, a
+geometrically graded bundle of panels on [0, t_1], and a run of
+doubling panels past t_N covering the tail to beyond any representable
+contribution.  P_j uses the same panel values through precomputed
+product weights W_i (t_j - S_i)^(a-1), with the panel touching t_j
+handled by a Gauss-Jacobi rule so the (t_j-s)^(a-1) kink never meets a
+plain panel.  A fixed plan keeps the operator a deterministic map on
+node arrays: together with nondecreasing f_i, nonnegative weights, and
+linear (order-preserving) interpolation of states, the discrete
+operator is then monotone up to rounding, which is what the ordering
+checks of the monotone scheme rely on.
 
 Off-node states are interpolated linearly on the weighted rows.
 Interpolating two ordered node arrays linearly preserves their ordering
@@ -42,8 +43,8 @@ constant.  Weighted u values take the known anchor u(0) = 0;
 derivative rows extend flat on both sides.  Beyond t_N the weighted
 state is frozen at its last node value (the weighted rows converge to
 finite limits, and every state-dependent tail term is damped by the
-integrable forcing envelopes).  The plan's points never move, so a
-build fixes each point's bracket, offset and state weights, and
+integrable forcing envelopes).  The plan's points never move, so the
+plan fixes each point's bracket, offset and state weights, and a build
 evaluates the subtrees of f_i that depend on t alone there, once; an
 apply runs np.interp's own formula on those brackets, once for both
 equations, so the states are np.interp's values bit for bit.
@@ -70,7 +71,7 @@ __all__ = [
     "Grid", "SolutionPair", "IterationTrace", "IntegralOperator",
     "SchemeBreakError", "MonotonicityError", "ContractionRatioWarning",
     "norm_pair", "diff_norm", "monotone_solve", "contract_solve",
-    "ITERATION_DEFAULTS", "plan_in_range",
+    "ITERATION_DEFAULTS", "GridError",
 ]
 
 _ROW_NAMES = ("u_w", "du", "v_w", "dv")
@@ -84,6 +85,10 @@ _TAIL_DOUBLINGS = 40
 
 # Scheme -> its default stopping tolerance and step cap.
 ITERATION_DEFAULTS = {"monotone": (1e-5, 200), "contraction": (1e-4, 5000)}
+
+
+class GridError(ValueError):
+    """Grid nodes, or a quadrature plan, that floating point cannot hold."""
 
 
 class SchemeBreakError(RuntimeError):
@@ -117,8 +122,13 @@ class Grid:
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 16:
             raise ValueError(f"grid needs at least 16 nodes, got {nodes.size}")
-        if nodes[0] <= 0.0 or np.any(np.diff(nodes) <= 0.0):
-            raise ValueError("grid nodes must be strictly increasing and > 0")
+        # The cubic reconstruction of the rows (verify) divides by the
+        # cube of each gap h of [0, t_1..t_N], and multiplies by it.
+        with np.errstate(all="ignore"):
+            h = np.diff(nodes, prepend=0.0)
+            if not np.all((h > 0.0) & np.isfinite(h ** 3.0 + h ** -3.0)):
+                raise GridError("grid nodes must rise from 0 by gaps h with "
+                                "h^3 and 1/h^3 finite")
         nodes = nodes.copy()
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
@@ -127,7 +137,8 @@ class Grid:
     def make(cls, n: int, theta: float = 5.0) -> "Grid":
         x, _ = _gl(n)
         x01 = 0.5 * (x + 1.0)
-        return cls(nodes=theta * x01 / (1.0 - x01), theta=float(theta))
+        with np.errstate(over="ignore"):  # __post_init__ refuses inf
+            return cls(nodes=theta * x01 / (1.0 - x01), theta=float(theta))
 
     @property
     def n(self) -> int:
@@ -136,20 +147,6 @@ class Grid:
     @property
     def t_max(self) -> float:
         return float(self.nodes[-1])
-
-
-def plan_in_range(n: int, theta: float, orders) -> bool:
-    """Whether the plan on Grid.make(n, theta) stays in floating-point
-    range: s and s^(a-1), for each order a, finite and positive at every
-    plan point s from t_1 _GEO_RATIO^(_GEO_PANELS-1) to t_N
-    2^_TAIL_DOUBLINGS (each is monotone in s).  The two end nodes are
-    Grid.make's, computed without floating-point warnings."""
-    x01 = 0.5 * (_gl(n)[0][[0, -1]] + 1.0)
-    with np.errstate(over="ignore", under="ignore"):
-        s = theta * x01 / (1.0 - x01) * np.array(
-            [_GEO_RATIO ** (_GEO_PANELS - 1), 2.0 ** _TAIL_DOUBLINGS])
-        p = s[:, None] ** (np.array([*orders, 2.0]) - 1.0)
-    return bool(np.all(np.isfinite(p) & (p > 0.0)))
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -318,16 +315,18 @@ def _gauss_jacobi(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-class _EquationPlan:
-    """Fixed quadrature data for one equation on one grid: what turns F
-    at the points s (the grid's alone) and s_jac into node rows."""
+class _Plan:
+    """The fixed quadrature plan of one problem on one grid: the points s
+    and weights w that both equations read, arrays with a first axis of
+    2 for what each equation's order and weight add, the widths of
+    [0, t_1..t_N] and a pad past t_N (rows are flat there), and the
+    interpolation table over t_all = [jac1 | GL | jac2] (cols[k]:
+    equation k's columns; parts[k]: its GL and Jacobi parts in them).
+    Read-only: operators on equal kernel sets and nodes share it."""
 
-    def __init__(self, ks: KernelSet, t: np.ndarray):
-        self.ks = ks
-        a = ks.alpha.q
-        n = t.size
-        k = _GEO_PANELS
-
+    def __init__(self, ks1: KernelSet, ks2: KernelSet, t: np.ndarray):
+        n, k, kss = t.size, _GEO_PANELS, (ks1, ks2)
+        alphas = [ks.alpha.q for ks in kss]
         # Panel boundaries: graded bundle on [0, t_1] ending exactly at
         # t_1, one panel per internode gap, doubling panels past t_N.
         geo = t[0] * _GEO_RATIO ** np.arange(k - 1, -1, -1, dtype=float)
@@ -337,9 +336,10 @@ class _EquationPlan:
         x12, w12 = _gl(12)
         half = 0.5 * (his - los)
         mid = 0.5 * (his + los)
-        self.s = (mid[:, None] + half[:, None] * x12[None, :]).ravel()
+        s = (mid[:, None] + half[:, None] * x12[None, :]).ravel()
         self.w = (half[:, None] * w12[None, :]).ravel()
         self.panel_starts = np.arange(los.size) * 12
+        self.widths = np.append(np.diff(t, prepend=0.0), 1.0)
 
         # Index bookkeeping for the cumulative pieces: panel K+j-1 is
         # [t_j, t_(j+1)] (1-based j), so everything at or beyond t_j
@@ -347,77 +347,94 @@ class _EquationPlan:
         self.first_right_panel = k + np.arange(n)
         self.n_left_points = (k + n - 1) * 12
 
-        # Product weights for P_j over panels strictly left of the
-        # panel touching t_j.
-        s_left = self.s[:self.n_left_points]
-        w_left = self.w[:self.n_left_points]
-        sing_lo = np.concatenate(([geo[-2] if k > 1 else 0.0], t[:-1]))
-        dist = t[:, None] - s_left[None, :]
-        mask = s_left[None, :] < sing_lo[:, None]
-        self.kmat = np.where(mask, w_left * np.where(mask, dist, 1.0)
-                             ** (a - 1.0), 0.0)
-
-        # Gauss-Jacobi rule for the singular panels [sing_lo_j, t_j]:
-        # with s = mid + half*x the factor (t_j - s)^(a-1) becomes
-        # half^(a-1) (1-x)^(a-1), absorbed by the rule's weight.
-        xj, wj = _gauss_jacobi(12, a - 1.0)
+        # P_j takes product weights W_i (t_j - S_i)^(a-1) over the panels
+        # strictly left of [sing_lo_j, t_j], the panel touching t_j, and
+        # there a Gauss-Jacobi rule: with s = mid + half*x the factor
+        # (t_j - s)^(a-1) becomes half^(a-1) (1-x)^(a-1), absorbed by the
+        # rule's weight.
+        sing_lo = np.concatenate(([geo[-2]], t[:-1]))
         jhalf = 0.5 * (t - sing_lo)
         jmid = 0.5 * (t + sing_lo)
-        self.s_jac = jmid[:, None] + jhalf[:, None] * xj[None, :]
-        self.w_jac = wj
-        self.jac_factor = jhalf ** a
+        xj, self.w_jac = map(np.array, zip(*(_gauss_jacobi(12, a - 1.0)
+                                             for a in alphas)))
+        s_jac = jmid[:, None] + jhalf[:, None] * xj[:, None, :]
+        self.t_all = np.concatenate((s_jac[0].ravel(), s, s_jac[1].ravel()))
 
-        self.t_pow = t ** (a - 1.0)
-        self.g_at_s = ks.g_many(self.s)
-        # Operators on the same kernel set and nodes share the plan.
+        # Refuse what floating point cannot hold before any G is tabulated
+        # (s^(a-1) checks s too, as a > 1; Grid's gaps bound kmat for a <= 3).
+        with np.errstate(all="ignore"):
+            pows = np.stack([self.t_all ** (a - 1.0) for a in alphas])
+            s_min = float(self.t_all.min())
+            sigma = s_min ** np.array([ks.h.endpoint_exponent for ks in kss
+                                       if ks.h is not None])
+        for ok, what in ((np.isfinite(pows) & (pows > 0), "s and s^(alpha_i "
+                          "- 1) finite and positive at every point s"),
+                         (np.isfinite(sigma), f"each weight's s^sigma_i "
+                          f"finite at the smallest point s = {s_min!r}")):
+            if not np.all(ok):
+                raise GridError(f"the quadrature plan needs {what}")
+
+        s_left, w_left = s[:self.n_left_points], self.w[:self.n_left_points]
+        mask = s_left[None, :] < sing_lo[:, None]
+        dist = np.where(mask, t[:, None] - s_left[None, :], 1.0)
+        self.kmat = np.stack([np.where(mask, w_left * dist ** (a - 1.0), 0.0)
+                              for a in alphas])
+        self.jac_factor = np.stack([jhalf ** a for a in alphas])
+        self.t_pow = np.stack([t ** (a - 1.0) for a in alphas])
+
+        nj, ng = n * 12, s.size
+        self.s = self.t_all[nj:nj + ng]
+        nodes = np.concatenate(([0.0], t))
+        self.bracket = np.searchsorted(nodes, self.t_all, side="right") - 1
+        self.offset = self.t_all - nodes[self.bracket]
+        self.weights = 1.0 + pows
+        self.cols = (slice(nj + ng), slice(nj, None))
+        self.parts = ((slice(nj, None), slice(nj)),
+                      (slice(ng), slice(ng, None)))
+        self.gamma_alpha = tuple(ks.gamma_alpha for ks in kss)
+        self.denom = tuple(ks.denom for ks in kss)
+        self.g_at_s = np.stack([ks.g_many(self.s) for ks in kss])
         for v in vars(self).values():
             if isinstance(v, np.ndarray):
                 v.setflags(write=False)
 
-    def assemble(self, f_gl: np.ndarray,
-                 f_jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Node values (unweighted u row, derivative row) from F samples."""
+    def assemble(self, k: int,
+                 vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Equation k's node rows (weighted u row, derivative row) from F
+        at the points of its columns of t_all."""
+        gl, jac = self.parts[k]
+        f_gl = vals[gl]
         wf = self.w * f_gl
         psums = np.add.reduceat(wf, self.panel_starts)
         right = np.cumsum(psums[::-1])[::-1]
         a_total = float(right[0])
-        c_total = float(np.dot(wf, self.g_at_s))
+        c_total = float(np.dot(wf, self.g_at_s[k]))
         # Tail-inclusive remainder int_(t_j)^inf F, summed panel-by-panel
         # so it is exactly a nonneg-weighted sum of F values.
         remainder = right[self.first_right_panel]
 
-        p = self.kmat @ f_gl[:self.n_left_points]
-        p += self.jac_factor * (f_jac @ self.w_jac)
+        p = self.kmat[k] @ f_gl[:self.n_left_points]
+        p += self.jac_factor[k] * (vals[jac].reshape(-1, 12) @ self.w_jac[k])
 
-        ga = self.ks.gamma_alpha
-        boundary = c_total / self.ks.denom
-        u = (self.t_pow * a_total - p) / ga + self.t_pow * boundary
+        ga, t_pow = self.gamma_alpha[k], self.t_pow[k]
+        boundary = c_total / self.denom[k]
+        u = (t_pow * a_total - p) / ga + t_pow * boundary
         du = remainder + ga * boundary
-        return u, du
+        return u / (1.0 + t_pow), du
 
 
-@functools.lru_cache(maxsize=2)
-def _plan(ks: KernelSet, nodes: bytes) -> _EquationPlan:
-    """The plan of ks on the grid whose nodes have these bytes (a plan
-    reads nothing else of the grid).  Two entries: both equations of
-    one problem on one grid."""
-    return _EquationPlan(ks, np.frombuffer(nodes))
+@functools.lru_cache(maxsize=1)
+def _plan(ks1: KernelSet, ks2: KernelSet, nodes: bytes) -> _Plan:
+    """The plan of ks1, ks2 on the grid whose nodes have these bytes, all
+    a plan reads of it.  One entry: one problem on one grid."""
+    return _Plan(ks1, ks2, np.frombuffer(nodes))
 
 
 class IntegralOperator:
-    """The discrete fixed-point operator for one problem on one grid.
-
-    Each equation's plan (the panel layout, the product-quadrature
-    matrices and the boundary integrals G at every quadrature point, one
-    batched quadrature per equation, the larger part of a first build)
-    comes from _plan, which keeps the plans of the latest kernel sets and
-    grid.
-    A build then fixes, over the points [jac1 | GL | jac2] (both plans
-    share the Gauss-Legendre points), the interpolation brackets,
-    offsets and state weights, and the t-only subtrees of f_1 on
-    [jac1 | GL] and f_2 on [GL | jac2].
-    The map is deterministic: same input pair, same output, bit for bit.
-    """
+    """The discrete fixed-point operator for one problem on one grid: the
+    plan from _plan, and f_1 and f_2 with their t-only subtrees bound on
+    their columns of the plan's points.  The map is deterministic: same
+    input pair, same output, bit for bit."""
 
     def __init__(self, p: ProblemSpec, ks1: KernelSet, ks2: KernelSet,
                  grid: Grid, *, interp: str = "linear"):
@@ -427,47 +444,29 @@ class IntegralOperator:
         self.grid = grid
         self.quad_tol = LOOP_TOL
         self.alpha1, self.alpha2 = ks1.alpha, ks2.alpha
-        nodes = grid.nodes.tobytes()
-        self.plan1, self.plan2 = _plan(ks1, nodes), _plan(ks2, nodes)
-        # Interval widths of [0, t_1..t_N], plus a pad interval past t_N
-        # on which every row is flat.
-        self.widths = np.append(np.diff(grid.nodes, prepend=0.0), 1.0)
-
-        nj, ng = self.plan1.s_jac.size, self.plan1.s.size
-        s_all = np.concatenate((self.plan1.s_jac.ravel(), self.plan1.s,
-                                self.plan2.s_jac.ravel()))
-        nodes = np.concatenate(([0.0], grid.nodes))
-        self.bracket = np.searchsorted(nodes, s_all, side="right") - 1
-        self.offset = s_all - nodes[self.bracket]
-        self.weights = np.stack([1.0 + s_all ** (o.q - 1.0)
-                                 for o in (self.alpha1, self.alpha2)])
-        # (plan, bound f, its columns, their GL part, their Jacobi part)
-        self.parts = [(plan, compile_expr(f, bind={"t": s_all[cols]}), cols,
-                       gl, jac) for plan, f, cols, gl, jac in (
-            (self.plan1, p.f1, slice(nj + ng), slice(nj, None), slice(nj)),
-            (self.plan2, p.f2, slice(nj, None), slice(ng), slice(ng, None)))]
+        self.plan = _plan(ks1, ks2, grid.nodes.tobytes())
+        self.forcings = [compile_expr(f, bind={"t": self.plan.t_all[cols]})
+                         for f, cols in zip((p.f1, p.f2), self.plan.cols)]
 
     def apply(self, sp: SolutionPair) -> SolutionPair:
         # Rows (u_w, du, v_w, dv) on [0, t_1..t_N, pad]: weighted rows
         # take the analytic node (0, 0), derivative rows extend flat below
         # t_1, and every row extends flat past t_N (the frozen tail).
+        plan = self.plan
         rows = np.empty((4, self.grid.n + 2))
         rows[:, 1:-1] = sp.stack
         rows[0::2, 0] = 0.0
         rows[1::2, 0] = rows[1::2, 1]
         rows[:, -1] = rows[:, -2]
-        slopes = np.diff(rows) / self.widths
+        slopes = np.diff(rows) / plan.widths
         # The states by np.interp's formula: slope*offset + left value.
-        j = self.bracket
-        states = slopes.take(j, axis=1) * self.offset + rows.take(j, axis=1)
-        states[0::2] *= self.weights
+        j = plan.bracket
+        states = slopes.take(j, axis=1) * plan.offset + rows.take(j, axis=1)
+        states[0::2] *= plan.weights
         out = np.empty((4, self.grid.n))
-        for k, (plan, f, cols, gl, jac) in enumerate(self.parts):
+        for k, (f, cols) in enumerate(zip(self.forcings, plan.cols)):
             u, du, v, dv = states[:, cols]
-            vals = f(u, v, du, dv)
-            value, out[2 * k + 1] = plan.assemble(
-                vals[gl], vals[jac].reshape(plan.s_jac.shape))
-            out[2 * k] = value / (1.0 + plan.t_pow)
+            out[2 * k], out[2 * k + 1] = plan.assemble(k, f(u, v, du, dv))
         return SolutionPair._adopt(self.grid, self.alpha1, self.alpha2, out)
 
 

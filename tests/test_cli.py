@@ -466,6 +466,55 @@ def test_solve_refuses_a_theta_whose_plan_leaves_float_range(tmp_path,
     assert capsys.readouterr().err.startswith("error: [solver] theta: ")
 
 
+@pytest.mark.parametrize("argv", [
+    # h1 ~ t^(-1.5) overflows at the plan's smallest point s, 3e-209.
+    ["sublinear", "--grid-n", "16", "--theta", "1e-200"],
+    # Both ends of the band where the cubic reconstruction of the rows
+    # overflowed (1/h^3), once "converged" with a numpy warning.
+    ["sublinear", "--grid-n", "16", "--theta", "1e-145"],
+    ["lipschitz", "--grid-n", "64", "--theta", "1e-195"],
+    # Node gaps whose cube overflows, and product weights that do.
+    ["sublinear", "--grid-n", "16", "--theta", "1e110"],
+    ["sublinear", "--grid-n", "16", "--theta", "1e150"],
+    # Grid.make's nodes underflow to 0.
+    ["sublinear", "--grid-n", "16", "--theta", "5e-324"],
+], ids=" ".join)
+def test_solve_names_theta_for_a_plan_out_of_float_range(capsys, argv):
+    assert main(["solve", *argv]) == 4
+    assert capsys.readouterr().err.startswith(
+        f"error: [solver] theta: {float(argv[-1])!r} on an n={argv[2]} "
+        f"grid: ")
+
+
+def test_solve_runs_at_both_ends_of_the_theta_range(capsys):
+    # At n = 16 the plan holds theta from about 3e-101 to 4e100.  Past
+    # t_N the reconstruction of the rows is flat, so its cubic is never
+    # taken far beyond the last node gap.
+    for theta in ("1e-100", "1e100"):
+        assert main(["solve", "sublinear", "--grid-n", "16", "--theta",
+                     theta, "--json"]) == 0
+        ver = json.loads(capsys.readouterr().out)["verification"]
+        assert math.isfinite(ver["bc_residual_1"])
+        assert math.isfinite(ver["bc_residual_2"])
+
+
+def test_solve_formats_output_files_only_for_out(monkeypatch, capsys,
+                                                 tmp_path):
+    calls = []
+    for cls in (solver_mod.SolutionPair, solver_mod.IterationTrace):
+        monkeypatch.setattr(cls, "to_csv", lambda self, real=cls.to_csv:
+                            calls.append(type(self).__name__) or real(self))
+    monkeypatch.setattr(fracbvp.cli, "_json", lambda doc, real=_json:
+                        calls.append("json") or real(doc))
+    assert main(["solve", "sublinear", "--grid-n", "16"]) == 0
+    assert calls == []
+    assert main(["solve", "sublinear", "--grid-n", "16",
+                 "--out", str(tmp_path)]) == 0
+    assert sorted(calls) == ["IterationTrace"] * 2 + ["SolutionPair"] * 2 \
+        + ["json"]
+    assert len(list(tmp_path.iterdir())) == 5
+
+
 def test_state_expressions_skip_the_free_variable_walk(monkeypatch):
     # parse emits Var only for names in VARIABLES, so f1 and f2 have no
     # free variable to refuse; expr(t) keys and constants keep the check.

@@ -58,6 +58,8 @@ def test_grid_validation():
         Grid(nodes=np.linspace(1.0, 0.0, 32), theta=5.0)
     with pytest.raises(ValueError):
         Grid(nodes=np.linspace(0.0, 1.0, 32), theta=5.0)  # t=0 is not usable
+    with pytest.raises(ValueError):
+        Grid(nodes=np.append(np.linspace(1.0, 2.0, 31), np.inf), theta=5.0)
 
 
 def test_solution_pair_constructors(grid64):
@@ -511,8 +513,9 @@ class _InterpRoute(IntegralOperator):
     """The operator with its states taken the plain way on every apply:
     np.interp on [0, t_1..t_N] (weighted rows, anchored at 0) and on
     t_1..t_N (derivative rows), the weights 1 + s^(alpha-1) recomputed,
-    and the forcing compiled unbound on the concatenated points.  It
-    shares only the quadrature plan (assemble) with the operator."""
+    and the forcing compiled unbound on each equation's points.  It
+    shares only the quadrature plan (its points and assemble) with the
+    operator."""
 
     def __init__(self, p, ks1, ks2, grid):
         super().__init__(p, ks1, ks2, grid)
@@ -522,16 +525,13 @@ class _InterpRoute(IntegralOperator):
         t = self.grid.nodes
         t0 = np.concatenate(([0.0], t))
         rows = []
-        for plan, f in zip((self.plan1, self.plan2), self.unbound):
-            s = np.concatenate((plan.s, plan.s_jac.ravel()))
+        for k, f in enumerate(self.unbound):
+            s = self.plan.t_all[self.plan.cols[k]]
             u, v = (np.interp(s, t0, np.concatenate(([0.0], row)))
                     * (1.0 + s ** (alpha.q - 1.0)) for row, alpha
                     in ((sp.u_w, self.alpha1), (sp.v_w, self.alpha2)))
             vals = f(s, u, v, np.interp(s, t, sp.du), np.interp(s, t, sp.dv))
-            split = plan.s.size
-            value, deriv = plan.assemble(
-                vals[:split], vals[split:].reshape(plan.s_jac.shape))
-            rows += [value / (1.0 + plan.t_pow), deriv]
+            rows += self.plan.assemble(k, vals)
         return SolutionPair(self.grid, self.alpha1, self.alpha2,
                             u_w=rows[0], du=rows[1], v_w=rows[2], dv=rows[3])
 
@@ -602,22 +602,22 @@ def test_forcings_are_evaluated_twice_per_apply(monkeypatch, sublinear,
                               operator=op)
     assert trace.n_steps > 0
     assert len(points) == 2 * trace.n_steps
-    per_apply = sum(plan.s.size + plan.s_jac.size
-                    for plan in (op.plan1, op.plan2))
+    # Each equation's columns: the shared GL points and its Jacobi points.
+    per_apply = op.plan.t_all.size + op.plan.s.size
     assert sum(points) == trace.n_steps * per_apply
 
 
 def test_kernel_sets_keep_the_plan_of_their_grid(monkeypatch, sublinear):
-    """_plan keeps the plans of the latest kernel sets and nodes, keyed
+    """_plan keeps the plan of the latest kernel sets and nodes, keyed
     on their values: later operators on equal kernel sets and nodes
-    build no plan and tabulate no G, and apply bit for bit as an
-    operator with newly built plans does."""
+    share that one plan object, build none and tabulate no G, and apply
+    bit for bit as an operator with a newly built plan does."""
     plans, g_calls = [], []
-    real_plan, real_g = solver_mod._EquationPlan, KernelSet.g_many
+    real_plan, real_g = solver_mod._Plan, KernelSet.g_many
 
-    def counting_plan(ks, nodes):
-        plans.append((ks, nodes.size))
-        return real_plan(ks, nodes)
+    def counting_plan(ks1, ks2, nodes):
+        plans.append((ks1, ks2, nodes.size))
+        return real_plan(ks1, ks2, nodes)
 
     def counting_g(self, s):
         g_calls.append(np.size(s))
@@ -630,55 +630,101 @@ def test_kernel_sets_keep_the_plan_of_their_grid(monkeypatch, sublinear):
     ks1, ks2 = fresh()
     grid = Grid.make(64)
     first = IntegralOperator(sublinear, ks1, ks2, grid)
-    monkeypatch.setattr(solver_mod, "_EquationPlan", counting_plan)
+    monkeypatch.setattr(solver_mod, "_Plan", counting_plan)
     monkeypatch.setattr(KernelSet, "g_many", counting_g)
     # The same kernel sets or equal builds, on the same grid or on a
     # grid built apart with equal nodes.
     for pair in ((ks1, ks2), fresh()):
         for g in (grid, Grid(nodes=grid.nodes.copy(), theta=grid.theta)):
-            op = IntegralOperator(sublinear, *pair, g)
-            assert op.plan1 is first.plan1 and op.plan2 is first.plan2
+            assert IntegralOperator(sublinear, *pair, g).plan is first.plan
     assert plans == [] and g_calls == []
 
-    monkeypatch.setattr(solver_mod, "_EquationPlan", real_plan)
+    monkeypatch.setattr(solver_mod, "_Plan", real_plan)
     monkeypatch.setattr(KernelSet, "g_many", real_g)
     solver_mod._plan.cache_clear()
     other = IntegralOperator(sublinear, *fresh(), grid)
     sp = SolutionPair.upper_start(grid, ks1.alpha, ks2.alpha, 0.3,
                                   ks1.gamma_alpha, ks2.gamma_alpha)
-    assert np.array_equal(op.apply(sp).stack, other.apply(sp).stack)
-    assert other.plan1 is not op.plan1
+    assert np.array_equal(first.apply(sp).stack, other.apply(sp).stack)
+    assert other.plan is not first.plan
 
-    # Other nodes, or another kernel set, build their own plans; the
-    # cache keeps two, so going back to a grid builds it again.
-    monkeypatch.setattr(solver_mod, "_EquationPlan", counting_plan)
+    # Other nodes, or another kernel set, build their own plan; the
+    # cache keeps one, so going back to a grid builds it again.
+    monkeypatch.setattr(solver_mod, "_Plan", counting_plan)
     ks3 = replace(ks1, tol=ks1.tol / 2)
     IntegralOperator(sublinear, ks3, ks2, grid)
-    assert plans == [(ks3, 64)]
+    assert plans == [(ks3, ks2, 64)]
     IntegralOperator(sublinear, ks1, ks2, Grid.make(32))
     IntegralOperator(sublinear, ks1, ks2, Grid.make(64, theta=2.0))
     IntegralOperator(sublinear, ks1, ks2, grid)
-    assert plans[1:] == [(k, n) for n in (32, 64, 64) for k in (ks1, ks2)]
-    with pytest.raises(ValueError, match="read-only"):
-        op.plan1.kmat[0, 0] = 1.0
+    assert plans[1:] == [(ks1, ks2, n) for n in (32, 64, 64)]
+
+
+def test_both_equations_read_one_set_of_plan_points(monkeypatch, sublinear,
+                                                    kernels, grid64):
+    """The plan writes its points down once: f_1 and f_2 are bound to
+    views of plan.t_all, and each view's GL block is plan.s itself."""
+    bound = []
+    compile_original = solver_mod.compile_expr
+
+    def recording_compile(expr, bind):
+        bound.append(bind["t"])
+        return compile_original(expr, bind=bind)
+
+    monkeypatch.setattr(solver_mod, "compile_expr", recording_compile)
+    plan = IntegralOperator(sublinear, *kernels, grid64).plan
+    nj, ng = grid64.n * 12, plan.s.size  # t_all = [jac1 | GL | jac2]
+    assert [t.base is plan.t_all for t in (*bound, plan.s)] == [True] * 3
+    for gl in (bound[0][nj:], bound[1][:ng]):
+        assert gl.__array_interface__ == plan.s.__array_interface__
+
+
+def test_every_plan_array_is_read_only(sublinear, kernels, grid64):
+    plan = IntegralOperator(sublinear, *kernels, grid64).plan
+    arrays = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 14
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 1.0
+
+
+@pytest.mark.parametrize("alpha, weight, theta, need", [
+    # The plan's smallest point, about 1e-109, puts h1 ~ t^(-2.9) beyond
+    # range: the plan says so before G evaluates h1 there.
+    (3.0, "0.1*t^(-2.9)*exp(-t)", 1e-100, "each weight's s^sigma_i finite"),
+    # An order past the problem files' range: s^4 overflows in the tail.
+    (5.0, None, 1e100, "s and s^(alpha_i - 1) finite and positive"),
+])
+def test_plan_refuses_what_floating_point_cannot_hold(sublinear, alpha,
+                                                      weight, theta, need):
+    # Grid's gap rule accepts both grids.
+    h1 = weight and Integrand(compile_expr(parse(weight), ("t",)),
+                              endpoint_exponent=-2.9)
+    ks1 = KernelSet.build(FracOrder(alpha), h1)
+    ks2 = KernelSet.build(sublinear.alpha2, sublinear.h2)
+    with pytest.raises(solver_mod.GridError) as exc:
+        IntegralOperator(sublinear, ks1, ks2, Grid.make(16, theta=theta))
+    assert str(exc.value).startswith(f"the quadrature plan needs {need}")
 
 
 def test_a_kept_plan_holds_no_reference_to_its_kernel_set(sublinear):
     """_plan is bounded: once maxsize other plans are built, a dropped
-    kernel set and its plan are freed by reference counting alone."""
+    pair of kernel sets and its plan are freed by reference counting
+    alone."""
     maxsize = solver_mod._plan.cache_parameters()["maxsize"]
-    assert maxsize == 2
+    assert maxsize == 1
     solver_mod._plan.cache_clear()
     gc.disable()
     try:
         ks = KernelSet.build(sublinear.alpha1, sublinear.h1)
-        plan = solver_mod._plan(ks, Grid.make(16).nodes.tobytes())
+        ks2 = KernelSet.build(sublinear.alpha2, sublinear.h2)
+        plan = solver_mod._plan(ks, ks2, Grid.make(16).nodes.tobytes())
         gone = weakref.ref(ks), weakref.ref(plan)
         del ks, plan
-        ks2 = KernelSet.build(sublinear.alpha2, sublinear.h2)
         for n in range(16, 16 + maxsize):
             assert [r() is None for r in gone] == [False, False]
-            solver_mod._plan(ks2, Grid.make(n + 1).nodes.tobytes())
+            solver_mod._plan(ks2, ks2, Grid.make(n + 1).nodes.tobytes())
         assert [r() for r in gone] == [None, None]
     finally:
         gc.enable()
