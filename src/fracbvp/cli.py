@@ -35,7 +35,7 @@ Lambda_i to converge.  Unknown sections or keys are rejected.
 
 Exit codes: 0 success; 2 a required hypothesis fails (or a scheme
 guarantee breaks mid-run); 3 iteration or quadrature non-convergence;
-4 unreadable input (bad file, bad INI, bad expression, bad flag).
+4 unusable input (bad file or --out path, bad INI, expression or flag).
 Every --json document and verification.json is strict JSON: a
 non-finite number is written as null.
 """
@@ -345,11 +345,16 @@ def packaged_problem_names() -> tuple[str, ...]:
 def resolve_problem(arg: str) -> LoadedProblem:
     """Load a problem from a filesystem path or a packaged name."""
     path = Path(arg)
-    if path.exists():
-        return load_problem(path.read_text(), origin=str(path))
+    try:  # exists() too raises on a name too long for the file system
+        text = path.read_text() if path.exists() else None
+    except (OSError, UnicodeDecodeError) as exc:
+        why = getattr(exc, "strerror", None) or exc
+        raise ProblemFileError(f"cannot read {arg!r}: {why}") from exc
+    if text is not None:
+        return load_problem(text, origin=str(path))
     name = arg[:-5] if arg.endswith(".prob") else arg
-    candidate = resources.files(__package__) / "problems" / f"{name}.prob"
-    if candidate.is_file():
+    if name in packaged_problem_names():
+        candidate = resources.files(__package__) / "problems" / f"{name}.prob"
         return load_problem(candidate.read_text(), origin=f"{name}.prob")
     raise ProblemFileError(
         f"no file {arg!r} and no packaged problem of that name "
@@ -568,9 +573,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
             outputs[f"solution{suffix}.csv"] = header + sp.to_csv()
             outputs[f"trace{suffix}.csv"] = header + tr.to_csv()
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for fname, text in sorted(outputs.items()):
-            (out_dir / fname).write_text(text)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for fname, text in sorted(outputs.items()):
+                (out_dir / fname).write_text(text)
+        except OSError as exc:  # str(exc) names the path
+            raise ProblemFileError(f"--out: {exc}") from exc
         summary.append("wrote " + ", ".join(
             str(out_dir / f) for f in sorted(outputs)))
     _emit(_json(doc) if args.json else "\n".join(summary))
@@ -637,7 +645,10 @@ def cmd_kernel_dump(args: argparse.Namespace) -> int:
         text = "\n".join(lines) + "\n"
 
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:  # str(exc) names the path
+            raise ProblemFileError(f"--out: {exc}") from exc
         _emit(f"wrote {args.out}")
     else:
         _emit(text, end="" if text.endswith("\n") else "\n")

@@ -1,17 +1,11 @@
 """Arithmetic expression language for problem-file data.
 
 Problem files supply boundary weights h(t) and right-hand sides
-f(t, u1, u2, u3, u4) as plain text.  The grammar is deliberately tiny:
-
-    expr   := term (('+'|'-') term)*
-    term   := factor (('*'|'/') factor)*
-    factor := '-' factor | power
-    power  := atom ('^' factor)?          # right-associative
-    atom   := NUMBER | IDENT | IDENT '(' args ')' | '(' expr ')'
-
-Variables are t, u1..u4; builtins are exp, sqrt, abs, log, pow; named
-constants are pi and e.  Precedence is ^ above unary minus above * and /
-above + and -, so "-t^2" parses as -(t^2).
+f(t, u1, u2, u3, u4) as plain text.  The grammar is Python's expression
+syntax restricted to + - * /, unary minus, numbers, names and calls,
+with ^ for power; ast.parse reads it.  Variables are t, u1..u4;
+builtins are exp, sqrt, abs, log, pow; named constants are pi and e.
+As in Python, "-t^2" parses as -(t^2) and "-t*2" as (-t)*2.
 
 One evaluator serves every use: compile_expr turns a tree into a
 vectorized numpy closure, called on sample arrays by the solver and the
@@ -26,9 +20,11 @@ non-finite final result is an error.
 
 from __future__ import annotations
 
+import ast
 import math
 import operator
 import re
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -50,11 +46,9 @@ class ExprError(ValueError):
 
 
 class ExprSyntaxError(ExprError):
-    def __init__(self, message: str, offset: int, expected: tuple[str, ...] = ()):
-        hint = f" (expected one of: {', '.join(expected)})" if expected else ""
-        super().__init__(f"{message} at offset {offset}{hint}")
+    def __init__(self, message: str, offset: int):
+        super().__init__(f"{message} at offset {offset}")
         self.offset = offset
-        self.expected = expected
 
 
 class ExprNameError(ExprError):
@@ -113,133 +107,71 @@ class Call:
 Expr = Num | Var | Const | Unary | Binary | Call
 
 
-# --- Tokenizer -----------------------------------------------------------
+# --- Parser --------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),]))"
-)
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'num' | 'ident' | one of '+-*/^(),' | 'end'
-    text: str
-    offset: int
+# Refused before ast.parse reads the text: a character the grammar does
+# not spell, Python's ** (the grammar writes ^) and a trailing comma.
+_REFUSED = re.compile(r"[^\sA-Za-z0-9_.+\-*/^(),]|\*\*|,(?=\s*\))")
+_NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
+           ast.Pow: "^"}
+# Half the interpreter's default recursion limit: each walk over a tree
+# (build, _compile, to_source, evaluation) takes one frame per level.
+_MAX_DEPTH = 500
 
 
-def _tokenize(source: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None or m.end() == pos:
-            stray = source[pos:].lstrip()
-            if not stray:
-                break
-            raise ExprSyntaxError(f"unexpected character {stray[0]!r}",
-                                  len(source) - len(stray))
-        if m.lastgroup == "op":
-            tokens.append(_Token(m.group("op"), m.group("op"), m.start("op")))
-        else:
-            tokens.append(_Token(m.lastgroup, m.group(m.lastgroup),
-                                 m.start(m.lastgroup)))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(source)))
-    return tokens
+def parse(text: str) -> Expr:
+    """Parse text into an AST; errors carry 0-based offsets into text."""
+    if bad := _REFUSED.search(text):
+        raise ExprSyntaxError(f"unexpected {bad.group()!r}", bad.start())
+    body = re.sub(r"\s", " ", text).lstrip()
+    # where[i]: the offset in text of character i of the string parsed.
+    where = [len(text) - len(body) + i for i, c in enumerate(body)
+             for _ in range(1 + (c == "^"))] + [len(text)]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a literal such as 1if
+            root = ast.parse(body.replace("^", "**"), mode="eval").body
+    except SyntaxError as exc:  # exc.offset counts from 1, or is None
+        at = where[max(0, min(exc.offset or 0, len(where)) - 1)]
+        raise ExprSyntaxError(exc.msg, at) from None
+    except (RecursionError, MemoryError):  # the parser's own depth limits
+        raise ExprSyntaxError("nested too deeply", 0) from None
 
+    def build(node: ast.expr, depth: int) -> Expr:
+        at = where[node.col_offset]
+        if depth > _MAX_DEPTH:
+            raise ExprSyntaxError(f"tree deeper than {_MAX_DEPTH} levels", at)
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            return Binary(_BINARY[type(node.op)], build(node.left, depth + 1),
+                          build(node.right, depth + 1))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return Unary("-", build(node.operand, depth + 1))
+        literal = text[at:where[node.end_col_offset]]
+        if isinstance(node, ast.Constant) and _NUMBER.fullmatch(literal):
+            return Num(float(literal))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            name = node.func.id
+            if name not in BUILTINS:
+                raise ExprNameError(name, at)
+            # map: one frame per level, as above.
+            args = tuple(map(build, node.args, [depth + 1] * len(node.args)))
+            if len(args) != BUILTINS[name]:
+                raise ExprSyntaxError(f"{name} takes {BUILTINS[name]} "
+                                      f"argument(s), got {len(args)}", at)
+            return Call(name, args)
+        if isinstance(node, ast.Name):
+            if node.id in VARIABLES:
+                return Var(node.id)
+            if node.id in CONSTANTS:
+                return Const(node.id)
+            if node.id in BUILTINS:
+                raise ExprSyntaxError(f"function {node.id!r} needs arguments",
+                                      at)
+            raise ExprNameError(node.id, at)
+        raise ExprSyntaxError(f"unsupported expression {literal!r}", at)
 
-# --- Pratt parser --------------------------------------------------------
-
-_BINARY_LBP = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
-# Right-associativity of ^: its right operand is parsed with a binding
-# power one below its own, so another ^ keeps binding.
-_BINARY_RBP = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 29}
-_UNARY_BP = 25  # between */ and ^, so -t^2 == -(t^2) but -t*2 == (-t)*2
-
-
-class _Parser:
-    def __init__(self, source: str):
-        self.tokens = _tokenize(source)
-        self.i = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ExprSyntaxError(f"unexpected {tok.text or 'end of input'!r}",
-                                  tok.offset, expected=(kind,))
-        return self.advance()
-
-    def parse_expr(self, min_bp: int = 0) -> Expr:
-        node = self.parse_prefix()
-        while True:
-            tok = self.peek()
-            lbp = _BINARY_LBP.get(tok.kind, -1)
-            if lbp <= min_bp:
-                break
-            self.advance()
-            right = self.parse_expr(_BINARY_RBP[tok.kind])
-            node = Binary(tok.kind, node, right)
-        return node
-
-    def parse_prefix(self) -> Expr:
-        tok = self.advance()
-        if tok.kind == "num":
-            return Num(float(tok.text))
-        if tok.kind == "-":
-            return Unary("-", self.parse_expr(_UNARY_BP))
-        if tok.kind == "(":
-            inner = self.parse_expr(0)
-            self.expect(")")
-            return inner
-        if tok.kind == "ident":
-            name = tok.text
-            if self.peek().kind == "(":
-                if name not in BUILTINS:
-                    raise ExprNameError(name, tok.offset)
-                self.advance()
-                args = [self.parse_expr(0)]
-                while self.peek().kind == ",":
-                    self.advance()
-                    args.append(self.parse_expr(0))
-                self.expect(")")
-                arity = BUILTINS[name]
-                if len(args) != arity:
-                    raise ExprSyntaxError(
-                        f"{name} takes {arity} argument(s), got {len(args)}",
-                        tok.offset)
-                return Call(name, tuple(args))
-            if name in VARIABLES:
-                return Var(name)
-            if name in CONSTANTS:
-                return Const(name)
-            if name in BUILTINS:
-                raise ExprSyntaxError(f"function {name!r} needs arguments",
-                                      tok.offset, expected=("(",))
-            raise ExprNameError(name, tok.offset)
-        raise ExprSyntaxError(
-            f"unexpected {tok.text or 'end of input'!r}", tok.offset,
-            expected=("number", "identifier", "(", "-"))
-
-
-def parse(source: str) -> Expr:
-    """Parse source text into an AST; whitespace-insensitive."""
-    p = _Parser(source)
-    node = p.parse_expr(0)
-    trailing = p.peek()
-    if trailing.kind != "end":
-        raise ExprSyntaxError(f"trailing input {trailing.text!r}",
-                              trailing.offset, expected=("end of input",))
-    return node
+    return build(root, 1)
 
 
 # --- Vectorized compilation ----------------------------------------------
@@ -273,7 +205,8 @@ def _compile(e: Expr, bound: Mapping[str, np.ndarray] | None = None
         op, args = _OPERATIONS[e.fn], e.args
     else:
         raise TypeError(f"not an Expr node: {e!r}")
-    parts = [_compile(a, bound) for a in args]
+    # map: one frame per level of the tree; a comprehension takes two.
+    parts = list(map(_compile, args, [bound] * len(args)))
     free = frozenset().union(*(p[1] for p in parts))
     if bound is not None and not free <= bound.keys():
         parts = [_fold(p, bound) for p in parts]
@@ -393,7 +326,8 @@ def to_source(e: Expr) -> str:
             rhs = f"({rhs})"
         return f"{lhs}{e.op}{rhs}" if e.op == "^" else f"{lhs} {e.op} {rhs}"
     if isinstance(e, Call):
-        return f"{e.fn}({', '.join(to_source(a) for a in e.args)})"
+        # list(map(...)) takes one frame per level; a generator, three.
+        return f"{e.fn}({', '.join(list(map(to_source, e.args)))})"
     raise TypeError(f"not an Expr node: {e!r}")
 
 

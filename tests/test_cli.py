@@ -609,15 +609,31 @@ _SOLVE_ONLY_FLAGS = [
     ["kernel-dump", "sublinear", "--t-max", "1e300", "--points", "3"],
     ["solve", "sublinear", "--grid-n", "16", "--theta", "1e300"],
     *_SOLVE_ONLY_FLAGS,
+    # Paths that cannot be read or written, under a scratch directory
+    # {tmp} that holds a regular file and a UTF-16 file: the error names
+    # the path.
+    ["check", "{tmp}"],
+    ["check", "{tmp}/utf16.prob"],
+    # Names longer than a file name may be, as a path and with .prob.
+    ["check", "{tmp}/" + "x" * 256],
+    ["check", "x" * 252],
+    ["solve", "sublinear", "--grid-n", "16", "--out", "{tmp}/file"],
+    ["kernel-dump", "sublinear", "--points", "3", "--out",
+     "{tmp}/missing/x.csv"],
 ], ids=" ".join)
-def test_bad_flag_values_exit_four(capsys, argv):
-    assert main(argv) == 4
+def test_bad_flag_values_exit_four(tmp_path, capsys, argv):
+    (tmp_path / "file").write_text("")
+    (tmp_path / "utf16.prob").write_bytes(MINIMAL.encode("utf-16"))
+    path = next((a.format(tmp=tmp_path) for a in argv if "{tmp}" in a), None)
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 4
     err = capsys.readouterr().err
     if argv in _SOLVE_ONLY_FLAGS:
         assert err.endswith("error: unrecognized arguments: "
                             + " ".join(argv[2:]) + "\n")
     else:
         assert err.startswith("error: ")
+    if path is not None:
+        assert path in err, err
 
 
 def test_solve_iteration_budget_exit(capsys):
@@ -828,6 +844,26 @@ _EDGE_CASES = {
         ("check", [], 4, r"^error: non-finite value from 'exp\(-t\) \+ 0\.0 \* "
                          r"sqrt\(t - 0\.001\)' at sample index 24 "
                          r"\(t=0\.0005762301797900236\)\n$"),
+    ]),
+    # Trees too deep for the recursive walks over them, and parentheses
+    # past Python's nesting limit, are refused as bad expressions.
+    "f1-600-terms": ("sublinear", [("f1 = ", "f1 = " + "t + " * 595)], [
+        ("check", [], 4, r"^error: \[rhs\] f1: bad expression: tree deeper "
+                         r"than 500 levels at offset 0\n$"),
+        ("solve", [], 4, r"^error: \[rhs\] f1: bad expression: tree deeper "
+                         r"than 500 levels at offset 0\n$"),
+    ]),
+    # Python 3.11 refuses this one in ast.parse itself.
+    "f1-3000-minus-signs": ("sublinear", [("f1 = ",
+                                           "f1 = " + "-" * 3000 + "1 + ")], [
+        ("check", [], 4, r"^error: \[rhs\] f1: bad expression: (nested too "
+                         r"deeply|tree deeper than 500 levels) at offset "
+                         r"\d+\n$"),
+    ]),
+    "f1-250-nested-parentheses": ("sublinear", [
+            ("f1 = ", "f1 = " + "(" * 250 + "1" + ")" * 250 + " + ")], [
+        ("check", [], 4, r"^error: \[rhs\] f1: bad expression: .+ at offset "
+                         r"\d+\n$"),
     ]),
     "h4-fails": ("sublinear", [("f1 = 2/(10+t)^2",
                                 "f1 = 2/(10+t)^2 - exp(-t)*abs(u1)/2")], [

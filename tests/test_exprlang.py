@@ -1,8 +1,14 @@
 """Expression language: parsing, the vectorized compiler, printing, and
-variable discovery."""
+variable discovery.
+
+It also keeps the hand-written tokenizer and Pratt parser that parse
+replaced (_reference_parse, at the end), as the oracle of its trees."""
 
 import math
+import random
+import re
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -16,6 +22,8 @@ from fracbvp.exprlang import (
     Binary,
     Call,
     Const,
+    Expr,
+    ExprError,
     ExprEvalError,
     ExprNameError,
     ExprSyntaxError,
@@ -77,6 +85,17 @@ def test_unknown_names():
     assert exc.value.offset == 4
     with pytest.raises(ExprNameError):
         parse("sin(t)")
+
+
+def test_offsets_count_in_the_original_text():
+    # ast.parse reads each ^ as **, after leading blanks are dropped and
+    # line breaks made spaces; offsets still count characters of the text.
+    for text, offset in (("t^2 + x", 6), ("\n  t^u1^2 * x", 12),
+                         ("t # note", 2), ("2**3", 1), ("exp(t,)", 5),
+                         ("1 + pow(t^2)", 4), ("-" * 600 + "t", 500)):
+        with pytest.raises(ExprError) as exc:
+            parse(text)
+        assert exc.value.offset == offset, text
 
 
 def test_arity_checked_at_parse_time():
@@ -258,3 +277,165 @@ def test_bind_names_checked_and_arity_shrinks():
     fn = compile_expr(parse("t + u1"), bind={"t": np.ones(3)})
     with pytest.raises(TypeError, match=r"expected 4 arguments \(u1, u2"):
         fn(np.ones(3))
+
+
+# The grammar's tokens and a few whole calls, then Python-only
+# constructs: parse must refuse each of those as the reference does,
+# whatever surrounds it.
+_TOKENS = ("1", "2.5", ".5", "1e3", "2E-2", "0", "t", "u1", "u4", "pi", "e",
+           "exp", "pow", "sqrt", "x", "+", "-", "*", "/", "^", "(", ")", ",",
+           " ", "\n", "exp(t)", "pow(u1, 2)", "abs(-t)")
+_PYTHON_ONLY = ("**", "#", "exp(t,)", "1_0", "0x1", "1j", "True",
+                "t if t else t", "[t]", "t.real", "not t", "t<1", "\n  ")
+# The one divergence this alphabet can spell: Python refuses a
+# leading-zero integer such as 01, which the reference reads as 1.0.
+_LEADING_ZERO = re.compile(r"(?<![\w.])0[0-9]")
+
+
+def _parsed(parser, text):
+    """parser's tree of text, or ExprError when it refuses the text."""
+    try:
+        return parser(text)
+    except ExprError:
+        return ExprError
+
+
+def test_parse_agrees_with_the_reference_parser():
+    rnd = random.Random(20260825)
+    weights = [8] * len(_TOKENS) + [1] * len(_PYTHON_ONLY)
+    trees = 0
+    for _ in range(20_000):
+        text = "".join(rnd.choices(_TOKENS + _PYTHON_ONLY, weights,
+                                   k=rnd.randint(1, 9)))
+        got = _parsed(parse, text)
+        want = _parsed(_reference_parse, text)
+        assert got == want or (got is ExprError
+                               and _LEADING_ZERO.search(text)), text
+        trees += got is not ExprError
+    assert trees > 1_000  # the alphabet spells enough valid expressions
+
+
+# --- The reference parser --------------------------------------------------
+
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*/^(),]))"
+)
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # 'num' | 'ident' | one of '+-*/^(),' | 'end'
+    text: str
+    offset: int
+
+
+def _tokenize(source: str) -> list[_Token]:
+    tokens = []
+    pos = 0
+    while pos < len(source):
+        m = _TOKEN_RE.match(source, pos)
+        if m is None or m.end() == pos:
+            stray = source[pos:].lstrip()
+            if not stray:
+                break
+            raise ExprSyntaxError(f"unexpected character {stray[0]!r}",
+                                  len(source) - len(stray))
+        if m.lastgroup == "op":
+            tokens.append(_Token(m.group("op"), m.group("op"), m.start("op")))
+        else:
+            tokens.append(_Token(m.lastgroup, m.group(m.lastgroup),
+                                 m.start(m.lastgroup)))
+        pos = m.end()
+    tokens.append(_Token("end", "", len(source)))
+    return tokens
+
+
+_BINARY_LBP = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
+# Right-associativity of ^: its right operand is parsed with a binding
+# power one below its own, so another ^ keeps binding.
+_BINARY_RBP = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 29}
+_UNARY_BP = 25  # between */ and ^, so -t^2 == -(t^2) but -t*2 == (-t)*2
+
+
+class _Parser:
+    def __init__(self, source: str):
+        self.tokens = _tokenize(source)
+        self.i = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.i]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind: str) -> _Token:
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ExprSyntaxError(f"unexpected {tok.text or 'end of input'!r}",
+                                  tok.offset)
+        return self.advance()
+
+    def parse_expr(self, min_bp: int = 0) -> Expr:
+        node = self.parse_prefix()
+        while True:
+            tok = self.peek()
+            lbp = _BINARY_LBP.get(tok.kind, -1)
+            if lbp <= min_bp:
+                break
+            self.advance()
+            right = self.parse_expr(_BINARY_RBP[tok.kind])
+            node = Binary(tok.kind, node, right)
+        return node
+
+    def parse_prefix(self) -> Expr:
+        tok = self.advance()
+        if tok.kind == "num":
+            return Num(float(tok.text))
+        if tok.kind == "-":
+            return Unary("-", self.parse_expr(_UNARY_BP))
+        if tok.kind == "(":
+            inner = self.parse_expr(0)
+            self.expect(")")
+            return inner
+        if tok.kind == "ident":
+            name = tok.text
+            if self.peek().kind == "(":
+                if name not in BUILTINS:
+                    raise ExprNameError(name, tok.offset)
+                self.advance()
+                args = [self.parse_expr(0)]
+                while self.peek().kind == ",":
+                    self.advance()
+                    args.append(self.parse_expr(0))
+                self.expect(")")
+                arity = BUILTINS[name]
+                if len(args) != arity:
+                    raise ExprSyntaxError(
+                        f"{name} takes {arity} argument(s), got {len(args)}",
+                        tok.offset)
+                return Call(name, tuple(args))
+            if name in VARIABLES:
+                return Var(name)
+            if name in CONSTANTS:
+                return Const(name)
+            if name in BUILTINS:
+                raise ExprSyntaxError(f"function {name!r} needs arguments",
+                                      tok.offset)
+            raise ExprNameError(name, tok.offset)
+        raise ExprSyntaxError(
+            f"unexpected {tok.text or 'end of input'!r}", tok.offset)
+
+
+def _reference_parse(source: str) -> Expr:
+    """Parse source text into an AST; whitespace-insensitive."""
+    p = _Parser(source)
+    node = p.parse_expr(0)
+    trailing = p.peek()
+    if trailing.kind != "end":
+        raise ExprSyntaxError(f"trailing input {trailing.text!r}",
+                              trailing.offset)
+    return node
