@@ -35,7 +35,8 @@ Lambda_i to converge.  Unknown sections or keys are rejected.
 
 Exit codes: 0 success; 2 a required hypothesis fails (or a scheme
 guarantee breaks mid-run); 3 iteration or quadrature non-convergence;
-4 unusable input (bad file or --out path, bad INI, expression or flag).
+4 unusable input (bad file or --out path, bad INI, expression or flag)
+or a failed allocation.
 Every --json document and verification.json is strict JSON: a
 non-finite number is written as null.
 """
@@ -466,6 +467,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     cfg = replace(lp.solver, **{
         field: getattr(args, flag) for flag, field in _SOLVER_FLAGS.items()
         if getattr(args, flag) is not None})
+    if args.out:  # made first, so that an unusable --out costs no work
+        Path(args.out).mkdir(parents=True, exist_ok=True)
 
     spec = lp.spec
     name = spec.name or args.problem
@@ -573,12 +576,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
             outputs[f"solution{suffix}.csv"] = header + sp.to_csv()
             outputs[f"trace{suffix}.csv"] = header + tr.to_csv()
         out_dir = Path(args.out)
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            for fname, text in sorted(outputs.items()):
-                (out_dir / fname).write_text(text)
-        except OSError as exc:  # str(exc) names the path
-            raise ProblemFileError(f"--out: {exc}") from exc
+        for fname, text in sorted(outputs.items()):
+            (out_dir / fname).write_text(text)
         summary.append("wrote " + ", ".join(
             str(out_dir / f) for f in sorted(outputs)))
     _emit(_json(doc) if args.json else "\n".join(summary))
@@ -645,10 +644,7 @@ def cmd_kernel_dump(args: argparse.Namespace) -> int:
         text = "\n".join(lines) + "\n"
 
     if args.out:
-        try:
-            Path(args.out).write_text(text)
-        except OSError as exc:  # str(exc) names the path
-            raise ProblemFileError(f"--out: {exc}") from exc
+        Path(args.out).write_text(text)
         _emit(f"wrote {args.out}")
     else:
         _emit(text, end="" if text.endswith("\n") else "\n")
@@ -727,9 +723,10 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
     try:
         return args.fn(args)
-    except (ProblemFileError, ExprError) as exc:
-        # ExprError: an expression evaluated to a non-finite value.
-        print(f"error: {exc}", file=sys.stderr)
+    except (ProblemFileError, ExprError, OSError, MemoryError) as exc:
+        # ExprError: an expression evaluated to a non-finite value.  An
+        # OSError names its path (--out), numpy's MemoryError its array.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_PARSE
     except QuadratureError as exc:
         print(f"quadrature did not converge: {exc}", file=sys.stderr)

@@ -11,11 +11,11 @@ One evaluator serves every use: compile_expr turns a tree into a
 vectorized numpy closure, called on sample arrays by the solver and the
 checks, and with no variables at all for the constant expressions of
 problem files.  It can also bind variables to fixed arrays (the solver
-binds t to its quadrature points); every subtree over bound variables
-alone is then evaluated once, at compile time.  Everything, constants
-included, follows numpy semantics: intermediate overflow to inf and
-underflow to 0 are allowed (so 1/exp(1000) is 0.0), and only a
-non-finite final result is an error.
+binds t to its quadrature points).  Every subtree that reads constants
+and bound variables alone is evaluated once, at compile time.
+Everything, constants included, follows numpy semantics: intermediate
+overflow to inf and underflow to 0 are allowed (so 1/exp(1000) is 0.0),
+and only a non-finite final result is an error.
 """
 
 from __future__ import annotations
@@ -132,8 +132,14 @@ def parse(text: str) -> Expr:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a literal such as 1if
             root = ast.parse(body.replace("^", "**"), mode="eval").body
-    except SyntaxError as exc:  # exc.offset counts from 1, or is None
+    except SyntaxError as exc:  # exc.offset counts from 1, or is 0 or None
         at = where[max(0, min(exc.offset or 0, len(where)) - 1)]
+        # Python's advice on a number it refuses (an 0o prefix; a digit
+        # limit, given with no offset: the longest integer) fits no grammar.
+        numbers = [(len(m[0]), m.start()) for m in _NUMBER.finditer(text) if (
+            m.start() <= at < m.end() if exc.offset else m[0].isdigit())]
+        if numbers and not exc.msg.startswith("invalid syntax"):
+            exc.msg, at = "bad number", max(numbers)[1]
         raise ExprSyntaxError(exc.msg, at) from None
     except (RecursionError, MemoryError):  # the parser's own depth limits
         raise ExprSyntaxError("nested too deeply", 0) from None
@@ -183,52 +189,42 @@ _OPERATIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
                "pow": operator.pow}
 
 
-def _compile(e: Expr, bound: Mapping[str, np.ndarray] | None = None
-             ) -> tuple[Callable[[Mapping[str, np.ndarray]], np.ndarray],
-                        frozenset[str]]:
-    """e's closure over an environment and e's free variables, in one
-    walk.  With bound variables, each largest subtree over them alone (or
-    none) is folded (_fold) by its parent, or at the root by compile_expr."""
-    # Leaves are numpy scalars, so constant subtrees follow numpy
-    # semantics too (1/0 is inf, not a ZeroDivisionError).
-    if isinstance(e, (Num, Const)):
-        v = np.float64(e.value if isinstance(e, Num) else CONSTANTS[e.name])
-        return (lambda env: v), frozenset()
+def _operands(e: Expr) -> tuple[Callable | None, tuple[Expr, ...]]:
+    """e's operation and operand subtrees; a leaf has no operation."""
+    if isinstance(e, Unary):
+        return operator.neg, (e.operand,)
+    if isinstance(e, Binary):
+        return _OPERATIONS[e.op], (e.left, e.right)
+    if isinstance(e, Call):
+        return _OPERATIONS[e.fn], e.args
+    if isinstance(e, (Num, Var, Const)):
+        return None, ()
+    raise TypeError(f"not an Expr node: {e!r}")
+
+
+def _compile(e: Expr, bound: Mapping[str, np.ndarray]
+             ) -> np.ndarray | np.float64 | Callable[..., np.ndarray]:
+    """e's value, computed here once and read-only, when e reads bound
+    variables alone or none (numpy scalars for constants, so 1/0 is inf,
+    not a ZeroDivisionError); otherwise e's closure over an environment."""
     if isinstance(e, Var):
         name = e.name
-        return (lambda env: env[name]), frozenset((name,))
-    if isinstance(e, Unary):
-        op, args = operator.neg, (e.operand,)
-    elif isinstance(e, Binary):
-        op, args = _OPERATIONS[e.op], (e.left, e.right)
-    elif isinstance(e, Call):
-        op, args = _OPERATIONS[e.fn], e.args
-    else:
-        raise TypeError(f"not an Expr node: {e!r}")
+        return bound[name] if name in bound else (lambda env: env[name])
+    op, args = _operands(e)
+    if op is None:
+        return np.float64(e.value if isinstance(e, Num) else CONSTANTS[e.name])
     # map: one frame per level of the tree; a comprehension takes two.
     parts = list(map(_compile, args, [bound] * len(args)))
-    free = frozenset().union(*(p[1] for p in parts))
-    if bound is not None and not free <= bound.keys():
-        parts = [_fold(p, bound) for p in parts]
-    if len(parts) == 1:
-        f = parts[0][0]
-        return (lambda env: op(f(env))), free
-    (fl, _), (fr, _) = parts
-    return (lambda env: op(fl(env), fr(env))), free
-
-
-def _fold(part, bound: Mapping[str, np.ndarray]):
-    """part, a (closure, free variables) pair, with the closure evaluated
-    here, once, into a read-only constant when it reads bound variables
-    alone (or none)."""
-    f, free = part
-    if not free <= bound.keys():
-        return part
-    with np.errstate(all="ignore"):
-        v = f(bound)
-    if isinstance(v, np.ndarray):
-        v.setflags(write=False)
-    return (lambda env: v), free
+    if not any(map(callable, parts)):  # under compile_expr's errstate
+        v = op(*parts)
+        if isinstance(v, np.ndarray):
+            v.setflags(write=False)
+        return v
+    fs = [p if callable(p) else (lambda env, p=p: p) for p in parts]
+    f, g = fs[0], fs[-1]
+    if len(fs) == 1:
+        return lambda env: op(f(env))
+    return lambda env: op(f(env), g(env))
 
 
 def compile_expr(e: Expr, variables: tuple[str, ...] = VARIABLES, *,
@@ -244,19 +240,19 @@ def compile_expr(e: Expr, variables: tuple[str, ...] = VARIABLES, *,
     function takes no arguments and returns a 0-d array.
 
     `bind` fixes some of `variables` to arrays (copied, read-only); the
-    function takes the others, in order.  Subtrees over bound variables
-    alone are evaluated here, once, by the same operations a call runs,
-    so results are bit for bit the unbound ones; the check runs per call.
+    function takes the others, in order.  Subtrees over constants and
+    bound variables alone are evaluated here, once, by the same numpy
+    operations a call would run, so results are bit for bit those of an
+    evaluation per call; the check runs per call.
     """
     bound = {k: np.array(v, dtype=float) for k, v in (bind or {}).items()}
     for a in bound.values():
         a.setflags(write=False)
-    body, free = _compile(e, bound or None)
-    if bound:
-        body, _ = _fold((body, free), bound)
-    unbound = (free | bound.keys()) - set(variables)
-    if unbound:
+    if unbound := (free_variables(e) | bound.keys()) - set(variables):
         raise ExprNameError(min(unbound), None, variables)
+    with np.errstate(all="ignore"):
+        value = _compile(e, bound)
+    body = value if callable(value) else (lambda env: value)
     params = tuple(v for v in variables if v not in bound)
     src = to_source(e)
 
@@ -333,4 +329,7 @@ def to_source(e: Expr) -> str:
 
 def free_variables(e: Expr) -> frozenset[str]:
     """The set of variable names occurring in the expression."""
-    return _compile(e)[1]
+    nodes = [e]
+    for node in nodes:  # a walk by levels: nodes grows as it goes
+        nodes += _operands(node)[1]
+    return frozenset(n.name for n in nodes if isinstance(n, Var))

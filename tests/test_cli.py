@@ -636,6 +636,44 @@ def test_bad_flag_values_exit_four(tmp_path, capsys, argv):
         assert path in err, err
 
 
+def test_solve_makes_out_before_any_work(tmp_path, monkeypatch, capsys):
+    # An --out that cannot be a directory is found before the report,
+    # the kernels and the chains run.
+    def no_work(*args, **kwargs):
+        raise AssertionError("the solve ran before --out was made")
+
+    monkeypatch.setattr(fracbvp.cli, "build_report", no_work)
+    path = tmp_path / "file"
+    path.write_text("")
+    assert main(["solve", "sublinear", "--grid-n", "128",
+                 "--out", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 17] File exists: '{path}'\n"
+    # A directory that can be made stays made, even when the run is
+    # refused before it writes anything.
+    monkeypatch.undo()
+    refused = tmp_path / "refused"
+    assert main(["solve", "sublinear", "--scheme", "contraction",
+                 "--out", str(refused)]) == 2
+    assert refused.is_dir() and not list(refused.iterdir())
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 9.31 GiB for an array with shape (100000, 100000) "
+     "and data type float64",
+     "error: Unable to allocate 9.31 GiB for an array with shape (100000, "
+     "100000) and data type float64\n"),
+    ("", "error: MemoryError\n"),
+])
+def test_a_failed_allocation_exits_four(monkeypatch, capsys, message, line):
+    def too_big(self, t, s):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(fracbvp.cli.KernelSet, "k_grid", too_big)
+    assert main(["kernel-dump", "sublinear", "--points", "3"]) == 4
+    assert capsys.readouterr().err == line
+
+
 def test_solve_iteration_budget_exit(capsys):
     code = main(["solve", "lipschitz", "--grid-n", "32",
                  "--tol", "1e-9", "--max-iter", "2"])
@@ -864,6 +902,12 @@ _EDGE_CASES = {
             ("f1 = ", "f1 = " + "(" * 250 + "1" + ")" * 250 + " + ")], [
         ("check", [], 4, r"^error: \[rhs\] f1: bad expression: .+ at offset "
                          r"\d+\n$"),
+    ]),
+    # Python refuses a leading-zero integer; its advice (an 0o prefix)
+    # does not fit the grammar, so the error says only where the number is.
+    "h2-leading-zero": ("sublinear", [("h2 = t^", "h2 = 01*t^")], [
+        ("check", [], 4, r"^error: \[boundary\] h2: bad expression: bad "
+                         r"number at offset 0\n$"),
     ]),
     "h4-fails": ("sublinear", [("f1 = 2/(10+t)^2",
                                 "f1 = 2/(10+t)^2 - exp(-t)*abs(u1)/2")], [

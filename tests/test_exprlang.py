@@ -255,9 +255,10 @@ def test_bound_t_only_tree_is_one_frozen_array():
 
 
 def test_bound_compile_walks_the_tree_once(monkeypatch):
-    # Each node's free variables come with its closure from the one
-    # compile walk: a bound compile of a 400-term sum asks
-    # free_variables at most once, not once per node.
+    # One compile walk returns each node's value or closure, with no
+    # free-variable set per node; the names are checked by one
+    # free_variables walk of the whole tree: a bound compile of a
+    # 400-term sum asks free_variables at most once, not once per node.
     from fracbvp import exprlang
 
     calls = []
@@ -269,6 +270,55 @@ def test_bound_compile_walks_the_tree_once(monkeypatch):
     fn = compile_expr(tree, ("t", "u1"), bind={"t": t})
     assert len(calls) <= 1
     assert fn(u1).tobytes() == compile_expr(tree, ("t", "u1"))(t, u1).tobytes()
+
+
+def test_free_variables_compiles_nothing(monkeypatch):
+    # A plain walk, with no recursion, even on a tree as deep as parse
+    # allows.
+    from fracbvp import exprlang
+
+    def no_compile(*args):
+        raise AssertionError("free_variables compiled")
+
+    monkeypatch.setattr(exprlang, "_compile", no_compile)
+    # u2 * -...-t: the product, 498 minus signs and t are 500 levels.
+    tree = parse("u2 * " + "-" * 498 + "t")
+    with pytest.raises(ExprSyntaxError, match="deeper than 500"):
+        parse("u2 * " + "-" * 499 + "t")
+    assert free_variables(tree) == {"t", "u2"}
+
+
+def test_constant_subtrees_are_evaluated_once_at_compile_time(monkeypatch):
+    from fracbvp import exprlang
+
+    calls = []
+    monkeypatch.setitem(exprlang._OPERATIONS, "^",
+                        lambda a, b: calls.append(1) or a ** b)
+    fn = compile_expr(parse("t * (1 + 2)^0.5"), ("t",))
+    assert len(calls) == 1
+    t = np.array([0.0, 0.3, 1.0, 7.5, 1e300])
+    out = fn(t)
+    assert len(calls) == 1
+    # The bits of an evaluation per call, by the same numpy scalars.
+    want = t * (np.float64(1.0) + np.float64(2.0)) ** np.float64(0.5)
+    assert out.tobytes() == want.tobytes()
+
+
+def test_number_literals_python_refuses_are_bad_numbers():
+    # Python's messages would advise an 0o prefix or a larger digit
+    # limit, neither of which the grammar takes.
+    for text, offset in (("01", 0), ("t + " + "7" * 4301, 4),
+                         ("2.5 + " + "1" * 4500 + ".5 + " + "3" * 4301,
+                          4511)):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse(text)
+        message = str(exc.value)
+        assert message == f"bad number at offset {offset}"
+        assert "0o" not in message and "set_int_max_str_digits" not in message
+    # A well-formed number in the wrong place keeps Python's message.
+    for text in ("1 2", "pow(1 2, 3)"):
+        with pytest.raises(ExprSyntaxError, match="^invalid syntax"):
+            parse(text)
 
 
 def test_bind_names_checked_and_arity_shrinks():
