@@ -49,6 +49,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -173,12 +174,10 @@ def _parse_expr(section: str, key: str, text: str,
 
 
 def _parse_number(section: str, key: str, text: str) -> float:
-    # A literal goes through the evaluator too, which rejects nan and inf;
-    # [solver] passes them on to SolverConfig, whose range check names them.
-    try:
-        ast: Expr = Num(float(text))
-    except ValueError:
-        ast = _parse_expr(section, key, text, ())
+    # Every number is read by the expression grammar.  [solver] passes a
+    # bare literal on to SolverConfig, whose range check names one that
+    # overflows (tol = 1e999); elsewhere the evaluator refuses it.
+    ast = _parse_expr(section, key, text, ())
     if section == "solver" and isinstance(ast, Num):
         return ast.value
     try:
@@ -208,9 +207,9 @@ def _read(section: str, key: str, text: str) -> tuple[object, str]:
         value = tuple(_parse_number(section, key, p.strip()) for p in parts)
         return value, ", ".join(map(repr, value))
     if kind == "integer":
-        try:
-            value = int(text)
-        except ValueError as exc:
+        try:  # ASCII digits only: int() also reads 1_6 and other scripts
+            value = int(re.fullmatch(r"[+-]?[0-9]+", text)[0])
+        except (TypeError, ValueError) as exc:
             raise _fail(section, key, f"not an integer: {text!r}") from exc
         return value, repr(value)
     word = text.strip().lower()
@@ -365,10 +364,6 @@ def resolve_problem(arg: str) -> LoadedProblem:
 # -- shared command plumbing --------------------------------------------
 
 
-def _header_lines(pairs) -> str:
-    return "".join(f"# {k}: {v}\n" for k, v in pairs)
-
-
 def _json(doc) -> str:
     """The one JSON writer: strict JSON (RFC 8259), with every
     non-finite number written as null."""
@@ -379,6 +374,26 @@ def _json(doc) -> str:
             return [finite(v) for v in x]
         return None if isinstance(x, float) and not math.isfinite(x) else x
     return json.dumps(finite(doc), indent=2, allow_nan=False)
+
+
+def _table(header, columns: dict) -> str:
+    """The one CSV writer: a `# key: value` line per header pair, the
+    column names, then a row per entry of the columns.  Values are
+    written by str (a float's shortest round-trip form), None as an
+    empty field, and every line ends in \\n."""
+    lines = [f"# {k}: {v}" for k, v in header] + [",".join(columns)]
+    lines += [",".join("" if x is None else str(x) for x in row)
+              for row in zip(*columns.values())]
+    return "\n".join(lines) + "\n"
+
+
+def _trace_columns(trace: dict) -> dict:
+    """A trace document as table columns: row 0 is the start and row k
+    the step to iterate k, so the step columns open with an empty field."""
+    return {"iteration": range(len(trace["norms"])), "norm": trace["norms"],
+            "diff": [None, *trace["diffs"]],
+            "violations": [None, *trace["violations"]],
+            "seconds": [None, *trace["seconds"]]}
 
 
 def _emit(text: str, end: str = "\n") -> None:
@@ -558,23 +573,20 @@ def cmd_solve(args: argparse.Namespace) -> int:
     doc = {"problem": name, "scheme": scheme, "config": config_doc,
            "converged": all(tr.converged for _, tr in chains.values()),
            "hypothesis": report.to_dict()}
-    for key, (sp, tr) in chains.items():
-        part = {"trace": tr.to_dict(), "solution": sp.to_dict()}
-        if key:
-            doc[key] = part
-        else:
-            doc.update(part)
+    parts = {key: {"trace": tr.to_dict(), "solution": sp.to_dict()}
+             for key, (sp, tr) in chains.items()}
+    doc.update(parts.get("", parts))  # contraction's run: top level
     doc["verification"] = ver_doc
 
     if args.out:
-        header = _header_lines((k, repr(v) if isinstance(v, float) else v)
-                               for k, v in config_doc.items())
         outputs = {"verification.json": _json({"config": config_doc,
                                                **ver_doc}) + "\n"}
-        for key, (sp, tr) in chains.items():
+        header = config_doc.items()
+        for key, part in parts.items():
             suffix = f"-{key}" if key else ""
-            outputs[f"solution{suffix}.csv"] = header + sp.to_csv()
-            outputs[f"trace{suffix}.csv"] = header + tr.to_csv()
+            outputs[f"solution{suffix}.csv"] = _table(header, part["solution"])
+            outputs[f"trace{suffix}.csv"] = _table(
+                header, _trace_columns(part["trace"]))
         out_dir = Path(args.out)
         for fname, text in sorted(outputs.items()):
             (out_dir / fname).write_text(text)
@@ -627,21 +639,17 @@ def cmd_kernel_dump(args: argparse.Namespace) -> int:
             "lambda1": ks1.lam, "lambda2": ks2.lam,
         }
         text = _json(doc)
-    else:
-        lines = [_header_lines([
+    else:  # one row per (t, s) pair
+        cols = {"t": tt, "s": ss, "k1": k1m, "k1_bound": kb1[:, None],
+                "k2": k2m, "k2_bound": kb2[:, None], "kstar1": s1m,
+                "kstar1_bound": sb1, "kstar2": s2m, "kstar2_bound": sb2}
+        text = _table([
             ("problem", name), ("alpha1", spec.alpha1.q),
-            ("alpha2", spec.alpha2.q), ("lambda1", repr(ks1.lam)),
-            ("lambda2", repr(ks2.lam)), ("points", args.points),
+            ("alpha2", spec.alpha2.q), ("lambda1", ks1.lam),
+            ("lambda2", ks2.lam), ("points", args.points),
             ("t_min", args.t_min), ("t_max", args.t_max),
-        ]).rstrip("\n")]
-        lines.append("t,s,k1,k1_bound,k2,k2_bound,"
-                     "kstar1,kstar1_bound,kstar2,kstar2_bound")
-        for i, t in enumerate(ts):
-            for j, s in enumerate(ts):
-                lines.append(",".join(repr(float(x)) for x in (
-                    t, s, k1m[i, j], kb1[i], k2m[i, j], kb2[i],
-                    s1m[i, j], sb1, s2m[i, j], sb2)))
-        text = "\n".join(lines) + "\n"
+        ], {k: map(float, np.broadcast_to(v, k1m.shape).flat)
+            for k, v in cols.items()})
 
     if args.out:
         Path(args.out).write_text(text)

@@ -45,8 +45,9 @@ __all__ = [
     "integrate_halfline",
 ]
 
-# Default tolerances: tight for one-off constants, looser inside iteration
-# loops where the iteration error dominates anyway.
+# DEFAULT_TOL: the tolerance of one-off constants.  No quadrature runs at
+# LOOP_TOL: it is IntegralOperator.quad_tol, the base of the 10x slack
+# that the monotone scheme's ordering check and verify's audits allow.
 DEFAULT_TOL = 1e-10
 LOOP_TOL = 1e-8
 

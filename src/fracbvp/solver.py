@@ -52,9 +52,7 @@ equations, so the states are np.interp's values bit for bit.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -222,17 +220,8 @@ class SolutionPair:
     def v(self) -> np.ndarray:
         return self.v_w * (1.0 + self.grid.nodes ** (self.alpha2.q - 1.0))
 
-    def to_csv(self) -> str:
-        """(t, u, v, du, dv) rows at the nodes, unweighted values."""
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["t", "u", "v", "du", "dv"])
-        for row in zip(self.grid.nodes, self.u(), self.v(), self.du, self.dv):
-            w.writerow([repr(float(x)) for x in row])
-        return buf.getvalue()
-
     def to_dict(self) -> dict:
-        """The to_csv columns as lists."""
+        """(t, u, v, du, dv) at the nodes as lists, unweighted values."""
         return {"t": self.grid.nodes.tolist(), "u": self.u().tolist(),
                 "v": self.v().tolist(), "du": self.du.tolist(),
                 "dv": self.dv.tolist()}
@@ -273,16 +262,6 @@ class IterationTrace:
     @property
     def n_steps(self) -> int:
         return len(self.diffs)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["iteration", "norm", "diff", "violations", "seconds"])
-        w.writerow([0, repr(self.norms[0]), "", "", ""])
-        for k in range(self.n_steps):
-            w.writerow([k + 1, repr(self.norms[k + 1]), repr(self.diffs[k]),
-                        self.violations[k], repr(self.seconds[k])])
-        return buf.getvalue()
 
     def to_dict(self) -> dict:
         return {

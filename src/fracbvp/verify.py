@@ -181,6 +181,8 @@ def ode_residual_spotcheck(p: ProblemSpec, sp: SolutionPair,
     each entry carries the refinement's own error estimate and a
     low_confidence flag when that estimate is not small against the
     value; treat flagged entries as order-of-magnitude checks only.
+    An entry below t_1 is flagged too, with a note naming t_1: there the
+    rows hold only the anchor at 0 and the first node.
     """
     t_nodes = sp.grid.nodes
     for t_star in points:
@@ -196,6 +198,7 @@ def ode_residual_spotcheck(p: ProblemSpec, sp: SolutionPair,
     derivs = [rl_derivative(row_fn, alpha, points, tol=_SPOT_TOL, kinks=kinks,
                             g_exponent=alpha.q - 1.0, quad_tol=_SPOT_QUAD_TOL)
               for _, row_fn, _, alpha in rows]
+    below = f"t lies below the first grid node t_1 = {float(t_nodes[0])!r}"
     out: list[dict] = []
     for i, t_star in enumerate(points):
         states = (float(u_fn(t_star)), float(v_fn(t_star)),
@@ -212,6 +215,9 @@ def ode_residual_spotcheck(p: ProblemSpec, sp: SolutionPair,
                 entry.update(derivative=val, residual=abs(val + forcing),
                              error_estimate=est, low_confidence=bool(
                                  est > _SPOT_TOL * (1.0 + abs(val))))
+            if t_star < t_nodes[0]:
+                entry["low_confidence"] = True
+                entry.setdefault("note", below)
             out.append(entry)
     return out
 

@@ -32,7 +32,7 @@ from fracbvp import (
     resolve_problem,
     to_source,
 )
-from fracbvp.cli import _json, _read, main
+from fracbvp.cli import _json, _read, _table, main
 from fracbvp.exprlang import VARIABLES, Var
 from fracbvp.problem import CONSTANT_NAMES
 
@@ -174,7 +174,8 @@ def test_solver_section_validation():
             ("scheme = downhill", "monotone or contraction"),
             ("interp = linear", r"unknown key.*interp"),
             ("tol = -1e-4", "must be positive"),
-            ("tol = inf", "must be positive and finite"),
+            ("tol = inf", "bad expression: unknown identifier 'inf'"),
+            ("tol = 1e999", "must be positive and finite, got inf"),
             ("max_iter = 0", "at least 1")):
         with pytest.raises(ProblemFileError, match=msg):
             load_problem(_with(f"[solver]\n{bad}\n"))
@@ -498,21 +499,87 @@ def test_solve_runs_at_both_ends_of_the_theta_range(capsys):
         assert math.isfinite(ver["bc_residual_2"])
 
 
+def test_spot_entries_below_the_first_node_are_flagged(capsys):
+    # theta 1e100 puts t_1 at 5.3e97, above every spot-check point: the
+    # rows there hold only the anchor at 0 and t_1.
+    assert main(["solve", "sublinear", "--grid-n", "16", "--theta",
+                 "1e100", "--json"]) == 0
+    entries = json.loads(capsys.readouterr().out)["verification"][
+        "ode_residuals"]
+    assert len(entries) == 6
+    for e in entries:
+        assert e["low_confidence"] is True
+        assert e["note"].startswith("t lies below the first grid node t_1 = ")
+
+
 def test_solve_formats_output_files_only_for_out(monkeypatch, capsys,
                                                  tmp_path):
     calls = []
-    for cls in (solver_mod.SolutionPair, solver_mod.IterationTrace):
-        monkeypatch.setattr(cls, "to_csv", lambda self, real=cls.to_csv:
-                            calls.append(type(self).__name__) or real(self))
+    monkeypatch.setattr(fracbvp.cli, "_table", lambda h, c, real=_table:
+                        calls.append("table") or real(h, c))
     monkeypatch.setattr(fracbvp.cli, "_json", lambda doc, real=_json:
                         calls.append("json") or real(doc))
     assert main(["solve", "sublinear", "--grid-n", "16"]) == 0
     assert calls == []
     assert main(["solve", "sublinear", "--grid-n", "16",
                  "--out", str(tmp_path)]) == 0
-    assert sorted(calls) == ["IterationTrace"] * 2 + ["SolutionPair"] * 2 \
-        + ["json"]
+    assert sorted(calls) == ["json"] + ["table"] * 4
     assert len(list(tmp_path.iterdir())) == 5
+
+
+def _csv_cells(text: str) -> tuple[list[str], dict[str, list[str]]]:
+    """The `# ` header lines and the columns of one written table."""
+    lines = text.split("\n")
+    assert lines.pop() == ""  # every line ends in \n
+    header = [line for line in lines if line.startswith("# ")]
+    names, *rows = lines[len(header):]
+    return header, dict(zip(names.split(","),
+                            map(list, zip(*(r.split(",") for r in rows)))))
+
+
+def test_solve_out_tables_are_the_json_document(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["solve", "sublinear", "--grid-n", "16", "--json",
+                 "--out", str(out)]) == 0
+    doc = _strict_json(capsys.readouterr().out)
+    assert not any(b"\r" in f.read_bytes() for f in out.iterdir())
+    want_header = [f"# {k}: {v!r}" if isinstance(v, float) else f"# {k}: {v}"
+                   for k, v in doc["config"].items()]
+    for chain in ("lower", "upper"):
+        header, cols = _csv_cells(
+            (out / f"solution-{chain}.csv").read_text())
+        assert header == want_header
+        assert cols == {k: list(map(repr, v))
+                        for k, v in doc[chain]["solution"].items()}
+        header, cols = _csv_cells((out / f"trace-{chain}.csv").read_text())
+        trace = doc[chain]["trace"]
+        assert header == want_header
+        assert cols == {
+            "iteration": [str(k) for k in range(len(trace["norms"]))],
+            "norm": list(map(repr, trace["norms"])),
+            **{col: [""] + list(map(repr, trace[key])) for col, key in (
+                ("diff", "diffs"), ("violations", "violations"),
+                ("seconds", "seconds"))}}
+
+
+def test_kernel_dump_text_is_its_json_in_long_format(tmp_path, capsys):
+    argv = ["kernel-dump", "sublinear", "--points", "4"]
+    assert main([*argv, "--json"]) == 0
+    doc = _strict_json(capsys.readouterr().out)
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    _, cols = _csv_cells(text)
+    pairs = [(i, j) for i in range(4) for j in range(4)]
+    assert cols["t"] == [repr(doc["t"][i]) for i, _ in pairs]
+    assert cols["s"] == [repr(doc["s"][j]) for _, j in pairs]
+    for k in ("k1", "k2", "kstar1", "kstar2"):
+        assert cols[k] == [repr(doc[k][i][j]) for i, j in pairs]
+    for k in ("k1_bound", "k2_bound"):
+        assert cols[k] == [repr(doc[k][i]) for i, _ in pairs]
+    for k in ("kstar1_bound", "kstar2_bound"):
+        assert cols[k] == [repr(doc[k])] * 16
+    assert main([*argv, "--out", str(tmp_path / "k.csv")]) == 0
+    assert (tmp_path / "k.csv").read_text() == text
 
 
 def test_state_expressions_skip_the_free_variable_walk(monkeypatch):
@@ -554,20 +621,28 @@ def test_non_finite_expression_exits_four(tmp_path, capsys, command, old,
     assert err.startswith("error: ") and "non-finite value" in err
 
 
-@pytest.mark.parametrize("old, new", [
-    ("alpha1 = 2.5", "alpha1 = 1/0"),
-    ("alpha1 = 2.5", "alpha1 = (-8)^(1/3)"),
-    ("h1_decay = 1\n", "h1_decay = log(0)\n"),
-    ("scheme = monotone", "scheme = monotone\ntheta = 10^400"),
-    ("a24 = pi", "a24 = pi\nm = sqrt(-1)"),
-    # Literals that float() reads must meet the same check.
-    ("L = 4.03638", "L = nan"),
-    ("gamma_alpha1 = 1.32934", "gamma_alpha1 = inf"),
-    ("h1_decay = 1\n", "h1_decay = inf\n"),
-    ("lambda1 = 0.1, 0.3", "lambda1 = nan, 0.3"),
+_NON_FINITE = "not a constant: non-finite value"
+_NOT_A_NUMBER = "bad expression: unknown identifier"
+
+
+@pytest.mark.parametrize("old, new, why", [
+    ("alpha1 = 2.5", "alpha1 = 1/0", _NON_FINITE),
+    ("alpha1 = 2.5", "alpha1 = (-8)^(1/3)", _NON_FINITE),
+    ("h1_decay = 1\n", "h1_decay = log(0)\n", _NON_FINITE),
+    ("scheme = monotone", "scheme = monotone\ntheta = 10^400", _NON_FINITE),
+    ("a24 = pi", "a24 = pi\nm = sqrt(-1)", _NON_FINITE),
+    # Numbers are read by the expression grammar, which spells no nan or
+    # inf; a literal that overflows meets the evaluator's check.
+    ("L = 4.03638", "L = nan", _NOT_A_NUMBER),
+    ("gamma_alpha1 = 1.32934", "gamma_alpha1 = inf", _NOT_A_NUMBER),
+    ("h1_decay = 1\n", "h1_decay = inf\n", _NOT_A_NUMBER),
+    ("lambda1 = 0.1, 0.3", "lambda1 = nan, 0.3", _NOT_A_NUMBER),
+    ("L = 4.03638", "L = 1e999", _NON_FINITE),
+    ("lambda1 = 0.1, 0.3", "lambda1 = 1e999, 0.3", _NON_FINITE),
 ], ids=["division", "complex-root", "log", "overflow", "sqrt",
-        "literal-nan", "literal-inf", "literal-decay", "literal-exponent"])
-def test_non_finite_constant_exits_four(tmp_path, capsys, old, new):
+        "literal-nan", "literal-inf", "literal-decay", "literal-exponent",
+        "literal-overflow", "literal-overflow-exponent"])
+def test_non_finite_constant_exits_four(tmp_path, capsys, old, new, why):
     text = (Path(fracbvp.__file__).parent / "problems"
             / "sublinear.prob").read_text()
     assert old in text
@@ -575,8 +650,31 @@ def test_non_finite_constant_exits_four(tmp_path, capsys, old, new):
     p.write_text(text.replace(old, new, 1))
     assert main(["check", str(p)]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "not a constant" in err
-    assert "non-finite value" in err
+    assert err.startswith("error: ") and why in err
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("L = 4.03638", "L = 4.036_38", "[expected] L"),
+    ("alpha1 = 2.5", "alpha1 = \u0662.\u0665", "[orders] alpha1"),
+    ("alpha1 = 2.5", "alpha1 = 2_5e-1", "[orders] alpha1"),
+    ("alpha1 = 2.5", "alpha1 = 2_5e-1*1", "[orders] alpha1"),
+    ("scheme = monotone", "scheme = monotone\nn = \u0661\u0666",
+     "[solver] n"),
+    ("scheme = monotone", "scheme = monotone\nn = 1_6", "[solver] n"),
+], ids=["underscore", "arabic-indic", "underscore-exponent",
+        "underscore-in-expression", "integer-arabic-indic",
+        "integer-underscore"])
+def test_numbers_follow_the_expression_grammar(tmp_path, capsys, old, new,
+                                               key):
+    # float() and int() read these literals; the grammar (ASCII digits,
+    # no _) does not, and every number in a problem file is read by it.
+    text = (Path(fracbvp.__file__).parent / "problems"
+            / "sublinear.prob").read_text()
+    assert old in text
+    p = tmp_path / "bad.prob"
+    p.write_text(text.replace(old, new, 1), encoding="utf-8")
+    assert main(["check", str(p)]) == 4
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
 
 
 # check and kernel-dump run at the quadrature tolerance and H4 sample

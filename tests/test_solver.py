@@ -37,6 +37,7 @@ from fracbvp import (
 )
 from fracbvp import solver as solver_mod
 from fracbvp import verify as verify_mod
+from fracbvp.cli import _table, _trace_columns
 from fracbvp.exprlang import compile_expr, parse
 from fracbvp.solver import _enforce_ordering, _gauss_jacobi
 from fracbvp.verify import _flat_pchip
@@ -93,7 +94,7 @@ def test_norms(grid64):
 
 def test_csv_layout(grid64):
     sp = SolutionPair.constant(grid64, FracOrder(2.5), FracOrder(1.5), 1.0)
-    lines = sp.to_csv().strip().splitlines()
+    lines = _table((), sp.to_dict()).strip().splitlines()
     assert lines[0] == "t,u,v,du,dv"
     assert len(lines) == grid64.n + 1
     first = [float(x) for x in lines[1].split(",")]
@@ -468,7 +469,7 @@ def test_solution_pair_csv_and_dict_columns(grid64, rng):
     assert sp.to_dict() == {k: v.tolist() for k, v in want.items()}
     lines = ["t,u,v,du,dv"] + [",".join(repr(float(x)) for x in row)
                                for row in zip(*want.values())]
-    assert sp.to_csv() == "\r\n".join(lines) + "\r\n"
+    assert _table((), sp.to_dict()) == "\n".join(lines) + "\n"
 
 
 def test_apply_rejects_a_non_finite_image(sublinear, kernels, grid64):
@@ -489,7 +490,7 @@ def test_apply_rejects_a_non_finite_image(sublinear, kernels, grid64):
 
 def test_trace_csv_and_json(monotone_runs):
     _, trace = monotone_runs["lower"]
-    lines = trace.to_csv().strip().splitlines()
+    lines = _table((), _trace_columns(trace.to_dict())).strip().splitlines()
     assert lines[0] == "iteration,norm,diff,violations,seconds"
     assert len(lines) == trace.n_steps + 2  # header + start + steps
     doc = json.loads(json.dumps(trace.to_dict()))
