@@ -57,8 +57,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .exprlang import (VARIABLES, Expr, ExprError, Num, compile_expr,
-                       free_variables, parse, to_source)
+from .exprlang import (VARIABLES, Expr, ExprError, ExprNameError, Num,
+                       compile_expr, free_variables, parse, to_source)
 from .fracops import FracOrder
 from .kernels import KernelSet
 from .problem import (CONSTANT_NAMES, GrowthData, HypothesisReport,
@@ -163,7 +163,9 @@ def _parse_expr(section: str, key: str, text: str,
     try:
         ast = parse(text)
     except ExprError as exc:
-        raise _fail(section, key, f"bad expression: {exc}") from exc
+        why = ExprNameError(exc.name, exc.offset, allowed) \
+            if isinstance(exc, ExprNameError) else exc  # this key's names
+        raise _fail(section, key, f"bad expression: {why}") from exc
     # parse emits Var only for names in VARIABLES, so those pass unchecked.
     extra = allowed != VARIABLES and free_variables(ast) - set(allowed)
     if extra:

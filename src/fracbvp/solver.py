@@ -23,17 +23,19 @@ from which  u(t_j)  = [t_j^(a-1) A - P_j]/Gamma(a) + t_j^(a-1) C/(Gamma-Lambda)
 and    D^(a-1)u(t_j) = (A - Q_j) + Gamma(a) C/(Gamma-Lambda).
 
 The quadrature plan is fixed per grid, not adaptive, and shared by both
-equations: Gauss-Legendre panels between consecutive nodes, a
+equations: 8-point Gauss-Legendre panels between consecutive nodes, a
 geometrically graded bundle of panels on [0, t_1], and a run of
 doubling panels past t_N covering the tail to beyond any representable
-contribution.  P_j uses the same panel values through precomputed
-product weights W_i (t_j - S_i)^(a-1), with the panel touching t_j
-handled by a Gauss-Jacobi rule so the (t_j-s)^(a-1) kink never meets a
-plain panel.  A fixed plan keeps the operator a deterministic map on
-node arrays: together with nondecreasing f_i, nonnegative weights, and
-linear (order-preserving) interpolation of states, the discrete
-operator is then monotone up to rounding, which is what the ordering
-checks of the monotone scheme rely on.
+contribution; F is evaluated at those points alone.  P_j weighs them
+by W_i (t_j - S_i)^(a-1), and on the panel touching t_j by product
+weights exact for (1-x)^(a-1) times polynomials of degree below 8
+(Atkinson 1997), so the (t_j-s)^(a-1) kink never meets a plain panel.
+A fixed plan keeps the operator a deterministic map on node arrays.
+At the problem files' orders every u and du row is a sum of F values
+with nonnegative coefficients (tests/test_solver.py checks each, at
+both ends of the range): with nondecreasing f_i and linear
+(order-preserving) interpolation of states, the discrete operator is
+monotone up to rounding, which the monotone scheme's checks rely on.
 
 Off-node states are interpolated linearly on the weighted rows.
 Interpolating two ordered node arrays linearly preserves their ordering
@@ -80,6 +82,8 @@ _ROW_NAMES = ("u_w", "du", "v_w", "dv")
 _GEO_PANELS = 8
 _GEO_RATIO = 0.25
 _TAIL_DOUBLINGS = 40
+# Gauss-Legendre points per panel of the plan.
+_PANEL_POINTS = 8
 
 # Scheme -> its default stopping tolerance and step cap.
 ITERATION_DEFAULTS = {"monotone": (1e-5, 200), "contraction": (1e-4, 5000)}
@@ -294,17 +298,25 @@ def _gauss_jacobi(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def _product_weights(n: int, a: float) -> np.ndarray:
+    """Weights on the n Gauss-Legendre points for (1-x)^a on [-1, 1], a > 0,
+    exact to degree n-1: the Gauss-Jacobi rule's Legendre moments."""
+    x, _ = _gl(n)
+    xj, wj = _gauss_jacobi(n, a)
+    vander = np.polynomial.legendre.legvander
+    return np.linalg.solve(vander(x, n - 1).T, vander(xj, n - 1).T @ wj)
+
+
 class _Plan:
     """The fixed quadrature plan of one problem on one grid: the points s
     and weights w that both equations read, arrays with a first axis of
     2 for what each equation's order and weight add, the widths of
-    [0, t_1..t_N] and a pad past t_N (rows are flat there), and the
-    interpolation table over t_all = [jac1 | GL | jac2] (cols[k]:
-    equation k's columns; parts[k]: its GL and Jacobi parts in them).
-    Read-only: operators on equal kernel sets and nodes share it."""
+    [0, t_1..t_N] and a pad past t_N (rows are flat there), and each
+    point's bracket and offset in them.  Read-only: operators on equal
+    kernel sets and nodes share it."""
 
     def __init__(self, ks1: KernelSet, ks2: KernelSet, t: np.ndarray):
-        n, k, kss = t.size, _GEO_PANELS, (ks1, ks2)
+        n, k, m, kss = t.size, _GEO_PANELS, _PANEL_POINTS, (ks1, ks2)
         alphas = [ks.alpha.q for ks in kss]
         # Panel boundaries: graded bundle on [0, t_1] ending exactly at
         # t_1, one panel per internode gap, doubling panels past t_N.
@@ -312,38 +324,25 @@ class _Plan:
         tail = t[-1] * 2.0 ** np.arange(1, _TAIL_DOUBLINGS + 1, dtype=float)
         bounds = np.concatenate(([0.0], geo, t[1:], tail))
         los, his = bounds[:-1], bounds[1:]
-        x12, w12 = _gl(12)
+        xg, wg = _gl(m)
         half = 0.5 * (his - los)
         mid = 0.5 * (his + los)
-        s = (mid[:, None] + half[:, None] * x12[None, :]).ravel()
-        self.w = (half[:, None] * w12[None, :]).ravel()
-        self.panel_starts = np.arange(los.size) * 12
+        s = self.s = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
+        self.w = (half[:, None] * wg[None, :]).ravel()
+        self.panel_starts = np.arange(los.size) * m
         self.widths = np.append(np.diff(t, prepend=0.0), 1.0)
 
         # Index bookkeeping for the cumulative pieces: panel K+j-1 is
         # [t_j, t_(j+1)] (1-based j), so everything at or beyond t_j
         # starts at that panel.
         self.first_right_panel = k + np.arange(n)
-        self.n_left_points = (k + n - 1) * 12
-
-        # P_j takes product weights W_i (t_j - S_i)^(a-1) over the panels
-        # strictly left of [sing_lo_j, t_j], the panel touching t_j, and
-        # there a Gauss-Jacobi rule: with s = mid + half*x the factor
-        # (t_j - s)^(a-1) becomes half^(a-1) (1-x)^(a-1), absorbed by the
-        # rule's weight.
-        sing_lo = np.concatenate(([geo[-2]], t[:-1]))
-        jhalf = 0.5 * (t - sing_lo)
-        jmid = 0.5 * (t + sing_lo)
-        xj, self.w_jac = map(np.array, zip(*(_gauss_jacobi(12, a - 1.0)
-                                             for a in alphas)))
-        s_jac = jmid[:, None] + jhalf[:, None] * xj[:, None, :]
-        self.t_all = np.concatenate((s_jac[0].ravel(), s, s_jac[1].ravel()))
+        self.n_left_points = (k + n - 1) * m
 
         # Refuse what floating point cannot hold before any G is tabulated
         # (s^(a-1) checks s too, as a > 1; Grid's gaps bound kmat for a <= 3).
         with np.errstate(all="ignore"):
-            pows = np.stack([self.t_all ** (a - 1.0) for a in alphas])
-            s_min = float(self.t_all.min())
+            pows = np.stack([s ** (a - 1.0) for a in alphas])
+            s_min = float(s.min())
             sigma = s_min ** np.array([ks.h.endpoint_exponent for ks in kss
                                        if ks.h is not None])
         for ok, what in ((np.isfinite(pows) & (pows > 0), "s and s^(alpha_i "
@@ -353,26 +352,28 @@ class _Plan:
             if not np.all(ok):
                 raise GridError(f"the quadrature plan needs {what}")
 
+        # P_j weighs F by kmat: W_i (t_j - S_i)^(a-1) on the panels
+        # strictly left of the panel touching t_j, panel K+j-2 (1-based
+        # j), and product weights on that panel's own points: with
+        # s = mid + half*x there, (t_j - s)^(a-1) = half^(a-1) (1-x)^(a-1).
+        sing = np.arange(n) + k - 1
         s_left, w_left = s[:self.n_left_points], self.w[:self.n_left_points]
-        mask = s_left[None, :] < sing_lo[:, None]
+        mask = s_left[None, :] < los[sing, None]
         dist = np.where(mask, t[:, None] - s_left[None, :], 1.0)
         self.kmat = np.stack([np.where(mask, w_left * dist ** (a - 1.0), 0.0)
                               for a in alphas])
-        self.jac_factor = np.stack([jhalf ** a for a in alphas])
+        for kmat, a in zip(self.kmat, alphas):  # (n, panel, point) view
+            kmat.reshape(n, -1, m)[np.arange(n), sing] = \
+                half[sing, None] ** a * _product_weights(m, a - 1.0)
         self.t_pow = np.stack([t ** (a - 1.0) for a in alphas])
 
-        nj, ng = n * 12, s.size
-        self.s = self.t_all[nj:nj + ng]
         nodes = np.concatenate(([0.0], t))
-        self.bracket = np.searchsorted(nodes, self.t_all, side="right") - 1
-        self.offset = self.t_all - nodes[self.bracket]
+        self.bracket = np.searchsorted(nodes, s, side="right") - 1
+        self.offset = s - nodes[self.bracket]
         self.weights = 1.0 + pows
-        self.cols = (slice(nj + ng), slice(nj, None))
-        self.parts = ((slice(nj, None), slice(nj)),
-                      (slice(ng), slice(ng, None)))
         self.gamma_alpha = tuple(ks.gamma_alpha for ks in kss)
         self.denom = tuple(ks.denom for ks in kss)
-        self.g_at_s = np.stack([ks.g_many(self.s) for ks in kss])
+        self.g_at_s = np.stack([ks.g_many(s) for ks in kss])
         for v in vars(self).values():
             if isinstance(v, np.ndarray):
                 v.setflags(write=False)
@@ -380,10 +381,8 @@ class _Plan:
     def assemble(self, k: int,
                  vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Equation k's node rows (weighted u row, derivative row) from F
-        at the points of its columns of t_all."""
-        gl, jac = self.parts[k]
-        f_gl = vals[gl]
-        wf = self.w * f_gl
+        at the plan's points s."""
+        wf = self.w * vals
         psums = np.add.reduceat(wf, self.panel_starts)
         right = np.cumsum(psums[::-1])[::-1]
         a_total = float(right[0])
@@ -391,9 +390,7 @@ class _Plan:
         # Tail-inclusive remainder int_(t_j)^inf F, summed panel-by-panel
         # so it is exactly a nonneg-weighted sum of F values.
         remainder = right[self.first_right_panel]
-
-        p = self.kmat[k] @ f_gl[:self.n_left_points]
-        p += self.jac_factor[k] * (vals[jac].reshape(-1, 12) @ self.w_jac[k])
+        p = self.kmat[k] @ vals[:self.n_left_points]
 
         ga, t_pow = self.gamma_alpha[k], self.t_pow[k]
         boundary = c_total / self.denom[k]
@@ -412,7 +409,7 @@ def _plan(ks1: KernelSet, ks2: KernelSet, nodes: bytes) -> _Plan:
 class IntegralOperator:
     """The discrete fixed-point operator for one problem on one grid: the
     plan from _plan, and f_1 and f_2 with their t-only subtrees bound on
-    their columns of the plan's points.  The map is deterministic: same
+    the plan's points.  The map is deterministic: same
     input pair, same output, bit for bit."""
 
     def __init__(self, p: ProblemSpec, ks1: KernelSet, ks2: KernelSet,
@@ -424,8 +421,8 @@ class IntegralOperator:
         self.quad_tol = LOOP_TOL
         self.alpha1, self.alpha2 = ks1.alpha, ks2.alpha
         self.plan = _plan(ks1, ks2, grid.nodes.tobytes())
-        self.forcings = [compile_expr(f, bind={"t": self.plan.t_all[cols]})
-                         for f, cols in zip((p.f1, p.f2), self.plan.cols)]
+        self.forcings = [compile_expr(f, bind={"t": self.plan.s})
+                         for f in (p.f1, p.f2)]
 
     def apply(self, sp: SolutionPair) -> SolutionPair:
         # Rows (u_w, du, v_w, dv) on [0, t_1..t_N, pad]: weighted rows
@@ -442,9 +439,9 @@ class IntegralOperator:
         j = plan.bracket
         states = slopes.take(j, axis=1) * plan.offset + rows.take(j, axis=1)
         states[0::2] *= plan.weights
+        u, du, v, dv = states
         out = np.empty((4, self.grid.n))
-        for k, (f, cols) in enumerate(zip(self.forcings, plan.cols)):
-            u, du, v, dv = states[:, cols]
+        for k, f in enumerate(self.forcings):
             out[2 * k], out[2 * k + 1] = plan.assemble(k, f(u, v, du, dv))
         return SolutionPair._adopt(self.grid, self.alpha1, self.alpha2, out)
 

@@ -677,6 +677,27 @@ def test_numbers_follow_the_expression_grammar(tmp_path, capsys, old, new,
     assert capsys.readouterr().err.startswith(f"error: {key}: ")
 
 
+@pytest.mark.parametrize("old, new, key, variables", [
+    ("alpha1 = 2.5", "alpha1 = Infinity", "[orders] alpha1", "none"),
+    ("lambda1 = 0.1, 0.3", "lambda1 = 0.1, x", "[growth] lambda1", "none"),
+    ("a14 = 1/(1+t^2)", "a14 = 1/(1+x^2)", "[growth] a14", "t"),
+    ("f2 = 1/(20+t)^3", "f2 = 1/(20+x)^3", "[rhs] f2",
+     ", ".join(VARIABLES)),
+], ids=["constant", "exponents", "expr-t", "expr"])
+def test_an_unknown_name_lists_the_variables_of_its_key(
+        tmp_path, capsys, old, new, key, variables):
+    text = (Path(fracbvp.__file__).parent / "problems"
+            / "sublinear.prob").read_text()
+    assert old in text
+    p = tmp_path / "bad.prob"
+    p.write_text(text.replace(old, new, 1))
+    assert main(["check", str(p)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: bad expression: unknown "
+                          f"identifier ")
+    assert f"; variables are {variables}, functions are " in err
+
+
 # check and kernel-dump run at the quadrature tolerance and H4 sample
 # count that solve uses (--tol is solve's iteration tolerance), so they
 # refuse these flags as unrecognized, whatever the value.

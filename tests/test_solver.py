@@ -39,7 +39,9 @@ from fracbvp import solver as solver_mod
 from fracbvp import verify as verify_mod
 from fracbvp.cli import _table, _trace_columns
 from fracbvp.exprlang import compile_expr, parse
-from fracbvp.solver import _enforce_ordering, _gauss_jacobi
+from fracbvp.quad import _gl
+from fracbvp.solver import (_PANEL_POINTS, _enforce_ordering, _gauss_jacobi,
+                            _product_weights)
 from fracbvp.verify import _flat_pchip
 
 
@@ -207,13 +209,63 @@ def test_flat_pchip_is_scipy_pchip_bit_for_bit(rng):
     assert n >= 200
 
 
-@pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 1.9])
+@pytest.mark.parametrize("a", [0.01, 0.5, 1.0, 1.5, 1.9, 2.0])
 def test_gauss_jacobi_matches_scipy(a):
     from scipy.special import roots_jacobi
-    x, w = _gauss_jacobi(12, a)
-    xs, ws = roots_jacobi(12, a, 0.0)
+    x, w = _gauss_jacobi(_PANEL_POINTS, a)
+    xs, ws = roots_jacobi(_PANEL_POINTS, a, 0.0)
     assert np.max(np.abs(x - xs)) <= 1e-15
     assert np.max(np.abs(w / ws - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("a", np.linspace(0.0, 2.0, 21)[1:])
+def test_product_weights_integrate_the_kink_exactly(a):
+    """On the panel touching t_j the plan weighs F at its own
+    Gauss-Legendre points by weights for (1-x)^a, a = alpha - 1 in
+    (0, 2]: positive, and exact on every Legendre polynomial P_p the
+    points can resolve (p < 8), measured against QUADPACK's algebraic
+    weight rule."""
+    from scipy.integrate import quad
+    from scipy.special import eval_legendre
+    x, _ = _gl(_PANEL_POINTS)
+    w = _product_weights(_PANEL_POINTS, a)
+    assert np.all(w > 0.0)
+    mass = 2.0 ** (a + 1.0) / (a + 1.0)  # int (1-x)^a; bounds |moments|
+
+    def exact(fn):  # QAWS: modified Clenshaw-Curtis, exact on polynomials
+        return quad(fn, -1.0, 1.0, weight="alg", wvar=(0.0, a))[0]
+
+    for p in range(_PANEL_POINTS):
+        got = w @ eval_legendre(p, x)
+        assert abs(got - exact(lambda y: eval_legendre(p, y))) <= 1e-13 * mass
+    # A smooth non-polynomial: the error is exp's Legendre tail beyond
+    # degree 7, about 2e-11 of the mass at worst on this grid of a.
+    assert abs(w @ np.exp(x) - exact(np.exp)) <= 1e-9 * mass
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("case", [
+    "sublinear", "lipschitz", (3.0, 2.0, True), (2.01, 1.01, False)],
+    ids=["sublinear", "lipschitz", "orders-3-2", "orders-2.01-1.01-no-h"])
+def test_every_node_row_weighs_f_by_nonnegative_coefficients(request,
+                                                             case, n):
+    """Each equation's u and du rows are linear in F at the plan's
+    points; every coefficient of that map is >= 0, at the packaged
+    problems' orders and at both ends of the problem files' ranges (the
+    second without boundary weights)."""
+    if isinstance(case, str):
+        p = request.getfixturevalue(case)
+        orders, weights = (p.alpha1, p.alpha2), (p.h1, p.h2)
+    else:
+        p = request.getfixturevalue("sublinear")
+        orders = (FracOrder(case[0]), FracOrder(case[1]))
+        weights = (p.h1, p.h2) if case[2] else (None, None)
+    kss = [KernelSet.build(a, h) for a, h in zip(orders, weights)]
+    plan = solver_mod._Plan(*kss, Grid.make(n).nodes)
+    unit = np.eye(plan.s.size)
+    for k in (0, 1):
+        coef = np.array([plan.assemble(k, e) for e in unit])  # (s, 2, n)
+        assert np.all(coef >= 0.0), (k, np.count_nonzero(coef < 0.0))
 
 
 def test_operator_rejects_unknown_interp(lipschitz, kernels, grid64):
@@ -525,9 +577,8 @@ class _InterpRoute(IntegralOperator):
     def apply(self, sp):
         t = self.grid.nodes
         t0 = np.concatenate(([0.0], t))
-        rows = []
+        rows, s = [], self.plan.s
         for k, f in enumerate(self.unbound):
-            s = self.plan.t_all[self.plan.cols[k]]
             u, v = (np.interp(s, t0, np.concatenate(([0.0], row)))
                     * (1.0 + s ** (alpha.q - 1.0)) for row, alpha
                     in ((sp.u_w, self.alpha1), (sp.v_w, self.alpha2)))
@@ -603,8 +654,9 @@ def test_forcings_are_evaluated_twice_per_apply(monkeypatch, sublinear,
                               operator=op)
     assert trace.n_steps > 0
     assert len(points) == 2 * trace.n_steps
-    # Each equation's columns: the shared GL points and its Jacobi points.
-    per_apply = op.plan.t_all.size + op.plan.s.size
+    # Both equations read the plan's points: 8 per panel, 111 panels.
+    per_apply = 2 * op.plan.s.size
+    assert per_apply == 2 * 888
     assert sum(points) == trace.n_steps * per_apply
 
 
@@ -663,8 +715,8 @@ def test_kernel_sets_keep_the_plan_of_their_grid(monkeypatch, sublinear):
 
 def test_both_equations_read_one_set_of_plan_points(monkeypatch, sublinear,
                                                     kernels, grid64):
-    """The plan writes its points down once: f_1 and f_2 are bound to
-    views of plan.t_all, and each view's GL block is plan.s itself."""
+    """The plan writes its points down once: f_1 and f_2 are both bound
+    to plan.s itself."""
     bound = []
     compile_original = solver_mod.compile_expr
 
@@ -674,16 +726,13 @@ def test_both_equations_read_one_set_of_plan_points(monkeypatch, sublinear,
 
     monkeypatch.setattr(solver_mod, "compile_expr", recording_compile)
     plan = IntegralOperator(sublinear, *kernels, grid64).plan
-    nj, ng = grid64.n * 12, plan.s.size  # t_all = [jac1 | GL | jac2]
-    assert [t.base is plan.t_all for t in (*bound, plan.s)] == [True] * 3
-    for gl in (bound[0][nj:], bound[1][:ng]):
-        assert gl.__array_interface__ == plan.s.__array_interface__
+    assert [t is plan.s for t in bound] == [True, True]
 
 
 def test_every_plan_array_is_read_only(sublinear, kernels, grid64):
     plan = IntegralOperator(sublinear, *kernels, grid64).plan
     arrays = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 14
+    assert len(arrays) == 11
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
