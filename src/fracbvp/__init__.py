@@ -31,7 +31,7 @@ _EXPORTS = {
     "verify": "AuditResult VerificationReport boundary_residual "
               "error_bound_audit fixed_point_residual ode_residual_spotcheck "
               "ordering_audit verify_pair",
-    "cli": "LoadedProblem ProblemFileError format_problem load_problem "
+    "cli": "LoadedProblem ProblemFileError load_problem "
            "packaged_problem_names resolve_problem",
 }
 _HOME = {name: module for module, names in _EXPORTS.items()

@@ -58,7 +58,7 @@ from pathlib import Path
 import numpy as np
 
 from .exprlang import (VARIABLES, Expr, ExprError, ExprNameError, Num,
-                       compile_expr, free_variables, parse, to_source)
+                       compile_expr, free_variables, parse)
 from .fracops import FracOrder
 from .kernels import KernelSet
 from .problem import (CONSTANT_NAMES, GrowthData, HypothesisReport,
@@ -67,7 +67,7 @@ from .quad import Integrand, QuadratureError
 
 __all__ = [
     "ProblemFileError", "SolverConfig", "LoadedProblem", "load_problem",
-    "resolve_problem", "format_problem", "packaged_problem_names", "main",
+    "resolve_problem", "packaged_problem_names", "main",
     "EXIT_OK", "EXIT_HYPOTHESIS", "EXIT_NO_CONVERGENCE", "EXIT_PARSE",
 ]
 
@@ -84,7 +84,7 @@ class ProblemFileError(ValueError):
 # -- problem file loading ----------------------------------------------
 
 # The schema: every section with each key's kind, both in the order
-# format_problem writes.  _read parses a value by its kind:
+# load_problem reads them.  _read parses a value by its kind:
 #   constant    a number or a constant expression such as pi/40
 #   expr(t)     an expression in t
 #   expr(t,u)   an expression in t and the state u1, u2, u3, u4
@@ -140,16 +140,13 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class LoadedProblem:
-    """A parsed problem file: the ProblemSpec plus everything around it.
-
-    sections holds the normalized text of every key (expressions
-    reprinted from their parse trees, numbers from their float values),
-    which is what format_problem writes back out.
-    """
+    """A parsed problem file: the ProblemSpec plus everything around it,
+    and in sections each known key's text as the file gives it."""
 
     spec: ProblemSpec
     solver: SolverConfig
     expected: dict[str, float]
+    # Unused by the commands; kept because bench/sweep_worker.py reads it.
     sections: dict[str, dict[str, str]]
     origin: str = ""
 
@@ -189,40 +186,34 @@ def _parse_number(section: str, key: str, text: str) -> float:
 
 
 @functools.lru_cache(maxsize=256)
-def _read(section: str, key: str, text: str) -> tuple[object, str]:
-    """The value of one key, parsed by its kind in _SECTIONS, and the
-    normalized text that format_problem writes for it.  Both are
-    immutable, so loads share them: every load of a text after the first
-    (a sweep's variants differ in a few keys) parses and compiles only
-    what is new.  A ProblemFileError is raised afresh on every load."""
+def _read(section: str, key: str, text: str) -> object:
+    """One key's value, parsed by its kind in _SECTIONS and shared by every
+    load of that text (values are immutable; a sweep's variants differ in
+    a few keys).  A ProblemFileError is raised afresh on every load."""
     kind = _SECTIONS[section][key]
     if kind.startswith("expr"):
-        ast = _parse_expr(section, key, text,
-                          ("t",) if kind == "expr(t)" else VARIABLES)
-        return (Integrand(compile_expr(ast, ("t",))) if kind == "expr(t)"
-                else ast), to_source(ast)
+        t_only = kind == "expr(t)"
+        ast = _parse_expr(section, key, text, ("t",) if t_only else VARIABLES)
+        return Integrand(compile_expr(ast, ("t",))) if t_only else ast
     if kind == "exponents":
         parts = text.split(",")
         if len(parts) != 4:
             raise _fail(section, key,
                         f"need 4 comma-separated exponents, got {len(parts)}")
-        value = tuple(_parse_number(section, key, p.strip()) for p in parts)
-        return value, ", ".join(map(repr, value))
+        return tuple(_parse_number(section, key, p.strip()) for p in parts)
     if kind == "integer":
         try:  # ASCII digits only: int() also reads 1_6 and other scripts
-            value = int(re.fullmatch(r"[+-]?[0-9]+", text)[0])
+            return int(re.fullmatch(r"[+-]?[0-9]+", text)[0])
         except (TypeError, ValueError) as exc:
             raise _fail(section, key, f"not an integer: {text!r}") from exc
-        return value, repr(value)
     word = text.strip().lower()
     if kind == "word":
-        return word, word
+        return word
     if kind == "boolean":
         if word not in _BOOLEANS:
             raise _fail(section, key, f"not a boolean: {text!r}")
-        return _BOOLEANS[word], repr(_BOOLEANS[word]).lower()
-    value = _parse_number(section, key, text)
-    return value, repr(value)
+        return _BOOLEANS[word]
+    return _parse_number(section, key, text)
 
 
 def load_problem(text: str, origin: str = "") -> LoadedProblem:
@@ -264,7 +255,6 @@ def load_problem(text: str, origin: str = "") -> LoadedProblem:
     # Each section's checks run once its keys are read, so the first
     # fault in the order above is the one reported.
     vals: dict[str, dict] = {}
-    norm: dict[str, dict[str, str]] = {}
     growth, solver = None, SolverConfig()
     for section, kinds in _SECTIONS.items():
         if section not in raw:
@@ -274,17 +264,15 @@ def load_problem(text: str, origin: str = "") -> LoadedProblem:
         if section in ("growth", "lipschitz") and missing:
             raise ProblemFileError(
                 f"[{section}] is missing key(s): {sorted(missing)}")
-        got, out = vals.setdefault(section, {}), {}
+        got = vals.setdefault(section, {})
         for key in (sec if section in ("solver", "expected")
                     else [k for k in kinds if k in sec]):
             if section == "boundary" and (h := key[:2]) not in sec:
                 raise _fail(section, h, f"{h}_exponent/{h}_decay make no "
                                         f"sense without {h}")
-            got[key], out[key] = _read(section, key, sec[key])
+            got[key] = _read(section, key, sec[key])
             if key.endswith("_decay") and not got[key] > 0:
                 raise _fail(section, key, "must be positive")
-        if out:  # format_problem writes no empty section
-            norm[section] = out
         if section == "orders":
             for key, lo, hi in (("alpha1", 2, 3), ("alpha2", 1, 2)):
                 if not lo < got[key] <= hi:
@@ -317,25 +305,8 @@ def load_problem(text: str, origin: str = "") -> LoadedProblem:
     except ValueError as exc:
         raise ProblemFileError(str(exc)) from exc
     return LoadedProblem(spec=spec, solver=solver,
-                         expected=vals.get("expected", {}), sections=norm,
+                         expected=vals.get("expected", {}), sections=raw,
                          origin=origin)
-
-
-def format_problem(lp: LoadedProblem) -> str:
-    """Write a loaded problem back out in canonical form.
-
-    The output reparses to the very same normalized sections, so
-    format(load(format(load(text)))) == format(load(text)).
-    """
-    lines: list[str] = []
-    for section, keys in _SECTIONS.items():
-        data = lp.sections.get(section)
-        if not data:
-            continue
-        lines.append(f"[{section}]")
-        lines += [f"{key} = {data[key]}" for key in keys if key in data]
-        lines.append("")
-    return "\n".join(lines)
 
 
 def packaged_problem_names() -> tuple[str, ...]:
@@ -672,6 +643,13 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
+def _out_path(text: str) -> str:
+    """An empty --out names no path: refused, not taken as absent."""
+    if not text:
+        raise argparse.ArgumentTypeError("must name a path, got ''")
+    return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = _ArgumentParser(add_help=False)
     common.add_argument("problem",
@@ -708,7 +686,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     default=None, help="override the scheme choice")
     ps.add_argument("--theta", type=float, default=None,
                     help="grid map scale (nodes at theta*x/(1-x))")
-    ps.add_argument("--out", default=None, metavar="DIR",
+    ps.add_argument("--out", type=_out_path, metavar="DIR",
                     help="write solution/trace CSVs and verification JSON "
                          "into DIR")
     ps.set_defaults(fn=cmd_solve)
@@ -719,7 +697,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="grid points per axis")
     pk.add_argument("--t-min", type=float, default=1e-3, dest="t_min")
     pk.add_argument("--t-max", type=float, default=100.0, dest="t_max")
-    pk.add_argument("--out", default=None, metavar="FILE",
+    pk.add_argument("--out", type=_out_path, metavar="FILE",
                     help="write the table to FILE instead of stdout")
     pk.set_defaults(fn=cmd_kernel_dump)
     return top

@@ -28,7 +28,7 @@ geometrically graded bundle of panels on [0, t_1], and a run of
 doubling panels past t_N covering the tail to beyond any representable
 contribution; F is evaluated at those points alone.  P_j weighs them
 by W_i (t_j - S_i)^(a-1), and on the panel touching t_j by product
-weights exact for (1-x)^(a-1) times polynomials of degree below 8
+weights exact for (1-x)^(a-1) P(x), deg P < 8, from closed-form moments
 (Atkinson 1997), so the (t_j-s)^(a-1) kink never meets a plain panel.
 A fixed plan keeps the operator a deterministic map on node arrays.
 At the problem files' orders every u and du row is a sum of F values
@@ -62,10 +62,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exprlang import compile_expr
-from .fracops import FracOrder, gamma
+from .fracops import FracOrder
 from .kernels import KernelSet
 from .problem import InapplicableError, ProblemSpec
-from .quad import LOOP_TOL, QuadResult, _gl, require_converged
+from .quad import LOOP_TOL, _gl
 
 __all__ = [
     "Grid", "SolutionPair", "IterationTrace", "IntegralOperator",
@@ -280,31 +280,16 @@ class IterationTrace:
 # -- the discretized operator ------------------------------------------
 
 
-def _gauss_jacobi(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss rule for the weight (1-x)^a on [-1, 1], a > 0, by
-    Golub-Welsch (eigh of the Jacobi matrix's lower triangle).  Raises
-    QuadratureError unless it meets its highest exact moment, int
-    (1-x)^a (1+x)^(2n-1) dx = 2^(a+2n) B(a+1, 2n), to 1e-12 relative."""
-    k, m = np.arange(1.0, n), 2 * np.arange(n) + a
-    off = np.sqrt(4 * k ** 2 * (k + a) ** 2 / (m[1:] ** 2 * (m[1:] ** 2 - 1)))
-    x, v = np.linalg.eigh(np.diag(-a * a / (m * (m + 2))) + np.diag(off, -1))
-    w = 2 ** (a + 1) / (a + 1) * v[0] ** 2
-    exact = 2 ** (a + 2 * n) * gamma(a + 1) * gamma(2 * n) \
-        / gamma(a + 2 * n + 1)
-    got = float(w @ (1 + x) ** (2 * n - 1))
-    require_converged(QuadResult(got, abs(got - exact), 1.0, n,
-                                 abs(got - exact) <= 1e-12 * exact),
-                      f"Gauss-Jacobi rule (n={n}, a={a})")
-    return x, w
-
-
 def _product_weights(n: int, a: float) -> np.ndarray:
     """Weights on the n Gauss-Legendre points for (1-x)^a on [-1, 1], a > 0,
-    exact to degree n-1: the Gauss-Jacobi rule's Legendre moments."""
-    x, _ = _gl(n)
-    xj, wj = _gauss_jacobi(n, a)
-    vander = np.polynomial.legendre.legvander
-    return np.linalg.solve(vander(x, n - 1).T, vander(xj, n - 1).T @ wj)
+    exact to degree n-1: w_i sum_k (k+1/2) M_k P_k(x_i), as the rule is
+    discretely orthogonal to degree 2n-1, with the closed-form Legendre
+    moments M_0 = 2^(a+1)/(a+1), M_k = M_(k-1) (k-1-a)/(a+1+k)."""
+    x, w = _gl(n)
+    k = np.arange(1.0, n)
+    m = np.cumprod([2 ** (a + 1) / (a + 1), *((k - 1 - a) / (a + 1 + k))])
+    vander = np.polynomial.legendre.legvander(x, n - 1)
+    return w * (vander @ ((np.arange(n) + 0.5) * m))
 
 
 class _Plan:

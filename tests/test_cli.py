@@ -1,5 +1,5 @@
-"""Problem-file loader, canonical formatter, and the command-line entry
-point with its exit-code contract:
+"""Problem-file loader and the command-line entry point with its
+exit-code contract:
 
     0  solved / all hypotheses hold
     2  a hypothesis fails or no scheme is licensed
@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,14 +27,14 @@ from fracbvp import (
     ContractionRatioWarning,
     MonotonicityError,
     ProblemFileError,
-    format_problem,
     load_problem,
     packaged_problem_names,
+    parse,
     resolve_problem,
     to_source,
 )
 from fracbvp.cli import _json, _read, _table, main
-from fracbvp.exprlang import VARIABLES, Var
+from fracbvp.exprlang import VARIABLES, ExprError, Var
 from fracbvp.problem import CONSTANT_NAMES
 
 _LIPS = "\n".join(f"b{i}{k} = exp(-t)" for i in (1, 2) for k in range(1, 5))
@@ -197,22 +198,6 @@ def test_resolve_by_name_and_path(tmp_path):
         resolve_problem("no-such-problem")
 
 
-def test_format_is_canonical(sublinear_lp, lipschitz_lp):
-    for lp in (sublinear_lp, lipschitz_lp, load_problem(MINIMAL)):
-        once = format_problem(lp)
-        again = format_problem(load_problem(once, origin=lp.origin))
-        assert once == again
-        assert once.lstrip().startswith("[orders]")
-
-
-def test_format_normalizes_values():
-    text = _with("[solver]\nn = 48\n[expected]\ntau2 = pi/8000\n")
-    out = format_problem(load_problem(text))
-    assert "tau2 = 0.00039269908169872416" in out
-    assert "n = 48" in out
-    assert "f2 = exp(-2.0 * t)" in out
-
-
 def _numbers(lo, hi):
     """Float texts in (lo, hi], written as repr or with 3 digits."""
     return st.builds(lambda x, fmt: fmt(x),
@@ -282,16 +267,50 @@ def _problem_texts(draw):
     return "\n".join(lines) + "\n"
 
 
+_T_SAMPLE = np.geomspace(1e-3, 1e3, 25)
+
+
+def _functions(spec):
+    """Every weight and coefficient function of a spec, in a fixed order."""
+    fns = [h for h in (spec.h1, spec.h2) if h is not None]
+    if spec.growth is not None:
+        fns += [*spec.growth.a1, *spec.growth.a2]
+    if spec.lipschitz is not None:
+        fns += [*spec.lipschitz.b1, *spec.lipschitz.b2]
+    return fns
+
+
+def _on_sample(fn):
+    """fn's values on _T_SAMPLE as bytes, or its error's message."""
+    try:
+        return fn(_T_SAMPLE).tobytes()
+    except ExprError as exc:
+        return str(exc)
+
+
 @settings(deadline=None, max_examples=40)
 @given(_problem_texts())
-def test_format_is_idempotent_on_random_problems(text):
-    lp = load_problem(text)
-    once = format_problem(lp)
-    again = load_problem(once)
-    assert format_problem(again) == once
-    assert again.sections == lp.sections
-    assert again.solver == lp.solver
-    assert again.expected == lp.expected
+def test_loads_are_deterministic_on_random_problems(text):
+    """Two loads of one text, each parsing and compiling afresh, agree
+    on every value bit for bit."""
+    loads = []
+    for _ in range(2):
+        _read.cache_clear()
+        loads.append(load_problem(text))
+    a, b = loads
+    assert (a.solver, a.expected, a.sections) == (b.solver, b.expected,
+                                                  b.sections)
+    assert (a.spec.f1, a.spec.f2) == (b.spec.f1, b.spec.f2)
+    assert (a.spec.alpha1, a.spec.alpha2, a.spec.monotone) == (
+        b.spec.alpha1, b.spec.alpha2, b.spec.monotone)
+    if a.spec.growth is not None:
+        assert (a.spec.growth.lam1, a.spec.growth.lam2) == (
+            b.spec.growth.lam1, b.spec.growth.lam2)
+    fa, fb = _functions(a.spec), _functions(b.spec)
+    assert len(fa) == len(fb)
+    for x, y in zip(fa, fb):
+        assert replace(x, fn=None) == replace(y, fn=None)
+        assert _on_sample(x.fn) == _on_sample(y.fn)
 
 
 @pytest.mark.parametrize("edits, error", [
@@ -592,9 +611,9 @@ def test_state_expressions_skip_the_free_variable_walk(monkeypatch):
     _read.cache_clear()
     lp = load_problem((Path(fracbvp.__file__).parent / "problems"
                        / "sublinear.prob").read_text())
-    assert not {lp.sections["rhs"]["f1"], lp.sections["rhs"]["f2"]} & set(seen)
-    assert all(text in seen for key, text in lp.sections["growth"].items()
-               if key[0] == "a")
+    assert not {to_source(lp.spec.f1), to_source(lp.spec.f2)} & set(seen)
+    assert all(to_source(parse(text)) in seen
+               for key, text in lp.sections["growth"].items() if key[0] == "a")
     with pytest.raises(ProblemFileError, match=r"unknown variable.*u1"):
         load_problem(_with("[growth]\n" + "\n".join(
             f"a{i}{k} = u1" for i in (1, 2) for k in range(5))
@@ -775,6 +794,24 @@ def test_solve_makes_out_before_any_work(tmp_path, monkeypatch, capsys):
     assert main(["solve", "sublinear", "--scheme", "contraction",
                  "--out", str(refused)]) == 2
     assert refused.is_dir() and not list(refused.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "sublinear", "--grid-n", "16", "--out", ""],
+    ["kernel-dump", "sublinear", "--out", ""],
+], ids=["solve", "kernel-dump"])
+def test_an_empty_out_exits_four(monkeypatch, capsys, argv):
+    # An empty --out names no path: it is refused before the problem is
+    # read, not taken as absent (no table on stdout, no unwritten files).
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran with an empty --out")
+
+    monkeypatch.setattr(fracbvp.cli, "resolve_problem", no_work)
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"fracbvp {argv[0]}: error: argument --out: must "
+                        f"name a path, got ''\n")
 
 
 @pytest.mark.parametrize("message, line", [
@@ -1141,15 +1178,18 @@ def test_a_closed_stdout_keeps_the_exit_code(argv, code):
 
 def test_loads_share_parsed_values(tmp_path, capsys):
     """_read keeps the parsed values of recent texts: a second load of a
-    text gives the same canonical form and report, a malformed value
-    fails the same way on every load (a raised error is never kept), and
-    the cache is bounded."""
+    text shares them and gives the same report, a malformed value fails
+    the same way on every load (a raised error is never kept), and the
+    cache is bounded."""
     assert _read.cache_info().maxsize is not None
     path = tmp_path / "sub.prob"
     path.write_text((Path(fracbvp.__file__).parent / "problems"
                      / "sublinear.prob").read_text())
     loads = [load_problem(path.read_text()) for _ in range(2)]
-    assert format_problem(loads[0]) == format_problem(loads[1])
+    a, b = (lp.spec for lp in loads)
+    assert a.f1 is b.f1 and a.f2 is b.f2
+    # Each weight is rebuilt around its shared function.
+    assert (a.h1, a.h2, a.growth) == (b.h1, b.h2, b.growth)
     docs = []
     for _ in range(2):
         assert main(["check", str(path), "--json"]) == 0

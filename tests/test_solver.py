@@ -40,8 +40,7 @@ from fracbvp import verify as verify_mod
 from fracbvp.cli import _table, _trace_columns
 from fracbvp.exprlang import compile_expr, parse
 from fracbvp.quad import _gl
-from fracbvp.solver import (_PANEL_POINTS, _enforce_ordering, _gauss_jacobi,
-                            _product_weights)
+from fracbvp.solver import _PANEL_POINTS, _enforce_ordering, _product_weights
 from fracbvp.verify import _flat_pchip
 
 
@@ -207,15 +206,6 @@ def test_flat_pchip_is_scipy_pchip_bit_for_bit(rng):
                               _scipy_flat_pchip(xp, fp)(s))
         n += 1
     assert n >= 200
-
-
-@pytest.mark.parametrize("a", [0.01, 0.5, 1.0, 1.5, 1.9, 2.0])
-def test_gauss_jacobi_matches_scipy(a):
-    from scipy.special import roots_jacobi
-    x, w = _gauss_jacobi(_PANEL_POINTS, a)
-    xs, ws = roots_jacobi(_PANEL_POINTS, a, 0.0)
-    assert np.max(np.abs(x - xs)) <= 1e-15
-    assert np.max(np.abs(w / ws - 1.0)) <= 1e-13
 
 
 @pytest.mark.parametrize("a", np.linspace(0.0, 2.0, 21)[1:])
