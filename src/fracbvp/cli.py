@@ -148,7 +148,6 @@ class LoadedProblem:
     expected: dict[str, float]
     # Unused by the commands; kept because bench/sweep_worker.py reads it.
     sections: dict[str, dict[str, str]]
-    origin: str = ""
 
 
 def _fail(section: str, key: str, why: str) -> ProblemFileError:
@@ -305,8 +304,7 @@ def load_problem(text: str, origin: str = "") -> LoadedProblem:
     except ValueError as exc:
         raise ProblemFileError(str(exc)) from exc
     return LoadedProblem(spec=spec, solver=solver,
-                         expected=vals.get("expected", {}), sections=raw,
-                         origin=origin)
+                         expected=vals.get("expected", {}), sections=raw)
 
 
 def packaged_problem_names() -> tuple[str, ...]:
@@ -444,17 +442,13 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_HYPOTHESIS
 
 
-# solve flag (argparse dest) -> the SolverConfig field it overrides.
-_SOLVER_FLAGS = {"grid_n": "n", "theta": "theta", "tol": "tol",
-                 "max_iter": "max_iter", "scheme": "scheme"}
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     _check_seed(args)
     lp = resolve_problem(args.problem)
-    cfg = replace(lp.solver, **{
-        field: getattr(args, flag) for flag, field in _SOLVER_FLAGS.items()
-        if getattr(args, flag) is not None})
+    # Each override flag's dest is the [solver] key it replaces.
+    cfg = replace(lp.solver, **{key: getattr(args, key) for key in
+                                _SECTIONS["solver"]
+                                if getattr(args, key) is not None})
     if args.out:  # made first, so that an unusable --out costs no work
         Path(args.out).mkdir(parents=True, exist_ok=True)
 
@@ -676,7 +670,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("solve", parents=[common, seeded],
                         help="run the licensed iteration scheme")
-    ps.add_argument("--grid-n", type=int, default=None, dest="grid_n",
+    ps.add_argument("--grid-n", type=int, default=None, dest="n",
                     help="number of grid nodes")
     ps.add_argument("--tol", type=float, default=None,
                     help="iteration tolerance")

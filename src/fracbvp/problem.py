@@ -9,13 +9,14 @@ up front which guarantees apply:
       h_i(t) t^(alpha_i-1) dt finite and strictly below Gamma(alpha_i),
       and the forcing f_i(t,0,0,0,0) is not identically zero.
   H2  growth envelopes: |f_i(t,u1..u4)| <= a_i0(t) + sum_k a_ik(t) |u_k|^lam_ik
-      with every envelope integral a*_ik finite.  The u1 and u2 slots
-      are measured in weighted sup norms, so their envelopes integrate
-      against (1 + t^(alpha_1-1))^lam_i1 resp. (1 + t^(alpha_2-1))^lam_i2;
-      the derivative slots u3, u4 use the plain sup norm and integrate
-      unweighted.
+      with a_ik >= 0 (sampled) and every envelope integral a*_ik finite.
+      The u1 and u2 slots are measured in weighted sup norms, so their
+      envelopes integrate against (1 + t^(alpha_1-1))^lam_i1 resp.
+      (1 + t^(alpha_2-1))^lam_i2; the derivative slots u3, u4 use the
+      plain sup norm and integrate unweighted.
   H3  Lipschitz envelopes: |f_i(t,u.) - f_i(t,w.)| <= sum_k b_ik(t) |u_k - w_k|,
-      weighted the same way (power 1), plus tau_i = int |f_i(t,0,0,0,0)| dt.
+      with b_ik >= 0 (sampled), weighted the same way (power 1), plus
+      tau_i = int |f_i(t,0,0,0,0)| dt.
   H4  monotonicity: each f_i is nondecreasing in u1..u4 on the
       nonnegative cone.  Checked by seeded random falsification; a pass
       means "no counterexample found", never "proved".
@@ -221,21 +222,19 @@ class HypothesisReport:
 
 # -- individual checks -----------------------------------------------
 
+# Where every sign check of the report samples (h_i, a_ik, b_ik).
 _SAMPLE_TS = np.geomspace(1e-4, 1e4, 64)
-# Where the growth and Lipschitz coefficients are sampled for sign.
-_COEF_TS = np.geomspace(1e-3, 1e3, 32)
 
 
-def _negative_at(ts: np.ndarray,
-                 named: Iterable[tuple[str, Integrand]]) -> list[str]:
+def _negative_at(named: Iterable[tuple[str, Integrand]]) -> list[str]:
     """One reason per (name, Integrand) pair that is negative somewhere
-    on ts, naming the first such point."""
+    on _SAMPLE_TS, naming the first such point."""
     out = []
     for name, c in named:
-        neg = np.asarray(c.fn(ts)) < 0.0
+        neg = np.asarray(c.fn(_SAMPLE_TS)) < 0.0
         if np.any(neg):
             out.append(f"{name} is negative at "
-                       f"t={float(ts[np.argmax(neg)])!r}")
+                       f"t={float(_SAMPLE_TS[np.argmax(neg)])!r}")
     return out
 
 
@@ -264,7 +263,7 @@ def check_h1(p: ProblemSpec) -> tuple[Verdict, tuple[float, float]]:
         ga = gamma(alpha.q)
         lam = 0.0
         if h is not None:
-            reasons += _negative_at(_SAMPLE_TS, [(f"h{i + 1}", h)])
+            reasons += _negative_at([(f"h{i + 1}", h)])
             if h.endpoint_exponent <= -alpha.q:
                 # h t^(alpha-1) ~ t^(sigma+alpha-1) is not integrable at 0.
                 lams[i] = inf
@@ -319,47 +318,51 @@ def integrate_each(named, tol: float = DEFAULT_TOL) -> list[float]:
     return [res.value for res in results]
 
 
-def _envelopes(p: ProblemSpec, name: str, coeffs: tuple[Integrand, ...],
-               powers: tuple[float, ...]) -> list[tuple[str, Integrand]]:
-    """(label, integrand) of each envelope integral of one equation's
-    coefficients (a*_ik or b*_ik), weighted per slot (see the module
-    docstring), for integrate_each.
-
-    coeffs[j] is the coefficient of slot k = 5 - len(coeffs) + j, with
-    powers[k] its exponent: slot 0 is the state-free a_i0, slots 1 and 2
-    the weighted u1, u2, and slots 3 and 4 the unweighted u3, u4.
-    """
+def _family(p: ProblemSpec, letter: str, rows, powers, extra=()
+            ) -> tuple[Verdict, list[float] | None]:
+    """The verdict on H2's a_ik (rows over slots k = 0..4) or H3's b_ik
+    (k = 1..4), each sampled for sign on _SAMPLE_TS, and its envelope
+    integrals then `extra`'s, as one integrate_each batch (None when that
+    did not converge).  powers[i][j] is the exponent of rows[i][j]; the
+    u1, u2 slots are weighted by (1 + t^(alpha-1))^power."""
     weights = (None, p.alpha1.q - 1.0, p.alpha2.q - 1.0, None, None)
-    out = []
-    for k, c in enumerate(coeffs, start=5 - len(coeffs)):
-        if weights[k] is not None and powers[k] != 0.0:
-            c = replace(c, fn=lambda t, _c=c.fn, _w=weights[k], _p=powers[k]:
-                        np.asarray(_c(t)) * (1.0 + t ** _w) ** _p)
-        out.append((f"envelope integral {name}{k}", c))
-    return out
+    named, jobs = [], []
+    for i, (row, pows) in enumerate(zip(rows, powers), start=1):
+        for k, (c, e) in enumerate(zip(row, pows), start=5 - len(row)):
+            named.append((f"{letter}{i}{k}", c))
+            if weights[k] is not None and e != 0.0:
+                c = replace(c, fn=lambda t, _c=c.fn, _w=weights[k], _p=e:
+                            np.asarray(_c(t)) * (1.0 + t ** _w) ** _p)
+            jobs.append((f"envelope integral {letter}{i}{k}", c))
+    reasons, values = _negative_at(named), None
+    try:
+        values = integrate_each([*jobs, *extra])
+    except QuadratureError as exc:
+        reasons.append(str(exc))
+    return Verdict(not reasons, "; ".join(reasons)), values
 
 
-# Side of the cube [0, _H4_BOX]^5 that check_h4 samples (t and the state).
+# Side of the cube [0, _H4_BOX]^5 that check_h4 samples (t and the
+# state), and how many ordered state pairs it draws there.
 _H4_BOX = 10.0
+_H4_SAMPLES = 10_000
 
 
 @lru_cache(maxsize=1)
-def _h4_draws(samples: int, seed: int) -> tuple[np.ndarray, ...]:
+def _h4_draws(seed: int) -> tuple[np.ndarray, ...]:
     """check_h4's sample times t and ordered state pairs lo <= hi, read
-    only: the same for every problem, so drawn once per (samples, seed).
-    A process uses one (samples, seed) pair, so one entry is kept."""
+    only: the same for every problem, so drawn once per seed.  A process
+    uses one seed, so one entry is kept."""
     rng = np.random.default_rng(seed)
-    t = rng.uniform(0.0, _H4_BOX, samples)
-    draw_a = rng.uniform(0.0, _H4_BOX, (4, samples))
-    draw_b = rng.uniform(0.0, _H4_BOX, (4, samples))
+    t = rng.uniform(0.0, _H4_BOX, _H4_SAMPLES)
+    draw_a, draw_b = rng.uniform(0.0, _H4_BOX, (2, 4, _H4_SAMPLES))
     draws = t, np.minimum(draw_a, draw_b), np.maximum(draw_a, draw_b)
     for a in draws:
         a.setflags(write=False)
     return draws
 
 
-def check_h4(p: ProblemSpec, samples: int = 10_000,
-             seed: int = 0) -> Verdict:
+def check_h4(p: ProblemSpec, seed: int = 0) -> Verdict:
     """Randomized monotonicity falsification on [0, _H4_BOX]^5.
 
     Draws componentwise-ordered state pairs by taking min/max of two
@@ -367,7 +370,7 @@ def check_h4(p: ProblemSpec, samples: int = 10_000,
     Nonnegativity of f_i on the sampled states is checked alongside,
     since positivity of the iterates relies on it.
     """
-    t, lo, hi = _h4_draws(samples, seed)
+    t, lo, hi = _h4_draws(seed)
     issues = []
     for i, fn in enumerate(p.f_compiled, start=1):
         flo = np.asarray(fn(t, *lo))
@@ -389,12 +392,13 @@ def check_h4(p: ProblemSpec, samples: int = 10_000,
     if issues:
         return Verdict(False, "; ".join(issues))
     return Verdict(
-        True, f"no counterexample in {samples} ordered samples (seed {seed})")
+        True, f"no counterexample in {_H4_SAMPLES} ordered samples "
+        f"(seed {seed})")
 
 
 # -- report assembly ---------------------------------------------------
 
-def build_report(p: ProblemSpec, *, seed: int = 0, samples: int = 10_000,
+def build_report(p: ProblemSpec, *, seed: int = 0,
                  expected: Mapping[str, float] | None = None
                  ) -> HypothesisReport:
     """Run every applicable check and assemble the full report.
@@ -431,45 +435,32 @@ def build_report(p: ProblemSpec, *, seed: int = 0, samples: int = 10_000,
             notes.append(f"Gamma(alpha{i}) - Lambda{i} = {g - x:.3e} is below "
                          f"1e-3*Gamma(alpha{i}), so L{i} = {li:.6g}")
 
-    a_star = None
+    a_star = b_star = tau = None
     if p.growth is None:
         blockers["monotone"].append("no growth data")
     else:
         g = p.growth
-        reasons = _negative_at(_COEF_TS, (
-            (f"a{i}{k}", c) for i, row in ((1, g.a1), (2, g.a2))
-            for k, c in enumerate(row)))
-        try:
-            a = integrate_each(_envelopes(p, "a1", g.a1, (0.0, *g.lam1))
-                               + _envelopes(p, "a2", g.a2, (0.0, *g.lam2)))
+        verdict, a = _family(p, "a", (g.a1, g.a2),
+                             ((0.0, *g.lam1), (0.0, *g.lam2)))
+        if a is not None:
             a_star = (tuple(a[:5]), tuple(a[5:]))
-        except QuadratureError as exc:
-            reasons.append(str(exc))
-        settle("H2", Verdict(not reasons, "; ".join(reasons)), "monotone")
+        settle("H2", verdict, "monotone")
 
-    b_star = tau = None
     if p.lipschitz is None:
         blockers["contraction"].append("no Lipschitz data")
     else:
-        b = p.lipschitz
-        reasons = _negative_at(_COEF_TS, (
-            (f"b{i}{k}", c) for i, row in ((1, b.b1), (2, b.b2))
-            for k, c in enumerate(row, start=1)))
-        try:
-            # Power 1 in every slot; tau_i = int |f_i(t,0,0,0,0)| dt.
-            s = integrate_each(
-                _envelopes(p, "b1", b.b1, (1.0,) * 5)
-                + _envelopes(p, "b2", b.b2, (1.0,) * 5)
-                + [(f"forcing integral tau{i}",
-                    Integrand(lambda t, f0=_forcing(fn): np.abs(f0(t))))
-                   for i, fn in enumerate(p.f_compiled, start=1)])
+        # Power 1 in every slot; tau_i = int |f_i(t,0,0,0,0)| dt.
+        verdict, s = _family(
+            p, "b", (p.lipschitz.b1, p.lipschitz.b2), ((1.0,) * 4,) * 2,
+            [(f"forcing integral tau{i}",
+              Integrand(lambda t, f0=_forcing(fn): np.abs(f0(t))))
+             for i, fn in enumerate(p.f_compiled, start=1)])
+        if s is not None:
             b_star, tau = (tuple(s[:4]), tuple(s[4:8])), tuple(s[8:])
-        except QuadratureError as exc:
-            reasons.append(str(exc))
-        settle("H3", Verdict(not reasons, "; ".join(reasons)), "contraction")
+        settle("H3", verdict, "contraction")
 
     if p.monotone:
-        settle("H4", check_h4(p, samples=samples, seed=seed), "monotone")
+        settle("H4", check_h4(p, seed=seed), "monotone")
     else:
         notes.append("monotonicity not claimed; the monotone scheme "
                      "is unavailable for this problem")
@@ -507,7 +498,7 @@ def build_report(p: ProblemSpec, *, seed: int = 0, samples: int = 10_000,
         lam=lam, gamma_alpha=ga, L_pair=(l1, l2), L=big_l,
         a_star=a_star, b_star=b_star, tau=tau, m=m, R=R, r=r,
         verdicts=verdicts, notes=tuple(notes), discrepancies=(),
-        seed=seed, samples=samples,
+        seed=seed, samples=_H4_SAMPLES,
         blockers={k: tuple(v) for k, v in blockers.items()})
 
     if expected:

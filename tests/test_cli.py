@@ -950,14 +950,27 @@ _EDGE_CASES = {
         ("solve", [], 2, r"licensed\n  m=64\.0719 is not below 1\n$"),
     ]),
     "h2-fails": ("sublinear", [("a13 = 2*t", "a13 = -2*t")], [
-        ("check", [], 2, r"H2 FAIL.*\n      a13 is negative at t=0\.001\n"),
+        ("check", [], 2, r"H2 FAIL.*\n      a13 is negative at t=0\.0001\n"),
         ("solve", [], 2, r"licensed\n  H2 fails \(a13 is negative at "
-                         r"t=0\.001\)\n$"),
+                         r"t=0\.0001\)\n$"),
+    ]),
+    # Coefficients negative only below t = 0.0005: the sign checks read
+    # the same 64 points on [1e-4, 1e4] as H1's weights.
+    "h2-negative-below-0.0005": ("sublinear", [
+            ("a10 = 2/(10+t)^2", "a10 = (t - 0.0005)*exp(-t)")], [
+        ("check", [], 2, r"H2 FAIL.*\n      a10 is negative at t=0\.0001\n"),
+    ]),
+    "h3-negative-below-0.0005": ("lipschitz", [
+            ("b11 = exp(-20*t)/(1+sqrt(t^3))",
+             "b11 = (t - 0.0005)*exp(-20*t)/(1+sqrt(t^3))"),
+            ("exp(-20*t)*abs(u1)/(1+sqrt(t^3))",
+             "(t - 0.0005)*exp(-20*t)*abs(u1)/(1+sqrt(t^3))")], [
+        ("check", [], 2, r"H3 FAIL.*\n      b11 is negative at t=0\.0001\n"),
     ]),
     "h3-fails": ("lipschitz", [("b11 = exp", "b11 = -exp")], [
-        ("check", [], 2, r"H3 FAIL.*\n      b11 is negative at t=0\.001\n"),
+        ("check", [], 2, r"H3 FAIL.*\n      b11 is negative at t=0\.0001\n"),
         ("solve", [], 2, r"licensed\n  H3 fails \(b11 is negative at "
-                         r"t=0\.001\)\n$"),
+                         r"t=0\.0001\)\n$"),
         # Without a passing H3 the b*'s bound nothing: no m, no r.
         ("check", ["--json"], 2, r'"m": null,\n  "R": null,\n  "r": null,'),
     ]),
@@ -1019,25 +1032,26 @@ _EDGE_CASES = {
                          r"forcing integral tau1 \(value=78\.57249148120532, "
                          r"error_estimate=1\.386e\+00\)\nconstants:"),
     ]),
-    # a24 is not finite on (0.004, 0.005), which holds its first
-    # quadrature node and no point of the sign check: the earlier a11
-    # still decides (exit 2).  a11 not finite below t = 0.001, where its
-    # refinement goes, decides with its own error (exit 4).
+    # a24 is not finite on (0.0046, 0.0047), which holds its first
+    # quadrature node (0.00461) and no point of the sign check: the
+    # earlier a11 still decides (exit 2).  a11 not finite on (0.0011,
+    # 0.0012), which holds a node of its refinement (0.00115) and no
+    # point of the sign check, decides with its own error (exit 4).
     "a24-not-finite-after-a11-diverges": ("sublinear", [
             ("a11 = exp(-t)/(1+sqrt(t^3))^0.1", "a11 = 1/(1+t)"),
             ("a24 = 2/(1+t^2)",
-             "a24 = 2/(1+t^2) + 0*sqrt((t - 0.004)*(t - 0.005))")], [
+             "a24 = 2/(1+t^2) + 0*sqrt((t - 0.0046)*(t - 0.0047))")], [
         ("check", [], 2, r"H2 FAIL.*\n      quadrature did not converge in "
                          r"envelope integral a11 \(value=3406\.580331937682, "
                          r"error_estimate=3\.371e\+02\)\n  H4 pass"),
     ]),
     "a11-not-finite-before-a24-diverges": ("sublinear", [
             ("a11 = exp(-t)/(1+sqrt(t^3))^0.1",
-             "a11 = exp(-t) + 0*sqrt(t - 0.001)"),
+             "a11 = exp(-t) + 0*sqrt((t - 0.0011)*(t - 0.0012))"),
             ("a24 = 2/(1+t^2)", "a24 = 2/(1+t)")], [
         ("check", [], 4, r"^error: non-finite value from 'exp\(-t\) \+ 0\.0 \* "
-                         r"sqrt\(t - 0\.001\)' at sample index 24 "
-                         r"\(t=0\.0005762301797900236\)\n$"),
+                         r"sqrt\(\(t - 0\.0011\) \* \(t - 0\.0012\)\)' at "
+                         r"sample index 24 \(t=0\.0011524603595800473\)\n$"),
     ]),
     # Trees too deep for the recursive walks over them, and parentheses
     # past Python's nesting limit, are refused as bad expressions.

@@ -151,7 +151,7 @@ def test_matching_declarations_stay_silent(report_sublinear):
 
 def test_unknown_expected_name_rejected(sublinear):
     with pytest.raises(ValueError, match="unknown expected-constant"):
-        build_report(sublinear, samples=100, expected={"a99": 1.0})
+        build_report(sublinear, expected={"a99": 1.0})
 
 
 def _tiny_problem(f1_src, f2_src, monotone=True):
@@ -166,7 +166,7 @@ def _tiny_problem(f1_src, f2_src, monotone=True):
 
 def test_h4_catches_decreasing_rhs():
     p = _tiny_problem("1/(1+t) + 1/(1+u1)", "exp(-t)")
-    verdict = check_h4(p, samples=2000, seed=7)
+    verdict = check_h4(p, seed=7)
     assert not verdict.passed
     assert "decreases between ordered states" in verdict.reason
     assert "np.float64" not in verdict.reason
@@ -174,7 +174,7 @@ def test_h4_catches_decreasing_rhs():
 
 def test_h4_catches_negative_rhs():
     p = _tiny_problem("u1 - 5", "exp(-t)")
-    verdict = check_h4(p, samples=2000, seed=7)
+    verdict = check_h4(p, seed=7)
     assert not verdict.passed
     assert "negative" in verdict.reason
     assert "np.float64" not in verdict.reason
@@ -182,27 +182,27 @@ def test_h4_catches_negative_rhs():
 
 def test_h4_passes_clean_rhs():
     p = _tiny_problem("exp(-t) * (1 + u1 + u3)", "exp(-2*t) * (2 + u2)")
-    verdict = check_h4(p, samples=2000, seed=7)
+    verdict = check_h4(p, seed=7)
     assert verdict.passed, verdict.reason
 
 
 def test_h4_draws_its_samples_once_per_seed():
-    """The samples depend on (samples, seed) alone: problems share one
+    """The samples depend on the seed alone: problems share one
     read-only draw, another seed draws anew, and a fresh draw gives the
     same verdicts."""
     problem_mod._h4_draws.cache_clear()
     clean = _tiny_problem("exp(-t) * (1 + u1 + u3)", "exp(-2*t) * (2 + u2)")
     bad = _tiny_problem("u1 - 5", "exp(-t)")
-    first = [check_h4(p, samples=300, seed=5) for p in (clean, bad)]
+    first = [check_h4(p, seed=5) for p in (clean, bad)]
     info = problem_mod._h4_draws.cache_info()
     assert (info.misses, info.hits) == (1, 1)
-    assert check_h4(clean, samples=300, seed=6).passed
+    assert check_h4(clean, seed=6).passed
     assert problem_mod._h4_draws.cache_info().misses == 2
     problem_mod._h4_draws.cache_clear()
-    assert [check_h4(p, samples=300, seed=5) for p in (clean, bad)] == first
-    t, lo, hi = problem_mod._h4_draws(300, 5)
+    assert [check_h4(p, seed=5) for p in (clean, bad)] == first
+    t, lo, hi = problem_mod._h4_draws(5)
     assert not any(a.flags.writeable for a in (t, lo, hi))
-    assert t.shape == (300,) and np.all(lo <= hi)
+    assert t.shape == (10_000,) and np.all(lo <= hi)
 
 
 def test_h1_rejects_vanishing_forcing():
@@ -231,7 +231,7 @@ def test_radius_R_needs_sublinear_exponents():
     p = ProblemSpec(alpha1=FracOrder(2.5), alpha2=FracOrder(1.5),
                     h1=None, h2=None, f1=parse("exp(-t)"),
                     f2=parse("exp(-t)"), growth=growth, monotone=True)
-    rep = build_report(p, samples=100)
+    rep = build_report(p)
     assert rep.R is None
     assert "growth exponent 1.0 >= 1 is outside the supported sublinear " \
            "regime" in rep.notes

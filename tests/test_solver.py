@@ -11,6 +11,7 @@ import gc
 import json
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from fracbvp import (
     MonotonicityError,
     ProblemSpec,
     SolutionPair,
+    build_report,
     contract_solve,
     derivative_representation,
     diff_norm,
@@ -34,6 +36,7 @@ from fracbvp import (
     monotone_solve,
     norm_pair,
     ordering_audit,
+    resolve_problem,
 )
 from fracbvp import solver as solver_mod
 from fracbvp import verify as verify_mod
@@ -768,3 +771,36 @@ def test_a_kept_plan_holds_no_reference_to_its_kernel_set(sublinear):
         assert [r() for r in gone] == [None, None]
     finally:
         gc.enable()
+
+
+@pytest.fixture(scope="module")
+def both():
+    """A problem that licenses both schemes, with its report."""
+    lp = resolve_problem(str(Path(__file__).parent / "data" / "both.prob"))
+    return lp.spec, build_report(lp.spec, expected=lp.expected)
+
+
+def test_both_schemes_are_licensed(both):
+    _, rep = both
+    assert rep.passed and rep.discrepancies == ()
+    assert (rep.m, rep.R, rep.r) == pytest.approx((0.49287, 2.5125, 3.0832),
+                                                  abs=5e-5)
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_contraction_fixed_point_lies_in_the_monotone_enclosure(both, kernels,
+                                                                n):
+    # both.prob keeps the packaged problems' orders and weights, so their
+    # kernel pair serves it.  1e-7 is the chains' ordering slack.
+    p, rep = both
+    ks1, ks2 = kernels
+    grid = Grid.make(n)
+    op = IntegralOperator(p, ks1, ks2, grid)
+    lower, lo_trace = monotone_solve(p, ks1, ks2, grid, "lower", operator=op)
+    upper, up_trace = monotone_solve(p, ks1, ks2, grid, "upper",
+                                     radius=rep.R, operator=op)
+    fixed, trace = contract_solve(p, ks1, ks2, grid, tol=1e-12, m=rep.m,
+                                  operator=op)
+    assert lo_trace.converged and up_trace.converged and trace.converged
+    assert np.all(lower.stack - 1e-7 <= fixed.stack)
+    assert np.all(fixed.stack <= upper.stack + 1e-7)
