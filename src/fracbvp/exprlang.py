@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 VARIABLES = ("t", "u1", "u2", "u3", "u4")
+_F64 = np.dtype(float)
 CONSTANTS = {"pi": math.pi, "e": math.e}
 BUILTINS = {"exp": 1, "sqrt": 1, "abs": 1, "log": 1, "pow": 2}
 
@@ -261,14 +262,18 @@ def compile_expr(e: Expr, variables: tuple[str, ...] = VARIABLES, *,
             raise TypeError(f"expected {len(params)} arguments "
                             f"({', '.join(params)}), got {len(args)}")
         env = dict(bound)
-        env.update(zip(params, (np.asarray(a, dtype=float) for a in args)))
+        env.update(zip(params, (
+            a if type(a) is np.ndarray and a.dtype is _F64
+            else np.asarray(a, dtype=float) for a in args)))
         with np.errstate(all="ignore"):
             out = np.asarray(body(env), dtype=float)
+            total = out.sum()
         out = np.broadcast_to(out, np.broadcast_shapes(
             *(np.shape(a) for a in env.values()))) if out.shape == () else out
-        bad = ~np.isfinite(out)
-        if np.any(bad):
-            where = ""
+        # Every term is finite when the sum is; an overflowing sum of
+        # finite terms is told apart term by term.
+        if not math.isfinite(total) and not np.isfinite(out).all():
+            bad, where = ~np.isfinite(out), ""
             if variables:
                 idx = int(np.argmax(bad))
                 first = env[variables[0]]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -97,16 +97,16 @@ def rl_integral(g: Callable[[np.ndarray], np.ndarray], q: OrderLike,
     if any(x < 0 for x in ts):
         raise ValueError(f"rl_integral needs t >= 0, got {t}")
     kinks = Integrand(g, kinks=kinks).kinks  # checked increasing floats
+    xs = np.array([x for x in ts if x != 0], float)
+    # The kinks in (0, x/2) and in (x/2, x) of every x from one search:
+    # k <= v exactly when k < nextafter(v, inf).
+    first, half = bisect_right(kinks, 0.0), 0.5 * xs
+    ends = np.searchsorted(kinks, [half, np.nextafter(half, np.inf), xs])
     jobs = []
-    for x in ts:
-        half = 0.5 * x
-        # By bisection, the kinks in (0, half) and in (half, x).
-        jobs += [] if x == 0 else [
-            (0.0, half, kinks[bisect_right(kinks, 0.0):
-                              bisect_left(kinks, half)], g_exponent),
-            (0.0, half, [x - k for k in reversed(kinks[bisect_right(
-                kinks, half):bisect_left(kinks, x)])], qv - 1.0)]
-    at = np.repeat(np.array([x for x in ts if x != 0], float), 2)
+    for x, h, a, b, c in zip(xs.tolist(), half.tolist(), *ends.tolist()):
+        jobs += [(0.0, h, kinks[first:a], g_exponent),
+                 (0.0, h, [x - k for k in reversed(kinks[b:c])], qv - 1.0)]
+    at = np.repeat(xs, 2)
     flip = np.arange(at.size) % 2 == 1
 
     def fn(x: np.ndarray, job) -> np.ndarray:

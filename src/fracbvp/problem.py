@@ -34,6 +34,7 @@ a scheme with no reasons is licensed.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from math import inf, isfinite
@@ -114,7 +115,7 @@ class ProblemSpec:
     conditions; None means no boundary coupling.  At least one of
     growth / lipschitz must be present, or no scheme applies.
     f_compiled holds f1 and f2 compiled unbound, once per spec, for
-    every check that evaluates them.
+    every check that evaluates them but H4, which binds t.
     """
 
     alpha1: FracOrder
@@ -318,27 +319,50 @@ def integrate_each(named, tol: float = DEFAULT_TOL) -> list[float]:
     return [res.value for res in results]
 
 
+# The envelope integrals that _family computed, by (coefficient,
+# weight exponent or None, power, tol), least recently used first: a
+# problem loaded again, or a variant that keeps a coefficient's text
+# (cli._read shares its Integrand), integrates it once.
+_COEF_MEMO: OrderedDict = OrderedDict()
+_COEF_MEMO_SIZE = 64
+
+
 def _family(p: ProblemSpec, letter: str, rows, powers, extra=()
             ) -> tuple[Verdict, list[float] | None]:
     """The verdict on H2's a_ik (rows over slots k = 0..4) or H3's b_ik
     (k = 1..4), each sampled for sign on _SAMPLE_TS, and its envelope
-    integrals then `extra`'s, as one integrate_each batch (None when that
-    did not converge).  powers[i][j] is the exponent of rows[i][j]; the
-    u1, u2 slots are weighted by (1 + t^(alpha-1))^power."""
+    integrals then `extra`'s (None when they did not converge).  The
+    integrals _COEF_MEMO lacks and `extra` are one integrate_each batch,
+    and only a converged batch's values are kept.  powers[i][j] is the
+    exponent of rows[i][j]; the u1, u2 slots are weighted by
+    (1 + t^(alpha-1))^power."""
     weights = (None, p.alpha1.q - 1.0, p.alpha2.q - 1.0, None, None)
-    named, jobs = [], []
+    named, keys, misses = [], [], {}
     for i, (row, pows) in enumerate(zip(rows, powers), start=1):
         for k, (c, e) in enumerate(zip(row, pows), start=5 - len(row)):
             named.append((f"{letter}{i}{k}", c))
-            if weights[k] is not None and e != 0.0:
-                c = replace(c, fn=lambda t, _c=c.fn, _w=weights[k], _p=e:
+            w = weights[k] if e != 0.0 else None
+            keys.append((c, w, 0.0 if w is None else e, DEFAULT_TOL))
+            if keys[-1] in _COEF_MEMO or keys[-1] in misses:
+                continue
+            if w is not None:
+                c = replace(c, fn=lambda t, _c=c.fn, _w=w, _p=e:
                             np.asarray(_c(t)) * (1.0 + t ** _w) ** _p)
-            jobs.append((f"envelope integral {letter}{i}{k}", c))
+            misses[keys[-1]] = (f"envelope integral {letter}{i}{k}", c)
     reasons, values = _negative_at(named), None
+    known = {key: _COEF_MEMO[key] for key in keys if key in _COEF_MEMO}
     try:
-        values = integrate_each([*jobs, *extra])
+        values = integrate_each([*misses.values(), *extra])
     except QuadratureError as exc:
         reasons.append(str(exc))
+    else:
+        for key, v in zip(misses, values):
+            _COEF_MEMO[key] = known[key] = v
+        for key in known:
+            _COEF_MEMO.move_to_end(key)
+        while len(_COEF_MEMO) > _COEF_MEMO_SIZE:
+            _COEF_MEMO.popitem(last=False)
+        values = [known[key] for key in keys] + values[len(misses):]
     return Verdict(not reasons, "; ".join(reasons)), values
 
 
@@ -368,13 +392,17 @@ def check_h4(p: ProblemSpec, seed: int = 0) -> Verdict:
     Draws componentwise-ordered state pairs by taking min/max of two
     uniform draws and requires f_i(t, lo) <= f_i(t, hi) up to rounding.
     Nonnegativity of f_i on the sampled states is checked alongside,
-    since positivity of the iterates relies on it.
+    since positivity of the iterates relies on it.  Each f_i is compiled
+    with t bound to the sample times, so its t-only subtrees are
+    evaluated once for both states; a bound compile gives the unbound
+    one's values bit for bit (compile_expr).
     """
     t, lo, hi = _h4_draws(seed)
     issues = []
-    for i, fn in enumerate(p.f_compiled, start=1):
-        flo = np.asarray(fn(t, *lo))
-        fhi = np.asarray(fn(t, *hi))
+    for i, f in enumerate((p.f1, p.f2), start=1):
+        fn = compile_expr(f, bind={"t": t})
+        flo = np.asarray(fn(*lo))
+        fhi = np.asarray(fn(*hi))
         slack = 1e-12 * (1.0 + np.abs(fhi))
         bad = flo > fhi + slack
         if np.any(bad):

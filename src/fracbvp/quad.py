@@ -24,6 +24,13 @@ ask, the first 8 with the head's first splits).  Nodes and sums are
 those of one panel at a time, in each job's own order, so batching
 changes nothing but the number of calls.  integrate_finite and
 integrate_halfline are its one-job cases.
+
+The first round is numpy throughout: the pieces' first panels are
+estimated together and accepted by one comparison of each error with
+its job's share of the tolerance.  Only the pieces that refine and the
+half-line tails that walk run as generators (_adapt, _walk).  Each
+job's parts, its pieces' (one np.bincount for all jobs) then its
+doublings', are added in order from 0.0.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -136,7 +144,7 @@ def _estimate(fn, lo: np.ndarray, hi: np.ndarray):
         left, right = np.concatenate((lo, lo, mid, hi, mid, hi)).reshape(2, -1)
         halves = 0.5 * (right - left)
         nodes = (0.5 * (left + right))[:, None] + halves[:, None] * x
-    ys = np.reshape(fn(nodes.ravel()), nodes.shape)
+    ys = fn(nodes.ravel()).reshape(nodes.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         dots = (halves * np.vecdot(ys, w)).reshape(3, -1)
         # The leading 0.0 keeps the running sum's +0.0 for a -0.0 total.
@@ -189,19 +197,6 @@ def _adapt(key, lo: float, hi: float, tol: float, first):
     return value, error, n_eval, converged
 
 
-def _total(parts: list, tail: list, end: float) -> QuadResult:
-    """The QuadResult of a job's (value, error, evaluations, converged)
-    parts, its pieces' then its doublings' (tail), summed in order."""
-    value = error = 0.0
-    n_eval, ok = 0, True
-    for v, e, ne, conv in parts + tail:
-        value += v
-        error += e
-        n_eval += ne
-        ok = ok and conv
-    return QuadResult(value, error, end, n_eval, ok)
-
-
 def _walk(end: float, tail: int, tol: float):
     """A half-line job's doublings [end, 2 end], [2 end, 4 end], ... as a
     run of integrate_batch beside its head's pieces (piece tail), each to
@@ -235,17 +230,20 @@ def _walk(end: float, tail: int, tol: float):
 def integrate_batch(fn, jobs, tol: float = DEFAULT_TOL) -> list[QuadResult]:
     """Integrate fn(x, job) over each job's interval, each to tol.
 
-    A job is (a, b, kinks, sigma): no panel straddles a kink, and the
-    power substitution removes fn ~ t^sigma at 0+ from the leading piece
-    when a == 0.  A half-line job (0, inf, kinks, sigma, decay_hint) has
-    the pieces of [0, T0], T0 = max(1, 1.5 * last kink, 45 / decay_hint),
-    to tol/2, and walks the doublings beyond T0 beside them (_walk), its
-    first tail panels in the call of the head's first splits.  fn gets
-    the points and each one's job index; it must be pointwise.  Each job's
-    points come in the calls and order of the job alone (see the module
-    docstring), so its result is bit for bit the job's alone.
+    A job is (a, b, kinks, sigma): no panel straddles a kink (kinks
+    increase), and the power substitution removes fn ~ t^sigma at 0+
+    from the leading piece when a == 0.  A half-line job (0, inf, kinks,
+    sigma, decay_hint) has the pieces of [0, T0], T0 = max(1, 1.5 * last
+    kink, 45 / decay_hint), to tol/2, and walks the doublings beyond T0
+    beside them (_walk), its first tail panels in the call of the head's
+    first splits.  fn gets the points and each one's job index; it must
+    be pointwise.  Each job's points come in the calls and order of the
+    job alone (see the module docstring), so its result is bit for bit
+    the job's alone.
     """
-    lo, hi, sig, owner, specs = [], [], [], [], []  # per piece; per job
+    if not jobs:
+        return []
+    lo, hi, subs, exps, counts, shares, ends, walks = ([] for _ in range(8))
     for j, (a, b, kinks, sigma, *rate) in enumerate(jobs):
         if not a < b:
             raise ValueError(f"need a < b, got [{a}, {b}]")
@@ -255,18 +253,29 @@ def integrate_batch(fn, jobs, tol: float = DEFAULT_TOL) -> list[QuadResult]:
                 f"integrate it only against a compensating factor")
         walk = b == math.inf
         if walk:  # e^{-45} ~ 3e-20: safely below any tolerance in use here
+            walks.append(j)
             b = max([1.0, *(1.5 * k for k in kinks[-1:]),
                      *(45.0 / r for r in rate if r is not None)])
-        cuts = [a, *(k for k in kinks if a < k < b), b]
-        specs.append((len(lo), len(cuts) - 1, b, walk))
+        cuts = [a, *kinks[bisect_right(kinks, a):bisect_left(kinks, b)], b]
+        if a == 0.0 and sigma != 0.0:  # the power substitution
+            subs.append(len(lo))
+            exps.append(sigma)
         lo += cuts[:-1]
         hi += cuts[1:]
-        sig += [sigma if a == 0.0 else 0.0] + [0.0] * (len(cuts) - 2)
-        owner += [j] * (len(cuts) - 1)
-    # Piece n + j, plain, is job j's doublings.
-    n, owner = len(lo), np.array(owner + list(range(len(specs))))
-    sig += [0.0] * len(specs)
-    start, end, sig = (np.array(v, float) for v in (lo, hi, sig))
+        counts.append(len(cuts) - 1)
+        shares.append((tol / 2 if walk else tol) / counts[-1])
+        ends.append(b)
+    # Per piece: its job, its exponent (0 unless substituted), its end and
+    # its first panel, [0, 1] when substituted.  Piece n + j, plain, is
+    # job j's doublings.
+    n, m = len(lo), len(jobs)
+    owner = np.concatenate((np.arange(m).repeat(counts), np.arange(m)))
+    sig = np.zeros(n + m)
+    sig[subs] = exps
+    end = np.array(hi, float)
+    for i in subs:
+        lo[i], hi[i] = 0.0, 1.0
+    lo, hi = np.array(lo, float), np.array(hi, float)
 
     def estimate(ids: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         def mapped(x: np.ndarray) -> np.ndarray:
@@ -275,48 +284,59 @@ def integrate_batch(fn, jobs, tol: float = DEFAULT_TOL) -> list[QuadResult]:
             # powers to a Python float, as for the piece alone (so that
             # y ** 2.0 and y ** 0.5 are numpy's square and sqrt).
             x, scales, s = x.reshape(3, ids.size, 12), [], sig[ids]
-            for sigma in dict.fromkeys(s[s != 0.0].tolist()):
+            for sigma in dict.fromkeys(s[s != 0.0].tolist() if subs else ()):
                 sel = np.flatnonzero(s == sigma)
-                p, y, a = 1.0 + sigma, x[:, sel], start[ids[sel], None]
-                w = end[ids[sel], None] - a
-                x[:, sel] = a + w * y ** (1.0 / p)
-                scales.append((sel, w / p, y ** (1.0 / p - 1.0)))
+                p, y, c = 1.0 + sigma, x[:, sel], end[ids[sel], None]
+                x[:, sel] = c * y ** (1.0 / p)
+                scales.append((sel, c / p, y ** (1.0 / p - 1.0)))
             job = owner[ids][None].repeat(3, 0).repeat(12)
             ys = np.array(fn(x.ravel(), job), float).reshape(x.shape)
-            for sel, wp, dy in scales:
-                ys[:, sel] = ys[:, sel] * wp * dy
+            for sel, cp, dy in scales:
+                ys[:, sel] = ys[:, sel] * cp * dy
             return ys.ravel()
         return _estimate(mapped, lo, hi)
 
-    lo, hi = np.where(sig[:n], 0.0, start), np.where(sig[:n], 1.0, end)
+    # The first round: every piece's first panel, accepted where its error
+    # is within its job's share of tol.
     val, err = estimate(np.arange(n), lo, hi)
-    vals, errs, lo, hi = val.tolist(), err.tolist(), lo.tolist(), hi.tolist()
-    runs = []  # per job: its pieces, then its walk or ([], b)
-    for j, (s, c, b, walk) in enumerate(specs):
-        share = (tol / 2 if walk else tol) / c
-        runs += [_adapt(i, lo[i], hi[i], share, (vals[i], errs[i]))
-                 if errs[i] > share else (vals[i], errs[i], 36, True)
-                 for i in range(s, s + c)]
-        runs.append(_walk(b, n + j, tol) if walk else ([], b))
+    refine = (err > np.array(shares).repeat(counts)).nonzero()[0].tolist()
+    runs = {i: _adapt(i, float(lo[i]), float(hi[i]), shares[owner[i]],
+                      (float(val[i]), float(err[i]))) for i in refine}
+    runs.update((n + j, _walk(ends[j], n + j, tol)) for j in walks)
     # A run is a generator asking for lists of (piece, lo, hi) panels and
-    # sent their (value, error) pairs, or its result already.
-    sent = {i: None for i, r in enumerate(runs) if not isinstance(r, tuple)}
+    # sent their (value, error) pairs; it returns its result.
+    sent, done = dict.fromkeys(runs), {}
     while sent:  # one estimate, so one call of fn, per round
         asks = {}
         for i, got in sent.items():
             try:
                 asks[i] = runs[i].send(got)
             except StopIteration as stop:
-                runs[i] = stop.value
+                done[i] = stop.value
         if asks:
             ids, lo, hi = zip(*(p for ask in asks.values() for p in ask))
-            val, err = estimate(np.array(ids), np.array(lo, float),
-                                np.array(hi, float))
-            pairs = zip(val.tolist(), err.tolist())
+            v, e = estimate(np.array(ids), np.array(lo, float),
+                            np.array(hi, float))
+            pairs = zip(v.tolist(), e.tolist())
         sent = {i: [next(pairs) for _ in ask] for i, ask in asks.items()}
-    done = iter(runs)
-    return [_total([next(done) for _ in range(c)], *next(done))
-            for _, c, _, _ in specs]
+    # Each job's parts are added in order from 0.0: its pieces' by
+    # np.bincount, which runs out[owner[i]] += weight[i] over i in order,
+    # then its doublings'.
+    n_eval, conv = [36 * c for c in counts], [True] * m
+    for i in refine:
+        j = int(owner[i])
+        val[i], err[i], ne, ok = done[i]
+        n_eval[j] += ne - 36
+        conv[j] = conv[j] and ok
+    value, error = (np.bincount(owner[:n], x, m).tolist() for x in (val, err))
+    for j in walks:
+        parts, ends[j] = done[n + j]
+        for v, e, ne, ok in parts:
+            value[j] += v
+            error[j] += e
+            n_eval[j] += ne
+            conv[j] = conv[j] and ok
+    return [QuadResult(*r) for r in zip(value, error, ends, n_eval, conv)]
 
 
 def integrate_finite(f: Integrand, a: float, b: float,

@@ -182,7 +182,7 @@ class SolutionPair:
                stack: np.ndarray, sp=None) -> SolutionPair:
         """Fill `sp`, else a new pair, with a fresh C-contiguous (4, n)
         stack, not copied but made read-only, once it is finite."""
-        if not np.all(np.isfinite(stack)):
+        if not np.isfinite(stack).all():
             raise ValueError("solution rows must be finite")
         stack.setflags(write=False)
         sp = object.__new__(cls) if sp is None else sp
@@ -233,11 +233,11 @@ class SolutionPair:
 
 def norm_pair(sp: SolutionPair) -> float:
     """Discrete product norm: the largest sup over the four rows."""
-    return float(np.max(np.abs(sp.stack)))
+    return float(np.abs(sp.stack).max())
 
 
 def diff_norm(a: SolutionPair, b: SolutionPair) -> float:
-    return float(np.max(np.abs(a.stack - b.stack)))
+    return float(np.abs(a.stack - b.stack).max())
 
 
 @dataclass
@@ -369,7 +369,7 @@ class _Plan:
         at the plan's points s."""
         wf = self.w * vals
         psums = np.add.reduceat(wf, self.panel_starts)
-        right = np.cumsum(psums[::-1])[::-1]
+        right = psums[::-1].cumsum()[::-1]
         a_total = float(right[0])
         c_total = float(np.dot(wf, self.g_at_s[k]))
         # Tail-inclusive remainder int_(t_j)^inf F, summed panel-by-panel
@@ -419,7 +419,7 @@ class IntegralOperator:
         rows[0::2, 0] = 0.0
         rows[1::2, 0] = rows[1::2, 1]
         rows[:, -1] = rows[:, -2]
-        slopes = np.diff(rows) / plan.widths
+        slopes = (rows[:, 1:] - rows[:, :-1]) / plan.widths
         # The states by np.interp's formula: slope*offset + left value.
         j = plan.bracket
         states = slopes.take(j, axis=1) * plan.offset + rows.take(j, axis=1)
@@ -440,7 +440,8 @@ def _enforce_ordering(prev: SolutionPair, new: SolutionPair, sign: float,
 
     sign +1 demands new >= prev (lower chain), -1 demands new <= prev.
     Deviations within `slack` are clipped to prev and counted; anything
-    larger is a genuine ordering break and raises.
+    larger is a genuine ordering break and raises.  With nothing to
+    clip, `new` itself comes back.
     """
     deficit = sign * (prev.stack - new.stack)
     worst = deficit.max(axis=1)
@@ -453,9 +454,12 @@ def _enforce_ordering(prev: SolutionPair, new: SolutionPair, sign: float,
             f"ordering at node {j} (t={float(prev.grid.nodes[j])!r}) by "
             f"{float(worst[r]):.3e}, beyond the quadrature slack {slack:.3e}")
     bad = deficit > 0.0
+    count = int(np.count_nonzero(bad))
+    if not count:
+        return new, 0
     clipped = SolutionPair._adopt(prev.grid, prev.alpha1, prev.alpha2,
                                   np.where(bad, prev.stack, new.stack))
-    return clipped, int(np.count_nonzero(bad))
+    return clipped, count
 
 
 def _steps(op: IntegralOperator, trace: IterationTrace, max_iter: int,

@@ -96,7 +96,7 @@ def _flat_pchip(xp: np.ndarray, fp: np.ndarray):
 
     def fn(s: np.ndarray) -> np.ndarray:
         k = np.searchsorted(xp, s, side="right")
-        c0, c1, c2, c3, x0 = (row[k] for row in tab)
+        c0, c1, c2, c3, x0 = tab[:, k]
         z = np.minimum(s, xp[-1]) - x0
         return c3 + c2 * z + c1 * (z * z) + c0 * (z * z * z)
 

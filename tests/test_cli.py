@@ -35,7 +35,7 @@ from fracbvp import (
 )
 from fracbvp.cli import _json, _read, _table, main
 from fracbvp.exprlang import VARIABLES, ExprError, Var
-from fracbvp.problem import CONSTANT_NAMES
+from fracbvp.problem import _H4_SAMPLES, CONSTANT_NAMES
 
 _LIPS = "\n".join(f"b{i}{k} = exp(-t)" for i in (1, 2) for k in range(1, 5))
 
@@ -1226,14 +1226,16 @@ def test_loads_share_parsed_values(tmp_path, capsys):
 
 def test_solve_compiles_each_forcing_once_unbound(monkeypatch):
     """A solve compiles f1 and f2 unbound once each, for every check
-    that evaluates them, plus once each bound to the operator's points."""
+    that evaluates them, plus once each bound to H4's sample times and
+    once each bound to the operator's points."""
     import fracbvp.verify  # noqa: F401  (solve imports it; bind it now)
     calls = []
     real = fracbvp.exprlang.compile_expr
 
     def counting(e, variables=VARIABLES, *, bind=None):
         if variables == VARIABLES:
-            calls.append((to_source(e), bind is not None))
+            calls.append((to_source(e), "unbound" if bind is None else "h4"
+                          if np.size(bind["t"]) == _H4_SAMPLES else "points"))
         return real(e, variables, bind=bind)
 
     for name, mod in list(sys.modules.items()):
@@ -1243,4 +1245,4 @@ def test_solve_compiles_each_forcing_once_unbound(monkeypatch):
     spec = resolve_problem("sublinear").spec
     forcings = {to_source(spec.f1), to_source(spec.f2)}
     assert sorted(calls) == sorted(
-        (f, bound) for f in forcings for bound in (False, True))
+        (f, bound) for f in forcings for bound in ("unbound", "h4", "points"))

@@ -9,6 +9,7 @@ orders to catch regressions early.
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from fracbvp import (
     gamma,
 )
 from fracbvp import problem as problem_mod
+from fracbvp.cli import load_problem
 from fracbvp.exprlang import compile_expr, parse
 from fracbvp.quad import DEFAULT_TOL
 
@@ -269,3 +271,134 @@ def test_report_json_round_trip(report_sublinear):
     assert isinstance(doc["notes"], list)
     assert doc["discrepancies"] == []
     assert doc["seed"] == 0
+
+
+# -- the coefficient-integral memo ---------------------------------------
+
+_DATA = Path(__file__).parent / "data"
+
+
+def _texts(name):
+    return (_DATA / name if name.endswith(".prob") else
+            Path(problem_mod.__file__).parent / "problems" / f"{name}.prob"
+            ).read_text()
+
+
+def _coefficient_jobs(monkeypatch):
+    """The labels of the envelope-integral jobs integrate_each is asked
+    for, as a list that later reports append to."""
+    labels, real = [], problem_mod.integrate_each
+
+    def spy(named, *args):
+        labels.extend(label for label, _ in named
+                      if label.startswith("envelope integral"))
+        return real(named, *args)
+
+    monkeypatch.setattr(problem_mod, "integrate_each", spy)
+    return labels
+
+
+@pytest.mark.parametrize("name", ["sublinear", "lipschitz", "both.prob"])
+def test_warm_report_equals_cold_report_bit_for_bit(name, monkeypatch):
+    """A report that reads every coefficient integral from the memo is
+    the report a cleared memo gives, to the last bit."""
+    spec = load_problem(_texts(name)).spec
+    problem_mod._COEF_MEMO.clear()
+    labels = _coefficient_jobs(monkeypatch)
+    cold = build_report(spec)
+    asked = len(labels)
+    warm = build_report(spec)
+    assert asked > 0 and len(labels) == asked  # the warm report asks none
+    problem_mod._COEF_MEMO.clear()
+    assert repr(build_report(spec).to_dict()) == repr(cold.to_dict()) \
+        == repr(warm.to_dict())
+
+
+def test_changed_coefficient_text_misses_the_memo(monkeypatch):
+    text = _texts("sublinear")
+    base = build_report(load_problem(text).spec).a_star[0][0]
+    labels = _coefficient_jobs(monkeypatch)
+    scaled = load_problem(text.replace(
+        "a10 = 2/(10+t)^2", "a10 = 1.5*(2/(10+t)^2)")).spec
+    report = build_report(scaled)
+    assert labels == ["envelope integral a10"]
+    assert report.a_star[0][0] == pytest.approx(1.5 * base, rel=1e-13)
+    assert report.a_star[0][1:] == build_report(
+        load_problem(text).spec).a_star[0][1:]
+
+
+def test_a_failed_integral_is_not_memoized(tmp_path, capsys):
+    """A divergent envelope leaves nothing in the memo, so a second check
+    in the same process integrates it again and prints the same H2
+    failure."""
+    from fracbvp.cli import main
+    p = tmp_path / "a14.prob"
+    text = _texts("sublinear")
+    p.write_text(text[:text.index("\n[expected]")].replace(
+        "a14 = 1/(1+t^2)", "a14 = 1/(1+t)") + "\n")
+    outs = []
+    for _ in range(2):
+        assert main(["check", str(p)]) == 2
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert "quadrature did not converge in envelope integral a14" in outs[0]
+    a14 = load_problem(p.read_text()).spec.growth.a1[4]
+    assert not any(key[0] is a14 for key in problem_mod._COEF_MEMO)
+
+
+def test_the_memo_keeps_its_bound_and_the_latest_entries(monkeypatch):
+    monkeypatch.setattr(problem_mod, "_COEF_MEMO_SIZE", 12)
+    problem_mod._COEF_MEMO.clear()
+    text = _texts("sublinear")
+    for c in (1.25, 1.5, 1.75, 2.0):
+        spec = load_problem(text.replace(
+            "a10 = 2/(10+t)^2", f"a10 = {c}*(2/(10+t)^2)")).spec
+        build_report(spec)
+        assert len(problem_mod._COEF_MEMO) <= 12
+    # The last report's ten coefficients are the ten most recent entries.
+    recent = [key[0] for key in problem_mod._COEF_MEMO][-10:]
+    assert set(recent) == {*spec.growth.a1, *spec.growth.a2}
+    problem_mod._COEF_MEMO.clear()
+
+
+# -- H4 on bound sample times --------------------------------------------
+
+def _unbound_h4(p, seed):
+    """check_h4 with each f_i evaluated unbound at the sample times: the
+    route before the bound compile, kept as its reference."""
+    t, lo, hi = problem_mod._h4_draws(seed)
+    issues = []
+    for i, fn in enumerate(p.f_compiled, start=1):
+        flo, fhi = fn(t, *lo), fn(t, *hi)
+        slack = 1e-12 * (1.0 + np.abs(fhi))
+        bad = flo > fhi + slack
+        if np.any(bad):
+            j = int(np.argmax(bad))
+            issues.append(
+                f"f{i} decreases between ordered states at "
+                f"t={float(t[j])!r}: {float(flo[j])!r} > {float(fhi[j])!r} "
+                f"for lo={lo[:, j].tolist()}, hi={hi[:, j].tolist()}")
+        neg = np.minimum(flo, fhi) < -slack
+        if np.any(neg):
+            j = int(np.argmax(neg))
+            issues.append(
+                f"f{i} is negative at t={float(t[j])!r}, "
+                f"state={lo[:, j].tolist()}: {float(min(flo[j], fhi[j]))!r}")
+    return "; ".join(issues)
+
+
+@pytest.mark.parametrize("case", ["sublinear", "both.prob", "decreasing",
+                                  "negative"])
+def test_h4_on_bound_times_matches_the_unbound_route(case):
+    if case == "decreasing":
+        p = _tiny_problem("1/(1+t) + 1/(1+u1)", "exp(-t)")
+    elif case == "negative":
+        p = _tiny_problem("u1 - 5", "exp(-t)")
+    else:
+        p = load_problem(_texts(case)).spec
+    for seed in (0, 7):
+        verdict, want = check_h4(p, seed=seed), _unbound_h4(p, seed)
+        assert verdict.passed is (not want)
+        if want:
+            assert verdict.reason == want
+    assert case in ("sublinear", "both.prob") or not verdict.passed

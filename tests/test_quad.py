@@ -309,3 +309,84 @@ def test_head_splits_and_first_tail_chunk_share_a_call():
     res = integrate_halfline(f, tol=1e-10)
     assert sizes[:2] == [36, 72 + 36 * 8]
     assert res.converged and res == _reference_halfline(f, 1e-10)
+
+
+def test_batch_results_are_the_one_job_results_bit_for_bit():
+    """Jobs accepted on their first estimate, jobs that refine, half-line
+    jobs and an identically zero integrand share one batch; each result,
+    the sign of a zero value included, is that of its job alone."""
+    cases = [
+        (Integrand(lambda t: np.exp(-t)), 0.0, 1.0),
+        (Integrand(lambda t: 3.0 * t ** 2 - t, kinks=(0.25, 0.5)), 0.0, 1.0),
+        (Integrand(lambda t: np.exp(-t) * np.cos(40.0 * t)), 0.0, 2.0),
+        (Integrand(lambda t: np.abs(np.cos(5.0 * t)) * t ** -0.5,
+                   kinks=tuple((k + 0.5) * math.pi / 5.0 for k in range(5)),
+                   endpoint_exponent=-0.5), 0.0, math.pi),
+        (Integrand(lambda t: -0.0 * t), 0.5, 2.0),
+        (Integrand(lambda t: np.abs(np.sin(7.0 * t)) * np.exp(-0.1 * t),
+                   kinks=tuple(k * math.pi / 7.0 for k in range(1, 21))),
+         0.0, 9.5),
+        (Integrand(lambda t: np.exp(-t), decay_hint=1.0), 0.0, math.inf),
+        (Integrand(lambda t: np.exp(-0.7 * t) * np.sin(t) ** 2 * t ** -0.5,
+                   endpoint_exponent=0.5, decay_hint=0.7), 0.0, math.inf),
+        (Integrand(lambda t: -0.0 * t), 0.0, math.inf),
+        (Integrand(lambda t: 1.0 / (1.0 + t)), 0.0, math.inf),
+    ]
+
+    def fn(x, job):
+        out = np.empty_like(x)
+        for j in set(job.tolist()):
+            out[job == j] = cases[j][0].fn(x[job == j])
+        return out
+
+    jobs = [(a, b, f.kinks, f.endpoint_exponent)
+            + ((f.decay_hint,) if b == math.inf else ()) for f, a, b in cases]
+    got = quad.integrate_batch(fn, jobs, 1e-11)
+    for (f, a, b), res in zip(cases, got):
+        if b == math.inf:
+            one, ref = (integrate_halfline(f, 1e-11),
+                        _reference_halfline(f, 1e-11))
+        else:
+            one, ref = (integrate_finite(f, a, b, 1e-11),
+                        _reference_finite(f, a, b, 1e-11))
+        assert res == one == ref
+        assert math.copysign(1.0, res.value) == math.copysign(1.0, one.value)
+    first, refined = got[0].evaluations, got[2].evaluations
+    assert first == 36 and refined > 36 and got[1].evaluations == 3 * 36
+    assert [math.copysign(1.0, got[j].value) for j in (4, 8)] == [1.0, 1.0]
+    assert got[4].value == got[8].value == 0.0
+    assert not got[9].converged and all(r.converged for r in got[:9])
+
+
+def test_rl_integral_kinks_match_the_bisection_route(monkeypatch):
+    """One search over all stencil points finds the kinks in (0, x/2) and
+    in (x/2, x) that two bisections per point find, kinks that sit on x/2
+    or x, or at or below 0, included."""
+    from bisect import bisect_left, bisect_right
+
+    from fracbvp import Grid, fracops
+    seen, real = [], fracops.integrate_batch
+    monkeypatch.setattr(fracops, "integrate_batch", lambda fn, jobs, tol:
+                        seen.append(jobs) or real(fn, jobs, tol))
+    g = lambda s: np.exp(-s)  # noqa: E731
+    grid_kinks = tuple(Grid.make(64).nodes.tolist())
+    edge_kinks = (-1.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.5, 3.0)
+    for kinks, ts, q in ((grid_kinks, (0.5, 1.0, 2.0), 1.5),
+                         (grid_kinks, (0.5, 1.0, 2.0), 0.5),
+                         (edge_kinks, (0.5, 1.0, 3.0, 0.0), 0.5)):
+        seen.clear()
+        if kinks is edge_kinks:
+            fracops.rl_integral(g, q, list(ts), kinks=kinks)
+        else:  # the spot-check's route: every stencil point in one batch
+            fracops.rl_derivative(g, 2.0 + q, list(ts), kinks=kinks,
+                                  g_exponent=1.0 + q)
+        (jobs,) = seen
+        for lower, upper in zip(jobs[::2], jobs[1::2]):
+            half = lower[1]
+            x = 2.0 * half
+            assert list(lower[2]) == list(kinks[bisect_right(kinks, 0.0):
+                                                bisect_left(kinks, half)])
+            assert upper[2] == [x - k for k in reversed(kinks[bisect_right(
+                kinks, half):bisect_left(kinks, x)])]
+        # Two jobs per nonzero point: t = 0 has none.
+        assert len(jobs) == 6 if kinks is edge_kinks else len(jobs) > 6
