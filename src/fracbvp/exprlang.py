@@ -255,7 +255,6 @@ def compile_expr(e: Expr, variables: tuple[str, ...] = VARIABLES, *,
         value = _compile(e, bound)
     body = value if callable(value) else (lambda env: value)
     params = tuple(v for v in variables if v not in bound)
-    src = to_source(e)
 
     def fn(*args: np.ndarray) -> np.ndarray:
         if len(args) != len(params):
@@ -282,10 +281,10 @@ def compile_expr(e: Expr, variables: tuple[str, ...] = VARIABLES, *,
                 except IndexError:
                     x = float("nan")
                 where = f" at sample index {idx} ({variables[0]}={x!r})"
-            raise ExprEvalError(f"non-finite value from {src!r}{where}")
+            raise ExprEvalError(
+                f"non-finite value from {to_source(e)!r}{where}")
         return out
 
-    fn.source = src  # type: ignore[attr-defined]
     return fn
 
 

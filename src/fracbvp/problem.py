@@ -115,7 +115,7 @@ class ProblemSpec:
     conditions; None means no boundary coupling.  At least one of
     growth / lipschitz must be present, or no scheme applies.
     f_compiled holds f1 and f2 compiled unbound, once per spec, for
-    every check that evaluates them but H4, which binds t.
+    every check that evaluates them.
     """
 
     alpha1: FracOrder
@@ -392,17 +392,13 @@ def check_h4(p: ProblemSpec, seed: int = 0) -> Verdict:
     Draws componentwise-ordered state pairs by taking min/max of two
     uniform draws and requires f_i(t, lo) <= f_i(t, hi) up to rounding.
     Nonnegativity of f_i on the sampled states is checked alongside,
-    since positivity of the iterates relies on it.  Each f_i is compiled
-    with t bound to the sample times, so its t-only subtrees are
-    evaluated once for both states; a bound compile gives the unbound
-    one's values bit for bit (compile_expr).
+    since positivity of the iterates relies on it.
     """
     t, lo, hi = _h4_draws(seed)
     issues = []
-    for i, f in enumerate((p.f1, p.f2), start=1):
-        fn = compile_expr(f, bind={"t": t})
-        flo = np.asarray(fn(*lo))
-        fhi = np.asarray(fn(*hi))
+    for i, fn in enumerate(p.f_compiled, start=1):
+        flo = np.asarray(fn(t, *lo))
+        fhi = np.asarray(fn(t, *hi))
         slack = 1e-12 * (1.0 + np.abs(fhi))
         bad = flo > fhi + slack
         if np.any(bad):
@@ -507,6 +503,7 @@ def build_report(p: ProblemSpec, *, seed: int = 0,
     # R = max of {5 a*_10, 5 a*_20} and {(5 L a*_ik)^(1/(1-lam_ik))} over
     # the eight weighted slots; only exponents lam_ik < 1 are covered, and
     # only a passing H2 makes every a*_ik a nonnegative envelope integral.
+    # A term that overflows a float leaves R out, which blocks the scheme.
     if a_star is not None and isfinite(big_l):
         exps = (p.growth.lam1, p.growth.lam2)
         over = [e for row in exps for e in row if e >= 1.0]
@@ -514,10 +511,16 @@ def build_report(p: ProblemSpec, *, seed: int = 0,
             notes.append(f"growth exponent {over[0]} >= 1 is outside the "
                          f"supported sublinear regime")
         elif verdicts["H2"].passed:
-            R = max([5.0 * a_star[0][0], 5.0 * a_star[1][0]]
-                    + [(5.0 * big_l * a_star[i][k])
-                       ** (1.0 / (1.0 - exps[i][k - 1]))
-                       for i in (0, 1) for k in (1, 2, 3, 4)])
+            R = max(5.0 * a_star[0][0], 5.0 * a_star[1][0])
+            for i, k in [(i, k) for i in (0, 1) for k in (1, 2, 3, 4)]:
+                try:
+                    R = max(R, (5.0 * big_l * a_star[i][k])
+                            ** (1.0 / (1.0 - exps[i][k - 1])))
+                except OverflowError:
+                    notes.append(f"R is too large for a float: the term of "
+                                 f"slot a{i + 1}{k} overflows")
+                    R = None
+                    break
     if R is None and not blockers["monotone"]:
         blockers["monotone"].append(
             "no invariant-ball radius (see report notes)")

@@ -202,8 +202,9 @@ class SolutionPair:
         """The dominating start u_0 = R t^(alpha_1-1), v_0 = R t^(alpha_2-1),
         whose fractional derivatives are the constants Gamma(alpha_i) R."""
         w1, w2 = (grid.nodes ** (a.q - 1.0) for a in (alpha1, alpha2))
-        return cls(grid, alpha1, alpha2,
-                   radius * w1 / (1.0 + w1), radius * w2 / (1.0 + w2),
+        with np.errstate(over="ignore"):  # a radius too large: refused below
+            rows = (radius * w1 / (1.0 + w1), radius * w2 / (1.0 + w2))
+        return cls(grid, alpha1, alpha2, *rows,
                    np.full_like(w1, gamma_alpha1 * radius),
                    np.full_like(w1, gamma_alpha2 * radius))
 
@@ -503,7 +504,8 @@ def monotone_solve(p: ProblemSpec, ks1: KernelSet, ks2: KernelSet,
     must descend.  Each step is one operator application followed by an
     ordering projection: violations within 10x the quadrature tolerance
     are treated as integration dust, larger ones abort.  Stops when the
-    successive-difference norm drops to tol.
+    successive-difference norm drops to tol.  A start or an iterate that
+    is not finite raises SchemeBreakError.
     """
     if direction not in ("lower", "upper"):
         raise ValueError(f"direction must be 'lower' or 'upper', "
@@ -515,8 +517,12 @@ def monotone_solve(p: ProblemSpec, ks1: KernelSet, ks2: KernelSet,
         sp = SolutionPair.zeros(grid, ks1.alpha, ks2.alpha)
         sign = 1.0
     else:
-        sp = SolutionPair.upper_start(grid, ks1.alpha, ks2.alpha, radius,
-                                      ks1.gamma_alpha, ks2.gamma_alpha)
+        try:
+            sp = SolutionPair.upper_start(grid, ks1.alpha, ks2.alpha, radius,
+                                          ks1.gamma_alpha, ks2.gamma_alpha)
+        except ValueError as exc:
+            raise SchemeBreakError(
+                f"dominating start with R={radius!r}: {exc}") from exc
         sign = -1.0
     slack = 10.0 * op.quad_tol
     trace = IterationTrace(scheme="monotone", tol=tol, quad_tol=op.quad_tol,

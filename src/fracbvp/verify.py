@@ -287,8 +287,8 @@ def error_bound_audit(trace: IterationTrace, *, m: float | None = None,
                          f"got scheme {trace.scheme!r}")
     if m is None:
         m = trace.m
-    if m is None or not 0.0 < m < 1.0:
-        raise ValueError(f"need a contraction modulus in (0, 1), got {m}")
+    if m is None or not 0.0 <= m < 1.0:
+        raise ValueError(f"need a contraction modulus in [0, 1), got {m}")
     if trace.n_steps == 0:
         raise ValueError("trace records no iterations")
     slack = 10.0 * trace.quad_tol * (1.0 + max(trace.norms))

@@ -1079,6 +1079,26 @@ _EDGE_CASES = {
         ("check", [], 4, r"^error: \[boundary\] h2: bad expression: bad "
                          r"number at offset 0\n$"),
     ]),
+    # (5 L a*_11)^(1/(1 - 0.995)) is past float range: R is left out and
+    # the monotone scheme is blocked.
+    "growth-exponent-0.995": ("sublinear", [("lambda1 = 0.1,",
+                                             "lambda1 = 0.995,")], [
+        ("check", [], 0, r"note: R is too large for a float: the term of "
+                         r"slot a11 overflows\nresult: all applicable "
+                         r"hypotheses hold"),
+        ("check", ["--json"], 0, r'"R": null,'),
+        ("solve", [], 2, r"licensed\n  no invariant-ball radius "
+                         r"\(see report notes\)\n$"),
+    ]),
+    # R = 1.8e306 is a float, but R t^(alpha1-1)/(1+t^(alpha1-1)) at the
+    # nodes is not: the dominating start breaks the scheme.
+    "growth-exponent-0.9947": ("sublinear", [("lambda1 = 0.1,",
+                                              "lambda1 = 0.9947,")], [
+        ("check", [], 0, r"R = 1\.8\d*e\+306\n"),
+        ("solve", [], 2, r"^scheme guarantee broke mid-run: dominating "
+                         r"start with R=1\.8\d*e\+306: solution rows "
+                         r"must be finite\n$"),
+    ]),
     "h4-fails": ("sublinear", [("f1 = 2/(10+t)^2",
                                 "f1 = 2/(10+t)^2 - exp(-t)*abs(u1)/2")], [
         ("check", [], 2, r"H4 FAIL.*\n      " + _H4_FLOATS),
@@ -1119,6 +1139,23 @@ def test_contraction_iterate_overflow_breaks_the_scheme(tmp_path, capsys):
     err = capsys.readouterr().err
     assert re.match(r"scheme guarantee broke mid-run: iteration \d+: "
                     r"non-finite value from ", err), err
+
+
+def test_a_state_free_forcing_solves_with_m_0(tmp_path, capsys):
+    # With every b_ik = 0 the contraction modulus is 0: one step reaches
+    # the fixed point, and the geometric bound holds with m = 0.
+    text = _packaged_without_expected("lipschitz", [])
+    text = re.sub(r"(?m)^f1 = .*", "f1 = 2/(10+t)^2", text)
+    text = re.sub(r"(?m)^f2 = .*", "f2 = 1/(20+t)^3", text)
+    p = tmp_path / "m0.prob"
+    p.write_text(re.sub(r"(?m)^(b[12][1-4]) = .*", r"\1 = 0", text))
+    assert main(["check", str(p)]) == 0
+    assert "\n  m = 0.0\n" in capsys.readouterr().out
+    assert main(["solve", str(p), "--grid-n", "16"]) == 0
+    out = capsys.readouterr().out
+    assert "m=0.0\niteration: a-posteriori bound" in out
+    assert "<= tol after 1 steps\nerror-bound audit: geometric bound holds" \
+        in out
 
 
 def test_solve_spotchecks_only_points_inside_the_grid(capsys):
@@ -1226,16 +1263,17 @@ def test_loads_share_parsed_values(tmp_path, capsys):
 
 def test_solve_compiles_each_forcing_once_unbound(monkeypatch):
     """A solve compiles f1 and f2 unbound once each, for every check
-    that evaluates them, plus once each bound to H4's sample times and
-    once each bound to the operator's points."""
+    that evaluates them (H4 included), plus once each bound to the
+    operator's points."""
     import fracbvp.verify  # noqa: F401  (solve imports it; bind it now)
     calls = []
     real = fracbvp.exprlang.compile_expr
 
     def counting(e, variables=VARIABLES, *, bind=None):
         if variables == VARIABLES:
-            calls.append((to_source(e), "unbound" if bind is None else "h4"
-                          if np.size(bind["t"]) == _H4_SAMPLES else "points"))
+            assert bind is None or np.size(bind["t"]) != _H4_SAMPLES
+            calls.append((to_source(e), "unbound" if bind is None
+                          else "points"))
         return real(e, variables, bind=bind)
 
     for name, mod in list(sys.modules.items()):
@@ -1245,4 +1283,4 @@ def test_solve_compiles_each_forcing_once_unbound(monkeypatch):
     spec = resolve_problem("sublinear").spec
     forcings = {to_source(spec.f1), to_source(spec.f2)}
     assert sorted(calls) == sorted(
-        (f, bound) for f in forcings for bound in ("unbound", "h4", "points"))
+        (f, bound) for f in forcings for bound in ("unbound", "points"))

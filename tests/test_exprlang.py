@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import fracbvp.exprlang as exprlang
 from fracbvp import compile_expr, parse, to_source
 from fracbvp.exprlang import (
     BUILTINS,
@@ -154,9 +155,23 @@ def test_compiled_rejects_nonfinite_output():
         fn(np.array([1.0, 0.0, 2.0]), *(np.zeros(3),) * 4)
 
 
-def test_compiled_arity_and_source():
-    fn = compile_expr(parse("t + u1"))
-    assert fn.source == "t + u1"
+def test_compiled_arity_and_source(monkeypatch):
+    """The source is rendered only for an error message: a compile and a
+    finite evaluation never call to_source, and a non-finite result
+    still quotes the rendered expression."""
+    def refuse(e):
+        raise AssertionError("to_source called")
+
+    tree = parse("t + u1 / (t - 1)")
+    with monkeypatch.context() as m:
+        m.setattr(exprlang, "to_source", refuse)
+        fn = compile_expr(tree, ("t", "u1"))
+        assert fn(np.array([2.0, 3.0]), np.ones(2)).tolist() == [3.0, 3.5]
+    assert not hasattr(fn, "source")
+    with pytest.raises(ExprEvalError,
+                       match=re.escape("from 't + u1 / (t - 1.0)' at sample "
+                                       "index 1 (t=1.0)")):
+        fn(np.array([2.0, 1.0]), np.ones(2))
     with pytest.raises(TypeError):
         fn(np.ones(3))
 

@@ -360,45 +360,3 @@ def test_the_memo_keeps_its_bound_and_the_latest_entries(monkeypatch):
     assert set(recent) == {*spec.growth.a1, *spec.growth.a2}
     problem_mod._COEF_MEMO.clear()
 
-
-# -- H4 on bound sample times --------------------------------------------
-
-def _unbound_h4(p, seed):
-    """check_h4 with each f_i evaluated unbound at the sample times: the
-    route before the bound compile, kept as its reference."""
-    t, lo, hi = problem_mod._h4_draws(seed)
-    issues = []
-    for i, fn in enumerate(p.f_compiled, start=1):
-        flo, fhi = fn(t, *lo), fn(t, *hi)
-        slack = 1e-12 * (1.0 + np.abs(fhi))
-        bad = flo > fhi + slack
-        if np.any(bad):
-            j = int(np.argmax(bad))
-            issues.append(
-                f"f{i} decreases between ordered states at "
-                f"t={float(t[j])!r}: {float(flo[j])!r} > {float(fhi[j])!r} "
-                f"for lo={lo[:, j].tolist()}, hi={hi[:, j].tolist()}")
-        neg = np.minimum(flo, fhi) < -slack
-        if np.any(neg):
-            j = int(np.argmax(neg))
-            issues.append(
-                f"f{i} is negative at t={float(t[j])!r}, "
-                f"state={lo[:, j].tolist()}: {float(min(flo[j], fhi[j]))!r}")
-    return "; ".join(issues)
-
-
-@pytest.mark.parametrize("case", ["sublinear", "both.prob", "decreasing",
-                                  "negative"])
-def test_h4_on_bound_times_matches_the_unbound_route(case):
-    if case == "decreasing":
-        p = _tiny_problem("1/(1+t) + 1/(1+u1)", "exp(-t)")
-    elif case == "negative":
-        p = _tiny_problem("u1 - 5", "exp(-t)")
-    else:
-        p = load_problem(_texts(case)).spec
-    for seed in (0, 7):
-        verdict, want = check_h4(p, seed=seed), _unbound_h4(p, seed)
-        assert verdict.passed is (not want)
-        if want:
-            assert verdict.reason == want
-    assert case in ("sublinear", "both.prob") or not verdict.passed

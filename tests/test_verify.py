@@ -122,8 +122,25 @@ def test_error_bound_audit_rejects_wrong_inputs(monotone_runs,
     with pytest.raises(ValueError, match="contraction trace"):
         error_bound_audit(monotone_runs["lower"][1])
     _, trace = contraction_run
-    with pytest.raises(ValueError, match="in \\(0, 1\\)"):
+    with pytest.raises(ValueError, match="in \\[0, 1\\)"):
         error_bound_audit(trace, m=1.5)
+
+
+def test_error_bound_audit_takes_m_0(grid64):
+    # m = 0 promises the fixed point after one step: a trace that stays
+    # put holds, and one that moves again breaks the bound by the move.
+    a1, a2 = FracOrder(2.5), FracOrder(1.5)
+    const = lambda v: SolutionPair.constant(grid64, a1, a2, v)
+    still = _trace("contraction", None, [const(1.0), const(0.5), const(0.5)],
+                   m=0.0)
+    res = error_bound_audit(still)
+    assert res.ok, res.message
+    assert res.checked == 3
+    moved = _trace("contraction", None, [const(1.0), const(0.5), const(0.4)],
+                   m=0.0)
+    res = error_bound_audit(moved)
+    assert not res.ok
+    assert res.worst_excess == pytest.approx(0.1, abs=1e-6)
 
 
 def test_error_bound_audit_catches_slow_convergence(grid64):
