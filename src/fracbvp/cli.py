@@ -51,6 +51,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -468,9 +469,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return EXIT_HYPOTHESIS
 
     # Imported only now: check, kernel-dump and a refused solve skip them.
-    from .solver import (ITERATION_DEFAULTS, Grid, GridError,
-                         IntegralOperator, SchemeBreakError, contract_solve,
-                         diff_norm, monotone_solve)
+    from .solver import (ITERATION_DEFAULTS, ContractionRatioWarning, Grid,
+                         GridError, IntegralOperator, SchemeBreakError,
+                         contract_solve, diff_norm, monotone_solve)
     from .verify import error_bound_audit, ordering_audit, verify_pair
 
     tol, max_iter = ITERATION_DEFAULTS[scheme]
@@ -493,18 +494,28 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     # Chain key -> (solution, trace); the key names the output files and
     # the JSON section, and the contraction scheme's single run has none.
-    try:
-        if scheme == "monotone":
-            chains = {d: monotone_solve(spec, ks1, ks2, grid, d, tol=tol,
-                                        max_iter=max_iter, radius=report.R,
-                                        operator=op)
-                      for d in ("lower", "upper")}
-        else:
-            chains = {"": contract_solve(spec, ks1, ks2, grid, tol=tol,
-                                         max_iter=max_iter, m=report.m,
-                                         operator=op)}
-    except SchemeBreakError as exc:
-        print(f"scheme guarantee broke mid-run: {exc}", file=sys.stderr)
+    # A contraction-ratio warning becomes a line on stderr whatever the
+    # caller's filters make of RuntimeWarning; other warnings follow
+    # those filters, and any they let through is printed the same way.
+    broke = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ContractionRatioWarning)
+        try:
+            if scheme == "monotone":
+                chains = {d: monotone_solve(spec, ks1, ks2, grid, d, tol=tol,
+                                            max_iter=max_iter,
+                                            radius=report.R, operator=op)
+                          for d in ("lower", "upper")}
+            else:
+                chains = {"": contract_solve(spec, ks1, ks2, grid, tol=tol,
+                                             max_iter=max_iter, m=report.m,
+                                             operator=op)}
+        except SchemeBreakError as exc:
+            broke = exc
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    if broke is not None:
+        print(f"scheme guarantee broke mid-run: {broke}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     if scheme == "monotone":
         (low_sp, low_tr), (up_sp, up_tr) = chains.values()

@@ -7,6 +7,9 @@ with ^ for power; ast.parse reads it.  Variables are t, u1..u4;
 builtins are exp, sqrt, abs, log, pow; named constants are pi and e.
 As in Python, "-t^2" parses as -(t^2) and "-t*2" as (-t)*2.
 
+A tree's leaves are Num, Var and Const; every operation is an Op, named
+by an operator of the grammar, "neg" (unary minus) or a builtin.
+
 One evaluator serves every use: compile_expr turns a tree into a
 vectorized numpy closure, called on sample arrays by the solver and the
 checks, and with no variables at all for the constant expressions of
@@ -31,7 +34,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 __all__ = [
-    "Expr", "Num", "Var", "Const", "Unary", "Binary", "Call",
+    "Expr", "Num", "Var", "Const", "Op",
     "ExprError", "ExprSyntaxError", "ExprNameError", "ExprEvalError",
     "parse", "compile_expr", "to_source", "free_variables",
 ]
@@ -87,25 +90,12 @@ class Const:
 
 
 @dataclass(frozen=True)
-class Unary:
-    op: str  # only '-'
-    operand: "Expr"
-
-
-@dataclass(frozen=True)
-class Binary:
-    op: str  # one of + - * / ^
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Call:
-    fn: str
+class Op:
+    op: str  # one of + - * / ^, "neg" (unary minus) or a builtin's name
     args: tuple["Expr", ...]
 
 
-Expr = Num | Var | Const | Unary | Binary | Call
+Expr = Num | Var | Const | Op
 
 
 # --- Parser --------------------------------------------------------------
@@ -150,10 +140,10 @@ def parse(text: str) -> Expr:
         if depth > _MAX_DEPTH:
             raise ExprSyntaxError(f"tree deeper than {_MAX_DEPTH} levels", at)
         if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
-            return Binary(_BINARY[type(node.op)], build(node.left, depth + 1),
-                          build(node.right, depth + 1))
+            return Op(_BINARY[type(node.op)], (build(node.left, depth + 1),
+                                               build(node.right, depth + 1)))
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            return Unary("-", build(node.operand, depth + 1))
+            return Op("neg", (build(node.operand, depth + 1),))
         literal = text[at:where[node.end_col_offset]]
         if isinstance(node, ast.Constant) and _NUMBER.fullmatch(literal):
             return Num(float(literal))
@@ -166,7 +156,7 @@ def parse(text: str) -> Expr:
             if len(args) != BUILTINS[name]:
                 raise ExprSyntaxError(f"{name} takes {BUILTINS[name]} "
                                       f"argument(s), got {len(args)}", at)
-            return Call(name, args)
+            return Op(name, args)
         if isinstance(node, ast.Name):
             if node.id in VARIABLES:
                 return Var(node.id)
@@ -183,21 +173,17 @@ def parse(text: str) -> Expr:
 
 # --- Vectorized compilation ----------------------------------------------
 
-# The binary operators and the builtins, by their names in the grammar.
+# Every operation of the grammar, by its Op name.
 _OPERATIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-               "/": operator.truediv, "^": operator.pow, "exp": np.exp,
-               "sqrt": np.sqrt, "abs": np.abs, "log": np.log,
+               "/": operator.truediv, "^": operator.pow, "neg": operator.neg,
+               "exp": np.exp, "sqrt": np.sqrt, "abs": np.abs, "log": np.log,
                "pow": operator.pow}
 
 
 def _operands(e: Expr) -> tuple[Callable | None, tuple[Expr, ...]]:
     """e's operation and operand subtrees; a leaf has no operation."""
-    if isinstance(e, Unary):
-        return operator.neg, (e.operand,)
-    if isinstance(e, Binary):
-        return _OPERATIONS[e.op], (e.left, e.right)
-    if isinstance(e, Call):
-        return _OPERATIONS[e.fn], e.args
+    if isinstance(e, Op):
+        return _OPERATIONS[e.op], e.args
     if isinstance(e, (Num, Var, Const)):
         return None, ()
     raise TypeError(f"not an Expr node: {e!r}")
@@ -290,15 +276,12 @@ def compile_expr(e: Expr, variables: tuple[str, ...] = VARIABLES, *,
 
 # --- Pretty printing -----------------------------------------------------
 
+# Binding power of each operator; a leaf or a call binds tightest.
 _PREC = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30, "neg": 25}
 
 
 def _prec(e: Expr) -> int:
-    if isinstance(e, Binary):
-        return _PREC[e.op]
-    if isinstance(e, Unary):
-        return _PREC["neg"]
-    return 100
+    return _PREC.get(getattr(e, "op", None), 100)
 
 
 def to_source(e: Expr) -> str:
@@ -307,28 +290,25 @@ def to_source(e: Expr) -> str:
         return repr(e.value)
     if isinstance(e, (Var, Const)):
         return e.name
-    if isinstance(e, Unary):
-        inner = to_source(e.operand)
-        if _prec(e.operand) < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(e, Binary):
-        lhs = to_source(e.left)
-        rhs = to_source(e.right)
-        p = _PREC[e.op]
-        # A child of equal precedence keeps its parentheses on the side
-        # the parser would not group it: the right of a left-associative
-        # operator (t + (u1 + u2) is not (t + u1) + u2 in floating point),
-        # the left of ^ (right-associative).
-        if _prec(e.left) < p or (e.op == "^" and _prec(e.left) == p):
-            lhs = f"({lhs})"
-        if _prec(e.right) < p or (e.op != "^" and _prec(e.right) == p):
-            rhs = f"({rhs})"
-        return f"{lhs}{e.op}{rhs}" if e.op == "^" else f"{lhs} {e.op} {rhs}"
-    if isinstance(e, Call):
-        # list(map(...)) takes one frame per level; a generator, three.
-        return f"{e.fn}({', '.join(list(map(to_source, e.args)))})"
-    raise TypeError(f"not an Expr node: {e!r}")
+    kids = _operands(e)[1]
+    # list(map(...)) takes one frame per level; a generator, three.
+    args = list(map(to_source, kids))
+    if e.op not in _PREC:
+        return f"{e.op}({', '.join(args)})"
+    p = _PREC[e.op]
+    if e.op == "neg":
+        return f"-({args[0]})" if _prec(kids[0]) < p else f"-{args[0]}"
+    lhs, rhs = args
+    left, right = kids
+    # A child of equal precedence keeps its parentheses on the side the
+    # parser would not group it: the right of a left-associative operator
+    # (t + (u1 + u2) is not (t + u1) + u2 in floating point), the left of
+    # ^ (right-associative).
+    if _prec(left) < p or (e.op == "^" and _prec(left) == p):
+        lhs = f"({lhs})"
+    if _prec(right) < p or (e.op != "^" and _prec(right) == p):
+        rhs = f"({rhs})"
+    return f"{lhs}{e.op}{rhs}" if e.op == "^" else f"{lhs} {e.op} {rhs}"
 
 
 def free_variables(e: Expr) -> frozenset[str]:

@@ -420,15 +420,19 @@ class IntegralOperator:
         rows[0::2, 0] = 0.0
         rows[1::2, 0] = rows[1::2, 1]
         rows[:, -1] = rows[:, -2]
-        slopes = (rows[:, 1:] - rows[:, :-1]) / plan.widths
-        # The states by np.interp's formula: slope*offset + left value.
-        j = plan.bracket
-        states = slopes.take(j, axis=1) * plan.offset + rows.take(j, axis=1)
-        states[0::2] *= plan.weights
-        u, du, v, dv = states
-        out = np.empty((4, self.grid.n))
-        for k, f in enumerate(self.forcings):
-            out[2 * k], out[2 * k + 1] = plan.assemble(k, f(u, v, du, dv))
+        # A finite iterate can still overflow here; the forcings' own
+        # check and _adopt's refuse what is not finite.
+        with np.errstate(over="ignore", invalid="ignore"):
+            slopes = (rows[:, 1:] - rows[:, :-1]) / plan.widths
+            # The states by np.interp's formula: slope*offset + left value.
+            j = plan.bracket
+            states = (slopes.take(j, axis=1) * plan.offset
+                      + rows.take(j, axis=1))
+            states[0::2] *= plan.weights
+            u, du, v, dv = states
+            out = np.empty((4, self.grid.n))
+            for k, f in enumerate(self.forcings):
+                out[2 * k], out[2 * k + 1] = plan.assemble(k, f(u, v, du, dv))
         return SolutionPair._adopt(self.grid, self.alpha1, self.alpha2, out)
 
 

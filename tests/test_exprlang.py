@@ -20,8 +20,6 @@ from fracbvp.exprlang import (
     BUILTINS,
     CONSTANTS,
     VARIABLES,
-    Binary,
-    Call,
     Const,
     Expr,
     ExprError,
@@ -29,7 +27,7 @@ from fracbvp.exprlang import (
     ExprNameError,
     ExprSyntaxError,
     Num,
-    Unary,
+    Op,
     Var,
     free_variables,
 )
@@ -193,7 +191,7 @@ def test_to_source_round_trip(rng):
 
 
 # Every tree the parser can produce: finite nonnegative literals (a
-# minus sign parses as Unary), the variables and named constants, and
+# minus sign parses as Op "neg"), the variables and named constants, and
 # the builtins with their arities.
 _leaves = st.one_of(
     st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(Num),
@@ -203,11 +201,11 @@ _leaves = st.one_of(
 
 def _extend(children):
     return st.one_of(
-        children.map(lambda x: Unary("-", x)),
-        st.builds(Binary, st.sampled_from("+-*/^"), children, children),
+        children.map(lambda x: Op("neg", (x,))),
+        st.builds(Op, st.sampled_from("+-*/^"), st.tuples(children, children)),
         st.sampled_from(sorted(BUILTINS.items())).flatmap(
             lambda fn_n: st.tuples(*[children] * fn_n[1]).map(
-                lambda args: Call(fn_n[0], args))))
+                lambda args: Op(fn_n[0], args))))
 
 
 @given(st.recursive(_leaves, _extend, max_leaves=12))
@@ -453,7 +451,7 @@ class _Parser:
                 break
             self.advance()
             right = self.parse_expr(_BINARY_RBP[tok.kind])
-            node = Binary(tok.kind, node, right)
+            node = Op(tok.kind, (node, right))
         return node
 
     def parse_prefix(self) -> Expr:
@@ -461,7 +459,7 @@ class _Parser:
         if tok.kind == "num":
             return Num(float(tok.text))
         if tok.kind == "-":
-            return Unary("-", self.parse_expr(_UNARY_BP))
+            return Op("neg", (self.parse_expr(_UNARY_BP),))
         if tok.kind == "(":
             inner = self.parse_expr(0)
             self.expect(")")
@@ -482,7 +480,7 @@ class _Parser:
                     raise ExprSyntaxError(
                         f"{name} takes {arity} argument(s), got {len(args)}",
                         tok.offset)
-                return Call(name, tuple(args))
+                return Op(name, tuple(args))
             if name in VARIABLES:
                 return Var(name)
             if name in CONSTANTS:
