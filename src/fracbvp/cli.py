@@ -55,6 +55,7 @@ import warnings
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -63,7 +64,8 @@ from .exprlang import (VARIABLES, Expr, ExprError, ExprNameError, Num,
 from .fracops import FracOrder
 from .kernels import KernelSet
 from .problem import (CONSTANT_NAMES, GrowthData, HypothesisReport,
-                      LipschitzData, ProblemSpec, build_report, check_h1)
+                      LipschitzData, ProblemSpec, build_report,
+                      check_h1_weights)
 from .quad import Integrand, QuadratureError
 
 __all__ = [
@@ -106,13 +108,25 @@ _SECTIONS: dict[str, dict[str, str]] = {
 _BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
 
 
+def _solver_fault(key: str, value) -> str | None:
+    """Why value is out of range for the [solver] key, or None.  The
+    [solver] keys and solve's flags that override them share it."""
+    if value is None:  # tol and max_iter default per scheme
+        return None
+    if key == "n":
+        return None if value >= 16 else f"needs at least 16, got {value}"
+    if key == "max_iter":
+        return None if value >= 1 else f"must be at least 1, got {value}"
+    if key == "scheme":
+        return None if value in ("auto", "monotone", "contraction") else \
+            f"must be auto, monotone or contraction, got {value!r}"
+    return None if 0.0 < value < math.inf else \
+        f"must be positive and finite, got {value}"
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Resolved [solver] section; tol and max_iter default per scheme.
-
-    The range checks run on every construction, so [solver] keys and
-    command-line overrides (applied with dataclasses.replace) share them.
-    """
+    """Resolved [solver] section; tol and max_iter default per scheme."""
 
     n: int = 64
     theta: float = 5.0
@@ -120,23 +134,12 @@ class SolverConfig:
     max_iter: int | None = None
     scheme: str = "auto"
     # Always "linear"; kept because bench/sweep_worker.py reads it.
-    interp: str = "linear"
+    interp: ClassVar[str] = "linear"
 
     def __post_init__(self) -> None:
-        if self.n < 16:
-            raise _fail("solver", "n", f"needs at least 16, got {self.n}")
-        if not 0.0 < self.theta < math.inf:
-            raise _fail("solver", "theta",
-                        f"must be positive and finite, got {self.theta}")
-        if self.tol is not None and not 0.0 < self.tol < math.inf:
-            raise _fail("solver", "tol",
-                        f"must be positive and finite, got {self.tol}")
-        if self.max_iter is not None and self.max_iter < 1:
-            raise _fail("solver", "max_iter",
-                        f"must be at least 1, got {self.max_iter}")
-        if self.scheme not in ("auto", "monotone", "contraction"):
-            raise _fail("solver", "scheme", f"must be auto, monotone or "
-                        f"contraction, got {self.scheme!r}")
+        for key, value in vars(self).items():
+            if why := _solver_fault(key, value):
+                raise _fail("solver", key, why)
 
 
 @dataclass(frozen=True)
@@ -446,10 +449,15 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     _check_seed(args)
     lp = resolve_problem(args.problem)
-    # Each override flag's dest is the [solver] key it replaces.
-    cfg = replace(lp.solver, **{key: getattr(args, key) for key in
-                                _SECTIONS["solver"]
-                                if getattr(args, key) is not None})
+    # Each override flag's dest is the [solver] key it replaces; a value
+    # out of range is named by its flag.
+    flags = {key: getattr(args, key) for key in _SECTIONS["solver"]
+             if getattr(args, key) is not None}
+    for key, value in flags.items():
+        if why := _solver_fault(key, value):
+            flag = "--grid-n" if key == "n" else "--" + key.replace("_", "-")
+            raise ProblemFileError(f"{flag}: {why}")
+    cfg = replace(lp.solver, **flags)
     if args.out:  # made first, so that an unusable --out costs no work
         Path(args.out).mkdir(parents=True, exist_ok=True)
 
@@ -484,8 +492,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         grid = Grid.make(cfg.n, cfg.theta)
         op = IntegralOperator(spec, ks1, ks2, grid)
     except GridError as exc:  # theta is the one input that can cause it
-        raise _fail("solver", "theta",
-                    f"{cfg.theta!r} on an n={cfg.n} grid: {exc}") from exc
+        why = f"{cfg.theta!r} on an n={cfg.n} grid: {exc}"
+        raise (ProblemFileError(f"--theta: {why}") if "theta" in flags
+               else _fail("solver", "theta", why)) from exc
 
     config_doc = {"problem": name, "scheme": scheme, "grid_n": cfg.n,
                   "theta": cfg.theta, "t_max": grid.t_max, "tol": tol,
@@ -583,15 +592,14 @@ def cmd_kernel_dump(args: argparse.Namespace) -> int:
     if args.points < 1:
         raise ProblemFileError(f"--points must be at least 1, got "
                                f"{args.points}")
-    try:
-        ks1 = KernelSet.build(spec.alpha1, spec.h1)
-        ks2 = KernelSet.build(spec.alpha2, spec.h2)
-    except ValueError as exc:
-        # Say why in check's words: H1 fails wherever the kernels do not
-        # exist (a Lambda_i diverges or reaches Gamma(alpha_i)).
-        print(f"kernels do not exist: {check_h1(spec)[0].reason or exc}",
-              file=sys.stderr)
+    # The kernels exist where H1's weight half holds; if not, say why in
+    # check's words.  The builds read Lambda_i from compute_lambda's cache.
+    reasons, _ = check_h1_weights(spec)
+    if reasons:
+        print(f"kernels do not exist: {'; '.join(reasons)}", file=sys.stderr)
         return EXIT_HYPOTHESIS
+    ks1 = KernelSet.build(spec.alpha1, spec.h1)
+    ks2 = KernelSet.build(spec.alpha2, spec.h2)
     ts = np.geomspace(args.t_min, args.t_max, args.points)
 
     name = spec.name or args.problem

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from bisect import bisect_right
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,32 +38,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FracOrder:
-    """A fractional order q > 0 together with n = ceil(q).
-
-    The convention is n - 1 < q <= n, so an integer order q has n = q
-    (the order-q derivative of an order-n problem needs exactly n
-    ordinary derivatives, not n+1).
-    """
+    """A fractional order q > 0."""
 
     q: float
 
     def __post_init__(self) -> None:
         if not self.q > 0:
             raise ValueError(f"fractional order must be positive, got {self.q}")
-
-    @property
-    def n(self) -> int:
-        return math.ceil(self.q)
-
-
-OrderLike = Union[float, FracOrder]
-
-
-def _order(q: OrderLike) -> float:
-    val = q.q if isinstance(q, FracOrder) else float(q)
-    if not val > 0:
-        raise ValueError(f"fractional order must be positive, got {val}")
-    return val
 
 
 def gamma(x: float) -> float:
@@ -74,7 +55,7 @@ def gamma(x: float) -> float:
     return math.gamma(x)
 
 
-def rl_integral(g: Callable[[np.ndarray], np.ndarray], q: OrderLike,
+def rl_integral(g: Callable[[np.ndarray], np.ndarray], q: float,
                 t: float | Sequence[float], *, tol: float = 1e-10,
                 g_exponent: float = 0.0, kinks: Sequence[float] = ()):
     """Fractional integral (I^q g)(t) for vectorized g on [0, t].
@@ -92,7 +73,7 @@ def rl_integral(g: Callable[[np.ndarray], np.ndarray], q: OrderLike,
     whose quadrature failed has that error in place of its value.  Both
     halves of every t are jobs of one integrate_batch call.
     """
-    qv = _order(q)
+    qv = FracOrder(float(q)).q
     ts = list(t) if np.ndim(t) else [t]
     if any(x < 0 for x in ts):
         raise ValueError(f"rl_integral needs t >= 0, got {t}")
@@ -141,7 +122,7 @@ _STENCILS: dict[int, tuple[tuple[int, ...], tuple[float, ...]]] = {
 }
 
 
-def rl_derivative(g: Callable[[np.ndarray], np.ndarray], q: OrderLike,
+def rl_derivative(g: Callable[[np.ndarray], np.ndarray], q: float,
                   t: float | Sequence[float], *, tol: float = 1e-6,
                   g_exponent: float = 0.0, quad_tol: float = 1e-12,
                   kinks: Sequence[float] = ()):
@@ -159,7 +140,7 @@ def rl_derivative(g: Callable[[np.ndarray], np.ndarray], q: OrderLike,
     The stencil points of every t at all five levels are one rl_integral
     call.
     """
-    qv = _order(q)
+    qv = FracOrder(float(q)).q
     ts = list(t) if np.ndim(t) else [t]
     if not all(x > 0 for x in ts):
         raise ValueError(f"rl_derivative needs t > 0, got {t}")

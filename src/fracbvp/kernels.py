@@ -122,7 +122,6 @@ class KernelSet:
     h: Integrand | None
     lam: float
     gamma_alpha: float
-    tol: float = DEFAULT_TOL
     # Where Lambda's quadrature stopped, and its error estimate (g_many).
     reach: float = math.inf
     reach_err: float = 0.0
@@ -186,13 +185,13 @@ class KernelSet:
                 return out
 
             d[is_near], res = halving_trapezoid(
-                weighted, _U_LO, log_cap - log_c.min(), self.tol, a,
+                weighted, _U_LO, log_cap - log_c.min(), DEFAULT_TOL, a,
                 self.reach_err)
             require_converged(res,
                               f"boundary integral G at {near.size} points")
         g = (self.lam - d) / self.gamma_alpha
         # G is nonnegative by construction; clip quadrature dust at 0.
-        g[((g < 0) & (g > -10 * self.tol)) | (uniq == 0)] = 0.0
+        g[((g < 0) & (g > -10 * DEFAULT_TOL)) | (uniq == 0)] = 0.0
         return g[inv].reshape(s.shape)
 
     # -- assembled kernels ---------------------------------------------
@@ -236,7 +235,7 @@ def kernel_representation(ks: KernelSet, y: Integrand, t: float,
     # The convolution part int_0^t (t-s)^(alpha-1) y(s) ds is
     # Gamma(alpha) (I^alpha y)(t), with y's kinks and exponent declared.
     k1_part = t ** (a - 1.0) * res_a.value / ks.gamma_alpha - rl_integral(
-        y.fn, ks.alpha, t, tol=tol, g_exponent=y.endpoint_exponent,
+        y.fn, a, t, tol=tol, g_exponent=y.endpoint_exponent,
         kinks=y.kinks)
     if ks.h is None:
         return k1_part

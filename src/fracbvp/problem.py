@@ -251,11 +251,13 @@ def _forcing(fn: Callable[..., np.ndarray]):
     return at_zero_state
 
 
-def check_h1(p: ProblemSpec) -> tuple[Verdict, tuple[float, float]]:
-    """Weights h_i >= 0, couplings below Gamma(alpha), nondegenerate forcing.
+def check_h1_weights(p: ProblemSpec) -> tuple[list[str],
+                                               tuple[float, float]]:
+    """H1's weight half, which holds exactly where the kernels exist:
+    weights h_i >= 0, Lambda_i convergent and below Gamma(alpha_i).
 
-    Returns the verdict together with (Lambda_1, Lambda_2); on a
-    quadrature failure the best available value is kept so the report
+    Returns the reasons it fails together with (Lambda_1, Lambda_2); on
+    a quadrature failure the best available value is kept so the report
     can still show it.
     """
     lams = [0.0, 0.0]
@@ -282,12 +284,19 @@ def check_h1(p: ProblemSpec) -> tuple[Verdict, tuple[float, float]]:
             reasons.append(
                 f"Lambda{i + 1}={lam:.10g} is not below "
                 f"Gamma(alpha{i + 1})={ga:.10g}")
+    return reasons, (lams[0], lams[1])
+
+
+def check_h1(p: ProblemSpec) -> tuple[Verdict, tuple[float, float]]:
+    """H1: the weight half (check_h1_weights) and a nondegenerate forcing.
+    Returns the verdict together with (Lambda_1, Lambda_2)."""
+    reasons, lams = check_h1_weights(p)
     for i, fn in enumerate(p.f_compiled, start=1):
         if not np.any(_forcing(fn)(_SAMPLE_TS) != 0.0):
             reasons.append(
                 f"f{i}(t,0,0,0,0) vanishes at all {_SAMPLE_TS.size} "
                 f"log-spaced sample points")
-    return Verdict(not reasons, "; ".join(reasons)), (lams[0], lams[1])
+    return Verdict(not reasons, "; ".join(reasons)), lams
 
 
 def integrate_each(named, tol: float = DEFAULT_TOL) -> list[float]:

@@ -118,7 +118,6 @@ class Grid:
     """
 
     nodes: np.ndarray
-    theta: float
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=float)
@@ -140,7 +139,7 @@ class Grid:
         x, _ = _gl(n)
         x01 = 0.5 * (x + 1.0)
         with np.errstate(over="ignore"):  # __post_init__ refuses inf
-            return cls(nodes=theta * x01 / (1.0 - x01), theta=float(theta))
+            return cls(nodes=theta * x01 / (1.0 - x01))
 
     @property
     def n(self) -> int:

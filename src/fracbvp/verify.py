@@ -195,8 +195,9 @@ def ode_residual_spotcheck(p: ProblemSpec, sp: SolutionPair,
     du_fn, dv_fn = _flat_pchip(t_nodes, sp.du), _flat_pchip(t_nodes, sp.dv)
     rows = ((1, u_fn, p.f_compiled[0], sp.alpha1),
             (2, v_fn, p.f_compiled[1], sp.alpha2))
-    derivs = [rl_derivative(row_fn, alpha, points, tol=_SPOT_TOL, kinks=kinks,
-                            g_exponent=alpha.q - 1.0, quad_tol=_SPOT_QUAD_TOL)
+    derivs = [rl_derivative(row_fn, alpha.q, points, tol=_SPOT_TOL,
+                            kinks=kinks, g_exponent=alpha.q - 1.0,
+                            quad_tol=_SPOT_QUAD_TOL)
               for _, row_fn, _, alpha in rows]
     below = f"t lies below the first grid node t_1 = {float(t_nodes[0])!r}"
     out: list[dict] = []
@@ -269,16 +270,15 @@ def ordering_audit(lower: IterationTrace,
                        slack, message)
 
 
-def error_bound_audit(trace: IterationTrace, *, m: float | None = None,
-                      reference: SolutionPair | None = None,
-                      ) -> AuditResult:
+def error_bound_audit(trace: IterationTrace, *,
+                      m: float | None = None) -> AuditResult:
     """Check every iterate against the geometric error bound.
 
     With d_1 the first difference norm, iterate n must sit within
     m^n/(1-m) d_1 of the fixed point, and iterates n < j within
-    m^n (1 - m^(j-n))/(1-m) d_1 of each other.  When no external
-    reference is given the final iterate stands in for the fixed point
-    and its own a-posteriori distance bound is added to the allowance.
+    m^n (1 - m^(j-n))/(1-m) d_1 of each other.  The final iterate
+    stands in for the fixed point, and its own a-posteriori distance
+    bound is added to the allowance.
     Every comparison also allows 10x the quadrature tolerance, scaled by
     the largest iterate norm.
     """
@@ -295,15 +295,12 @@ def error_bound_audit(trace: IterationTrace, *, m: float | None = None,
     its = trace.iterates
     d1 = trace.diffs[0]
     gain = 1.0 / (1.0 - m)
-    allowance = slack
-    if reference is None:
-        reference = its[-1]
-        allowance += trace.diffs[-1] * m * gain
+    allowance = slack + trace.diffs[-1] * m * gain
 
     # As in a scan of the comparisons, the first largest excess wins.
     st = _stack(trace)
     pw = np.array([m ** n for n in range(len(its))])
-    excess = np.abs(st[1:] - reference.stack).max(axis=(1, 2)) \
+    excess = np.abs(st[1:] - st[-1]).max(axis=(1, 2)) \
         - (pw[1:] * gain * d1 + allowance)
     worst, checked = float(excess.max()), excess.size
     where = f"iterate {int(excess.argmax()) + 1} vs reference"

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_exprlang import _extend, _leaves
+from test_outside_users import _drop_seconds
 
 import fracbvp
 import fracbvp.solver as solver_mod
@@ -35,6 +36,11 @@ from fracbvp import (
 from fracbvp.cli import _json, _read, _table, main
 from fracbvp.exprlang import VARIABLES, ExprError, Var
 from fracbvp.problem import _H4_SAMPLES, CONSTANT_NAMES
+
+# The directory holding the fracbvp package the suite imports, which the
+# fresh interpreters below run.
+_ROOT = str(Path(fracbvp.__file__).resolve().parent.parent)
+_BOTH = str(Path(__file__).parent / "data" / "both.prob")
 
 _LIPS = "\n".join(f"b{i}{k} = exp(-t)" for i in (1, 2) for k in range(1, 5))
 
@@ -474,12 +480,12 @@ def test_solve_refuses_a_theta_whose_plan_leaves_float_range(tmp_path,
                                                              capsys):
     # theta = 1e-300 puts t_1/4^7 where s^(alpha_1 - 1) underflows to 0:
     # the chains once "converged" on that grid, and the flag and the
-    # [solver] key are refused alike.
+    # [solver] key are refused alike, each under its own name.
     p = tmp_path / "free.prob"
     text = MINIMAL.replace(_LIPS, _LIPS.replace("= exp", "= 0.1*exp"))
     p.write_text(text)
     assert main(["solve", str(p), "--grid-n", "16", "--theta", "1e-300"]) == 4
-    assert capsys.readouterr().err.startswith("error: [solver] theta: ")
+    assert capsys.readouterr().err.startswith("error: --theta: ")
     p.write_text(text + "\n[solver]\nn = 16\ntheta = 1e-300\n")
     assert main(["solve", str(p)]) == 4
     assert capsys.readouterr().err.startswith("error: [solver] theta: ")
@@ -497,12 +503,13 @@ def test_solve_refuses_a_theta_whose_plan_leaves_float_range(tmp_path,
     ["sublinear", "--grid-n", "16", "--theta", "1e150"],
     # Grid.make's nodes underflow to 0.
     ["sublinear", "--grid-n", "16", "--theta", "5e-324"],
+    ["lipschitz", "--grid-n", "16", "--theta", "1e-300"],
+    ["sublinear", "--grid-n", "16", "--theta", "1e-150"],
 ], ids=" ".join)
 def test_solve_names_theta_for_a_plan_out_of_float_range(capsys, argv):
     assert main(["solve", *argv]) == 4
     assert capsys.readouterr().err.startswith(
-        f"error: [solver] theta: {float(argv[-1])!r} on an n={argv[2]} "
-        f"grid: ")
+        f"error: --theta: {float(argv[-1])!r} on an n={argv[2]} grid: ")
 
 
 def test_solve_runs_at_both_ends_of_the_theta_range(capsys):
@@ -726,6 +733,7 @@ _SOLVE_ONLY_FLAGS = [
     ["kernel-dump", "sublinear", "--tol", "0"],
     ["check", "sublinear", "--tol", "inf"],
     ["kernel-dump", "sublinear", "--tol", "inf"],
+    ["check", "sublinear", "--tol", "1e-9"],
 ]
 
 
@@ -747,9 +755,10 @@ _SOLVE_ONLY_FLAGS = [
     ["solve", "sublinear", "--grid-n", "16", "--theta", "1e300"],
     *_SOLVE_ONLY_FLAGS,
     # Paths that cannot be read or written, under a scratch directory
-    # {tmp} that holds a regular file and a UTF-16 file: the error names
-    # the path.
+    # {tmp} that holds a regular file, a UTF-16 file and a directory
+    # named like a problem file: the error names the path.
     ["check", "{tmp}"],
+    ["check", "{tmp}/not-a-file.prob"],
     ["check", "{tmp}/utf16.prob"],
     # Names longer than a file name may be, as a path and with .prob.
     ["check", "{tmp}/" + "x" * 256],
@@ -761,6 +770,7 @@ _SOLVE_ONLY_FLAGS = [
 def test_bad_flag_values_exit_four(tmp_path, capsys, argv):
     (tmp_path / "file").write_text("")
     (tmp_path / "utf16.prob").write_bytes(MINIMAL.encode("utf-16"))
+    (tmp_path / "not-a-file.prob").mkdir()
     path = next((a.format(tmp=tmp_path) for a in argv if "{tmp}" in a), None)
     assert main([a.format(tmp=tmp_path) for a in argv]) == 4
     err = capsys.readouterr().err
@@ -771,6 +781,11 @@ def test_bad_flag_values_exit_four(tmp_path, capsys, argv):
         assert err.startswith("error: ")
     if path is not None:
         assert path in err, err
+    elif argv[0] == "solve" and "--seed" not in argv:
+        # A solve flag out of range is named as the flag, not as the
+        # [solver] key it overrides.
+        flag = re.match(r"error: (--[a-z-]+): ", err)
+        assert flag and flag[1] in argv, err
 
 
 def test_solve_makes_out_before_any_work(tmp_path, monkeypatch, capsys):
@@ -827,6 +842,35 @@ def test_a_failed_allocation_exits_four(monkeypatch, capsys, message, line):
     monkeypatch.setattr(fracbvp.cli.KernelSet, "k_grid", too_big)
     assert main(["kernel-dump", "sublinear", "--points", "3"]) == 4
     assert capsys.readouterr().err == line
+
+
+@pytest.mark.parametrize("argv, pattern", [
+    # The ODE spot-check's half-line tails evaluate 8 doublings at a
+    # time, in one batch per equation with no warning filter.
+    (["sublinear", "--grid-n", "128"], r"monotone scheme, n=128"),
+    (["lipschitz", "--grid-n", "32"], r"contraction scheme, n=32"),
+    (["lipschitz", "--grid-n", "128"], r"contraction scheme, n=128"),
+    # A problem that licenses both schemes runs under each of them.
+    ([_BOTH, "--grid-n", "32", "--scheme", "monotone"],
+     r"monotone scheme, n=32(.|\n)*ordering holds"),
+    ([_BOTH, "--grid-n", "32", "--scheme", "contraction"],
+     r"contraction scheme, n=32(.|\n)*geometric bound holds"),
+], ids=["sublinear-128", "lipschitz-32", "lipschitz-128", "both-monotone",
+        "both-contraction"])
+def test_solves_converge_without_a_warning(capsys, argv, pattern):
+    assert main(["solve", *argv]) == 0
+    out = capsys.readouterr().out
+    assert re.search(pattern, out), out
+    assert "fixed-point residual" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "sublinear", "--json"],
+    ["solve", "lipschitz", "--grid-n", "32", "--json"],
+], ids=" ".join)
+def test_json_documents_are_strict(capsys, argv):
+    assert main(argv) == 0
+    assert _strict_json(capsys.readouterr().out)
 
 
 def test_solve_iteration_budget_exit(capsys):
@@ -909,6 +953,19 @@ def _packaged_without_expected(name, edits):
     return text
 
 
+_SUBLINEAR_BOUNDARY = """[boundary]
+h1 = t^(-1.5)*exp(-t)
+h1_exponent = -1.5
+h1_decay = 1
+h2 = t^(-0.5)*exp(-2*t)
+h2_exponent = -0.5
+h2_decay = 2
+
+"""
+_SUBLINEAR_F1 = ("f1 = 2/(10+t)^2 + exp(-t)*abs(u1)^0.1/(1+sqrt(t^3))^0.1 + "
+                 "exp(-2*t)*abs(u2)^0.3/(1+sqrt(t))^0.3 + "
+                 "2*t*abs(u3)^0.2/(3+t^2)^2 + abs(u4)^0.4/(1+t^2)\n")
+
 _H4_FLOATS = (r"f1 decreases between ordered states at t=\d\.\d+: "
               r"\d\.\d+ > \d\.\d+ for lo=\[")
 
@@ -922,6 +979,15 @@ _EDGE_CASES = {
                                      ("alpha2 = 1.5", "alpha2 = 2")], [
         ("check", [], 0, "all applicable hypotheses hold"),
         ("solve", [], 0, r"monotone scheme, n=16"),
+        ("solve", ["--grid-n", "32"], 0, r"monotone scheme, n=32"),
+    ]),
+    # The lowest orders, alpha_i - 1 just above 0, without boundary
+    # weights: the plan's product weights on the singular panels.
+    "orders-2.01-1.01-no-boundary": ("sublinear", [
+            ("alpha1 = 2.5", "alpha1 = 2.01"), ("alpha2 = 1.5", "alpha2 = 1.01"),
+            (_SUBLINEAR_BOUNDARY, "")], [
+        ("solve", ["--grid-n", "32"], 0, r"monotone scheme, n=32(.|\n)*"
+                                         r"ordering holds"),
     ]),
     "growth-exponent-1": ("sublinear", [("lambda1 = 0.1,", "lambda1 = 1,")], [
         ("check", [], 0, "growth exponent 1.0 >= 1"),
@@ -974,6 +1040,30 @@ _EDGE_CASES = {
         ("check", ["--json"], 2, r'"m": null,\n  "R": null,\n  "r": null,'),
     ]),
     # sigma1 + alpha1 - 1 = -1: h1 t^(alpha1-1) is not integrable at 0.
+    # A weight negative everywhere: Lambda1 = -1 is below Gamma(alpha1),
+    # but the kernels would break their own bound columns.
+    "h1-negative": ("sublinear", [("h1 = t^", "h1 = -t^")], [
+        ("check", [], 2, r"H1 FAIL.*\n      h1 is negative at t=0\.0001\n"),
+        ("kernel-dump", ["--points", "3"], 2,
+         r"^kernels do not exist: h1 is negative at t=0\.0001\n$"),
+    ]),
+    # h1_exponent = 0 declares h1 regular at 0, which it is not: Lambda1's
+    # quadrature does not converge, and H1 fails with its reason.
+    "h1-exponent-0": ("sublinear", [("h1_exponent = -1.5",
+                                     "h1_exponent = 0")], [
+        ("check", [], 2, r"H1 FAIL.*\n      Lambda1 did not converge: "),
+        ("solve", [], 2, r"licensed\n  H1 fails \(Lambda1 did not converge: "),
+        ("kernel-dump", ["--points", "3"], 2, r"^kernels do not exist: "
+         r"Lambda1 did not converge: quadrature did not converge in Lambda "
+         r"integral \(alpha=2\.5\)"),
+    ]),
+    # A forcing that vanishes at the zero state fails H1, but the kernels
+    # exist: kernel-dump tabulates them.
+    "f1-vanishes": ("sublinear", [("f1 = 2/(10+t)^2 + ", "f1 = ")], [
+        ("check", [], 2, r"f1\(t,0,0,0,0\) vanishes at all 64 log-spaced "
+                         r"sample points\n"),
+        ("kernel-dump", ["--points", "3"], 0, r"^# problem: f1-vanishes\n"),
+    ]),
     "h1-exponent-too-steep": ("sublinear", [("h1_exponent = -1.5",
                                              "h1_exponent = -2.5")], [
         ("check", [], 2, r"H1 FAIL.*\n      h1_exponent=-2\.5 is not above "
@@ -1058,6 +1148,11 @@ _EDGE_CASES = {
         ("check", [], 4, r"^error: \[rhs\] f1: bad expression: tree deeper "
                          r"than 500 levels at offset 0\n$"),
         ("solve", [], 4, r"^error: \[rhs\] f1: bad expression: tree deeper "
+                         r"than 500 levels at offset 0\n$"),
+    ]),
+    "f1-600-exp-terms": ("sublinear", [
+            (_SUBLINEAR_F1, "f1 = " + " + ".join(["exp(-t)"] * 600) + "\n")], [
+        ("check", [], 4, r"^error: \[rhs\] f1: bad expression: tree deeper "
                          r"than 500 levels at offset 0\n$"),
     ]),
     # Python 3.11 refuses this one in ast.parse itself.
@@ -1216,6 +1311,20 @@ def test_kernel_dump_is_the_same_twice_in_one_process(capsys):
     assert docs[0] == docs[1]
 
 
+def _command(*argv: str) -> list[str]:
+    return [sys.executable, "-W", "error::RuntimeWarning", "-m", "fracbvp",
+            *argv]
+
+
+_ENV = {**os.environ, "PYTHONPATH": _ROOT}
+
+
+def _fracbvp(*argv: str) -> subprocess.CompletedProcess:
+    """One command in a fresh interpreter."""
+    return subprocess.run(_command(*argv), capture_output=True, text=True,
+                          timeout=300, env=_ENV)
+
+
 @pytest.mark.parametrize("argv, code", [
     (["kernel-dump", "sublinear", "--json"], 0),
     (["solve", "sublinear", "--grid-n", "16", "--max-iter", "1", "--json"], 3),
@@ -1223,17 +1332,81 @@ def test_kernel_dump_is_the_same_twice_in_one_process(capsys):
 def test_a_closed_stdout_keeps_the_exit_code(argv, code):
     """A reader gone before the first write (a pipe into `head -c 0`)
     costs neither a traceback nor the command's own exit code."""
-    root = str(Path(fracbvp.__file__).resolve().parent.parent)
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        run = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "fracbvp",
-             *argv], stdout=write_end, stderr=subprocess.PIPE, text=True,
-            timeout=300, env={**os.environ, "PYTHONPATH": root})
+        run = subprocess.run(_command(*argv), stdout=write_end,
+                             stderr=subprocess.PIPE, text=True, timeout=300,
+                             env=_ENV)
     finally:
         os.close(write_end)
     assert (run.returncode, run.stderr) == (code, "")
+
+
+def test_a_reader_gone_mid_document_costs_nothing(capsys):
+    """A reader that closes the pipe after 100 bytes (`| head -c 100`)
+    of a document far longer than a pipe holds: no traceback, exit 0."""
+    assert main(["kernel-dump", "sublinear", "--json"]) == 0
+    assert len(capsys.readouterr().out) > 2 ** 17
+    proc = subprocess.Popen(_command("kernel-dump", "sublinear", "--json"),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_ENV)
+    try:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=300)
+    finally:
+        proc.kill()
+    assert len(head) == 100
+    assert (code, err) == (0, b"")
+
+
+def test_two_fresh_solves_give_the_same_output(tmp_path):
+    """Two processes print one document once timings are dropped, and
+    write the same solution rows byte for byte."""
+    runs = [_fracbvp("solve", "sublinear", "--grid-n", "64", "--json")
+            for _ in range(2)]
+    assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
+    first, second = (_drop_seconds(json.loads(r.stdout)) for r in runs)
+    assert first == second
+    for out in ("a", "b"):
+        run = _fracbvp("solve", "sublinear", "--grid-n", "32", "--out",
+                       str(tmp_path / out))
+        assert run.returncode == 0, run.stderr
+    names = sorted(p.name for p in (tmp_path / "a").glob("solution*.csv"))
+    assert names == ["solution-lower.csv", "solution-upper.csv"]
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() \
+            == (tmp_path / "b" / name).read_bytes(), name
+
+
+def test_a_second_check_in_one_process_prints_the_first_document():
+    # A fresh interpreter, so that the first check computes H2's
+    # coefficient integrals and the second reads them from the memo.
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                          "-c", """
+import contextlib, io, json
+from fracbvp.cli import main
+docs = []
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["check", "sublinear", "--json"])
+    docs.append([code, out.getvalue()])
+print(json.dumps(docs))
+"""], capture_output=True, text=True, timeout=300, env=_ENV)
+    assert run.returncode == 0, run.stderr
+    first, second = json.loads(run.stdout)
+    assert first[0] == 0 and _strict_json(first[1])
+    assert second == first
+
+
+def test_solve_out_tables_end_lines_in_newline_alone(tmp_path):
+    assert main(["solve", "lipschitz", "--grid-n", "16", "--out",
+                 str(tmp_path)]) == 0
+    files = list(tmp_path.iterdir())
+    assert len(files) == 3
+    assert not any(b"\r" in f.read_bytes() for f in files)
 
 
 def test_loads_share_parsed_values(tmp_path, capsys):

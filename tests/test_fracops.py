@@ -13,7 +13,6 @@ import pytest
 
 import fracbvp.fracops as fracops_mod
 from fracbvp import FracOrder, gamma, quad, rl_derivative, rl_integral
-from fracbvp.fracops import _order
 from fracbvp.quad import (Integrand, QuadratureError, integrate_finite,
                           require_converged)
 from test_quad import _reference_finite
@@ -49,9 +48,6 @@ def test_gamma_rejects_nonpositive():
 
 
 def test_frac_order():
-    assert FracOrder(2.5).n == 3
-    assert FracOrder(1.5).n == 2
-    assert FracOrder(2.0).n == 2  # integer order needs exactly n derivatives
     with pytest.raises(ValueError):
         FracOrder(0.0)
     with pytest.raises(ValueError):
@@ -160,7 +156,7 @@ def _scalar_rl_integral(g, q, t, *, tol=1e-10, g_exponent=0.0, kinks=()):
     """rl_integral for one t as two unbatched integrate_finite calls,
     with the kinks and exponents that rl_integral passes: the reference
     for the batched route."""
-    qv = _order(q)
+    qv = float(q)
     if t == 0:
         return 0.0
     half = 0.5 * t
@@ -201,7 +197,7 @@ def _reference_rl_derivative(g, q, t, *, tol=1e-6, g_exponent=0.0,
                              quad_tol=1e-12, kinks=()):
     """rl_derivative reading one stencil point at a time through
     _scalar_rl_integral, only when the refinement needs it."""
-    qv = _order(q)
+    qv = float(q)
     n = math.ceil(qv)
     cache = {}
 

@@ -19,6 +19,7 @@ from fracbvp import (FracOrder, Integrand, IntegralOperator, KernelSet,
                      integrate_halfline, kernel_representation)
 from fracbvp.cli import load_problem, main
 from fracbvp.problem import build_report
+from fracbvp.quad import DEFAULT_TOL
 
 
 def test_lambda_closed_forms(sublinear):
@@ -141,15 +142,15 @@ def test_g_is_a_nondecreasing_ramp_on_random_batches(kernels, exps, dups,
     s = np.concatenate(([0.0], s, s[:dups]))
     ks = KernelSet.build(kernels[eq].alpha, kernels[eq].h)
     g = ks.g_many(s)[np.argsort(s, kind="stable")]
-    slack = 10.0 * ks.tol
+    slack = 10.0 * DEFAULT_TOL
     assert np.all(np.diff(g) >= -slack)
     assert np.all(g >= -slack) and np.all(g <= ks.lam / ks.gamma_alpha + slack)
 
 
-def _fresh(ks, **kw):
+def _fresh(ks):
     """Same constants as ks, no reach."""
     return KernelSet(alpha=ks.alpha, h=ks.h, lam=ks.lam,
-                     gamma_alpha=ks.gamma_alpha, **kw)
+                     gamma_alpha=ks.gamma_alpha)
 
 
 def _deficit_per_point(ks, s):
@@ -159,7 +160,7 @@ def _deficit_per_point(ks, s):
     res = integrate_halfline(
         Integrand(lambda x: h.fn(s + x) * x ** (a - 1.0), kinks=(s,),
                   endpoint_exponent=a - 1.0, decay_hint=h.decay_hint),
-        ks.tol)
+        DEFAULT_TOL)
     assert res.converged
     return res.value
 
@@ -196,13 +197,15 @@ def test_g_memo_is_stable(kernels, rng):
                               got.reshape(4, 10))
 
 
-def test_g_batch_raises_when_tol_is_not_met(kernels):
-    ks = _fresh(kernels[0], tol=1e-16)  # below the trapezoid's rounding floor
+def test_g_batch_raises_when_tol_is_not_met(kernels, monkeypatch):
+    ks = _fresh(kernels[0])
+    # Below the trapezoid's rounding floor.
+    monkeypatch.setattr(kernels_mod, "DEFAULT_TOL", 1e-16)
     with pytest.raises(QuadratureError, match="boundary integral G") as exc:
         ks.g_many(np.array([0.5, 2.0, 7.0]))
     res = exc.value.result
     assert not res.converged
-    assert res.error_estimate > ks.tol
+    assert res.error_estimate > 1e-16
     assert res.evaluations > 0
 
 
@@ -260,7 +263,7 @@ def test_kinked_weight_fails_within_bounded_work():
     res = exc.value.result
     assert not res.converged
     assert type(res.error_estimate) is float
-    assert res.error_estimate > 1e3 * ks.tol
+    assert res.error_estimate > 1e3 * DEFAULT_TOL
     # Step 1/64 over u in [-40, log 90 - log 1e-3], x cut at Lambda's
     # reach 90: 52 * 64 + 1 nodes (89 * 64 + 1 with the 2^60 cut).
     assert 0 < res.evaluations <= 52 * 64 + 1
@@ -341,10 +344,10 @@ def test_kernel_sets_are_values(sublinear):
     # their entries.
     ks = KernelSet.build(sublinear.alpha1, sublinear.h1)
     with pytest.raises(FrozenInstanceError):
-        ks.tol = 1e-16
+        ks.lam = 0.5
     again = KernelSet.build(sublinear.alpha1, sublinear.h1)
     assert again is not ks and again == ks and hash(again) == hash(ks)
-    assert replace(ks, tol=1e-9) != ks
+    assert replace(ks, reach=math.inf) != ks
     assert KernelSet.build(sublinear.alpha2, sublinear.h2) != ks
 
 
@@ -452,7 +455,9 @@ def test_directly_constructed_kernel_set_keeps_the_2_to_60_cut(
         assert hi == 60.0 * math.log(2.0) - math.log(1e-9)
 
 
-def test_g_batch_raises_when_tol_is_not_met_after_the_cut(kernels):
-    ks = replace(KernelSet.build(kernels[0].alpha, kernels[0].h), tol=1e-16)
+def test_g_batch_raises_when_tol_is_not_met_after_the_cut(kernels,
+                                                         monkeypatch):
+    ks = KernelSet.build(kernels[0].alpha, kernels[0].h)
+    monkeypatch.setattr(kernels_mod, "DEFAULT_TOL", 1e-16)
     with pytest.raises(QuadratureError, match="boundary integral G"):
         ks.g_many(np.array([0.5, 2.0, 7.0, 200.0]))

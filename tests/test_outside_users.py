@@ -1,13 +1,17 @@
 """Code outside the package that drives it: the benchmark's tracer and
-README's library example.  Each runs in a fresh interpreter, as it does
-in use, so a rename under src/ that breaks it fails here."""
+sweep worker, and README's library example.  Each runs in a fresh
+interpreter, as it does in use, so a rename under src/ that breaks it
+fails here."""
 
+import importlib.util
 import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import fracbvp
 from fracbvp.cli import main
@@ -17,12 +21,14 @@ _REPO = Path(__file__).resolve().parent.parent
 _ROOT = str(Path(fracbvp.__file__).resolve().parent.parent)
 
 
-def _python(*args: str) -> subprocess.CompletedProcess:
+def _python(*args: str, stdin: str | None = None
+            ) -> subprocess.CompletedProcess:
     path = os.pathsep.join(p for p in (_ROOT, os.environ.get("PYTHONPATH"))
                            if p)
     return subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
-                           *args], capture_output=True, text=True,
-                          timeout=300, env={**os.environ, "PYTHONPATH": path})
+                           *args], input=stdin, capture_output=True,
+                          text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def _drop_seconds(o):
@@ -62,6 +68,44 @@ print(json.dumps(runs))
         assert _drop_seconds(json.loads(out)) == \
             _drop_seconds(json.loads(untraced)), argv
         assert span_names > 0, argv
+
+
+def _bench_problems():
+    """bench/problems.py, which builds the benchmark's problem texts."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_problems", _REPO / "bench" / "problems.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_the_sweep_worker_solves_as_the_cli_does(tmp_path, capsys, trace):
+    # bench/sweep_worker.py reads LoadedProblem.sections and
+    # SolverConfig.interp, and passes interp= and operator=.  Set-up on
+    # sublinear, then a 2.0x variant of each packaged problem: each reply
+    # holds the rows that solve --json prints for the same text.
+    bp = _bench_problems()
+    texts = {name: bp.variant_text(bp.packaged_text(_REPO, name), 2.0)
+             for name in bp.PACKAGED}
+    requests = [{"setup": bp.packaged_text(_REPO, "sublinear")}]
+    requests += [{"text": text} for text in texts.values()]
+    run = _python(str(_REPO / "bench" / "sweep_worker.py"), trace,
+                  stdin="".join(json.dumps(r) + "\n" for r in requests))
+    assert run.returncode == 0, run.stderr
+    ready, *replies = map(json.loads, run.stdout.splitlines())
+    assert ready.get("ready") is True, ready
+    assert len(replies) == len(texts)
+    for (name, text), reply in zip(texts.items(), replies):
+        assert reply["ok"] and reply["converged"] and reply["audit_ok"], \
+            reply.get("error")
+        path = tmp_path / f"{name}.prob"
+        path.write_text(text)
+        assert main(["solve", str(path), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        rows = {key: doc[key]["solution"] for key in ("lower", "upper")} \
+            if doc["scheme"] == "monotone" else {"solution": doc["solution"]}
+        assert reply["solutions"] == rows, name
 
 
 def test_readme_library_example_runs():

@@ -50,7 +50,6 @@ from fracbvp.verify import _flat_pchip
 def test_grid_make():
     g = Grid.make(64)
     assert g.n == 64
-    assert g.theta == 5.0
     assert np.all(np.diff(g.nodes) > 0.0)
     assert g.nodes[0] > 0.0
     assert g.t_max == pytest.approx(14384.353310464809, abs=1e-6)
@@ -60,11 +59,11 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         Grid.make(8)  # too coarse for the tail panels to mean anything
     with pytest.raises(ValueError):
-        Grid(nodes=np.linspace(1.0, 0.0, 32), theta=5.0)
+        Grid(nodes=np.linspace(1.0, 0.0, 32))
     with pytest.raises(ValueError):
-        Grid(nodes=np.linspace(0.0, 1.0, 32), theta=5.0)  # t=0 is not usable
+        Grid(nodes=np.linspace(0.0, 1.0, 32))  # t=0 is not usable
     with pytest.raises(ValueError):
-        Grid(nodes=np.append(np.linspace(1.0, 2.0, 31), np.inf), theta=5.0)
+        Grid(nodes=np.append(np.linspace(1.0, 2.0, 31), np.inf))
 
 
 def test_solution_pair_constructors(grid64):
@@ -681,7 +680,7 @@ def test_kernel_sets_keep_the_plan_of_their_grid(monkeypatch, sublinear):
     # The same kernel sets or equal builds, on the same grid or on a
     # grid built apart with equal nodes.
     for pair in ((ks1, ks2), fresh()):
-        for g in (grid, Grid(nodes=grid.nodes.copy(), theta=grid.theta)):
+        for g in (grid, Grid(nodes=grid.nodes.copy())):
             assert IntegralOperator(sublinear, *pair, g).plan is first.plan
     assert plans == [] and g_calls == []
 
@@ -697,7 +696,7 @@ def test_kernel_sets_keep_the_plan_of_their_grid(monkeypatch, sublinear):
     # Other nodes, or another kernel set, build their own plan; the
     # cache keeps one, so going back to a grid builds it again.
     monkeypatch.setattr(solver_mod, "_Plan", counting_plan)
-    ks3 = replace(ks1, tol=ks1.tol / 2)
+    ks3 = replace(ks1, reach_err=ks1.reach_err + 1e-12)
     IntegralOperator(sublinear, ks3, ks2, grid)
     assert plans == [(ks3, ks2, 64)]
     IntegralOperator(sublinear, ks1, ks2, Grid.make(32))
