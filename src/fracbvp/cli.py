@@ -413,12 +413,6 @@ def _report_text(report: HypothesisReport, name: str,
     return "\n".join(lines)
 
 
-def _check_seed(args: argparse.Namespace) -> None:
-    """--seed feeds numpy's generator, which takes no negative seed."""
-    if args.seed < 0:
-        raise ProblemFileError(f"--seed must be nonnegative, got {args.seed}")
-
-
 def _pick_scheme(cfg: SolverConfig,
                  report: HypothesisReport) -> tuple[str | None, list[str]]:
     """Choose the iteration scheme the report licenses: the configured
@@ -438,16 +432,14 @@ def _pick_scheme(cfg: SolverConfig,
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    _check_seed(args)
     lp = resolve_problem(args.problem)
-    report = build_report(lp.spec, seed=args.seed, expected=lp.expected)
+    report = build_report(lp.spec, expected=lp.expected)
     _emit(_json(report.to_dict()) if args.json else
           _report_text(report, lp.spec.name or args.problem, lp.spec))
     return EXIT_OK if report.passed else EXIT_HYPOTHESIS
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    _check_seed(args)
     lp = resolve_problem(args.problem)
     # Each override flag's dest is the [solver] key it replaces; a value
     # out of range is named by its flag.
@@ -463,7 +455,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     spec = lp.spec
     name = spec.name or args.problem
-    report = build_report(spec, seed=args.seed, expected=lp.expected)
+    report = build_report(spec, expected=lp.expected)
     scheme, reasons = _pick_scheme(cfg, report)
     if scheme is None:
         doc = {"problem": name, "refused": reasons,
@@ -498,8 +490,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     config_doc = {"problem": name, "scheme": scheme, "grid_n": cfg.n,
                   "theta": cfg.theta, "t_max": grid.t_max, "tol": tol,
-                  "max_iter": max_iter, "interp": cfg.interp,
-                  "seed": args.seed}
+                  "max_iter": max_iter, "interp": cfg.interp}
 
     # Chain key -> (solution, trace); the key names the output files and
     # the JSON section, and the contraction scheme's single run has none.
@@ -671,10 +662,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true",
                         help="emit a JSON document instead of text")
 
-    seeded = _ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0,
-                        help="seed for the monotonicity sampling check")
-
     top = _ArgumentParser(
         prog="fracbvp",
         description="Check and solve coupled fractional boundary value "
@@ -682,12 +669,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True,
                              parser_class=_ArgumentParser)
 
-    pc = sub.add_parser("check", parents=[common, seeded],
+    pc = sub.add_parser("check", parents=[common],
                         help="verify the solvability hypotheses and derive "
                              "the scheme constants")
     pc.set_defaults(fn=cmd_check)
 
-    ps = sub.add_parser("solve", parents=[common, seeded],
+    ps = sub.add_parser("solve", parents=[common],
                         help="run the licensed iteration scheme")
     ps.add_argument("--grid-n", type=int, default=None, dest="n",
                     help="number of grid nodes")

@@ -18,8 +18,9 @@ up front which guarantees apply:
       with b_ik >= 0 (sampled), weighted the same way (power 1), plus
       tau_i = int |f_i(t,0,0,0,0)| dt.
   H4  monotonicity: each f_i is nondecreasing in u1..u4 on the
-      nonnegative cone.  Checked by seeded random falsification; a pass
-      means "no counterexample found", never "proved".
+      nonnegative cone.  Checked by falsification on a fixed
+      low-discrepancy point set; a pass means "no counterexample
+      found", never "proved".
 
 Derived from these: the kernel sup constants L_i = 1/(Gamma(alpha_i) -
 Lambda_i) and L = max{L_1, L_2, Gamma(alpha_1) L_1, Gamma(alpha_2) L_2},
@@ -185,7 +186,6 @@ class HypothesisReport:
     verdicts: Mapping[str, Verdict]
     notes: tuple[str, ...]
     discrepancies: tuple[Discrepancy, ...]
-    seed: int
     samples: int
     # Scheme ("monotone", "contraction") -> why it is blocked, in the
     # order the facts were established; to_dict leaves it out.
@@ -216,7 +216,6 @@ class HypothesisReport:
             {"name": d.name, "computed": d.computed, "expected": d.expected,
              "difference": d.difference}
             for d in self.discrepancies]
-        doc["seed"] = self.seed
         doc["samples"] = self.samples
         return doc
 
@@ -375,35 +374,40 @@ def _family(p: ProblemSpec, letter: str, rows, powers, extra=()
     return Verdict(not reasons, "; ".join(reasons)), values
 
 
-# Side of the cube [0, _H4_BOX]^5 that check_h4 samples (t and the
-# state), and how many ordered state pairs it draws there.
+# Side of the cube [0, _H4_BOX)^5 that check_h4 samples (t and the
+# state), and how many ordered state pairs it takes there.
 _H4_BOX = 10.0
 _H4_SAMPLES = 10_000
 
 
 @lru_cache(maxsize=1)
-def _h4_draws(seed: int) -> tuple[np.ndarray, ...]:
+def _h4_draws() -> tuple[np.ndarray, ...]:
     """check_h4's sample times t and ordered state pairs lo <= hi, read
-    only: the same for every problem, so drawn once per seed.  A process
-    uses one seed, so one entry is kept."""
-    rng = np.random.default_rng(seed)
-    t = rng.uniform(0.0, _H4_BOX, _H4_SAMPLES)
-    draw_a, draw_b = rng.uniform(0.0, _H4_BOX, (2, 4, _H4_SAMPLES))
-    draws = t, np.minimum(draw_a, draw_b), np.maximum(draw_a, draw_b)
+    only and the same for every problem: the first _H4_SAMPLES points of
+    the 9-dimensional Kronecker sequence frac(0.5 + k g^-j), j = 1..9,
+    with g^10 = g + 1 (Roberts's R-sequence), scaled to [0, _H4_BOX).
+    t is one coordinate; lo and hi are the min and max of two blocks of
+    four."""
+    g = 2.0
+    for _ in range(40):  # the fixed point of g = (1 + g)^(1/10)
+        g = (1.0 + g) ** 0.1
+    k = np.arange(1.0, _H4_SAMPLES + 1.0)
+    x = _H4_BOX * ((0.5 + g ** -np.arange(1.0, 10.0)[:, None] * k) % 1.0)
+    draws = x[0].copy(), np.minimum(x[1:5], x[5:]), np.maximum(x[1:5], x[5:])
     for a in draws:
         a.setflags(write=False)
     return draws
 
 
-def check_h4(p: ProblemSpec, seed: int = 0) -> Verdict:
-    """Randomized monotonicity falsification on [0, _H4_BOX]^5.
+def check_h4(p: ProblemSpec) -> Verdict:
+    """Monotonicity falsification on [0, _H4_BOX)^5.
 
-    Draws componentwise-ordered state pairs by taking min/max of two
-    uniform draws and requires f_i(t, lo) <= f_i(t, hi) up to rounding.
-    Nonnegativity of f_i on the sampled states is checked alongside,
-    since positivity of the iterates relies on it.
+    Takes componentwise-ordered state pairs as the min/max of two blocks
+    of _h4_draws's point set and requires f_i(t, lo) <= f_i(t, hi) up
+    to rounding.  Nonnegativity of f_i on the sampled states is checked
+    alongside, since positivity of the iterates relies on it.
     """
-    t, lo, hi = _h4_draws(seed)
+    t, lo, hi = _h4_draws()
     issues = []
     for i, fn in enumerate(p.f_compiled, start=1):
         flo = np.asarray(fn(t, *lo))
@@ -425,13 +429,12 @@ def check_h4(p: ProblemSpec, seed: int = 0) -> Verdict:
     if issues:
         return Verdict(False, "; ".join(issues))
     return Verdict(
-        True, f"no counterexample in {_H4_SAMPLES} ordered samples "
-        f"(seed {seed})")
+        True, f"no counterexample in {_H4_SAMPLES} ordered samples")
 
 
 # -- report assembly ---------------------------------------------------
 
-def build_report(p: ProblemSpec, *, seed: int = 0,
+def build_report(p: ProblemSpec, *,
                  expected: Mapping[str, float] | None = None
                  ) -> HypothesisReport:
     """Run every applicable check and assemble the full report.
@@ -493,7 +496,7 @@ def build_report(p: ProblemSpec, *, seed: int = 0,
         settle("H3", verdict, "contraction")
 
     if p.monotone:
-        settle("H4", check_h4(p, seed=seed), "monotone")
+        settle("H4", check_h4(p), "monotone")
     else:
         notes.append("monotonicity not claimed; the monotone scheme "
                      "is unavailable for this problem")
@@ -538,7 +541,7 @@ def build_report(p: ProblemSpec, *, seed: int = 0,
         lam=lam, gamma_alpha=ga, L_pair=(l1, l2), L=big_l,
         a_star=a_star, b_star=b_star, tau=tau, m=m, R=R, r=r,
         verdicts=verdicts, notes=tuple(notes), discrepancies=(),
-        seed=seed, samples=_H4_SAMPLES,
+        samples=_H4_SAMPLES,
         blockers={k: tuple(v) for k, v in blockers.items()})
 
     if expected:

@@ -87,8 +87,8 @@ class Integrand:
                        fast) but such a function can only be integrated
                        away from 0; the drivers reject it at the point of
                        use.
-    decay_hint         optional exponential rate r with fn(t) = O(e^{-rt}),
-                       used to pick the initial truncation point
+    decay_hint         optional exponential rate r with fn(t) = O(e^{-rt}):
+                       the half-line tail walk runs at least to 45/r
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -197,16 +197,17 @@ def _adapt(key, lo: float, hi: float, tol: float, first):
     return value, error, n_eval, converged
 
 
-def _walk(end: float, tail: int, tol: float):
+def _walk(end: float, tail: int, tol: float, reach: float):
     """A half-line job's doublings [end, 2 end], [2 end, 4 end], ... as a
     run of integrate_batch beside its head's pieces (piece tail), each to
     tol/8, the first panels of _TAIL_CHUNK asked for at once (the first
     chunk with the head's first splits), until two in a row contribute
-    less than tol/4 in magnitude.  Every doubling's value goes into the
-    result; the last one's magnitude also goes into the error estimate,
-    standing for the tail past it, which for an integrable decay shrinks
-    at worst geometrically.  No stop within _MAX_DOUBLINGS is a suspected
-    divergence (converged=False).  Returns (parts, truncation point)."""
+    less than tol/4 in magnitude and the walk has passed reach.  Every
+    doubling's value goes into the result; the last one's magnitude also
+    goes into the error estimate, standing for the tail past it, which
+    for an integrable decay shrinks at worst geometrically.  No stop
+    within _MAX_DOUBLINGS is a suspected divergence (converged=False).
+    Returns (parts, truncation point)."""
     parts, t, prev = [], end, math.inf
     for i in range(_MAX_DOUBLINGS):
         if i % _TAIL_CHUNK == 0:  # t * 2^j short of inf
@@ -218,7 +219,7 @@ def _walk(end: float, tail: int, tol: float):
         parts.append((yield from _adapt(tail, t, 2 * t, tol / 8, first))
                      if first else (0.0, 0.0, 0, True))
         v, t = parts[-1][0], 2 * t
-        if abs(v) < tol / 4 and abs(prev) < tol / 4:
+        if abs(v) < tol / 4 and abs(prev) < tol / 4 and t >= reach:
             parts.append((0.0, abs(v), 0, True))
             break
         prev = v
@@ -234,16 +235,18 @@ def integrate_batch(fn, jobs, tol: float = DEFAULT_TOL) -> list[QuadResult]:
     increase), and the power substitution removes fn ~ t^sigma at 0+
     from the leading piece when a == 0.  A half-line job (0, inf, kinks,
     sigma, decay_hint) has the pieces of [0, T0], T0 = max(1, 1.5 * last
-    kink, 45 / decay_hint), to tol/2, and walks the doublings beyond T0
-    beside them (_walk), its first tail panels in the call of the head's
-    first splits.  fn gets the points and each one's job index; it must
-    be pointwise.  Each job's points come in the calls and order of the
-    job alone (see the module docstring), so its result is bit for bit
-    the job's alone.
+    kink), to tol/2, and walks the doublings beyond T0 beside them
+    (_walk), its first tail panels in the call of the head's first
+    splits; a decay_hint r only keeps the walk from stopping short of
+    min(45 / r, 2^40 T0), a point it reaches within _MAX_DOUBLINGS.  fn
+    gets the points and each one's job index; it must be pointwise.
+    Each job's points come in the calls and order of the job alone (see
+    the module docstring), so its result is bit for bit the job's alone.
     """
     if not jobs:
         return []
-    lo, hi, subs, exps, counts, shares, ends, walks = ([] for _ in range(8))
+    lo, hi, subs, exps, counts, shares, ends = ([] for _ in range(7))
+    walks = {}  # half-line job -> the least reach of its walk
     for j, (a, b, kinks, sigma, *rate) in enumerate(jobs):
         if not a < b:
             raise ValueError(f"need a < b, got [{a}, {b}]")
@@ -253,9 +256,9 @@ def integrate_batch(fn, jobs, tol: float = DEFAULT_TOL) -> list[QuadResult]:
                 f"integrate it only against a compensating factor")
         walk = b == math.inf
         if walk:  # e^{-45} ~ 3e-20: safely below any tolerance in use here
-            walks.append(j)
-            b = max([1.0, *(1.5 * k for k in kinks[-1:]),
-                     *(45.0 / r for r in rate if r is not None)])
+            b = max([1.0, *(1.5 * k for k in kinks[-1:])])
+            r = rate[0] if rate else None
+            walks[j] = 0.0 if r is None else min(45.0 / r, 2.0 ** 40 * b)
         cuts = [a, *kinks[bisect_right(kinks, a):bisect_left(kinks, b)], b]
         if a == 0.0 and sigma != 0.0:  # the power substitution
             subs.append(len(lo))
@@ -302,7 +305,7 @@ def integrate_batch(fn, jobs, tol: float = DEFAULT_TOL) -> list[QuadResult]:
     refine = (err > np.array(shares).repeat(counts)).nonzero()[0].tolist()
     runs = {i: _adapt(i, float(lo[i]), float(hi[i]), shares[owner[i]],
                       (float(val[i]), float(err[i]))) for i in refine}
-    runs.update((n + j, _walk(ends[j], n + j, tol)) for j in walks)
+    runs.update((n + j, _walk(ends[j], n + j, tol, walks[j])) for j in walks)
     # A run is a generator asking for lists of (piece, lo, hi) panels and
     # sent their (value, error) pairs; it returns its result.
     sent, done = dict.fromkeys(runs), {}

@@ -206,8 +206,9 @@ def _reference_halfline(f, tol):
     t0 = 1.0
     if f.kinks:
         t0 = max(t0, 1.5 * f.kinks[-1])
+    reach = 0.0  # a decay hint only keeps the walk from stopping short
     if f.decay_hint is not None:
-        t0 = max(t0, 45.0 / f.decay_hint)
+        reach = min(45.0 / f.decay_hint, 2.0 ** 40 * t0)
     head = _reference_finite(f, 0.0, t0, tol / 2)
     value, error = head.value, head.error_estimate
     n_eval, ok = head.evaluations, head.converged
@@ -219,7 +220,7 @@ def _reference_halfline(f, tol):
         value += v
         error += e
         t *= 2
-        if abs(v) < tol / 4 and abs(prev) < tol / 4:
+        if abs(v) < tol / 4 and abs(prev) < tol / 4 and t >= reach:
             stabilized, last = True, abs(v)
             break
         prev, last = v, abs(v)

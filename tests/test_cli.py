@@ -735,6 +735,10 @@ _SOLVE_ONLY_FLAGS = [
     ["kernel-dump", "sublinear", "--tol", "inf"],
     ["check", "sublinear", "--tol", "1e-9"],
 ]
+# H4 reads one fixed point set, so no subcommand takes a seed.
+_UNRECOGNIZED = [*_SOLVE_ONLY_FLAGS,
+                 ["check", "sublinear", "--seed", "1"],
+                 ["solve", "sublinear", "--seed", "1"]]
 
 
 @pytest.mark.parametrize("argv", [
@@ -745,15 +749,13 @@ _SOLVE_ONLY_FLAGS = [
     ["solve", "lipschitz", "--tol", "-1"],
     ["solve", "lipschitz", "--tol", "nan"],
     ["solve", "lipschitz", "--grid-n", "8"],
-    ["check", "sublinear", "--seed", "-1"],
-    ["solve", "sublinear", "--seed", "-1"],
     ["kernel-dump", "sublinear", "--points", "-3"],
     ["kernel-dump", "sublinear", "--points", "0"],
     ["solve", "lipschitz", "--tol", "inf", "--grid-n", "16"],
     ["kernel-dump", "sublinear", "--t-max", "inf", "--points", "3"],
     ["kernel-dump", "sublinear", "--t-max", "1e300", "--points", "3"],
     ["solve", "sublinear", "--grid-n", "16", "--theta", "1e300"],
-    *_SOLVE_ONLY_FLAGS,
+    *_UNRECOGNIZED,
     # Paths that cannot be read or written, under a scratch directory
     # {tmp} that holds a regular file, a UTF-16 file and a directory
     # named like a problem file: the error names the path.
@@ -774,14 +776,14 @@ def test_bad_flag_values_exit_four(tmp_path, capsys, argv):
     path = next((a.format(tmp=tmp_path) for a in argv if "{tmp}" in a), None)
     assert main([a.format(tmp=tmp_path) for a in argv]) == 4
     err = capsys.readouterr().err
-    if argv in _SOLVE_ONLY_FLAGS:
+    if argv in _UNRECOGNIZED:
         assert err.endswith("error: unrecognized arguments: "
                             + " ".join(argv[2:]) + "\n")
     else:
         assert err.startswith("error: ")
     if path is not None:
         assert path in err, err
-    elif argv[0] == "solve" and "--seed" not in argv:
+    elif argv[0] == "solve" and argv not in _UNRECOGNIZED:
         # A solve flag out of range is named as the flag, not as the
         # [solver] key it overrides.
         flag = re.match(r"error: (--[a-z-]+): ", err)
@@ -1085,6 +1087,30 @@ _EDGE_CASES = {
         ("solve", ["--grid-n", "32"], 0,
          r"monotone scheme, n=32(.|\n)*boundary residuals 1\.6\d*e-03, "
          r"3\.8\d*e-03"),
+    ]),
+    # A true but loose decay hint: h1 decays like exp(-t), and the hint
+    # says only exp(-t/1000).  The hint sets how far the tail walk runs
+    # at least, never where the head ends, so Lambda1 stays 1; a hint
+    # near the float floor needs no overflowing power of t.
+    "h1-decay-1e-3": ("sublinear", [("h1_decay = 1\n", "h1_decay = 1e-3\n")], [
+        ("check", [], 0, r"lambda1 = (0\.99999999999\d*|1\.0)\n(.|\n)*"
+                         r"R = 32009\.41\d*\n(.|\n)*"
+                         r"all applicable hypotheses hold"),
+        ("solve", ["--grid-n", "32"], 0,
+         r"monotone scheme, n=32(.|\n)*ordering holds"),
+    ]),
+    "h1-decay-1e-290": ("sublinear", [("h1_decay = 1\n",
+                                       "h1_decay = 1e-290\n")], [
+        ("check", [], 0, r"lambda1 = (0\.99999999999\d*|1\.0)\n(.|\n)*"
+                         r"all applicable hypotheses hold"),
+    ]),
+    # Mass near t = 50 only, Lambda1 = 1.0000750028133205 (scipy's quad):
+    # the hint keeps the walk from stopping at 4, before the mass.
+    "h1-late-mass-with-hint": ("sublinear", [
+            ("h1 = t^(-1.5)*exp(-t)", "h1 = exp(-(t-50)^2)/50^1.5/sqrt(pi)"),
+            ("h1_exponent = -1.5", "h1_exponent = 0")], [
+        ("check", [], 0, r"lambda1 = 1\.0000750028133\d*\n(.|\n)*"
+                         r"all applicable hypotheses hold"),
     ]),
     # Lambda1 = 1.3293 sits 4.0e-5 below Gamma(2.5): every hypothesis
     # holds, but L1 and R are huge, and the report says why.

@@ -75,6 +75,18 @@ def test_solve_and_kernel_dump_load_no_scipy(argv):
     assert not [m for m in loaded if m.startswith("scipy")]
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "sublinear"],
+    ["solve", "sublinear", "--grid-n", "32"],
+], ids=["check", "solve"])
+def test_h4_loads_no_numpy_random(argv):
+    # H4's point set is plain numpy arithmetic: a monotone problem's
+    # check and solve do not pay for numpy.random's import.
+    loaded = _modules_after(argv)
+    assert "fracbvp.problem" in loaded
+    assert not [m for m in loaded if m.startswith("numpy.random")]
+
+
 def test_bare_import_resolves_names_lazily():
     run = _python("-c", """
 import importlib, sys

@@ -264,8 +264,8 @@ def test_kinked_weight_fails_within_bounded_work():
     assert not res.converged
     assert type(res.error_estimate) is float
     assert res.error_estimate > 1e3 * DEFAULT_TOL
-    # Step 1/64 over u in [-40, log 90 - log 1e-3], x cut at Lambda's
-    # reach 90: 52 * 64 + 1 nodes (89 * 64 + 1 with the 2^60 cut).
+    # Step 1/64 over u in [-40, log 64 - log 1e-3], x cut at Lambda's
+    # reach 64: 52 * 64 + 1 nodes (89 * 64 + 1 with the 2^60 cut).
     assert 0 < res.evaluations <= 52 * 64 + 1
 
 
@@ -414,12 +414,13 @@ def _trapezoid_columns(monkeypatch):
 
 
 def test_g_is_cut_at_lambdas_reach(sublinear, monkeypatch):
-    # Lambda's half-line doubling stops at 180 for h1 (decay 1) and at 90
-    # for h2 (decay 2); points at or beyond that reach are Lambda/Gamma
-    # with no trapezoid column, and the rest are cut at x = reach.
+    # Lambda's half-line doubling walks from 1 past the decay hints'
+    # 45/r and stops at 128 for h1 (decay 1) and at 64 for h2 (decay 2);
+    # points at or beyond that reach are Lambda/Gamma with no trapezoid
+    # column, and the rest are cut at x = reach.
     seen = _trapezoid_columns(monkeypatch)
-    for h, alpha, reach in ((sublinear.h1, sublinear.alpha1, 180.0),
-                            (sublinear.h2, sublinear.alpha2, 90.0)):
+    for h, alpha, reach in ((sublinear.h1, sublinear.alpha1, 128.0),
+                            (sublinear.h2, sublinear.alpha2, 64.0)):
         ks = KernelSet.build(alpha, h)
         assert ks.reach == reach and 0.0 < ks.reach_err < 1e-12
         s = np.array([0.5, 7.0, reach - 1e-9, reach, 250.0, 1.6e16])
