@@ -25,9 +25,9 @@ _EXPORTS = {
                "ProblemSpec build_report check_h1 check_h4",
     "quad": "Integrand QuadratureError QuadResult integrate_finite "
             "integrate_halfline",
-    "solver": "ContractionRatioWarning Grid IntegralOperator IterationTrace "
-              "MonotonicityError SchemeBreakError SolutionPair "
-              "contract_solve diff_norm monotone_solve norm_pair",
+    "solver": "Grid IntegralOperator IterationTrace MonotonicityError "
+              "SchemeBreakError SolutionPair contract_solve diff_norm "
+              "monotone_solve norm_pair",
     "verify": "AuditResult VerificationReport boundary_residual "
               "error_bound_audit fixed_point_residual ode_residual_spotcheck "
               "ordering_audit verify_pair",

@@ -51,7 +51,6 @@ import math
 import os
 import re
 import sys
-import warnings
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -321,7 +320,7 @@ def resolve_problem(arg: str) -> LoadedProblem:
     """Load a problem from a filesystem path or a packaged name."""
     path = Path(arg)
     try:  # exists() too raises on a name too long for the file system
-        text = path.read_text() if path.exists() else None
+        text = path.read_text("utf-8-sig") if path.exists() else None
     except (OSError, UnicodeDecodeError) as exc:
         why = getattr(exc, "strerror", None) or exc
         raise ProblemFileError(f"cannot read {arg!r}: {why}") from exc
@@ -469,9 +468,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return EXIT_HYPOTHESIS
 
     # Imported only now: check, kernel-dump and a refused solve skip them.
-    from .solver import (ITERATION_DEFAULTS, ContractionRatioWarning, Grid,
-                         GridError, IntegralOperator, SchemeBreakError,
-                         contract_solve, diff_norm, monotone_solve)
+    from .solver import (ITERATION_DEFAULTS, Grid, GridError,
+                         IntegralOperator, SchemeBreakError, contract_solve,
+                         diff_norm, monotone_solve)
     from .verify import error_bound_audit, ordering_audit, verify_pair
 
     tol, max_iter = ITERATION_DEFAULTS[scheme]
@@ -494,29 +493,25 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     # Chain key -> (solution, trace); the key names the output files and
     # the JSON section, and the contraction scheme's single run has none.
-    # A contraction-ratio warning becomes a line on stderr whatever the
-    # caller's filters make of RuntimeWarning; other warnings follow
-    # those filters, and any they let through is printed the same way.
-    broke = None
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ContractionRatioWarning)
-        try:
-            if scheme == "monotone":
-                chains = {d: monotone_solve(spec, ks1, ks2, grid, d, tol=tol,
-                                            max_iter=max_iter,
-                                            radius=report.R, operator=op)
-                          for d in ("lower", "upper")}
-            else:
-                chains = {"": contract_solve(spec, ks1, ks2, grid, tol=tol,
-                                             max_iter=max_iter, m=report.m,
-                                             operator=op)}
-        except SchemeBreakError as exc:
-            broke = exc
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
-    if broke is not None:
-        print(f"scheme guarantee broke mid-run: {broke}", file=sys.stderr)
+    # Each warning a run recorded is a line on stderr, a broken run's too.
+    try:
+        if scheme == "monotone":
+            chains = {d: monotone_solve(spec, ks1, ks2, grid, d, tol=tol,
+                                        max_iter=max_iter, radius=report.R,
+                                        operator=op)
+                      for d in ("lower", "upper")}
+        else:
+            chains = {"": contract_solve(spec, ks1, ks2, grid, tol=tol,
+                                         max_iter=max_iter, m=report.m,
+                                         operator=op)}
+    except SchemeBreakError as exc:
+        for w in getattr(exc.trace, "warnings", ()):
+            print(f"warning: {w}", file=sys.stderr)
+        print(f"scheme guarantee broke mid-run: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
+    for _, tr in chains.values():
+        for w in tr.warnings:
+            print(f"warning: {w}", file=sys.stderr)
     if scheme == "monotone":
         (low_sp, low_tr), (up_sp, up_tr) = chains.values()
         ver = verify_pair(spec, low_sp, op)
@@ -597,15 +592,18 @@ def cmd_kernel_dump(args: argparse.Namespace) -> int:
     tt, ss = ts[:, None], ts[None, :]
     # t^(alpha-1) can overflow at an end of the range, so the finished
     # tables are checked, not the range.
-    with np.errstate(over="ignore", invalid="ignore"):
-        k1m, k2m = (ks.k_grid(tt, ss) for ks in (ks1, ks2))
-        s1m, s2m = (ks.kstar_grid(tt, ss) for ks in (ks1, ks2))
-        kb1, kb2 = (ks.k_bound(ts) for ks in (ks1, ks2))
+    unfit = (f"kernels are not finite for t in [{args.t_min}, {args.t_max}]"
+             f"; narrow --t-min/--t-max")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            k1m, k2m = (ks.k_grid(tt, ss) for ks in (ks1, ks2))
+            s1m, s2m = (ks.kstar_grid(tt, ss) for ks in (ks1, ks2))
+            kb1, kb2 = (ks.k_bound(ts) for ks in (ks1, ks2))
+    except ExprError as exc:  # a weight not finite where G meets it
+        raise ProblemFileError(unfit) from exc
     sb1, sb2 = (ks.kstar_bound() for ks in (ks1, ks2))
     if not all(np.isfinite(m).all() for m in (k1m, k2m, s1m, s2m, kb1, kb2)):
-        raise ProblemFileError(
-            f"kernels are not finite for t in [{args.t_min}, {args.t_max}]; "
-            f"narrow --t-min/--t-max")
+        raise ProblemFileError(unfit)
     if args.json:
         doc = {
             "problem": name, "t": ts.tolist(), "s": ts.tolist(),

@@ -88,7 +88,7 @@ class Integrand:
                        away from 0; the drivers reject it at the point of
                        use.
     decay_hint         optional exponential rate r with fn(t) = O(e^{-rt}):
-                       the half-line tail walk runs at least to 45/r
+                       the tail walk runs at least to min(45/r, 2^40 T0)
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -201,25 +201,28 @@ def _walk(end: float, tail: int, tol: float, reach: float):
     """A half-line job's doublings [end, 2 end], [2 end, 4 end], ... as a
     run of integrate_batch beside its head's pieces (piece tail), each to
     tol/8, the first panels of _TAIL_CHUNK asked for at once (the first
-    chunk with the head's first splits), until two in a row contribute
-    less than tol/4 in magnitude and the walk has passed reach.  Every
-    doubling's value goes into the result; the last one's magnitude also
-    goes into the error estimate, standing for the tail past it, which
-    for an integrable decay shrinks at worst geometrically.  No stop
-    within _MAX_DOUBLINGS is a suspected divergence (converged=False).
-    Returns (parts, truncation point)."""
+    chunk with the head's first splits).  It stops once two doublings in
+    a row and the first panels of the rest of their chunk are each below
+    tol/4 in magnitude and the walk has passed reach; so mass past the
+    chunk after an empty stretch (past 256 end in the first) needs a
+    reach.  Every doubling's value goes into the result; the last one's
+    magnitude also goes into the error estimate, standing for the tail
+    past it, which for an integrable decay shrinks at worst
+    geometrically.  No stop within _MAX_DOUBLINGS is a suspected
+    divergence (converged=False).  Returns (parts, truncation point)."""
     parts, t, prev = [], end, math.inf
     for i in range(_MAX_DOUBLINGS):
-        if i % _TAIL_CHUNK == 0:  # t * 2^j short of inf
+        k = i % _TAIL_CHUNK
+        if k == 0:  # t * 2^j short of inf
             los = [lo for j in range(min(_TAIL_CHUNK, _MAX_DOUBLINGS - i))
                    if (lo := t * 2.0 ** j) < math.inf]
-            firsts = iter((yield [(tail, lo, 2 * lo) for lo in los])
-                          if los else ())
-        first = next(firsts, None)  # None once t reaches inf
+            firsts = (yield [(tail, lo, 2 * lo) for lo in los]) if los else []
+        first = firsts[k] if k < len(firsts) else None  # None past inf
         parts.append((yield from _adapt(tail, t, 2 * t, tol / 8, first))
                      if first else (0.0, 0.0, 0, True))
         v, t = parts[-1][0], 2 * t
-        if abs(v) < tol / 4 and abs(prev) < tol / 4 and t >= reach:
+        if abs(v) < tol / 4 and abs(prev) < tol / 4 and t >= reach \
+                and all(abs(f[0]) < tol / 4 for f in firsts[k + 1:]):
             parts.append((0.0, abs(v), 0, True))
             break
         prev = v

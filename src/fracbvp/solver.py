@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import functools
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,7 +68,7 @@ from .quad import LOOP_TOL, _gl
 
 __all__ = [
     "Grid", "SolutionPair", "IterationTrace", "IntegralOperator",
-    "SchemeBreakError", "MonotonicityError", "ContractionRatioWarning",
+    "SchemeBreakError", "MonotonicityError",
     "norm_pair", "diff_norm", "monotone_solve", "contract_solve",
     "ITERATION_DEFAULTS", "GridError",
 ]
@@ -94,17 +93,17 @@ class GridError(ValueError):
 
 
 class SchemeBreakError(RuntimeError):
-    """An iterate is not finite or (MonotonicityError) breaks the order."""
+    """An iterate is not finite or (MonotonicityError) breaks the order;
+    trace is the run up to a break that a step raised, else None."""
+
+    def __init__(self, message: str, trace: IterationTrace | None = None):
+        super().__init__(message)
+        self.trace = trace
 
 
 class MonotonicityError(SchemeBreakError):
     """An iterate broke the scheme's ordering by more than the allowed
     quadrature slack."""
-
-
-class ContractionRatioWarning(RuntimeWarning):
-    """Observed difference ratios persistently exceed the contraction
-    modulus estimate."""
 
 
 @dataclass(frozen=True)
@@ -247,7 +246,8 @@ class IterationTrace:
     iterates[0] is the starting pair; diffs[k], violations[k] and
     seconds[k] describe the step producing iterates[k+1].  The
     successive-difference norms d_n drive both stopping rules and the
-    after-the-fact error-bound audit.
+    after-the-fact error-bound audit.  warnings: what the run flagged
+    without stopping, never issued as Python warnings.
     """
 
     scheme: str
@@ -262,6 +262,7 @@ class IterationTrace:
     iterates: list[SolutionPair] = field(default_factory=list)
     converged: bool = False
     message: str = ""
+    warnings: list[str] = field(default_factory=list)
 
     @property
     def n_steps(self) -> int:
@@ -272,8 +273,9 @@ class IterationTrace:
             "scheme": self.scheme, "direction": self.direction,
             "tol": self.tol, "quad_tol": self.quad_tol, "m": self.m,
             "converged": self.converged, "message": self.message,
-            "norms": self.norms, "diffs": self.diffs,
-            "violations": self.violations, "seconds": self.seconds,
+            "warnings": self.warnings, "norms": self.norms,
+            "diffs": self.diffs, "violations": self.violations,
+            "seconds": self.seconds,
         }
 
 
@@ -471,7 +473,7 @@ def _steps(op: IntegralOperator, trace: IterationTrace, max_iter: int,
     """Apply op up to max_iter times from trace.iterates[0], recording
     each step in trace, and yield (step, d_n) so the caller can stop.
     project(prev, new, step) returns the kept iterate and its violation
-    count.  A non-finite iterate raises SchemeBreakError."""
+    count.  A non-finite iterate raises SchemeBreakError carrying trace."""
     sp = trace.iterates[0]
     trace.norms.append(norm_pair(sp))
     for step in range(1, max_iter + 1):
@@ -479,7 +481,7 @@ def _steps(op: IntegralOperator, trace: IterationTrace, max_iter: int,
         try:
             new = op.apply(sp)
         except ValueError as exc:  # ExprEvalError or SolutionPair's check
-            raise SchemeBreakError(f"iteration {step}: {exc}") from exc
+            raise SchemeBreakError(f"iteration {step}: {exc}", trace) from exc
         new, nviol = project(sp, new, step)
         d = diff_norm(new, sp)
         trace.seconds.append(time.perf_counter() - t0)
@@ -555,10 +557,10 @@ def contract_solve(p: ProblemSpec, ks1: KernelSet, ks2: KernelSet,
     the fixed point falls to tol, so the returned pair is within tol of
     the discrete fixed point whenever the modulus m really bounds the
     operator's Lipschitz constant.  Ratios d_(n+1)/d_n above m + 0.05
-    for 3 consecutive steps trigger a warning instead of an abort: they
-    signal a wrong m or quadrature noise, both worth surfacing, neither
-    provably fatal.  An iterate that is not finite, which no contraction
-    yields, raises SchemeBreakError.
+    for 3 consecutive steps are recorded once in trace.warnings instead
+    of aborting the run: they signal a wrong m or quadrature noise, both
+    worth surfacing, neither provably fatal.  An iterate that is not
+    finite, which no contraction yields, raises SchemeBreakError.
     """
     if not m < 1.0:
         raise InapplicableError(
@@ -569,18 +571,15 @@ def contract_solve(p: ProblemSpec, ks1: KernelSet, ks2: KernelSet,
     gain = m / (1.0 - m)
     trace = IterationTrace(scheme="contraction", tol=tol,
                            quad_tol=op.quad_tol, m=m, iterates=[sp])
-    warned = False
     for step, d in _steps(op, trace, max_iter):
         # Every d_n but the last is positive, or the run would have ended.
         last = trace.diffs[-4:]
-        if not warned and len(last) == 4 \
+        if not trace.warnings and len(last) == 4 \
                 and all(b / a > m + 0.05 for a, b in zip(last, last[1:])):
-            warnings.warn(
+            trace.warnings.append(
                 f"difference ratios exceeded m + 0.05 = {m + 0.05:.4f} "
                 f"for 3 consecutive steps (latest {d / last[-2]:.4f}); the "
-                f"contraction modulus may not bound this operator",
-                ContractionRatioWarning, stacklevel=2)
-            warned = True
+                f"contraction modulus may not bound this operator")
         if d * gain <= tol:
             trace.converged = True
             trace.message = (f"a-posteriori bound d_n*m/(1-m) = "

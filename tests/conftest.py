@@ -213,14 +213,21 @@ def _reference_halfline(f, tol):
     value, error = head.value, head.error_estimate
     n_eval, ok = head.evaluations, head.converged
     t, prev, last, stabilized = t0, math.inf, 0.0, False
-    for _ in range(quad._MAX_DOUBLINGS):
+    for i in range(quad._MAX_DOUBLINGS):
         v, e, ne, conv = _reference_adapt(f.fn, t, 2 * t, tol / 8)
         n_eval += ne
         ok = ok and conv
         value += v
         error += e
         t *= 2
-        if abs(v) < tol / 4 and abs(prev) < tol / 4 and t >= reach:
+        # The first panels of the rest of this doubling's chunk, which
+        # the engine holds already, must be small too.
+        chunk_end = (i // quad._TAIL_CHUNK + 1) * quad._TAIL_CHUNK
+        ahead = [_reference_panel(f.fn, lo, 2 * lo)[0]
+                 for j in range(i + 1, min(chunk_end, quad._MAX_DOUBLINGS))
+                 if (lo := t0 * 2.0 ** j) < math.inf]
+        if abs(v) < tol / 4 and abs(prev) < tol / 4 and t >= reach \
+                and all(abs(a) < tol / 4 for a in ahead):
             stabilized, last = True, abs(v)
             break
         prev, last = v, abs(v)

@@ -790,6 +790,19 @@ def test_bad_flag_values_exit_four(tmp_path, capsys, argv):
         assert flag and flag[1] in argv, err
 
 
+def test_a_utf8_byte_order_mark_is_read_past(tmp_path, capsys):
+    # An editor may write the UTF-8 byte order mark in front of the file;
+    # the INI text starts after it.
+    packaged = Path(fracbvp.__file__).parent / "problems" / "lipschitz.prob"
+    marked = tmp_path / "lipschitz.prob"
+    marked.write_bytes(b"\xef\xbb\xbf" + packaged.read_bytes())
+    docs = []
+    for path in (packaged, marked):
+        assert main(["check", str(path), "--json"]) == 0
+        docs.append(capsys.readouterr().out)
+    assert docs[0] == docs[1]
+
+
 def test_solve_makes_out_before_any_work(tmp_path, monkeypatch, capsys):
     # An --out that cannot be a directory is found before the report,
     # the kernels and the chains run.
@@ -1112,6 +1125,30 @@ _EDGE_CASES = {
         ("check", [], 0, r"lambda1 = 1\.0000750028133\d*\n(.|\n)*"
                          r"all applicable hypotheses hold"),
     ]),
+    # The same mass without a hint: the first panels of the doublings
+    # ahead, fetched with [1, 2]'s, keep the walk going to the mass.
+    "h1-late-mass-no-hint": ("sublinear", [
+            ("h1 = t^(-1.5)*exp(-t)", "h1 = exp(-(t-50)^2)/50^1.5/sqrt(pi)"),
+            ("h1_exponent = -1.5", "h1_exponent = 0"),
+            ("h1_decay = 1\n", "")], [
+        ("check", [], 0, r"lambda1 = 1\.0000750028133\d*\n(.|\n)*"
+                         r"all applicable hypotheses hold"),
+    ]),
+    # An envelope integral takes no hint: a10's mass near t = 50 is sqrt(pi).
+    "a10-late-mass": ("sublinear", [("a10 = 2/(10+t)^2",
+                                     "a10 = exp(-(t-50)^2)")], [
+        ("check", [], 0, r"\n  a10 = 1\.77245385090\d*\n"),
+    ]),
+    # Mass near t = 1000, beyond 256 T0 after an empty stretch, still
+    # needs the hint: h1_decay = 0.01 walks on to 4500.
+    "h1-far-mass-with-hint": ("sublinear", [
+            ("h1 = t^(-1.5)*exp(-t)",
+             "h1 = exp(-(t-1000)^2)/1000^1.5/sqrt(pi)"),
+            ("h1_exponent = -1.5", "h1_exponent = 0"),
+            ("h1_decay = 1\n", "h1_decay = 0.01\n")], [
+        ("check", [], 0, r"lambda1 = 1\.00000018750001\d*\n(.|\n)*"
+                         r"all applicable hypotheses hold"),
+    ]),
     # Lambda1 = 1.3293 sits 4.0e-5 below Gamma(2.5): every hypothesis
     # holds, but L1 and R are huge, and the report says why.
     "lambda1-near-gamma": ("sublinear", [
@@ -1232,6 +1269,14 @@ _EDGE_CASES = {
         ("check", [], 2, r"H4 FAIL.*\n      " + _H4_FLOATS),
         ("solve", [], 2, r"licensed\n  H4 fails \(" + _H4_FLOATS),
     ]),
+    # h1 = t^(-1.5) e^(-t) is 1e450 at t = 1e-300, where G's tabulation
+    # meets it: the range is at fault, not the weight.
+    "kernel-dump-t-beyond-the-weight": ("lipschitz", [], [
+        ("kernel-dump", ["--points", "2", "--t-min", "1e-300", "--t-max",
+                         "1e-299"], 4,
+         r"^error: kernels are not finite for t in \[1e-300, 1e-299\]; "
+         r"narrow --t-min/--t-max\n$"),
+    ]),
 }
 
 
@@ -1269,6 +1314,22 @@ def test_contraction_iterate_overflow_breaks_the_scheme(tmp_path, capsys):
     assert re.match(r"warning: difference ratios exceeded m \+ 0\.05 .*\n"
                     r"scheme guarantee broke mid-run: iteration \d+: "
                     r"non-finite value from ", err), err
+
+
+def test_the_ratio_warning_is_in_the_json_trace(tmp_path, capsys):
+    # The understated b24 of the overflow case above breaks m's promise
+    # within 5 steps: the unconverged run prints the warning on stderr
+    # and records it in its --json trace.
+    p = tmp_path / "blowup.prob"
+    p.write_text(_packaged_without_expected(
+        "lipschitz", [("abs(u4)/(20*(1+t^2))", "2*abs(u4)/(1+t^2)")]))
+    assert main(["solve", str(p), "--grid-n", "16", "--max-iter", "5",
+                 "--json"]) == 3
+    captured = capsys.readouterr()
+    doc = _strict_json(captured.out)
+    [w] = doc["trace"]["warnings"]
+    assert w.startswith("difference ratios exceeded m + 0.05 = ")
+    assert captured.err == f"warning: {w}\n"
 
 
 def test_a_state_free_forcing_solves_with_m_0(tmp_path, capsys):

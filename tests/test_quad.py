@@ -331,6 +331,9 @@ def test_batch_results_are_the_one_job_results_bit_for_bit():
                    endpoint_exponent=0.5, decay_hint=0.7), 0.0, math.inf),
         (Integrand(lambda t: -0.0 * t), 0.0, math.inf),
         (Integrand(lambda t: 1.0 / (1.0 + t)), 0.0, math.inf),
+        # Mass that starts late, with no hint: [1, 32] holds ~0, and the
+        # first panels ahead in the first chunk keep the walk going.
+        (Integrand(lambda t: np.exp(-(t - 50.0) ** 2)), 0.0, math.inf),
     ]
 
     def fn(x, job):
@@ -356,6 +359,8 @@ def test_batch_results_are_the_one_job_results_bit_for_bit():
     assert [math.copysign(1.0, got[j].value) for j in (4, 8)] == [1.0, 1.0]
     assert got[4].value == got[8].value == 0.0
     assert not got[9].converged and all(r.converged for r in got[:9])
+    assert got[10].converged
+    assert got[10].value == pytest.approx(math.sqrt(math.pi), rel=1e-10)
 
 
 def test_rl_integral_kinks_match_the_bisection_route(monkeypatch):
