@@ -491,6 +491,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
                   "theta": cfg.theta, "t_max": grid.t_max, "tol": tol,
                   "max_iter": max_iter, "interp": cfg.interp}
 
+    doc = {"problem": name, "scheme": scheme, "config": config_doc,
+           "converged": False, "hypothesis": report.to_dict()}
     # Chain key -> (solution, trace); the key names the output files and
     # the JSON section, and the contraction scheme's single run has none.
     # Each warning a run recorded is a line on stderr, a broken run's too.
@@ -505,13 +507,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
                                          max_iter=max_iter, m=report.m,
                                          operator=op)}
     except SchemeBreakError as exc:
-        for w in getattr(exc.trace, "warnings", ()):
+        tr = exc.trace  # None for the dominating start
+        for w in getattr(tr, "warnings", ()):
             print(f"warning: {w}", file=sys.stderr)
         print(f"scheme guarantee broke mid-run: {exc}", file=sys.stderr)
+        if args.json:
+            parts = {tr.direction or "": {"trace": tr.to_dict()}} if tr else {}
+            _emit(_json({**doc, "broke": str(exc), **parts.get("", parts)}))
         return EXIT_HYPOTHESIS
-    for _, tr in chains.values():
-        for w in tr.warnings:
-            print(f"warning: {w}", file=sys.stderr)
+    warnings = [w for _, tr in chains.values() for w in tr.warnings]
+    for w in warnings:
+        print(f"warning: {w}", file=sys.stderr)
     if scheme == "monotone":
         (low_sp, low_tr), (up_sp, up_tr) = chains.values()
         ver = verify_pair(spec, low_sp, op)
@@ -543,17 +549,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
         f"residuals {ver.bc_residual_1:.3e}, {ver.bc_residual_2:.3e}")
 
     ver_doc = ver.to_dict()
-    doc = {"problem": name, "scheme": scheme, "config": config_doc,
-           "converged": all(tr.converged for _, tr in chains.values()),
-           "hypothesis": report.to_dict()}
+    doc["converged"] = all(tr.converged for _, tr in chains.values())
     parts = {key: {"trace": tr.to_dict(), "solution": sp.to_dict()}
              for key, (sp, tr) in chains.items()}
     doc.update(parts.get("", parts))  # contraction's run: top level
     doc["verification"] = ver_doc
 
     if args.out:
-        outputs = {"verification.json": _json({"config": config_doc,
-                                               **ver_doc}) + "\n"}
+        outputs = {"verification.json": _json(
+            {"config": config_doc, **ver_doc, "warnings": warnings}) + "\n"}
         header = config_doc.items()
         for key, part in parts.items():
             suffix = f"-{key}" if key else ""

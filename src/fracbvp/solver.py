@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -149,14 +149,15 @@ class Grid:
         return float(self.nodes[-1])
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class SolutionPair:
-    """The four rows of one iterate at the grid nodes, as views of one
-    read-only, C-contiguous (4, n) `stack` in _ROW_NAMES order.
+    """The four rows of one iterate at the grid nodes: a (4, n) `stack`
+    in _ROW_NAMES order, whose rows u_w, du, v_w, dv are views.
 
     u_w, v_w hold the weighted values u(t)/(1+t^(alpha_1-1)) and
     v(t)/(1+t^(alpha_2-1)); du, dv hold D^(alpha_1-1)u and
-    D^(alpha_2-1)v directly (those are what the sup norms see).
+    D^(alpha_2-1)v directly (those are what the sup norms see).  The
+    stack, a float C-contiguous array, is not copied but made read-only.
     """
 
     grid: Grid
@@ -164,29 +165,18 @@ class SolutionPair:
     alpha2: FracOrder
     stack: np.ndarray
 
-    def __init__(self, grid: Grid, alpha1: FracOrder, alpha2: FracOrder,
-                 u_w: np.ndarray, v_w: np.ndarray, du: np.ndarray,
-                 dv: np.ndarray) -> None:
-        rows = {"u_w": u_w, "v_w": v_w, "du": du, "dv": dv}
-        for name, a in rows.items():
-            if np.shape(a) != grid.nodes.shape:
-                raise ValueError(f"{name} must match the grid "
-                                 f"({np.shape(a)} vs {grid.nodes.shape})")
-        self._adopt(grid, alpha1, alpha2, np.array(
-            [rows[name] for name in _ROW_NAMES], dtype=float), self)
-
-    @classmethod
-    def _adopt(cls, grid: Grid, alpha1: FracOrder, alpha2: FracOrder,
-               stack: np.ndarray, sp=None) -> SolutionPair:
-        """Fill `sp`, else a new pair, with a fresh C-contiguous (4, n)
-        stack, not copied but made read-only, once it is finite."""
-        if not np.isfinite(stack).all():
+    def __post_init__(self) -> None:
+        if self.stack.shape != (4, self.grid.n):
+            raise ValueError(f"the stack must match the grid: (4, "
+                             f"{self.grid.n}), got {self.stack.shape}")
+        if not np.isfinite(self.stack).all():
             raise ValueError("solution rows must be finite")
-        stack.setflags(write=False)
-        sp = object.__new__(cls) if sp is None else sp
-        sp.__dict__.update(zip(_ROW_NAMES, stack), grid=grid, alpha1=alpha1,
-                           alpha2=alpha2, stack=stack)
-        return sp
+        self.stack.setflags(write=False)
+
+    u_w = property(lambda self: self.stack[0])
+    du = property(lambda self: self.stack[1])
+    v_w = property(lambda self: self.stack[2])
+    dv = property(lambda self: self.stack[3])
 
     @classmethod
     def zeros(cls, grid: Grid, alpha1: FracOrder,
@@ -199,22 +189,21 @@ class SolutionPair:
                     gamma_alpha2: float) -> "SolutionPair":
         """The dominating start u_0 = R t^(alpha_1-1), v_0 = R t^(alpha_2-1),
         whose fractional derivatives are the constants Gamma(alpha_i) R."""
-        w1, w2 = (grid.nodes ** (a.q - 1.0) for a in (alpha1, alpha2))
+        w = np.stack([grid.nodes ** (a.q - 1.0) for a in (alpha1, alpha2)])
         with np.errstate(over="ignore"):  # a radius too large: refused below
-            rows = (radius * w1 / (1.0 + w1), radius * w2 / (1.0 + w2))
-        return cls(grid, alpha1, alpha2, *rows,
-                   np.full_like(w1, gamma_alpha1 * radius),
-                   np.full_like(w1, gamma_alpha2 * radius))
+            u_w, v_w = radius * w / (1.0 + w)
+        du = np.full(grid.n, gamma_alpha1 * radius)
+        dv = np.full(grid.n, gamma_alpha2 * radius)
+        return cls(grid, alpha1, alpha2, np.array([u_w, du, v_w, dv]))
 
     @classmethod
     def constant(cls, grid: Grid, alpha1: FracOrder, alpha2: FracOrder,
                  value: float) -> "SolutionPair":
         """All four rows identically `value`; its norm is |value|."""
-        return cls._adopt(grid, alpha1, alpha2,
-                          np.full((4, grid.n), value, dtype=float))
+        return cls(grid, alpha1, alpha2, np.full((4, grid.n), float(value)))
 
     def rows(self) -> tuple[np.ndarray, ...]:
-        return self.u_w, self.du, self.v_w, self.dv
+        return tuple(self.stack)
 
     def u(self) -> np.ndarray:
         """Unweighted u values at the nodes."""
@@ -239,9 +228,10 @@ def diff_norm(a: SolutionPair, b: SolutionPair) -> float:
     return float(np.abs(a.stack - b.stack).max())
 
 
-@dataclass
+@dataclass(kw_only=True)
 class IterationTrace:
-    """Per-iteration records of one scheme run.
+    """Per-iteration records of one scheme run, its fields in the order
+    of its JSON document, which holds every field but iterates.
 
     iterates[0] is the starting pair; diffs[k], violations[k] and
     seconds[k] describe the step producing iterates[k+1].  The
@@ -251,32 +241,26 @@ class IterationTrace:
     """
 
     scheme: str
+    direction: str | None = None
     tol: float
     quad_tol: float
-    direction: str | None = None
     m: float | None = None
-    diffs: list[float] = field(default_factory=list)
-    norms: list[float] = field(default_factory=list)
-    violations: list[int] = field(default_factory=list)
-    seconds: list[float] = field(default_factory=list)
-    iterates: list[SolutionPair] = field(default_factory=list)
     converged: bool = False
     message: str = ""
     warnings: list[str] = field(default_factory=list)
+    norms: list[float] = field(default_factory=list)
+    diffs: list[float] = field(default_factory=list)
+    violations: list[int] = field(default_factory=list)
+    seconds: list[float] = field(default_factory=list)
+    iterates: list[SolutionPair] = field(default_factory=list)
 
     @property
     def n_steps(self) -> int:
         return len(self.diffs)
 
     def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme, "direction": self.direction,
-            "tol": self.tol, "quad_tol": self.quad_tol, "m": self.m,
-            "converged": self.converged, "message": self.message,
-            "warnings": self.warnings, "norms": self.norms,
-            "diffs": self.diffs, "violations": self.violations,
-            "seconds": self.seconds,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "iterates"}
 
 
 # -- the discretized operator ------------------------------------------
@@ -422,7 +406,7 @@ class IntegralOperator:
         rows[1::2, 0] = rows[1::2, 1]
         rows[:, -1] = rows[:, -2]
         # A finite iterate can still overflow here; the forcings' own
-        # check and _adopt's refuse what is not finite.
+        # check and SolutionPair's refuse what is not finite.
         with np.errstate(over="ignore", invalid="ignore"):
             slopes = (rows[:, 1:] - rows[:, :-1]) / plan.widths
             # The states by np.interp's formula: slope*offset + left value.
@@ -434,7 +418,7 @@ class IntegralOperator:
             out = np.empty((4, self.grid.n))
             for k, f in enumerate(self.forcings):
                 out[2 * k], out[2 * k + 1] = plan.assemble(k, f(u, v, du, dv))
-        return SolutionPair._adopt(self.grid, self.alpha1, self.alpha2, out)
+        return SolutionPair(self.grid, self.alpha1, self.alpha2, out)
 
 
 # -- iteration schemes -------------------------------------------------
@@ -463,8 +447,8 @@ def _enforce_ordering(prev: SolutionPair, new: SolutionPair, sign: float,
     count = int(np.count_nonzero(bad))
     if not count:
         return new, 0
-    clipped = SolutionPair._adopt(prev.grid, prev.alpha1, prev.alpha2,
-                                  np.where(bad, prev.stack, new.stack))
+    clipped = SolutionPair(prev.grid, prev.alpha1, prev.alpha2,
+                           np.where(bad, prev.stack, new.stack))
     return clipped, count
 
 

@@ -237,9 +237,10 @@ def ordering_audit(lower: IterationTrace,
     Three families of comparisons, every iteration, node and row: the
     lower chain never descends, the upper chain never ascends, and no
     lower iterate ever exceeds any upper iterate.  The cross-chain
-    family covers all pairs at once through a per-node max/min.  The
-    slack is 10x the larger quadrature tolerance, the same dust
-    allowance the schemes themselves use.
+    family covers all pairs at once through a per-node max/min, and its
+    message names the lower and upper iterates (0 is a chain's start)
+    that attain them.  The slack is 10x the larger quadrature tolerance,
+    the same dust allowance the schemes themselves use.
     """
     if lower.direction != "lower" or upper.direction != "upper":
         raise ValueError(
@@ -257,13 +258,16 @@ def ordering_audit(lower: IterationTrace,
     )
     kind, worst, arr = max(candidates, key=lambda c: c[1])
     k, r, j = np.unravel_index(int(np.argmax(arr)), arr.shape)
+    where = (f"{kind} between lower iterate {int(lo[:, r, j].argmax())} "
+             f"and upper iterate {int(up[:, r, j].argmin())}"
+             if kind == "cross-chain gap" else f"{kind} {k + 1}")
     t = float(lower.iterates[0].grid.nodes[j])
     checked = climbs.size + descents.size \
         + lo.shape[0] * up.shape[0] * cross.size
     worst = float(worst)
     ok = worst <= slack
     state = "holds" if ok else "broken"
-    message = (f"ordering {state}; tightest at {kind} {k + 1}, row "
+    message = (f"ordering {state}; tightest at {where}, row "
                f"{_ROW_NAMES[r]}, node {j} (t={t:.6g}): excess "
                f"{worst - slack:.3e}")
     return AuditResult("ordering", ok, float(worst - slack), checked,
@@ -272,15 +276,15 @@ def ordering_audit(lower: IterationTrace,
 
 def error_bound_audit(trace: IterationTrace, *,
                       m: float | None = None) -> AuditResult:
-    """Check every iterate against the geometric error bound.
+    """Check every pair of iterates against the geometric error bound.
 
-    With d_1 the first difference norm, iterate n must sit within
-    m^n/(1-m) d_1 of the fixed point, and iterates n < j within
-    m^n (1 - m^(j-n))/(1-m) d_1 of each other.  The final iterate
-    stands in for the fixed point, and its own a-posteriori distance
-    bound is added to the allowance.
-    Every comparison also allows 10x the quadrature tolerance, scaled by
-    the largest iterate norm.
+    With d_1 the first difference norm, iterates n < j must lie within
+    m^n (1 - m^(j-n))/(1-m) d_1 of each other, plus 10x the quadrature
+    tolerance scaled by the largest iterate norm.  The bound of iterate
+    n against the fixed point, m^n/(1-m) d_1, follows from the pair
+    (n, K) with the final iterate K and K's own a-posteriori bound
+    d_K m/(1-m), which the stopping rule asserts.  A run of one step has
+    no pair: nothing is compared, and the audit holds.
     """
     if trace.scheme != "contraction":
         raise ValueError(f"error_bound_audit needs a contraction trace, "
@@ -292,31 +296,26 @@ def error_bound_audit(trace: IterationTrace, *,
     if trace.n_steps == 0:
         raise ValueError("trace records no iterations")
     slack = 10.0 * trace.quad_tol * (1.0 + max(trace.norms))
-    its = trace.iterates
+    st = _stack(trace)
     d1 = trace.diffs[0]
     gain = 1.0 / (1.0 - m)
-    allowance = slack + trace.diffs[-1] * m * gain
 
     # As in a scan of the comparisons, the first largest excess wins.
-    st = _stack(trace)
-    pw = np.array([m ** n for n in range(len(its))])
-    excess = np.abs(st[1:] - st[-1]).max(axis=(1, 2)) \
-        - (pw[1:] * gain * d1 + allowance)
-    worst, checked = float(excess.max()), excess.size
-    where = f"iterate {int(excess.argmax()) + 1} vs reference"
-    for n in range(1, len(its) - 1):
+    pw = np.array([m ** n for n in range(len(st))])
+    worst, checked, where = -math.inf, 0, ""
+    for n in range(1, len(st) - 1):
         excess = np.abs(st[n + 1:] - st[n]).max(axis=(1, 2)) \
-            - (pw[n] * (1.0 - pw[1:len(its) - n]) * gain * d1 + slack)
+            - (pw[n] * (1.0 - pw[1:len(st) - n]) * gain * d1 + slack)
         checked += excess.size
         if excess.max() > worst:
             j = int(excess.argmax())
             worst, where = float(excess[j]), f"iterates {n} and {n + 1 + j}"
     ok = worst <= 0.0
-    state = "holds" if ok else "broken"
-    message = (f"geometric bound {state} over {checked} comparisons; "
-               f"tightest at {where}: excess {worst:.3e}")
-    return AuditResult("error_bound", ok, float(worst), checked, slack,
-                       message)
+    message = (f"geometric bound {'holds' if ok else 'broken'} over "
+               f"{checked} comparisons; " + (
+                   f"tightest at {where}: excess {worst:.3e}" if checked
+                   else "one step leaves no pair of iterates to compare"))
+    return AuditResult("error_bound", ok, worst, checked, slack, message)
 
 
 def verify_pair(p: ProblemSpec, sp: SolutionPair,

@@ -1332,6 +1332,60 @@ def test_the_ratio_warning_is_in_the_json_trace(tmp_path, capsys):
     assert captured.err == f"warning: {w}\n"
 
 
+_DEFECT_A = ("lipschitz", [("abs(u4)/(20*(1+t^2))", "2*abs(u4)/(1+t^2)")])
+
+
+@pytest.mark.parametrize("problem, edits, key", [
+    (*_DEFECT_A, "trace"),
+    ("sublinear", [("lambda1 = 0.1,", "lambda1 = 0.9944,")], "upper"),
+    ("sublinear", [("lambda1 = 0.1,", "lambda1 = 0.9947,")], None),
+], ids=["contraction-overflow", "upper-chain-step", "dominating-start"])
+def test_a_broken_run_prints_its_json_document(tmp_path, capsys, problem,
+                                               edits, key):
+    # A run that breaks mid-run keeps its exit code and stderr under
+    # --json, and prints what it has: the breaking chain's trace up to
+    # the break under its usual key, none for the dominating start.
+    p = tmp_path / "broken.prob"
+    p.write_text(_packaged_without_expected(problem, edits))
+    assert main(["solve", str(p), "--grid-n", "16"]) == 2
+    plain = capsys.readouterr()
+    assert plain.out == ""
+    assert main(["solve", str(p), "--grid-n", "16", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == plain.err
+    doc = _strict_json(captured.out)
+    assert list(doc) == ["problem", "scheme", "config", "converged",
+                         "hypothesis", "broke"] + ([key] if key else [])
+    assert doc["converged"] is False
+    assert plain.err.splitlines()[-1] \
+        == f"scheme guarantee broke mid-run: {doc['broke']}"
+    if key == "trace":
+        tr = doc["trace"]
+        assert tr["scheme"] == "contraction" and not tr["converged"]
+        assert doc["broke"].startswith(f"iteration {len(tr['diffs']) + 1}: ")
+        [w] = tr["warnings"]
+        assert plain.err == (f"warning: {w}\nscheme guarantee broke "
+                             f"mid-run: {doc['broke']}\n")
+    elif key == "upper":
+        assert list(doc["upper"]) == ["trace"]
+        assert doc["upper"]["trace"]["direction"] == "upper"
+        assert doc["upper"]["trace"]["diffs"] == []
+
+
+def test_verification_json_lists_the_run_warnings(tmp_path, capsys):
+    p = tmp_path / "blowup.prob"
+    p.write_text(_packaged_without_expected(*_DEFECT_A))
+    out_dir = tmp_path / "run"
+    assert main(["solve", str(p), "--grid-n", "16", "--max-iter", "5",
+                 "--out", str(out_dir)]) == 3
+    err = capsys.readouterr().err
+    ver = _strict_json((out_dir / "verification.json").read_text())
+    assert list(ver)[-1] == "warnings"
+    [w] = ver["warnings"]
+    assert w.startswith("difference ratios exceeded m + 0.05 = ")
+    assert err == f"warning: {w}\n"
+
+
 def test_a_state_free_forcing_solves_with_m_0(tmp_path, capsys):
     # With every b_ik = 0 the contraction modulus is 0: one step reaches
     # the fixed point, and the geometric bound holds with m = 0.

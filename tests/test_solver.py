@@ -9,9 +9,10 @@ one operator application already is the exact image.
 
 import gc
 import json
+import re
 import warnings
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -81,10 +82,19 @@ def test_solution_pair_constructors(grid64):
 
 
 def test_solution_pair_shape_checked(grid64):
-    with pytest.raises(ValueError, match="must match the grid"):
-        SolutionPair(grid64, FracOrder(2.5), FracOrder(1.5),
-                     u_w=np.zeros(3), v_w=np.zeros(grid64.n),
-                     du=np.zeros(grid64.n), dv=np.zeros(grid64.n))
+    # The one constructor takes the (4, n) stack; a stack short of a row
+    # or of a node, or one with a value that is not finite, is refused.
+    a1, a2, n = FracOrder(2.5), FracOrder(1.5), grid64.n
+    for shape in ((3, n), (4, n - 1)):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"the stack must match the grid: (4, {n}), got {shape}")):
+            SolutionPair(grid64, a1, a2, np.zeros(shape))
+    for r, bad in ((0, np.nan), (3, np.inf), (2, -np.inf)):
+        stack = np.zeros((4, n))
+        stack[r, 5] = bad
+        with pytest.raises(ValueError,
+                           match="^solution rows must be finite$"):
+            SolutionPair(grid64, a1, a2, stack)
 
 
 def test_norms(grid64):
@@ -357,7 +367,7 @@ def _per_row_enforce_ordering(prev, new, sign, slack, step):
         count += int(np.count_nonzero(bad))
         rows.append(np.where(bad, pr, nr))
     clipped = SolutionPair(prev.grid, prev.alpha1, prev.alpha2,
-                           u_w=rows[0], du=rows[1], v_w=rows[2], dv=rows[3])
+                           np.array(rows))
     return clipped, count
 
 
@@ -395,8 +405,8 @@ def _ordered_pairs(grid, rng, slack):
             j1, j2 = rng.integers(n, size=2)
             new[r1, j1] = prev[r1, j1] - sign * 2.0 * slack
             new[r2, j2] = prev[r2, j2] - sign * 50.0 * slack
-        yield (SolutionPair(grid, a1, a2, **dict(zip(_ROWS, prev))),
-               SolutionPair(grid, a1, a2, **dict(zip(_ROWS, new))), sign)
+        yield (SolutionPair(grid, a1, a2, prev),
+               SolutionPair(grid, a1, a2, new), sign)
 
 
 def test_stacked_bookkeeping_is_the_per_row_route(rng):
@@ -430,8 +440,7 @@ def test_enforce_ordering_names_the_first_broken_row(grid64):
     prev = SolutionPair.constant(grid64, a1, a2, 1.0)
     du, dv = np.ones(grid64.n), np.ones(grid64.n)
     du[7], dv[3] = 0.5, 0.0
-    new = SolutionPair(grid64, a1, a2, u_w=prev.u_w, v_w=prev.v_w,
-                       du=du, dv=dv)
+    new = SolutionPair(grid64, a1, a2, np.array([prev.u_w, du, prev.v_w, dv]))
     with pytest.raises(MonotonicityError) as exc:
         _enforce_ordering(prev, new, 1.0, slack=1e-7, step=2)
     assert str(exc.value).startswith("iteration 2: row du breaks the chain "
@@ -447,8 +456,8 @@ def test_ordering_audit_ties_match_the_per_row_stack(monkeypatch, grid64,
     a1, a2 = FracOrder(2.5), FracOrder(1.5)
     start = SolutionPair.constant(grid64, a1, a2, 1.0)
     u_w = start.u_w + (climb != "zero")
-    step = SolutionPair(grid64, a1, a2, u_w=u_w, v_w=start.v_w,
-                        du=start.du, dv=start.dv)
+    step = SolutionPair(grid64, a1, a2,
+                        np.array([u_w, start.du, start.v_w, start.dv]))
     lower, upper = (IterationTrace(scheme="monotone", tol=1e-6,
                                    quad_tol=1e-8, direction=d,
                                    iterates=its) for d, its in
@@ -465,9 +474,11 @@ def test_ordering_audit_ties_match_the_per_row_stack(monkeypatch, grid64,
 
 def test_solution_pair_rows_are_views_of_one_read_only_stack(grid64, rng):
     a1, a2 = FracOrder(2.5), FracOrder(1.5)
-    given = {name: rng.normal(size=grid64.n) for name in _ROWS}
-    kept = {name: a.copy() for name, a in given.items()}
-    sp = SolutionPair(grid64, a1, a2, **given)
+    given = rng.normal(size=(4, grid64.n))
+    sp = SolutionPair(grid64, a1, a2, given)
+    # The constructor takes the stack as given and makes it read-only.
+    assert sp.stack is given
+    assert not given.flags.writeable
     z = SolutionPair.zeros(grid64, a1, a2)
     for pair in (sp, _enforce_ordering(z, sp, -1.0, 100.0, 1)[0]):
         assert pair.stack.shape == (4, grid64.n)
@@ -479,12 +490,7 @@ def test_solution_pair_rows_are_views_of_one_read_only_stack(grid64, rng):
             assert np.array_equal(row, pair.stack[k])
             with pytest.raises(ValueError, match="read-only"):
                 row[0] = 1.0
-    # The constructor copies: writing to the caller's arrays afterwards
-    # leaves the pair as it was.
-    for a in given.values():
-        a[:] = 7.0
-    for k, name in enumerate(_ROWS):
-        assert np.array_equal(sp.stack[k], kept[name])
+        assert all(np.shares_memory(r, pair.stack) for r in pair.rows())
 
 
 def test_applied_pair_is_a_read_only_stack(forcing_only):
@@ -494,25 +500,10 @@ def test_applied_pair_is_a_read_only_stack(forcing_only):
     assert all(np.shares_memory(r, image.stack) for r in image.rows())
 
 
-@pytest.mark.parametrize("name", _ROWS)
-def test_solution_pair_names_its_bad_row(grid64, name):
-    a1, a2 = FracOrder(2.5), FracOrder(1.5)
-    rows = {k: np.zeros(grid64.n) for k in _ROWS}
-    with pytest.raises(ValueError,
-                       match=f"^{name} must match the grid \\(\\(3,\\) vs"):
-        SolutionPair(grid64, a1, a2, **{**rows, name: np.zeros(3)})
-    for bad in (np.nan, np.inf):
-        row = np.zeros(grid64.n)
-        row[5] = bad
-        with pytest.raises(ValueError,
-                           match="^solution rows must be finite$"):
-            SolutionPair(grid64, a1, a2, **{**rows, name: row})
-
-
 def test_solution_pair_csv_and_dict_columns(grid64, rng):
     a1, a2 = FracOrder(2.5), FracOrder(1.5)
-    rows = {name: rng.uniform(size=grid64.n) for name in _ROWS}
-    sp = SolutionPair(grid64, a1, a2, **rows)
+    rows = dict(zip(_ROWS, rng.uniform(size=(4, grid64.n))))
+    sp = SolutionPair(grid64, a1, a2, np.array(list(rows.values())))
     t = grid64.nodes
     want = {"t": t, "u": rows["u_w"] * (1.0 + t ** 1.5),
             "v": rows["v_w"] * (1.0 + t ** 0.5),
@@ -551,6 +542,20 @@ def test_trace_csv_and_json(monotone_runs):
     assert len(doc["diffs"]) == trace.n_steps
 
 
+def test_trace_dict_is_its_fields_but_iterates(monotone_runs):
+    # Keyword-only fields in the JSON document's order; an attribute set
+    # from outside stays out of the document.
+    _, trace = monotone_runs["lower"]
+    names = [f.name for f in fields(IterationTrace)]
+    assert names[-1] == "iterates"
+    assert list(trace.to_dict()) == names[:-1]
+    copy = replace(trace)
+    copy.extra = 1
+    assert copy.to_dict() == trace.to_dict()
+    with pytest.raises(TypeError):
+        IterationTrace("monotone", 1e-5, 1e-8)
+
+
 def test_contraction_stop_rule(contraction_run, report_lipschitz):
     final, trace = contraction_run
     assert trace.converged
@@ -584,7 +589,7 @@ class _InterpRoute(IntegralOperator):
             vals = f(s, u, v, np.interp(s, t, sp.du), np.interp(s, t, sp.dv))
             rows += self.plan.assemble(k, vals)
         return SolutionPair(self.grid, self.alpha1, self.alpha2,
-                            u_w=rows[0], du=rows[1], v_w=rows[2], dv=rows[3])
+                            np.array(rows))
 
 
 def _assert_same_rows(a, b, what):
@@ -611,8 +616,7 @@ def test_apply_and_solves_are_the_interp_route_bit_for_bit(
     scales = np.sort(np.random.default_rng(n).uniform(size=(2, 4, n)),
                      axis=0)
     inputs = [SolutionPair.zeros(grid, ks1.alpha, ks2.alpha), upper] + [
-        SolutionPair(grid, ks1.alpha, ks2.alpha, **dict(zip(
-            ("u_w", "du", "v_w", "dv"), c * np.array(upper.rows()))))
+        SolutionPair(grid, ks1.alpha, ks2.alpha, c * upper.stack)
         for c in scales]
     for k, sp in enumerate(inputs):
         _assert_same_rows(op.apply(sp), oracle.apply(sp), k)

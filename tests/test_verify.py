@@ -5,17 +5,24 @@ to prove the audits can actually fail."""
 import json
 import math
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracbvp import (
     FracOrder,
+    Grid,
     IterationTrace,
     SolutionPair,
+    build_report,
+    contract_solve,
     diff_norm,
     error_bound_audit,
     norm_pair,
     ordering_audit,
+    resolve_problem,
     verify_pair,
 )
 from fracbvp.verify import (AuditResult, boundary_residual,
@@ -99,13 +106,21 @@ def test_ordering_audit_catches_backslide(grid64):
 
 
 def test_ordering_audit_catches_crossing(grid64):
+    # Lower iterate 1 peaks at row dv, node 9, above upper iterate 2:
+    # the audit names the two iterates that attain the per-node max and
+    # min there.
     a1, a2 = FracOrder(2.5), FracOrder(1.5)
     const = lambda v: SolutionPair.constant(grid64, a1, a2, v)
-    lower = _trace("monotone", "lower", [const(0.0), const(3.0)])
-    upper = _trace("monotone", "upper", [const(5.0), const(2.0)])
+    spike = np.ones((4, grid64.n))
+    spike[3, 9] = 4.5
+    lower = _trace("monotone", "lower", [
+        const(0.0), SolutionPair(grid64, a1, a2, spike), const(3.0)])
+    upper = _trace("monotone", "upper", [const(5.0), const(4.0), const(2.0)])
     res = ordering_audit(lower, upper)
     assert not res.ok
-    assert "cross-chain gap" in res.message
+    assert res.worst_excess == pytest.approx(2.5, abs=1e-6)
+    assert "tightest at cross-chain gap between lower iterate 1 and upper " \
+        "iterate 2, row dv, node 9 (" in res.message
 
 
 def test_error_bound_audit_passes_real_run(contraction_run,
@@ -114,7 +129,8 @@ def test_error_bound_audit_passes_real_run(contraction_run,
     res = error_bound_audit(trace, m=report_lipschitz.m)
     assert res.ok, res.message
     n = trace.n_steps
-    assert res.checked >= n * (n + 1) // 2
+    assert res.checked == n * (n - 1) // 2
+    assert "vs reference" not in res.message
 
 
 def test_error_bound_audit_rejects_wrong_inputs(monotone_runs,
@@ -135,7 +151,7 @@ def test_error_bound_audit_takes_m_0(grid64):
                    m=0.0)
     res = error_bound_audit(still)
     assert res.ok, res.message
-    assert res.checked == 3
+    assert res.checked == 1
     moved = _trace("contraction", None, [const(1.0), const(0.5), const(0.4)],
                    m=0.0)
     res = error_bound_audit(moved)
@@ -156,21 +172,13 @@ def test_error_bound_audit_catches_slow_convergence(grid64):
 
 
 def _scanned_error_bound_audit(trace, m):
-    """error_bound_audit as a scan over the comparisons, one diff_norm
-    each: the oracle for the stacked audit."""
+    """error_bound_audit as a scan over the pairs of iterates, one
+    diff_norm each: the oracle for the stacked audit."""
     slack = 10.0 * trace.quad_tol * (1.0 + max(trace.norms))
     its = trace.iterates
     d1 = trace.diffs[0]
     gain = 1.0 / (1.0 - m)
-    reference = its[-1]
-    allowance = slack + trace.diffs[-1] * m * gain
     worst, where, checked = -math.inf, "", 0
-    for n in range(1, len(its)):
-        excess = diff_norm(its[n], reference) - (m ** n * gain * d1
-                                                 + allowance)
-        checked += 1
-        if excess > worst:
-            worst, where = excess, f"iterate {n} vs reference"
     for n in range(1, len(its)):
         for j in range(n + 1, len(its)):
             lhs = diff_norm(its[j], its[n])
@@ -180,10 +188,27 @@ def _scanned_error_bound_audit(trace, m):
                 worst, where = lhs - bound, f"iterates {n} and {j}"
     ok = worst <= 0.0
     message = (f"geometric bound {'holds' if ok else 'broken'} over "
-               f"{checked} comparisons; tightest at {where}: excess "
-               f"{worst:.3e}")
+               f"{checked} comparisons; " + (
+                   f"tightest at {where}: excess {worst:.3e}" if checked
+                   else "one step leaves no pair of iterates to compare"))
     return AuditResult("error_bound", ok, float(worst), checked, slack,
                        message)
+
+
+def _two_family_ok(trace, m):
+    """The audit's verdict when it also checked every iterate n >= 1
+    against the final iterate K, within m^n/(1-m) d_1 plus K's own
+    a-posteriori bound d_K m/(1-m) and the slack: the reference family
+    that the pairs (n, K) imply."""
+    slack = 10.0 * trace.quad_tol * (1.0 + max(trace.norms))
+    its = trace.iterates
+    gain = 1.0 / (1.0 - m)
+    allowance = slack + trace.diffs[-1] * m * gain
+    reference_ok = all(
+        diff_norm(its[n], its[-1]) - (m ** n * gain * trace.diffs[0]
+                                      + allowance) <= 0.0
+        for n in range(1, len(its)))
+    return reference_ok and _scanned_error_bound_audit(trace, m).ok
 
 
 def test_error_bound_audit_is_the_scan(grid64, rng, contraction_run,
@@ -197,11 +222,68 @@ def test_error_bound_audit_is_the_scan(grid64, rng, contraction_run,
     const = lambda v: SolutionPair.constant(grid64, a1, a2, v)
     for pairs in ([const(1.0), const(0.5), const(0.5), const(0.5)],
                   [const(1.0), const(1.0)],
-                  [SolutionPair(grid64, a1, a2, *rng.uniform(size=(4, 64)))
+                  [SolutionPair(grid64, a1, a2, rng.uniform(size=(4, 64)))
                    for _ in range(7)]):
         for m in (1e-6, 0.5):
             tr = _trace("contraction", None, pairs, m=m)
             assert error_bound_audit(tr) == _scanned_error_bound_audit(tr, m)
+
+
+def test_error_bound_audit_of_one_step_compares_nothing(grid64):
+    a1, a2 = FracOrder(2.5), FracOrder(1.5)
+    one = _trace("contraction", None, [
+        SolutionPair.constant(grid64, a1, a2, v) for v in (0.0, 3.0)], m=0.5)
+    res = error_bound_audit(one)
+    assert (res.ok, res.checked, res.worst_excess) == (True, 0, -math.inf)
+    assert res.message == ("geometric bound holds over 0 comparisons; one "
+                           "step leaves no pair of iterates to compare")
+
+
+def test_error_bound_audit_drops_the_self_comparison(kernels):
+    # both.prob's contraction run at n = 32 stops after 5 steps.  Its
+    # tightest comparison was the final iterate against itself; the
+    # audit now reports the tightest of the 10 pairs.
+    lp = resolve_problem(str(Path(__file__).parent / "data" / "both.prob"))
+    m = build_report(lp.spec, expected=lp.expected).m
+    _, trace = contract_solve(lp.spec, *kernels, Grid.make(32), m=m)
+    assert trace.n_steps == 5
+    res = error_bound_audit(trace)
+    assert res.ok and res.checked == 10
+    assert "vs reference" not in res.message
+    its, slack = trace.iterates, res.slack
+    excesses = {(n, j): diff_norm(its[j], its[n]) - (
+        m ** n * (1.0 - m ** (j - n)) / (1.0 - m) * trace.diffs[0] + slack)
+        for n in range(1, 6) for j in range(n + 1, 6)}
+    assert res.worst_excess == pytest.approx(max(excesses.values()),
+                                             rel=1e-12)
+    n, j = max(excesses, key=excesses.get)
+    assert f"tightest at iterates {n} and {j}: " in res.message
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.floats(0.0, 0.99), steps=st.integers(1, 12),
+       noise=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_error_bound_audit_keeps_the_two_family_verdict(m, steps, noise,
+                                                        seed):
+    # Contraction-like traces: step k has norm about m^k, scaled by a
+    # random factor in [1 - noise, 1 + noise], in a random direction.
+    # Dropping the reference family never changes the verdict.
+    rng = np.random.default_rng(seed)
+    grid = Grid.make(16)
+    a1, a2 = FracOrder(2.5), FracOrder(1.5)
+    stack = np.zeros((4, grid.n))
+    pairs = [SolutionPair(grid, a1, a2, stack)]
+    for k in range(steps):
+        step = rng.uniform(-1.0, 1.0, (4, grid.n))
+        step *= m ** k * rng.uniform(1.0 - noise, 1.0 + noise) \
+            / np.abs(step).max()
+        stack = stack + step
+        pairs.append(SolutionPair(grid, a1, a2, stack))
+    tr = IterationTrace(scheme="contraction", tol=1e-6, quad_tol=1e-8, m=m,
+                        iterates=pairs, norms=[norm_pair(p) for p in pairs],
+                        diffs=[diff_norm(a, b)
+                               for a, b in zip(pairs, pairs[1:])])
+    assert error_bound_audit(tr).ok == _two_family_ok(tr, m)
 
 
 def test_verification_report_json(sublinear, op_sublinear, monotone_runs,
