@@ -36,7 +36,7 @@ import numpy as np
 __all__ = [
     "Expr", "Num", "Var", "Const", "Op",
     "ExprError", "ExprSyntaxError", "ExprNameError", "ExprEvalError",
-    "parse", "compile_expr", "to_source", "free_variables",
+    "parse", "compile_expr", "to_source", "free_variables", "proves_monotone",
 ]
 
 VARIABLES = ("t", "u1", "u2", "u3", "u4")
@@ -195,8 +195,7 @@ def _compile(e: Expr, bound: Mapping[str, np.ndarray]
     variables alone or none (numpy scalars for constants, so 1/0 is inf,
     not a ZeroDivisionError); otherwise e's closure over an environment."""
     if isinstance(e, Var):
-        name = e.name
-        return bound[name] if name in bound else (lambda env: env[name])
+        return bound.get(e.name, operator.itemgetter(e.name))
     op, args = _operands(e)
     if op is None:
         return np.float64(e.value if isinstance(e, Num) else CONSTANTS[e.name])
@@ -207,14 +206,18 @@ def _compile(e: Expr, bound: Mapping[str, np.ndarray]
         if isinstance(v, np.ndarray):
             v.setflags(write=False)
         return v
-    fs = [p if callable(p) else (lambda env, p=p: p) for p in parts]
-    f, g = fs[0], fs[-1]
-    if len(fs) == 1:
+    f, g = parts[0], parts[-1]
+    if len(parts) == 1:
         return lambda env: op(f(env))
+    if not callable(g):
+        return lambda env: op(f(env), g)
+    if not callable(f):
+        return lambda env: op(f, g(env))
     return lambda env: op(f(env), g(env))
 
 
-def compile_expr(e: Expr, variables: tuple[str, ...] = VARIABLES, *,
+def compile_expr(e: Expr | tuple[Expr, ...],
+                 variables: tuple[str, ...] = VARIABLES, *,
                  bind: Mapping[str, np.ndarray] | None = None
                  ) -> Callable[..., np.ndarray]:
     """Compile to a vectorized function of positional ndarray arguments.
@@ -224,7 +227,10 @@ def compile_expr(e: Expr, variables: tuple[str, ...] = VARIABLES, *,
     non-finite output for finite input raises ExprEvalError, so domain
     mistakes cannot leak NaN into a solver run.  A variable of the tree
     outside `variables` raises ExprNameError here; with no variables the
-    function takes no arguments and returns a 0-d array.
+    function takes no arguments and returns a 0-d array.  A tuple of k
+    trees compiles to one function that returns their values stacked
+    on a leading axis of length k, each value as the tree alone gives
+    it, under one check that names the first tree at fault.
 
     `bind` fixes some of `variables` to arrays (copied, read-only); the
     function takes the others, in order.  Subtrees over constants and
@@ -232,14 +238,16 @@ def compile_expr(e: Expr, variables: tuple[str, ...] = VARIABLES, *,
     operations a call would run, so results are bit for bit those of an
     evaluation per call; the check runs per call.
     """
+    trees = e if isinstance(e, tuple) else (e,)
     bound = {k: np.array(v, dtype=float) for k, v in (bind or {}).items()}
     for a in bound.values():
         a.setflags(write=False)
-    if unbound := (free_variables(e) | bound.keys()) - set(variables):
+    used = frozenset().union(*map(free_variables, trees))
+    if unbound := (used | bound.keys()) - set(variables):
         raise ExprNameError(min(unbound), None, variables)
     with np.errstate(all="ignore"):
-        value = _compile(e, bound)
-    body = value if callable(value) else (lambda env: value)
+        values = [_compile(x, bound) for x in trees]
+    bodies = [v if callable(v) else (lambda env, v=v: v) for v in values]
     params = tuple(v for v in variables if v not in bound)
 
     def fn(*args: np.ndarray) -> np.ndarray:
@@ -251,16 +259,22 @@ def compile_expr(e: Expr, variables: tuple[str, ...] = VARIABLES, *,
             a if type(a) is np.ndarray and a.dtype is _F64
             else np.asarray(a, dtype=float) for a in args)))
         with np.errstate(all="ignore"):
-            out = np.asarray(body(env), dtype=float)
+            vals = [body(env) for body in bodies]
+            # A constant value, or rows of unlike shapes, take the
+            # arguments' broadcast shape.
+            if () in (shapes := set(map(np.shape, vals))) or len(shapes) > 1:
+                full = np.broadcast_shapes(*map(np.shape, env.values()))
+                vals = [np.broadcast_to(v, full) for v in vals]
+            out = (np.array(vals, dtype=float) if trees is e
+                   else np.asarray(vals[0], dtype=float))
             total = out.sum()
-        out = np.broadcast_to(out, np.broadcast_shapes(
-            *(np.shape(a) for a in env.values()))) if out.shape == () else out
         # Every term is finite when the sum is; an overflowing sum of
         # finite terms is told apart term by term.
         if not math.isfinite(total) and not np.isfinite(out).all():
-            bad, where = ~np.isfinite(out), ""
+            bad = ~np.isfinite(out.reshape(len(trees), -1))
+            i, where = int(np.argmax(bad.any(axis=1))), ""
             if variables:
-                idx = int(np.argmax(bad))
+                idx = int(np.argmax(bad[i]))
                 first = env[variables[0]]
                 try:
                     x = float(first.flat[idx] if first.ndim else first)
@@ -268,10 +282,68 @@ def compile_expr(e: Expr, variables: tuple[str, ...] = VARIABLES, *,
                     x = float("nan")
                 where = f" at sample index {idx} ({variables[0]}={x!r})"
             raise ExprEvalError(
-                f"non-finite value from {to_source(e)!r}{where}")
+                f"non-finite value from {to_source(trees[i])!r}{where}")
         return out
 
     return fn
+
+
+# --- Sign and monotonicity -----------------------------------------------
+
+# Signs the walk below tells apart: any finite value, >= 0, > 0.
+_ANY, _NONNEG, _POS = 0, 1, 2
+
+
+def _fact(e: Expr) -> tuple[int, bool] | None:
+    """(sign, free) of e on t >= 0, u1..u4 >= 0: e is finite there, its
+    sign is at least `sign`, and it either reads no u_k (free) or is
+    nondecreasing in each; None when the rules cannot tell."""
+    if isinstance(e, Var):
+        return _NONNEG, e.name == "t"
+    op, args = _operands(e)
+    if op is None:
+        v = e.value if isinstance(e, Num) else CONSTANTS[e.name]
+        return (_POS if v > 0 else _NONNEG if v == 0 else _ANY), True
+    # map: one frame per level of the tree.
+    facts = list(map(_fact, args))
+    if None in facts:
+        return None
+    (s, free), (s2, free2) = facts[0], facts[-1]
+    if e.op in ("neg", "-") and free2:  # a - b as a + (-b)
+        s2 = _ANY
+        if e.op == "neg":
+            return _ANY, True
+    if e.op in ("+", "-") and (free2 or e.op == "+"):
+        return (max(s, s2) if min(s, s2) else _ANY), free and free2
+    if e.op == "*" and (min(s, s2) or (free and free2)):
+        return min(s, s2), free and free2
+    if e.op == "/" and (s2, free2) == (_POS, True):
+        return s, free
+    if e.op in ("^", "pow"):
+        with np.errstate(all="ignore"):
+            c = _compile(args[1], {})
+        if s and not callable(c) and 0 < c < math.inf:  # NaN fails both
+            return s, free
+        if (s, free, free2) == (_POS, True, True):
+            return _POS, True
+    if e.op in ("sqrt", "abs") and s:
+        return s, free
+    if e.op == "abs" and free:
+        return _NONNEG, True
+    if e.op == "exp":
+        return _POS, free
+    if e.op == "log" and s == _POS:
+        return _ANY, free
+    return None
+
+
+def proves_monotone(e: Expr) -> bool:
+    """Whether the rules of _fact show that e is finite, >= 0 and
+    nondecreasing in each of u1..u4 wherever t >= 0 and u1..u4 >= 0
+    (after Cousot & Cousot, POPL 1977).  False abstains: it proves
+    nothing either way."""
+    fact = _fact(e)
+    return fact is not None and fact[0] >= _NONNEG
 
 
 # --- Pretty printing -----------------------------------------------------

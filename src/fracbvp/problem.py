@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .exprlang import Expr, ExprError, compile_expr
+from .exprlang import Expr, ExprError, compile_expr, proves_monotone
 from .fracops import FracOrder, gamma
 from .kernels import compute_lambda
 from .quad import (DEFAULT_TOL, Integrand, QuadratureError, integrate_batch,
@@ -400,13 +400,19 @@ def _h4_draws() -> tuple[np.ndarray, ...]:
 
 
 def check_h4(p: ProblemSpec) -> Verdict:
-    """Monotonicity falsification on [0, _H4_BOX)^5.
+    """H4: each f_i >= 0 and nondecreasing in the state.
 
-    Takes componentwise-ordered state pairs as the min/max of two blocks
-    of _h4_draws's point set and requires f_i(t, lo) <= f_i(t, hi) up
-    to rounding.  Nonnegativity of f_i on the sampled states is checked
-    alongside, since positivity of the iterates relies on it.
+    Proved from the trees for t >= 0, u >= 0 when
+    exprlang.proves_monotone shows both.  Otherwise falsified on
+    [0, _H4_BOX)^5: takes componentwise-ordered state pairs as the
+    min/max of two blocks of _h4_draws's point set and requires
+    f_i(t, lo) <= f_i(t, hi) up to rounding.  Nonnegativity of f_i on
+    the sampled states is checked alongside, since positivity of the
+    iterates relies on it.
     """
+    if proves_monotone(p.f1) and proves_monotone(p.f2):
+        return Verdict(True, "proved f1, f2 >= 0 and nondecreasing in the "
+                             "state for t >= 0, u >= 0")
     t, lo, hi = _h4_draws()
     issues = []
     for i, fn in enumerate(p.f_compiled, start=1):

@@ -47,9 +47,12 @@ state is frozen at its last node value (the weighted rows converge to
 finite limits, and every state-dependent tail term is damped by the
 integrable forcing envelopes).  The plan's points never move, so the
 plan fixes each point's bracket, offset and state weights, and a build
-evaluates the subtrees of f_i that depend on t alone there, once; an
-apply runs np.interp's own formula on those brackets, once for both
-equations, so the states are np.interp's values bit for bit.
+compiles f_1 and f_2 as one pair, evaluating their subtrees that depend
+on t alone there, once.  An apply runs np.interp's own formula on those
+brackets, once for both equations, so the states are np.interp's values
+bit for bit; then one call of the pair gives F_1 and F_2 stacked, and
+the plan turns them into both equations' rows with stacked numpy calls
+(each row's sums in the order one equation alone would take).
 """
 
 from __future__ import annotations
@@ -342,32 +345,33 @@ class _Plan:
         self.bracket = np.searchsorted(nodes, s, side="right") - 1
         self.offset = s - nodes[self.bracket]
         self.weights = 1.0 + pows
-        self.gamma_alpha = tuple(ks.gamma_alpha for ks in kss)
-        self.denom = tuple(ks.denom for ks in kss)
+        self.gamma_alpha = np.array([[ks.gamma_alpha] for ks in kss])
+        self.denom = np.array([[ks.denom] for ks in kss])
         self.g_at_s = np.stack([ks.g_many(s) for ks in kss])
         for v in vars(self).values():
             if isinstance(v, np.ndarray):
                 v.setflags(write=False)
 
-    def assemble(self, k: int,
-                 vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Equation k's node rows (weighted u row, derivative row) from F
-        at the plan's points s."""
+    def assemble(self, vals: np.ndarray) -> np.ndarray:
+        """The node rows (u_w, du, v_w, dv) from F_1 and F_2, stacked
+        (2, P), at the plan's points s."""
         wf = self.w * vals
-        psums = np.add.reduceat(wf, self.panel_starts)
-        right = psums[::-1].cumsum()[::-1]
-        a_total = float(right[0])
-        c_total = float(np.dot(wf, self.g_at_s[k]))
+        psums = np.add.reduceat(wf, self.panel_starts, axis=1)
+        right = psums[:, ::-1].cumsum(axis=1)[:, ::-1]
+        a_total = right[:, :1]
+        c_total = np.vecdot(wf, self.g_at_s)[:, None]
         # Tail-inclusive remainder int_(t_j)^inf F, summed panel-by-panel
         # so it is exactly a nonneg-weighted sum of F values.
-        remainder = right[self.first_right_panel]
-        p = self.kmat[k] @ vals[:self.n_left_points]
+        remainder = right.take(self.first_right_panel, axis=1)
+        p = np.matmul(self.kmat, vals[:, :self.n_left_points, None])[..., 0]
 
-        ga, t_pow = self.gamma_alpha[k], self.t_pow[k]
-        boundary = c_total / self.denom[k]
-        u = (t_pow * a_total - p) / ga + t_pow * boundary
-        du = remainder + ga * boundary
-        return u / (1.0 + t_pow), du
+        ga, t_pow = self.gamma_alpha, self.t_pow
+        boundary = c_total / self.denom
+        out = np.empty((2, 2, t_pow.shape[1]))
+        out[:, 0] = ((t_pow * a_total - p) / ga + t_pow * boundary) \
+            / (1.0 + t_pow)
+        out[:, 1] = remainder + ga * boundary
+        return out.reshape(4, -1)
 
 
 @functools.lru_cache(maxsize=1)
@@ -379,9 +383,9 @@ def _plan(ks1: KernelSet, ks2: KernelSet, nodes: bytes) -> _Plan:
 
 class IntegralOperator:
     """The discrete fixed-point operator for one problem on one grid: the
-    plan from _plan, and f_1 and f_2 with their t-only subtrees bound on
-    the plan's points.  The map is deterministic: same
-    input pair, same output, bit for bit."""
+    plan from _plan, and f_1 and f_2 compiled as one pair with their
+    t-only subtrees bound on the plan's points.  The map is
+    deterministic: same input pair, same output, bit for bit."""
 
     def __init__(self, p: ProblemSpec, ks1: KernelSet, ks2: KernelSet,
                  grid: Grid, *, interp: str = "linear"):
@@ -392,8 +396,7 @@ class IntegralOperator:
         self.quad_tol = LOOP_TOL
         self.alpha1, self.alpha2 = ks1.alpha, ks2.alpha
         self.plan = _plan(ks1, ks2, grid.nodes.tobytes())
-        self.forcings = [compile_expr(f, bind={"t": self.plan.s})
-                         for f in (p.f1, p.f2)]
+        self.forcings = compile_expr((p.f1, p.f2), bind={"t": self.plan.s})
 
     def apply(self, sp: SolutionPair) -> SolutionPair:
         # Rows (u_w, du, v_w, dv) on [0, t_1..t_N, pad]: weighted rows
@@ -411,13 +414,12 @@ class IntegralOperator:
             slopes = (rows[:, 1:] - rows[:, :-1]) / plan.widths
             # The states by np.interp's formula: slope*offset + left value.
             j = plan.bracket
-            states = (slopes.take(j, axis=1) * plan.offset
-                      + rows.take(j, axis=1))
+            states = slopes.take(j, axis=1)
+            states *= plan.offset
+            states += rows.take(j, axis=1)
             states[0::2] *= plan.weights
             u, du, v, dv = states
-            out = np.empty((4, self.grid.n))
-            for k, f in enumerate(self.forcings):
-                out[2 * k], out[2 * k + 1] = plan.assemble(k, f(u, v, du, dv))
+            out = plan.assemble(self.forcings(u, v, du, dv))
         return SolutionPair(self.grid, self.alpha1, self.alpha2, out)
 
 

@@ -1586,8 +1586,8 @@ def test_loads_share_parsed_values(tmp_path, capsys):
 
 def test_solve_compiles_each_forcing_once_unbound(monkeypatch):
     """A solve compiles f1 and f2 unbound once each, for every check
-    that evaluates them (H4 included), plus once each bound to the
-    operator's points."""
+    that evaluates them, plus once as one pair bound to the operator's
+    points."""
     import fracbvp.verify  # noqa: F401  (solve imports it; bind it now)
     calls = []
     real = fracbvp.exprlang.compile_expr
@@ -1595,8 +1595,9 @@ def test_solve_compiles_each_forcing_once_unbound(monkeypatch):
     def counting(e, variables=VARIABLES, *, bind=None):
         if variables == VARIABLES:
             assert bind is None or np.size(bind["t"]) != _H4_SAMPLES
-            calls.append((to_source(e), "unbound" if bind is None
-                          else "points"))
+            calls.append((tuple(map(to_source, e)) if isinstance(e, tuple)
+                          else to_source(e),
+                          "unbound" if bind is None else "points"))
         return real(e, variables, bind=bind)
 
     for name, mod in list(sys.modules.items()):
@@ -1604,6 +1605,6 @@ def test_solve_compiles_each_forcing_once_unbound(monkeypatch):
             monkeypatch.setattr(mod, "compile_expr", counting)
     assert main(["solve", "sublinear", "--grid-n", "32"]) == 0
     spec = resolve_problem("sublinear").spec
-    forcings = {to_source(spec.f1), to_source(spec.f2)}
-    assert sorted(calls) == sorted(
-        (f, bound) for f in forcings for bound in ("unbound", "points"))
+    forcings = (to_source(spec.f1), to_source(spec.f2))
+    assert sorted(calls, key=str) == sorted(
+        [(f, "unbound") for f in forcings] + [(forcings, "points")], key=str)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import fracbvp.exprlang as exprlang
 from fracbvp import compile_expr, parse, to_source
@@ -30,6 +30,7 @@ from fracbvp.exprlang import (
     Op,
     Var,
     free_variables,
+    proves_monotone,
 )
 
 
@@ -213,6 +214,68 @@ def test_to_source_reparses_to_the_same_tree(tree):
     assert parse(to_source(tree)) == tree
 
 
+@pytest.mark.parametrize("src, proved", [
+    # The packaged forcings' shapes, and one rule each.
+    ("2/(10+t)^2 + exp(-t)*abs(u1)^0.1/(1+sqrt(t^3))^0.1", True),
+    ("exp(-20*t)*sqrt(1+abs(u1))/(1+sqrt(t^3))", True),
+    ("2^t * u1 + pow(u2, pi) * log(e + t)^2", False),  # log's sign
+    ("2^t * u1 + pow(u2, pi) * abs(log(e + t))^2", True),
+    ("exp(u1 + u2 - 1) + abs(1 - t) * u3", True),
+    ("log(1 + u4) + 0", False),
+    ("sqrt(log(1 + u4) + log(1 + t))", False),
+    # What the rules leave open, or what is false.
+    ("1/(1+t) + 1/(1+u1)", False),
+    ("u1 - 5", False),
+    ("2/(10+t)^2 + abs(u1)^0.1 - exp(-t)*abs(u2)/1000", False),
+    ("t^(-0.5)", False),
+    ("1/t", False),
+    ("u1^0", False),
+    ("u1^exp(1000)", False),
+    ("-u1 + 2*u1", False),
+    ("sqrt(u1 - 1) + 2", False),
+])
+def test_proves_monotone_by_its_rules(src, proved):
+    assert proves_monotone(parse(src)) is proved
+
+
+def _unchecked(tree, t, us):
+    """tree's values at (t, us) by the compiler's closures, with numpy's
+    inf and nan left in."""
+    with np.errstate(all="ignore"):
+        body = exprlang._compile(tree, {})
+        value = body(dict(zip(VARIABLES, (t, *us)))) if callable(body) \
+            else body
+        return np.broadcast_to(value, t.shape)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.recursive(_leaves, _extend, max_leaves=12),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_a_proved_tree_is_nonnegative_and_nondecreasing(tree, seed):
+    """Soundness: at ordered samples on the cone (zeros, and log-uniform
+    values up to 1e6) a proved tree is >= 0 and its value at the
+    smaller state is not above its value at the larger, wherever both
+    are finite (the proof speaks of real numbers; floats overflow)."""
+    assume(proves_monotone(tree))
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        x = 10.0 ** rng.uniform(-6.0, 6.0, shape)
+        x[..., :8] = 0.0
+        return x
+
+    t, a, b = draw(64), draw(4, 64), draw(4, 64)
+    a[:, 8:16] = b[:, 8:16]  # equal states in some slots only
+    lo, hi = _unchecked(tree, t, np.minimum(a, b)), \
+        _unchecked(tree, t, np.maximum(a, b))
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    assert np.all(lo[finite] >= 0.0) and np.all(hi[finite] >= 0.0)
+    # Rounding of exp, log and pow may order two values an ulp apart
+    # the wrong way.
+    with np.errstate(all="ignore"):
+        assert not np.any(finite & (lo - hi > 1e-12 * hi)), to_source(tree)
+
+
 def test_to_source_keeps_right_nested_grouping():
     assert to_source(parse("t + (u1 + u2)")) == "t + (u1 + u2)"
     assert to_source(parse("t * (u1 * u2)")) == "t * (u1 * u2)"
@@ -245,6 +308,28 @@ def test_binding_t_changes_no_bit_and_no_error(tree, ts, seed):
     else:
         assert unbound.shape == bound.shape
         assert unbound.tobytes() == bound.tobytes()
+
+
+def test_a_pair_is_its_trees_stacked():
+    """A tuple of trees compiles to one function whose rows are each
+    tree's values bit for bit, a constant tree broadcast to the
+    arguments' shape, and whose error names the tree at fault."""
+    trees = (parse("exp(-t) * abs(u1)^0.3 + u4"), parse("2"),
+             parse("1/t + u2"))
+    t = np.array([2.0, 0.5, 0.0])
+    us = np.random.default_rng(3).uniform(0.0, 5.0, (4, 3))
+    ok = t[:2], us[:, :2]
+    for bind in (None, {"t": ok[0]}):
+        pair = compile_expr(trees, bind=bind)
+        args = ok[1] if bind else (ok[0], *ok[1])
+        got = pair(*args)
+        assert got.shape == (3, 2)
+        for row, tree in zip(got, trees):
+            alone = compile_expr(tree, bind=bind)(*args)
+            assert row.tobytes() == np.broadcast_to(alone, (2,)).tobytes()
+    with pytest.raises(ExprEvalError, match=re.escape(
+            "from '1.0 / t + u2' at sample index 2 (t=0.0)")):
+        compile_expr(trees)(t, *us)
 
 
 def test_bound_t_only_tree_is_one_frozen_array():

@@ -188,17 +188,48 @@ def test_h4_passes_clean_rhs():
     assert verdict.passed, verdict.reason
 
 
+_PROVED = ("proved f1, f2 >= 0 and nondecreasing in the state for "
+           "t >= 0, u >= 0")
+
+
+@pytest.mark.parametrize("name", ["sublinear", "both.prob"])
+def test_h4_proves_the_monotone_forcings_without_sampling(monkeypatch, name):
+    """sublinear's powers below 1 and both.prob's sqrt(1 + abs(u_k))
+    are proved, on the whole cone, and no sample is drawn."""
+    def refuse():
+        raise AssertionError("H4 sampled a proved problem")
+
+    monkeypatch.setattr(problem_mod, "_h4_draws", refuse)
+    spec = load_problem(_texts(name)).spec
+    assert check_h4(spec) == problem_mod.Verdict(True, _PROVED)
+    assert build_report(spec).verdicts["H4"].reason == _PROVED
+
+
+@pytest.mark.parametrize("f1", [
+    "1/(1+t) + 1/(1+u1)", "u1 - 5",
+    "2/(10+t)^2 + abs(u1)^0.1 - exp(-t)*abs(u2)/1000",
+    # Infinite at t = 0, so the proof abstains; the samples miss t = 0
+    # and pass it.
+    "t^(-0.5) + u1", "1/t + u1"])
+def test_h4_samples_where_the_proof_abstains(f1):
+    verdict = check_h4(_tiny_problem(f1, "exp(-t)"))
+    assert "proved" not in verdict.reason
+    assert verdict.passed == f1.endswith("+ u1"), verdict.reason
+
+
 def test_h4_draws_its_samples_once():
     """H4 reads one fixed point set: built once per process, shared by
-    every problem, read only, ordered, and inside [0, _H4_BOX)."""
+    every problem the proof abstains on, read only, ordered, and inside
+    [0, _H4_BOX).  A proved problem draws nothing."""
     problem_mod._h4_draws.cache_clear()
     clean = _tiny_problem("exp(-t) * (1 + u1 + u3)", "exp(-2*t) * (2 + u2)")
     bad = _tiny_problem("u1 - 5", "exp(-t)")
-    first = [check_h4(p) for p in (clean, bad)]
+    decreasing = _tiny_problem("1/(1+t) + 1/(1+u1)", "exp(-t)")
+    first = [check_h4(p) for p in (clean, bad, decreasing)]
     info = problem_mod._h4_draws.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     problem_mod._h4_draws.cache_clear()
-    assert [check_h4(p) for p in (clean, bad)] == first
+    assert [check_h4(p) for p in (clean, bad, decreasing)] == first
     t, lo, hi = problem_mod._h4_draws()
     assert not any(a.flags.writeable for a in (t, lo, hi))
     assert t.shape == (10_000,) and lo.shape == hi.shape == (4, 10_000)

@@ -265,9 +265,9 @@ def test_every_node_row_weighs_f_by_nonnegative_coefficients(request,
     kss = [KernelSet.build(a, h) for a, h in zip(orders, weights)]
     plan = solver_mod._Plan(*kss, Grid.make(n).nodes)
     unit = np.eye(plan.s.size)
-    for k in (0, 1):
-        coef = np.array([plan.assemble(k, e) for e in unit])  # (s, 2, n)
-        assert np.all(coef >= 0.0), (k, np.count_nonzero(coef < 0.0))
+    # F_1 = F_2 = e: row k of the (4, n) rows is row k's coefficient.
+    coef = np.array([plan.assemble(np.stack((e, e))) for e in unit])
+    assert np.all(coef >= 0.0), np.count_nonzero(coef < 0.0, axis=(0, 2))
 
 
 def test_operator_rejects_unknown_interp(lipschitz, kernels, grid64):
@@ -570,13 +570,31 @@ class _InterpRoute(IntegralOperator):
     """The operator with its states taken the plain way on every apply:
     np.interp on [0, t_1..t_N] (weighted rows, anchored at 0) and on
     t_1..t_N (derivative rows), the weights 1 + s^(alpha-1) recomputed,
-    and the forcing compiled unbound on each equation's points.  It
-    shares only the quadrature plan (its points and assemble) with the
-    operator."""
+    and the forcing compiled unbound on each equation's points; each
+    equation's rows come from F one equation at a time, by _assemble.
+    It shares only the quadrature plan's arrays with the operator."""
 
     def __init__(self, p, ks1, ks2, grid):
         super().__init__(p, ks1, ks2, grid)
         self.unbound = (compile_expr(p.f1), compile_expr(p.f2))
+        self.kss = (ks1, ks2)
+
+    def _assemble(self, k, vals):
+        """Equation k's node rows (weighted u row, derivative row) from
+        F at the plan's points s."""
+        plan, ks = self.plan, self.kss[k]
+        wf = plan.w * vals
+        psums = np.add.reduceat(wf, plan.panel_starts)
+        right = psums[::-1].cumsum()[::-1]
+        a_total = float(right[0])
+        c_total = float(np.dot(wf, plan.g_at_s[k]))
+        remainder = right[plan.first_right_panel]
+        p = plan.kmat[k] @ vals[:plan.n_left_points]
+        ga, t_pow = ks.gamma_alpha, plan.t_pow[k]
+        boundary = c_total / ks.denom
+        u = (t_pow * a_total - p) / ga + t_pow * boundary
+        du = remainder + ga * boundary
+        return u / (1.0 + t_pow), du
 
     def apply(self, sp):
         t = self.grid.nodes
@@ -587,7 +605,7 @@ class _InterpRoute(IntegralOperator):
                     * (1.0 + s ** (alpha.q - 1.0)) for row, alpha
                     in ((sp.u_w, self.alpha1), (sp.v_w, self.alpha2)))
             vals = f(s, u, v, np.interp(s, t, sp.du), np.interp(s, t, sp.dv))
-            rows += self.plan.assemble(k, vals)
+            rows += self._assemble(k, vals)
         return SolutionPair(self.grid, self.alpha1, self.alpha2,
                             np.array(rows))
 
@@ -634,11 +652,12 @@ def test_apply_and_solves_are_the_interp_route_bit_for_bit(
         assert got[1].diffs == want[1].diffs
 
 
-def test_forcings_are_evaluated_twice_per_apply(monkeypatch, sublinear,
-                                                 kernels, grid64):
+def test_forcings_are_evaluated_once_per_apply(monkeypatch, sublinear,
+                                                kernels, grid64):
     """The per-layer trace counts forcing evaluations by wrapping the
     callables that solver.compile_expr returns, as bench/tracing.py
-    does; an apply must evaluate each forcing once, through them."""
+    does; an apply must evaluate both forcings in one call of the one
+    callable, which returns them stacked."""
     compile_original = solver_mod.compile_expr
     points = []
 
@@ -656,11 +675,9 @@ def test_forcings_are_evaluated_twice_per_apply(monkeypatch, sublinear,
     _, trace = monotone_solve(sublinear, ks1, ks2, grid64, "lower",
                               operator=op)
     assert trace.n_steps > 0
-    assert len(points) == 2 * trace.n_steps
+    assert len(points) == trace.n_steps
     # Both equations read the plan's points: 8 per panel, 111 panels.
-    per_apply = 2 * op.plan.s.size
-    assert per_apply == 2 * 888
-    assert sum(points) == trace.n_steps * per_apply
+    assert points == [op.plan.s.size] * trace.n_steps == [888] * len(points)
 
 
 def test_kernel_sets_keep_the_plan_of_their_grid(monkeypatch, sublinear):
@@ -718,24 +735,25 @@ def test_kernel_sets_keep_the_plan_of_their_grid(monkeypatch, sublinear):
 
 def test_both_equations_read_one_set_of_plan_points(monkeypatch, sublinear,
                                                     kernels, grid64):
-    """The plan writes its points down once: f_1 and f_2 are both bound
-    to plan.s itself."""
+    """The plan writes its points down once: f_1 and f_2 are compiled
+    as one pair, bound to plan.s itself."""
     bound = []
     compile_original = solver_mod.compile_expr
 
     def recording_compile(expr, bind):
-        bound.append(bind["t"])
+        bound.append((expr, bind["t"]))
         return compile_original(expr, bind=bind)
 
     monkeypatch.setattr(solver_mod, "compile_expr", recording_compile)
     plan = IntegralOperator(sublinear, *kernels, grid64).plan
-    assert [t is plan.s for t in bound] == [True, True]
+    [(trees, t)] = bound
+    assert trees == (sublinear.f1, sublinear.f2) and t is plan.s
 
 
 def test_every_plan_array_is_read_only(sublinear, kernels, grid64):
     plan = IntegralOperator(sublinear, *kernels, grid64).plan
     arrays = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 11
+    assert len(arrays) == 13
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
