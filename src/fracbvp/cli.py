@@ -12,8 +12,6 @@ system.  _SECTIONS declares every section and each key's kind:
                   h1_decay, h2_decay        constants > 0: exponential
                                             decay rates (optional)
     [rhs]         f1, f2                    expressions in t, u1, u2, u3, u4
-                  monotone                  boolean: both nondecreasing in
-                                            the state (default false)
     [growth]      a10..a14, a20..a24        expressions in t (envelope
                                             coefficients)
                   lambda1, lambda2          four exponents each
@@ -91,12 +89,12 @@ class ProblemFileError(ValueError):
 #   expr(t)     an expression in t
 #   expr(t,u)   an expression in t and the state u1, u2, u3, u4
 #   exponents   four comma-separated constants
-#   integer, boolean (true/yes/on/1 or false/no/off/0), word
+#   integer, word
 _SECTIONS: dict[str, dict[str, str]] = {
     "orders": {"alpha1": "constant", "alpha2": "constant"},
     "boundary": {f"h{i}{part}": kind for i in (1, 2) for part, kind in (
         ("", "expr(t)"), ("_exponent", "constant"), ("_decay", "constant"))},
-    "rhs": {"f1": "expr(t,u)", "f2": "expr(t,u)", "monotone": "boolean"},
+    "rhs": {"f1": "expr(t,u)", "f2": "expr(t,u)"},
     "growth": {**{f"a{i}{k}": "expr(t)" for i in (1, 2) for k in range(5)},
                "lambda1": "exponents", "lambda2": "exponents"},
     "lipschitz": {f"b{i}{k}": "expr(t)" for i in (1, 2) for k in range(1, 5)},
@@ -104,7 +102,6 @@ _SECTIONS: dict[str, dict[str, str]] = {
                "max_iter": "integer", "scheme": "word"},
     "expected": dict.fromkeys(sorted(CONSTANT_NAMES), "constant"),
 }
-_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
 
 
 def _solver_fault(key: str, value) -> str | None:
@@ -208,13 +205,8 @@ def _read(section: str, key: str, text: str) -> object:
             return int(re.fullmatch(r"[+-]?[0-9]+", text)[0])
         except (TypeError, ValueError) as exc:
             raise _fail(section, key, f"not an integer: {text!r}") from exc
-    word = text.strip().lower()
     if kind == "word":
-        return word
-    if kind == "boolean":
-        if word not in _BOOLEANS:
-            raise _fail(section, key, f"not a boolean: {text!r}")
-        return _BOOLEANS[word]
+        return text.strip().lower()
     return _parse_number(section, key, text)
 
 
@@ -252,7 +244,6 @@ def load_problem(text: str, origin: str = "") -> LoadedProblem:
         if missing:
             raise ProblemFileError(
                 f"[{section}] is missing required key(s): {missing}")
-    raw["rhs"].setdefault("monotone", "false")
 
     # Each section's checks run once its keys are read, so the first
     # fault in the order above is the one reported.
@@ -303,7 +294,7 @@ def load_problem(text: str, origin: str = "") -> LoadedProblem:
             lipschitz=None if lips is None else LipschitzData(
                 *(tuple(lips[f"b{i}{k}"] for k in range(1, 5))
                   for i in (1, 2))),
-            monotone=rhs["monotone"], name=Path(origin).stem if origin else "")
+            name=Path(origin).stem if origin else "")
     except ValueError as exc:
         raise ProblemFileError(str(exc)) from exc
     return LoadedProblem(spec=spec, solver=solver,
@@ -370,6 +361,24 @@ def _trace_columns(trace: dict) -> dict:
             "seconds": [None, *trace["seconds"]]}
 
 
+def _write_run(out_dir: Path, config: dict, result: dict,
+               warnings: list[str], parts: dict) -> list[Path]:
+    """Write one run into out_dir: verification.json holds config, then
+    result's fields, then the run's warnings; each chain of parts (key
+    -> {"trace": ..., "solution": ...}, either optional) gets its CSVs,
+    suffixed by a nonempty key.  Returns the paths written, sorted."""
+    outputs = {"verification.json": _json(
+        {"config": config, **result, "warnings": warnings}) + "\n"}
+    for key, part in parts.items():
+        suffix = f"-{key}" if key else ""
+        for kind, cols in part.items():
+            outputs[f"{kind}{suffix}.csv"] = _table(config.items(), (
+                _trace_columns(cols) if kind == "trace" else cols))
+    for fname, text in sorted(outputs.items()):
+        (out_dir / fname).write_text(text)
+    return [out_dir / f for f in sorted(outputs)]
+
+
 def _emit(text: str, end: str = "\n") -> None:
     """The one stdout writer: print(text, end=end), flushed.  A reader
     that has gone away (a closed pipe) is not an error: stdout is
@@ -390,7 +399,7 @@ def _report_text(report: HypothesisReport, name: str,
         "H1": "boundary weights nonnegative, couplings below Gamma(alpha)",
         "H2": "growth envelopes usable (nonnegative, integrable)",
         "H3": "Lipschitz coefficients usable (nonnegative, integrable)",
-        "H4": "forcing nondecreasing in the state",
+        "H4": "forcing nonnegative and nondecreasing in the state",
     }
     for key in sorted(report.verdicts):
         v = report.verdicts[key]
@@ -508,11 +517,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
                                          operator=op)}
     except SchemeBreakError as exc:
         tr = exc.trace  # None for the dominating start
-        for w in getattr(tr, "warnings", ()):
+        warnings = getattr(tr, "warnings", [])
+        for w in warnings:
             print(f"warning: {w}", file=sys.stderr)
         print(f"scheme guarantee broke mid-run: {exc}", file=sys.stderr)
+        parts = {tr.direction or "": {"trace": tr.to_dict()}} if tr else {}
+        if args.out:
+            _write_run(Path(args.out), config_doc, {"broke": str(exc)},
+                       warnings, parts)
         if args.json:
-            parts = {tr.direction or "": {"trace": tr.to_dict()}} if tr else {}
             _emit(_json({**doc, "broke": str(exc), **parts.get("", parts)}))
         return EXIT_HYPOTHESIS
     warnings = [w for _, tr in chains.values() for w in tr.warnings]
@@ -556,19 +569,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     doc["verification"] = ver_doc
 
     if args.out:
-        outputs = {"verification.json": _json(
-            {"config": config_doc, **ver_doc, "warnings": warnings}) + "\n"}
-        header = config_doc.items()
-        for key, part in parts.items():
-            suffix = f"-{key}" if key else ""
-            outputs[f"solution{suffix}.csv"] = _table(header, part["solution"])
-            outputs[f"trace{suffix}.csv"] = _table(
-                header, _trace_columns(part["trace"]))
-        out_dir = Path(args.out)
-        for fname, text in sorted(outputs.items()):
-            (out_dir / fname).write_text(text)
-        summary.append("wrote " + ", ".join(
-            str(out_dir / f) for f in sorted(outputs)))
+        summary.append("wrote " + ", ".join(map(str, _write_run(
+            Path(args.out), config_doc, ver_doc, warnings, parts))))
     _emit(_json(doc) if args.json else "\n".join(summary))
     return EXIT_OK if doc["converged"] else EXIT_NO_CONVERGENCE
 

@@ -17,10 +17,10 @@ up front which guarantees apply:
   H3  Lipschitz envelopes: |f_i(t,u.) - f_i(t,w.)| <= sum_k b_ik(t) |u_k - w_k|,
       with b_ik >= 0 (sampled), weighted the same way (power 1), plus
       tau_i = int |f_i(t,0,0,0,0)| dt.
-  H4  monotonicity: each f_i is nondecreasing in u1..u4 on the
-      nonnegative cone.  Checked by falsification on a fixed
-      low-discrepancy point set; a pass means "no counterexample
-      found", never "proved".
+  H4  monotonicity: each f_i >= 0 and nondecreasing in u1..u4 on the
+      nonnegative cone, settled whenever growth data is given.  Proved
+      from the forcing trees where exprlang.proves_monotone can, else
+      falsified on a fixed point set (a pass: no counterexample found).
 
 Derived from these: the kernel sup constants L_i = 1/(Gamma(alpha_i) -
 Lambda_i) and L = max{L_1, L_2, Gamma(alpha_1) L_1, Gamma(alpha_2) L_2},
@@ -127,7 +127,6 @@ class ProblemSpec:
     f2: Expr
     growth: GrowthData | None = None
     lipschitz: LipschitzData | None = None
-    monotone: bool = False
     name: str = ""
 
     def __post_init__(self) -> None:
@@ -186,7 +185,6 @@ class HypothesisReport:
     verdicts: Mapping[str, Verdict]
     notes: tuple[str, ...]
     discrepancies: tuple[Discrepancy, ...]
-    samples: int
     # Scheme ("monotone", "contraction") -> why it is blocked, in the
     # order the facts were established; to_dict leaves it out.
     blockers: Mapping[str, tuple[str, ...]]
@@ -216,7 +214,6 @@ class HypothesisReport:
             {"name": d.name, "computed": d.computed, "expected": d.expected,
              "difference": d.difference}
             for d in self.discrepancies]
-        doc["samples"] = self.samples
         return doc
 
 
@@ -501,12 +498,8 @@ def build_report(p: ProblemSpec, *,
             b_star, tau = (tuple(s[:4]), tuple(s[4:8])), tuple(s[8:])
         settle("H3", verdict, "contraction")
 
-    if p.monotone:
+    if p.growth is not None:
         settle("H4", check_h4(p), "monotone")
-    else:
-        notes.append("monotonicity not claimed; the monotone scheme "
-                     "is unavailable for this problem")
-        blockers["monotone"].append("monotonicity not claimed")
 
     # m and r need b*_ik that bound f, which only a passing H3 gives.
     m = R = r = None
@@ -547,7 +540,6 @@ def build_report(p: ProblemSpec, *,
         lam=lam, gamma_alpha=ga, L_pair=(l1, l2), L=big_l,
         a_star=a_star, b_star=b_star, tau=tau, m=m, R=R, r=r,
         verdicts=verdicts, notes=tuple(notes), discrepancies=(),
-        samples=_H4_SAMPLES,
         blockers={k: tuple(v) for k, v in blockers.items()})
 
     if expected:

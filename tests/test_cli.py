@@ -75,7 +75,6 @@ def test_load_minimal():
     assert lp.spec.alpha1.q == 2.5
     assert lp.spec.alpha2.q == 1.5
     assert lp.spec.h1 is None and lp.spec.h2 is None
-    assert lp.spec.monotone is False
     assert lp.spec.name == "tiny"
     assert lp.solver.n == 64
     assert lp.solver.scheme == "auto"
@@ -144,16 +143,6 @@ def test_exponent_lists_need_four_entries():
              f"lambda2 = 0.1, 0.2, 0.3, 0.4\n")
     with pytest.raises(ProblemFileError, match="4 comma-separated"):
         load_problem(_with(block))
-
-
-def test_bool_parsing():
-    for word in ("true", "Yes", "ON", "1"):
-        lp = load_problem(MINIMAL.replace(
-            "f2 = exp(-2*t)", f"f2 = exp(-2*t)\nmonotone = {word}"))
-        assert lp.spec.monotone is True
-    with pytest.raises(ProblemFileError, match="monotone"):
-        load_problem(MINIMAL.replace(
-            "f2 = exp(-2*t)", "f2 = exp(-2*t)\nmonotone = maybe"))
 
 
 def test_boundary_annotations_require_weight():
@@ -228,9 +217,6 @@ def _problem_texts(draw):
     sections = {"orders": {"alpha1": draw(_numbers(2.0, 3.0)),
                            "alpha2": draw(_numbers(1.0, 2.0))},
                 "rhs": {f"f{i}": draw(_STATE_EXPRS) for i in (1, 2)}}
-    if draw(st.booleans()):
-        sections["rhs"]["monotone"] = draw(st.sampled_from(
-            ["true", "No", "ON", "0"]))
     boundary = {}
     for h in ("h1", "h2"):
         if draw(st.booleans()):
@@ -306,8 +292,7 @@ def test_loads_are_deterministic_on_random_problems(text):
     assert (a.solver, a.expected, a.sections) == (b.solver, b.expected,
                                                   b.sections)
     assert (a.spec.f1, a.spec.f2) == (b.spec.f1, b.spec.f2)
-    assert (a.spec.alpha1, a.spec.alpha2, a.spec.monotone) == (
-        b.spec.alpha1, b.spec.alpha2, b.spec.monotone)
+    assert (a.spec.alpha1, a.spec.alpha2) == (b.spec.alpha1, b.spec.alpha2)
     if a.spec.growth is not None:
         assert (a.spec.growth.lam1, a.spec.growth.lam2) == (
             b.spec.growth.lam1, b.spec.growth.lam2)
@@ -401,6 +386,7 @@ def test_check_json(capsys):
     assert doc["passed"] is True
     assert doc["m"] == pytest.approx(0.985740294457121, abs=1e-9)
     assert [d["name"] for d in doc["discrepancies"]] == ["tau2"]
+    assert list(doc["verdicts"]) == ["H1", "H3"] and "samples" not in doc
 
 
 def test_check_fails_on_vanishing_forcing(tmp_path, capsys):
@@ -562,6 +548,15 @@ def _csv_cells(text: str) -> tuple[list[str], dict[str, list[str]]]:
                             map(list, zip(*(r.split(",") for r in rows)))))
 
 
+def _trace_cells(trace: dict) -> dict[str, list[str]]:
+    """The columns trace.csv holds for a --json document's trace."""
+    return {"iteration": [str(k) for k in range(len(trace["norms"]))],
+            "norm": list(map(repr, trace["norms"])),
+            **{col: [""] + list(map(repr, trace[key])) for col, key in (
+                ("diff", "diffs"), ("violations", "violations"),
+                ("seconds", "seconds"))}}
+
+
 def test_solve_out_tables_are_the_json_document(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["solve", "sublinear", "--grid-n", "16", "--json",
@@ -577,14 +572,8 @@ def test_solve_out_tables_are_the_json_document(tmp_path, capsys):
         assert cols == {k: list(map(repr, v))
                         for k, v in doc[chain]["solution"].items()}
         header, cols = _csv_cells((out / f"trace-{chain}.csv").read_text())
-        trace = doc[chain]["trace"]
         assert header == want_header
-        assert cols == {
-            "iteration": [str(k) for k in range(len(trace["norms"]))],
-            "norm": list(map(repr, trace["norms"])),
-            **{col: [""] + list(map(repr, trace[key])) for col, key in (
-                ("diff", "diffs"), ("violations", "violations"),
-                ("seconds", "seconds"))}}
+        assert cols == _trace_cells(doc[chain]["trace"])
 
 
 def test_kernel_dump_text_is_its_json_in_long_format(tmp_path, capsys):
@@ -1264,6 +1253,12 @@ _EDGE_CASES = {
         ("solve", [], 2, r"^scheme guarantee broke mid-run: iteration 1: "
                          r"non-finite value from "),
     ]),
+    # H4 is worked out, never claimed: the key that claimed it is gone.
+    "monotone-claim": ("sublinear", [("\n\n[growth]",
+                                      "\nmonotone = true\n\n[growth]")], [
+        ("check", [], 4, r"^error: unknown key\(s\) in \[rhs\]: "
+                         r"\['monotone'\]\n$"),
+    ]),
     "h4-fails": ("sublinear", [("f1 = 2/(10+t)^2",
                                 "f1 = 2/(10+t)^2 - exp(-t)*abs(u1)/2")], [
         ("check", [], 2, r"H4 FAIL.*\n      " + _H4_FLOATS),
@@ -1335,11 +1330,16 @@ def test_the_ratio_warning_is_in_the_json_trace(tmp_path, capsys):
 _DEFECT_A = ("lipschitz", [("abs(u4)/(20*(1+t^2))", "2*abs(u4)/(1+t^2)")])
 
 
-@pytest.mark.parametrize("problem, edits, key", [
+# Runs that break mid-run: (problem, edits, the key of the breaking
+# chain's trace in the --json document, None for the dominating start).
+_BREAKS = pytest.mark.parametrize("problem, edits, key", [
     (*_DEFECT_A, "trace"),
     ("sublinear", [("lambda1 = 0.1,", "lambda1 = 0.9944,")], "upper"),
     ("sublinear", [("lambda1 = 0.1,", "lambda1 = 0.9947,")], None),
 ], ids=["contraction-overflow", "upper-chain-step", "dominating-start"])
+
+
+@_BREAKS
 def test_a_broken_run_prints_its_json_document(tmp_path, capsys, problem,
                                                edits, key):
     # A run that breaks mid-run keeps its exit code and stderr under
@@ -1384,6 +1384,65 @@ def test_verification_json_lists_the_run_warnings(tmp_path, capsys):
     [w] = ver["warnings"]
     assert w.startswith("difference ratios exceeded m + 0.05 = ")
     assert err == f"warning: {w}\n"
+
+
+@_BREAKS
+def test_a_broken_run_writes_what_it_has_into_out(tmp_path, capsys, problem,
+                                                  edits, key):
+    # verification.json holds the config, the break and the breaking
+    # chain's warnings; the chain's trace, if the break carries one, is
+    # its trace CSV.  Exit code, stdout and stderr are those without --out.
+    p = tmp_path / "broken.prob"
+    p.write_text(_packaged_without_expected(problem, edits))
+    assert main(["solve", str(p), "--grid-n", "16"]) == 2
+    plain = capsys.readouterr()
+    out = tmp_path / "run"
+    assert main(["solve", str(p), "--grid-n", "16", "--out", str(out)]) == 2
+    assert capsys.readouterr() == plain
+    assert main(["solve", str(p), "--grid-n", "16", "--json",
+                 "--out", str(out)]) == 2
+    doc = _strict_json(capsys.readouterr().out)
+    ver = _strict_json((out / "verification.json").read_text())
+    assert list(ver) == ["config", "broke", "warnings"]
+    assert (ver["config"], ver["broke"]) == (doc["config"], doc["broke"])
+    assert plain.err == "".join(f"warning: {w}\n" for w in ver["warnings"]) \
+        + f"scheme guarantee broke mid-run: {ver['broke']}\n"
+    names = sorted(f.name for f in out.iterdir())
+    if key is None:
+        assert names == ["verification.json"]
+        return
+    trace = doc["trace"] if key == "trace" else doc[key]["trace"]
+    assert ver["warnings"] == trace["warnings"]
+    if key == "trace":
+        [w] = ver["warnings"]
+        assert w.startswith("difference ratios exceeded m + 0.05 = ")
+    csv = "trace.csv" if key == "trace" else f"trace-{key}.csv"
+    assert names == [csv, "verification.json"]
+    _, cols = _csv_cells((out / csv).read_text())
+    assert cols == _trace_cells(trace)
+
+
+def test_h4_is_settled_with_the_growth_data(tmp_path, capsys):
+    # both.prob with f1 decreasing in u1: nothing claims H4, yet check
+    # samples it and fails, auto falls to the contraction scheme, and
+    # the monotone scheme is refused for H4.
+    text = Path(_BOTH).read_text()
+    old = "exp(-20*t)*sqrt(1+abs(u1))"
+    assert text.count(old) == 1
+    p = tmp_path / "decreasing.prob"
+    p.write_text(text.replace(old, "exp(-20*t)*1/sqrt(1+abs(u1))"))
+    assert main(["check", str(p)]) == 2
+    out = capsys.readouterr().out
+    assert re.search(r"  H4 FAIL  forcing nonnegative and nondecreasing in "
+                     r"the state\n      " + _H4_FLOATS, out), out
+    assert out.endswith("result: FAILED: H4\n")
+    assert main(["solve", str(p), "--grid-n", "16"]) == 0
+    assert "contraction scheme, n=16" in capsys.readouterr().out
+    assert main(["solve", str(p), "--grid-n", "16", "--scheme",
+                 "monotone"]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"problem 'decreasing': no scheme is licensed\n"
+                        r"  H4 fails \(" + _H4_FLOATS + r".*\)\n", err), err
 
 
 def test_a_state_free_forcing_solves_with_m_0(tmp_path, capsys):

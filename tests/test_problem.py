@@ -132,7 +132,10 @@ def test_verdict_sets(report_sublinear, report_lipschitz):
     assert set(report_lipschitz.verdicts) == {"H1", "H3"}
     assert report_sublinear.passed
     assert report_lipschitz.passed
-    assert any("monotonicity not claimed" in n for n in report_lipschitz.notes)
+    # H4 is settled with the growth data: lipschitz has none, so H4 does
+    # not run and nothing else blocks the monotone scheme.
+    assert not any("claim" in n for n in report_lipschitz.notes)
+    assert report_lipschitz.blockers["monotone"] == ("no growth data",)
 
 
 def test_declared_value_mismatch_is_flagged(report_lipschitz):
@@ -156,14 +159,13 @@ def test_unknown_expected_name_rejected(sublinear):
         build_report(sublinear, expected={"a99": 1.0})
 
 
-def _tiny_problem(f1_src, f2_src, monotone=True):
+def _tiny_problem(f1_src, f2_src):
     one = Integrand(lambda t: np.exp(-t), decay_hint=1.0)
     growth = GrowthData(a1=(one,) * 5, a2=(one,) * 5,
                         lam1=(0.5,) * 4, lam2=(0.5,) * 4)
     return ProblemSpec(
         alpha1=FracOrder(2.5), alpha2=FracOrder(1.5), h1=None, h2=None,
-        f1=parse(f1_src), f2=parse(f2_src), growth=growth,
-        monotone=monotone)
+        f1=parse(f1_src), f2=parse(f2_src), growth=growth)
 
 
 def test_h4_catches_decreasing_rhs():
@@ -250,7 +252,7 @@ def test_h1_rejects_strong_coupling():
                        endpoint_exponent=-1.5, decay_hint=1.0)
     p = _tiny_problem("exp(-t)", "exp(-t)")
     p = ProblemSpec(alpha1=p.alpha1, alpha2=p.alpha2, h1=strong, h2=None,
-                    f1=p.f1, f2=p.f2, growth=p.growth, monotone=True)
+                    f1=p.f1, f2=p.f2, growth=p.growth)
     verdict, lam = check_h1(p)
     assert not verdict.passed
     assert "Lambda1" in verdict.reason
@@ -263,7 +265,7 @@ def test_radius_R_needs_sublinear_exponents():
                         lam1=(0.5, 1.0, 0.5, 0.5), lam2=(0.5,) * 4)
     p = ProblemSpec(alpha1=FracOrder(2.5), alpha2=FracOrder(1.5),
                     h1=None, h2=None, f1=parse("exp(-t)"),
-                    f2=parse("exp(-t)"), growth=growth, monotone=True)
+                    f2=parse("exp(-t)"), growth=growth)
     rep = build_report(p)
     assert rep.R is None
     assert "growth exponent 1.0 >= 1 is outside the supported sublinear " \
@@ -301,7 +303,7 @@ def test_report_json_round_trip(report_sublinear):
     assert doc["verdicts"]["H1"]["passed"] is True
     assert isinstance(doc["notes"], list)
     assert doc["discrepancies"] == []
-    assert "seed" not in doc and doc["samples"] == 10_000
+    assert "seed" not in doc and "samples" not in doc
 
 
 # -- the coefficient-integral memo ---------------------------------------
